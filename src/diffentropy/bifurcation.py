@@ -5,12 +5,15 @@ default; its roots are the attractors/repellers organizing the generative
 dynamics, and the noise levels where the root count changes are the
 bifurcations that split one branch of generation into several.
 
-Roots are located by a hybrid iteration: a full Newton step is accepted
-whenever it reduces ``|g|``, otherwise the step is halved (backtracking along
-the descent direction of ``g^2``).  Starts come from a uniform grid over the
-search box plus bisection-refined sign-change brackets found on that grid;
-the brackets matter at low noise, where repelling roots live in posterior
-switch layers of width ``~ var / separation`` that no reasonable grid hits.
+Roots are located from the sign changes of ``g`` on a uniform grid over the
+search box.  Each sign-change cell brackets one root, which a safeguarded
+Newton-bisection iteration (``rtsafe``, Numerical Recipes section 9.4) narrows
+down to float resolution: the Newton step is taken when it stays inside the
+bracket and at most halves the step before last, a bisection otherwise.  Grid
+nodes where ``g`` is exactly zero are roots without a bracket.  At low noise
+repelling roots live in posterior switch layers of width ``~ var /
+separation`` that no reasonable grid hits, but the sign change across such a
+layer still brackets them.
 """
 
 from __future__ import annotations
@@ -38,11 +41,7 @@ __all__ = [
 
 DEFAULT_DRIFT_COEFF = 0.5
 RESIDUAL_TOL = 1e-10
-DEDUP_TOL = 1e-6
-STEP_TOL = 1e-12
-MAX_ITER = 200
-_MAX_HALVINGS = 60
-_BISECT_ITER = 80
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def drift_residual(mixture: MixtureModel, alpha_bar: float, x,
@@ -116,45 +115,69 @@ def _default_box(mixture: MixtureModel, alpha_bar: float) -> tuple[float, float]
     return lo, hi
 
 
-def _bracket_starts(g_vals: np.ndarray, grid: np.ndarray, g) -> np.ndarray:
-    """Bisection-refined sign-change cells of ``g``, one start per cell.
+def _bracketed_roots(g, gp, lo, hi, g_lo, g_hi, residual_tol):
+    """One root per sign-change bracket ``[lo, hi]``, with its residual.
 
-    Returns whichever bracket endpoint ends up with the smaller ``|g|``; near
+    The bracket arrays are narrowed in place.  A Newton step is taken when it
+    lands strictly inside the bracket and is at most half the step before
+    last, a bisection otherwise.  The first midpoint narrows every bracket
+    before any step is taken, so a later bisection never lands on it again.  A bracket is finished when it
+    collapses to adjacent floats, when ``g`` vanishes at the iterate, or when
+    the iterate's residual is below ``residual_tol`` and its Newton correction
+    below float resolution at unit scale.  The iterate is then one of the
+    bracket ends, and whichever end has the smaller ``|g|`` is reported: near
     razor-thin roots the residual is a step function of ``x`` at float
-    resolution, and the midpoint routinely sits on the wrong step.
+    resolution, so either end may be the better one.
     """
-    signs = np.sign(g_vals)
-    idx = np.flatnonzero(signs[1:] * signs[:-1] < 0)
-    if idx.size == 0:
-        return np.empty(0)
-    lo = grid[idx].copy()
-    hi = grid[idx + 1].copy()
-    g_lo = g_vals[idx].copy()
-    g_hi = g_vals[idx + 1].copy()
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        left = np.sign(g_mid) == np.sign(g_lo)
-        lo = np.where(left, mid, lo)
-        g_lo = np.where(left, g_mid, g_lo)
-        hi = np.where(left, hi, mid)
-        g_hi = np.where(left, g_hi, g_mid)
-    return np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi)
+    x = 0.5 * (lo + hi)
+    gx = g(x)
+    step = 0.5 * (hi - lo)
+    step_before = hi - lo
+    active = np.arange(lo.size)
+    while True:
+        left = np.sign(gx) == np.sign(g_lo[active])
+        lo[active] = np.where(left, x, lo[active])
+        g_lo[active] = np.where(left, gx, g_lo[active])
+        hi[active] = np.where(left, hi[active], x)
+        g_hi[active] = np.where(left, g_hi[active], gx)
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - gx / gp(x)
+        # Close to a root near the origin the computed residual is rounding
+        # noise over a span of many floats; the Newton test ends it there.
+        converged = ((np.abs(gx) < residual_tol)
+                     & (np.abs(newton - x) <= _EPS * np.maximum(1.0, np.abs(x))))
+        done = (gx == 0.0) | converged | ~((a < mid) & (mid < b))
+        if done.all():
+            break
+        keep = ~done
+        use_newton = (a < newton) & (newton < b) & (np.abs(newton - x) <= 0.5 * step_before)
+        active = active[keep]
+        x_new = np.where(use_newton, newton, mid)[keep]
+        step_before = step[keep]
+        step = np.abs(x_new - x[keep])
+        x = x_new
+        gx = g(x)
+    better_hi = np.abs(g_hi) < np.abs(g_lo)
+    return np.where(better_hi, hi, lo), np.where(better_hi, g_hi, g_lo)
 
 
 def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
                       search_box: tuple[float, float] | None = None,
                       n_starts: int = 256,
                       drift_coeff: float = DEFAULT_DRIFT_COEFF,
-                      residual_tol: float = RESIDUAL_TOL,
-                      dedup_tol: float = DEDUP_TOL) -> tuple[FixedPoint, ...]:
+                      residual_tol: float = RESIDUAL_TOL) -> tuple[FixedPoint, ...]:
     """Locate every root of the drift residual inside the search box.
 
-    Runs the hybrid Newton iteration from grid-seeded starts (plus refined
-    sign-change brackets), keeps starts that converge below ``residual_tol``,
-    deduplicates within ``dedup_tol`` and classifies stability from the
-    residual slope.  Iterates are confined to the box; an empty result
-    triggers a warning, not an error.
+    Evaluates the residual on ``n_starts`` evenly spaced nodes, reports nodes
+    where it is exactly zero, and runs one safeguarded Newton-bisection per
+    sign-change cell, so each bracket yields one root.  Roots whose residual
+    is below ``residual_tol`` are kept (a root two brackets end on is
+    reported once), and stability is classified from the residual slope.  An
+    empty result triggers a warning, not an error.  A cell holding an even
+    number of roots shows no sign change; the grid must be fine enough that
+    roots are at least one cell apart.
 
     Very close to the clean end (variance below ~1e-3 for unit-scale
     mixtures), repelling roots that do not fall on an exactly representable
@@ -180,41 +203,17 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
 
     grid = np.linspace(lo_box, hi_box, n_starts)
     g_grid = np.asarray(g(grid))
-    x = np.concatenate([grid, _bracket_starts(g_grid, grid, g)])
+    signs = np.sign(g_grid)
+    cells = np.flatnonzero(signs[1:] * signs[:-1] < 0)
+    x, residuals = _bracketed_roots(g, gp, grid[cells], grid[cells + 1],
+                                    g_grid[cells], g_grid[cells + 1], residual_tol)
+    zeros = g_grid == 0.0
+    x = np.concatenate([grid[zeros], x])
+    residuals = np.concatenate([g_grid[zeros], residuals])
 
-    fx = np.asarray(g(x))
-    done = ~np.isfinite(fx)
-    for _ in range(MAX_ITER):
-        active = np.flatnonzero(~done)
-        if active.size == 0:
-            break
-        xa, fa = x[active], fx[active]
-        da = np.asarray(gp(xa))
-        bad = (da == 0.0) | ~np.isfinite(da)
-        step = np.where(bad, 0.0, -fa / np.where(bad, 1.0, da))
-        cand = np.clip(xa + step, lo_box, hi_box)
-        improved = np.zeros(active.size, dtype=bool)
-        fc = fa.copy()
-        for _ in range(_MAX_HALVINGS):
-            pending = ~improved & (cand != xa)
-            if not pending.any():
-                break
-            trial = np.asarray(g(cand[pending]))
-            better = np.abs(trial) < np.abs(fa[pending])
-            hit = np.flatnonzero(pending)[better]
-            improved[hit] = True
-            fc[hit] = trial[better]
-            miss = np.flatnonzero(pending)[~better]
-            cand[miss] = np.clip(xa[miss] + 0.5 * (cand[miss] - xa[miss]), lo_box, hi_box)
-        moved = np.abs(cand - xa)
-        x[active] = np.where(improved, cand, xa)
-        fx[active] = np.where(improved, fc, fa)
-        finished = ~improved | (moved < STEP_TOL * np.maximum(1.0, np.abs(cand)))
-        done[active[finished]] = True
-
-    keep = np.abs(fx) < residual_tol
-    roots = x[keep]
-    residuals = fx[keep]
+    keep = np.abs(residuals) < residual_tol
+    roots, first = np.unique(x[keep], return_index=True)
+    residuals = residuals[keep][first]
     if roots.size == 0:
         warnings.warn(
             f"no drift fixed points converged at alpha_bar={alpha_bar!r} in {search_box!r}",
@@ -222,35 +221,29 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
         )
         return ()
 
-    order = np.argsort(roots)
-    roots, residuals = roots[order], residuals[order]
-    clusters: list[tuple[float, float]] = []
-    for r, res in zip(roots, residuals):
-        if clusters and abs(r - clusters[-1][0]) <= dedup_tol:
-            if abs(res) < abs(clusters[-1][1]):
-                clusters[-1] = (r, res)
-        else:
-            clusters.append((r, res))
-
-    out = []
-    for r, res in clusters:
-        slope = float(gp(np.asarray(r)))
-        out.append(FixedPoint(x=float(r) + 0.0, alpha_bar=float(alpha_bar),
-                              residual=float(res), stable=slope > 0.0))
-    return tuple(out)
+    slopes = gp(roots)
+    return tuple(FixedPoint(x=float(r) + 0.0, alpha_bar=float(alpha_bar),
+                            residual=float(res), stable=bool(slope > 0.0))
+                 for r, res, slope in zip(roots, residuals, slopes))
 
 
-def _count_at(mixture, schedule, t, stable_only, window, **solver):
-    pts = find_fixed_points(mixture, schedule.alpha_bar(t), **solver)
-    if stable_only:
-        pts = [p for p in pts if p.stable]
-    if window is not None:
-        lo, hi = window(schedule.alpha_bar(t))
-        pts = [p for p in pts if lo <= p.x <= hi]
-    return len(pts)
+def _step_solver(mixture, schedule, drift_coeff, n_starts):
+    """``solve(t)``: the fixed points at step ``t``, each step solved once."""
+    cache: dict[int, tuple[FixedPoint, ...]] = {}
+
+    def solve(t: int) -> tuple[FixedPoint, ...]:
+        if t not in cache:
+            try:
+                cache[t] = find_fixed_points(mixture, schedule.alpha_bar(t),
+                                             drift_coeff=drift_coeff, n_starts=n_starts)
+            except Exception as err:
+                raise type(err)(f"level t={t}: {err}") from err
+        return cache[t]
+
+    return solve
 
 
-def _refine_change(mixture, schedule, t_lo, t_hi, count_fn) -> tuple[int, int]:
+def _refine_change(t_lo, t_hi, count_fn) -> tuple[int, int]:
     """Shrink a count-change bracket to adjacent integer steps."""
     c_lo = count_fn(t_lo)
     while t_hi - t_lo > 1:
@@ -274,22 +267,16 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule, stride: i
     that cluster closer than it.
     """
     times = TimeGrid.strided(schedule, stride)
-    solver = dict(drift_coeff=drift_coeff, n_starts=n_starts)
-    levels = []
-    for t in times.steps:
-        try:
-            levels.append(find_fixed_points(mixture, schedule.alpha_bar(int(t)), **solver))
-        except Exception as err:
-            raise type(err)(f"level t={int(t)}: {err}") from err
+    solve = _step_solver(mixture, schedule, drift_coeff, n_starts)
+    levels = [solve(int(t)) for t in times.steps]
 
     def count_fn(t):
-        return _count_at(mixture, schedule, int(t), stable_only=False, window=None, **solver)
+        return len(solve(t))
 
     critical = []
     for i in range(1, len(levels)):
         if len(levels[i]) != len(levels[i - 1]):
-            t_lo, t_hi = _refine_change(mixture, schedule, int(times.steps[i - 1]),
-                                        int(times.steps[i]), count_fn)
+            t_lo, t_hi = _refine_change(int(times.steps[i - 1]), int(times.steps[i]), count_fn)
             critical.append(CountChange(
                 t_before=t_lo,
                 t_after=t_hi,
@@ -326,14 +313,12 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule, i: int, j
     mu_i, mu_j = sorted((mixture.means[i], mixture.means[j]))
     pad = margin * (mu_j - mu_i)
 
-    def window(alpha_bar):
-        root = np.sqrt(alpha_bar)
-        return root * (mu_i - pad), root * (mu_j + pad)
-
-    solver = dict(drift_coeff=drift_coeff, n_starts=n_starts)
+    solve = _step_solver(mixture, schedule, drift_coeff, n_starts)
 
     def count_fn(t):
-        return _count_at(mixture, schedule, int(t), stable_only=True, window=window, **solver)
+        root = np.sqrt(schedule.alpha_bar(t))
+        lo, hi = root * (mu_i - pad), root * (mu_j + pad)
+        return sum(1 for p in solve(t) if p.stable and lo <= p.x <= hi)
 
     probes = list(range(1, schedule.num_steps + 1, coarse_stride))
     if probes[-1] != schedule.num_steps:
@@ -345,7 +330,7 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule, i: int, j
     for t in probes[1:]:
         count = count_fn(t)
         if count < 2:
-            t_lo, t_hi = _refine_change(mixture, schedule, prev_t, t, count_fn)
+            t_lo, t_hi = _refine_change(prev_t, t, count_fn)
             return (t_lo + t_hi) / (2.0 * schedule.num_steps)
         prev_t, prev_count = t, count
     return None

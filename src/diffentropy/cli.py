@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"complement must be 'exact' or 'null', got {self.complement!r}")
         if self.score_kind == "replay" and not self.replay_path:
             raise ConfigError("replay score model needs a 'path'")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     # -- domain object construction -------------------------------------
 
@@ -156,6 +158,22 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _index(value, key: str, index: int) -> int:
+    # bool is an int subclass, and a float index must not be truncated.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"partition #{index} {key!r}: component index must be an integer, "
+                          f"got {value!r}")
+    return value
+
+
+def _index_list(entry: dict, key: str, index: int) -> tuple[int, ...]:
+    values = entry.get(key)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"partition #{index} needs {key!r} as a list of component indices, "
+                          f"got {values!r}")
+    return tuple(_index(v, key, index) for v in values)
+
+
 def _partition_spec(entry: dict, k: int, index: int) -> PartitionSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"partition #{index} must be an object, got {entry!r}")
@@ -163,24 +181,26 @@ def _partition_spec(entry: dict, k: int, index: int) -> PartitionSpec:
     if preset is None:
         if "z0" not in entry or "z1" not in entry:
             raise ConfigError(f"partition #{index} needs 'z0' and 'z1' (or a 'preset')")
-        z0, z1 = tuple(entry["z0"]), tuple(entry["z1"])
+        z0, z1 = _index_list(entry, "z0", index), _index_list(entry, "z1", index)
         default = f"z0-{'-'.join(map(str, z0))}_vs_z1-{'-'.join(map(str, z1))}"
     elif preset == "one-vs-one":
-        a, b = entry["classes"]
-        z0, z1 = (int(a),), (int(b),)
-        default = f"c{a}-vs-c{b}"
+        classes = _index_list(entry, "classes", index)
+        if len(classes) != 2:
+            raise ConfigError(f"partition #{index} 'classes' needs two component indices, "
+                              f"got {list(classes)}")
+        z0, z1 = classes[:1], classes[1:]
+        default = f"c{z0[0]}-vs-c{z1[0]}"
     elif preset == "one-vs-rest":
-        target = int(entry["target"])
+        target = _index(entry.get("target"), "target", index)
         z0 = (target,)
         z1 = tuple(i for i in range(k) if i != target)
         default = f"c{target}-vs-rest"
     elif preset == "group-vs-group":
-        z0, z1 = tuple(entry["z0"]), tuple(entry["z1"])
+        z0, z1 = _index_list(entry, "z0", index), _index_list(entry, "z1", index)
         default = f"group-{'-'.join(map(str, z0))}_vs_{'-'.join(map(str, z1))}"
     else:
         raise ConfigError(f"unknown partition preset {preset!r}")
-    return PartitionSpec(z0=tuple(int(i) for i in z0), z1=tuple(int(i) for i in z1),
-                         name=str(entry.get("name", default)))
+    return PartitionSpec(z0=z0, z1=z1, name=str(entry.get("name", default)))
 
 
 _SCALAR_KEYS = {

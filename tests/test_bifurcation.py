@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from diffentropy import bifurcation
 from diffentropy.bifurcation import (
     FixedPoint,
     drift_residual,
@@ -107,6 +110,40 @@ class TestFindFixedPoints:
         stable = [p for p in pts if p.stable]
         assert len(stable) == 4
 
+    def test_root_on_a_grid_node_is_reported_once(self):
+        # With an odd node count the symmetric box puts a node on the origin,
+        # where the residual is exactly zero: a root with no sign-change cell.
+        n = 257
+        for ab in (1e-4, 0.5, 0.999):
+            lo, hi = scan_box(TWO_DELTAS, ab)
+            assert np.linspace(lo, hi, n)[n // 2] == 0.0
+            assert drift_residual(TWO_DELTAS, ab, 0.0) == 0.0
+            pts = find_fixed_points(TWO_DELTAS, ab, n_starts=n)
+            assert [p.x for p in pts if abs(p.x) < 1e-6] == [0.0]
+            assert len(pts) == sign_change_count(TWO_DELTAS, ab, lo, hi)
+
+    def test_counts_match_dense_scan_at_refined_events(self):
+        # The adjacent steps around each count change of FOUR_DELTAS, where
+        # roots are born or die and the brackets are hardest to resolve.
+        events = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20).critical
+        steps = sorted({t for e in events if e.t_before >= 25 for t in (e.t_before, e.t_after)})
+        assert steps == [130, 131, 222, 223, 565, 566]
+        for t in steps:
+            ab = SCHEDULE.alpha_bar(t)
+            pts = find_fixed_points(FOUR_DELTAS, ab)
+            assert len(pts) == sign_change_count(FOUR_DELTAS, ab, *scan_box(FOUR_DELTAS, ab))
+
+    def test_steep_low_noise_repellers_are_kept(self):
+        # A few steps from the clean end the repeller between two deltas sits
+        # in a posterior switch layer where |g'| reaches 1e5..1e8, so only a
+        # float-resolution end of its bracket meets the residual tolerance.
+        skewed = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
+        for t in (3, 7, 8):
+            ab = SCHEDULE.alpha_bar(t)
+            pts = find_fixed_points(skewed, ab)
+            assert [p.stable for p in pts] == [True, False, True]
+            assert abs(drift_residual_derivative(skewed, ab, pts[1].x)) > 1e4
+
     def test_bad_search_box_rejected(self):
         with pytest.raises(ParameterError):
             find_fixed_points(TWO_DELTAS, 0.5, search_box=(1.0, 1.0))
@@ -161,6 +198,23 @@ class TestTraceBifurcations:
         event = diagram.critical[0]
         assert event.t_after - event.t_before == 1
         assert event.s == pytest.approx((event.t_before + event.t_after) / 2000)
+
+    def test_each_step_is_solved_once(self, monkeypatch):
+        solved = Counter()
+        real = bifurcation.find_fixed_points
+
+        def counting(mixture, alpha_bar, *args, **kwargs):
+            solved[alpha_bar] += 1
+            return real(mixture, alpha_bar, *args, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "find_fixed_points", counting)
+        diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20)
+        assert diagram.critical
+        assert len(solved) > len(diagram.steps)  # refinement solved extra steps
+        assert set(solved.values()) == {1}
+        solved.clear()
+        assert sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1) is not None
+        assert set(solved.values()) == {1}
 
 
 class TestSiblingSplitTime:

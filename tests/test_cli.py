@@ -66,6 +66,11 @@ class TestConfig:
             {"partitions": [{"z0": [0], "z1": [0]}]},
             {"typo_key": 1},
             {"score_model": {"kind": "replay"}},
+            {"partitions": [{"z0": [0.5], "z1": [1]}]},
+            {"seed": -1},
+            {"partitions": [{"preset": "one-vs-rest"}]},
+            {"partitions": [{"preset": "one-vs-one"}]},
+            {"partitions": [{"preset": "one-vs-one", "classes": [1]}]},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
