@@ -158,12 +158,34 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _index(value, key: str, index: int) -> int:
-    # bool is an int subclass, and a float index must not be truncated.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"partition #{index} {key!r}: component index must be an integer, "
-                          f"got {value!r}")
+def _scalar(value, key: str, kind: type):
+    """``value`` as ``kind``: a number key takes a JSON number, an integer key a JSON integer."""
+    if kind is str:
+        return str(value)
+    # bool is an int subclass, and a float must not be truncated to an integer.
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(mix: dict, key: str) -> tuple[float, ...] | None:
+    if key not in mix:
+        return None
+    values = mix[key]
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"mixture.{key} must be a non-empty list of numbers, got {values!r}")
+    return tuple(_scalar(v, f"mixture.{key}", float) for v in values)
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {key!r} must be an object, got {value!r}")
     return value
+
+
+def _index(value, key: str, index: int) -> int:
+    return _scalar(value, f"partition #{index} {key!r}: component index", int)
 
 
 def _index_list(entry: dict, key: str, index: int) -> tuple[int, ...]:
@@ -218,30 +240,28 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    mix = raw.get("mixture", {})
+    mix = _section(raw, "mixture")
     if "means" not in mix:
         raise ConfigError("config needs mixture.means")
-    means = tuple(float(v) for v in mix["means"])
-    weights = tuple(float(v) for v in mix["weights"]) if "weights" in mix else None
-    variances = tuple(float(v) for v in mix["variances"]) if "variances" in mix else None
-
-    kwargs: dict = {"means": means, "weights": weights, "variances": variances}
-    sched = raw.get("schedule", {})
+    means = _numbers(mix, "means")
+    kwargs: dict = {"means": means, "weights": _numbers(mix, "weights"),
+                    "variances": _numbers(mix, "variances")}
+    sched = _section(raw, "schedule")
     if "betas" in sched:
         raise ConfigError("explicit beta arrays are supported via the library API, not the CLI config")
-    for key, target in (("num_steps", "num_steps"), ("beta_start", "beta_start"), ("beta_end", "beta_end")):
+    for key in ("num_steps", "beta_start", "beta_end"):
         if key in sched:
-            kwargs[target] = sched[key]
+            kwargs[key] = _scalar(sched[key], f"schedule.{key}", _SCALAR_KEYS[key])
 
-    for key, cast in _SCALAR_KEYS.items():
+    for key, kind in _SCALAR_KEYS.items():
         if key in raw:
-            kwargs[key] = cast(raw[key])
+            kwargs[key] = _scalar(raw[key], key, kind)
     if "samples" in raw:
-        kwargs["samples_z0"] = kwargs["samples_z1"] = int(raw["samples"])
+        kwargs["samples_z0"] = kwargs["samples_z1"] = _scalar(raw["samples"], "samples", int)
     if raw.get("prior_z0") is not None:
-        kwargs["prior_z0"] = float(raw["prior_z0"])
+        kwargs["prior_z0"] = _scalar(raw["prior_z0"], "prior_z0", float)
 
-    score = raw.get("score_model", {})
+    score = _section(raw, "score_model")
     if score:
         kwargs["score_kind"] = str(score.get("kind", "oracle"))
         kwargs["replay_path"] = score.get("path")
@@ -251,6 +271,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     if entries is not None:
         if isinstance(entries, dict):
             entries = [entries]
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigError(f"config 'partitions' must be a list of objects, got {entries!r}")
         k = len(means)
         specs = [_partition_spec(e, k, i) for i, e in enumerate(entries)]
         names = [s.name for s in specs]

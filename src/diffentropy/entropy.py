@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid
-from .mixture import (
-    POSTERIOR_FLOOR,
-    _log_normal,
-    _log_weights,
-    _logsumexp,
-    diffused_params,
-)
+from .mixture import POSTERIOR_FLOOR, _log_joints, _logsumexp, diffused_params
 
 __all__ = [
     "QuadratureDomainError",
@@ -48,6 +42,8 @@ DEFAULT_SUPPORT_SPAN = 10.0  # grid reach in diffused standard deviations
 # Slack for clipping H into [0, 1]: anything beyond this is a genuine
 # quadrature failure rather than roundoff.
 ENTROPY_CLIP_SLACK = 1e-9
+
+LN2 = float(np.log(2.0))
 
 
 class QuadratureDomainError(ValueError):
@@ -112,53 +108,41 @@ def prior_entropy_bits(partition: Partition) -> float:
     return float(binary_entropy_bits(partition.prior_z0))
 
 
-def _side_log_likelihoods(mixture: MixtureModel, partition: Partition, alpha_bar: float,
-                          x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log densities of the two side sub-mixtures (weights renormalized per side)."""
-    mu, var = diffused_params(mixture, alpha_bar)
-    out = []
-    for side in (partition.z0, partition.z1):
-        idx = list(side)
-        lw = _log_weights(mixture.weights[idx])
-        lw = lw - _logsumexp(lw[None, :])  # normalize within the side
-        out.append(_logsumexp(_log_normal(x[:, None], mu[idx], var[idx]) + lw))
-    return out[0], out[1]
+def _logit_entropy_bits(logit: np.ndarray) -> np.ndarray:
+    """Binary entropy of the coin with log-odds ``logit``, in bits.
+
+    With ``u = exp(-|logit|)`` it is ``log1p(u) + |logit| u / (1 + u)`` nats,
+    exact at both tails without forming the probabilities.
+    """
+    mag = np.abs(logit)
+    u = np.exp(-mag)
+    return (np.log1p(u) + mag * u / (1.0 + u)) / LN2
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _posterior_given_sides(l0: np.ndarray, l1: np.ndarray,
-                           prior_z0: float, prior_z1: float) -> np.ndarray:
-    """P(z0 | x) from the side log likelihoods, stable via the log ratio."""
-    logit = (l0 + np.log(prior_z0)) - (l1 + np.log(prior_z1))
-    return _sigmoid(logit)
+def _grid_points(mixture: MixtureModel, alpha_bar: float,
+                 grid: QuadratureGrid | None) -> tuple[np.ndarray, float]:
+    if grid is None:
+        grid = QuadratureGrid.for_mixture(mixture, alpha_bar)
+    else:
+        _check_coverage(grid, mixture, alpha_bar)
+    return grid.points(), grid.dx
 
 
 def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
                            grid: QuadratureGrid | None = None) -> float:
     """Conditional entropy of the decision at one noise level, in bits.
 
-    Evaluates the prior-weighted split form: for each side, the quadrature of
-    the side's sub-mixture density against the binary entropy of the partition
-    posterior.  Result is clipped into [0, 1]; an excursion beyond
+    With the side log joints ``a = log pi0 p0`` and ``b = log pi1 p1`` (the
+    union's component kernel summed per side), this is the quadrature of the
+    density ``e^a + e^b`` against the binary entropy of the posterior logit
+    ``a - b``.  Result is clipped into [0, 1]; an excursion beyond
     ``1 + 1e-9`` raises, since binary entropy cannot exceed one bit.
     """
-    if grid is None:
-        grid = QuadratureGrid.for_mixture(mixture, alpha_bar)
-    else:
-        _check_coverage(grid, mixture, alpha_bar)
-    x = grid.points()
-    l0, l1 = _side_log_likelihoods(mixture, partition, alpha_bar, x)
-    q0 = _posterior_given_sides(l0, l1, partition.prior_z0, partition.prior_z1)
-    integrand = (partition.prior_z0 * np.exp(l0) + partition.prior_z1 * np.exp(l1))
-    h = float(np.sum(integrand * binary_entropy_bits(q0)) * grid.dx)
+    x, dx = _grid_points(mixture, alpha_bar, grid)
+    lj, _, _ = _log_joints(mixture, alpha_bar, x, partition.z0 + partition.z1)
+    k0 = len(partition.z0)
+    a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
+    h = float(np.sum((np.exp(a) + np.exp(b)) * _logit_entropy_bits(a - b)) * dx)
     if h > 1.0 + ENTROPY_CLIP_SLACK or h < -ENTROPY_CLIP_SLACK:
         raise QuadratureDomainError(
             f"conditional entropy {h!r} outside [0, 1]; grid too coarse or too narrow"
@@ -174,15 +158,11 @@ def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
     ``r`` the equal-prior posterior ``p0 / (p0 + p1)``.  For an equal-prior
     partition this satisfies ``H + JSD = 1`` exactly on a shared grid.
     """
-    if grid is None:
-        grid = QuadratureGrid.for_mixture(mixture, alpha_bar)
-    else:
-        _check_coverage(grid, mixture, alpha_bar)
-    x = grid.points()
-    l0, l1 = _side_log_likelihoods(mixture, partition, alpha_bar, x)
-    r = _posterior_given_sides(l0, l1, 0.5, 0.5)
+    x, dx = _grid_points(mixture, alpha_bar, grid)
+    l0, l1 = (_logsumexp(_log_joints(mixture, alpha_bar, x, side)[0])
+              for side in (partition.z0, partition.z1))
     mid = 0.5 * (np.exp(l0) + np.exp(l1))
-    return float(np.sum(mid * -binary_entropy_bits(r)) * grid.dx) + 1.0
+    return 1.0 - float(np.sum(mid * _logit_entropy_bits(l0 - l1)) * dx)
 
 
 @dataclass(frozen=True)

@@ -89,39 +89,51 @@ def diffused_params(mixture: MixtureModel, alpha_bar: float) -> tuple[np.ndarray
     return mu, var
 
 
-def _log_normal(x: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var)
+def _log_joints(mixture: MixtureModel, alpha_bar: float, x: np.ndarray, subset) -> tuple:
+    """The component kernel: ``log(w_k N(x; mu_kt, var_kt))`` for ``k`` in ``subset``.
+
+    Components lie on a leading axis, shape ``(K,) + x.shape``, and the weights
+    are renormalized within the subset.  Also returns the subset's diffused
+    means and variances, shaped to broadcast against the log joints.
+    """
+    mu, var = diffused_params(mixture, alpha_bar)
+    idx = np.reshape(subset, (-1,) + (1,) * x.ndim)
+    w = np.maximum(mixture.weights[idx], POSTERIOR_FLOOR)
+    mu, var = mu[idx], var[idx]
+    return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var) + np.log(w / w.sum()), mu, var
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    out = amax + np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    e = np.exp(a - a.max(axis=0))
+    return e / e.sum(axis=0)
 
 
 def class_log_likelihoods(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray:
     """Log density of ``x`` under each diffused component; shape ``x.shape + (K,)``."""
-    mu, var = diffused_params(mixture, alpha_bar)
     x = np.asarray(x, dtype=np.float64)
-    return _log_normal(x[..., None], mu, var)
+    # A one-component subset carries weight 1, so its log joint is the log density.
+    return np.stack([_log_joints(mixture, alpha_bar, x, (k,))[0][0]
+                     for k in range(mixture.num_components)], axis=-1)
 
 
 def marginal_pdf(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray | float:
     """Weighted sum of diffused component densities at ``x``."""
-    ll = class_log_likelihoods(mixture, alpha_bar, x)
-    out = np.exp(_logsumexp(ll + _log_weights(mixture.weights)))
+    x = np.asarray(x, dtype=np.float64)
+    lj, _, _ = _log_joints(mixture, alpha_bar, x, range(mixture.num_components))
+    out = np.exp(_logsumexp(lj))
     return float(out) if out.ndim == 0 else out
-
-
-def _log_weights(weights: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(weights, POSTERIOR_FLOOR))
 
 
 def class_posteriors(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray:
     """Posterior probability of each component given the noisy observation ``x``."""
-    ll = class_log_likelihoods(mixture, alpha_bar, x) + _log_weights(mixture.weights)
-    post = np.exp(ll - _logsumexp(ll)[..., None])
-    return post
+    x = np.asarray(x, dtype=np.float64)
+    lj, _, _ = _log_joints(mixture, alpha_bar, x, range(mixture.num_components))
+    return np.moveaxis(_softmax(lj), 0, -1)
 
 
 def partition_posterior(partition: Partition, posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,15 +174,11 @@ def resolve_label(label, partition: Partition | None, num_components: int) -> tu
     return (k,)
 
 
-def _subset_score_terms(mixture: MixtureModel, alpha_bar: float, x, subset: tuple[int, ...]):
-    mu, var = diffused_params(mixture, alpha_bar)
-    idx = list(subset)
-    mu, var = mu[idx], var[idx]
+def _score_terms(mixture: MixtureModel, alpha_bar: float, x, label, partition):
+    subset = resolve_label(label, partition, mixture.num_components)
     x = np.asarray(x, dtype=np.float64)
-    ll = _log_normal(x[..., None], mu, var) + _log_weights(mixture.weights[idx])
-    w = np.exp(ll - _logsumexp(ll)[..., None])
-    pull = (mu - x[..., None]) / var
-    return w, pull, var
+    lj, mu, var = _log_joints(mixture, alpha_bar, x, subset)
+    return _softmax(lj), (mu - x) / var, var
 
 
 def score(mixture: MixtureModel, alpha_bar: float, x, label="null", partition: Partition | None = None):
@@ -179,9 +187,8 @@ def score(mixture: MixtureModel, alpha_bar: float, x, label="null", partition: P
     For posterior weights ``w_k(x)`` within the subset this is
     ``sum_k w_k(x) * (mu_kt - x) / var_kt``, the exact conditional score.
     """
-    subset = resolve_label(label, partition, mixture.num_components)
-    w, pull, _ = _subset_score_terms(mixture, alpha_bar, x, subset)
-    out = np.sum(w * pull, axis=-1)
+    w, pull, _ = _score_terms(mixture, alpha_bar, x, label, partition)
+    out = (w * pull).sum(axis=0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,8 +199,7 @@ def score_derivative(mixture: MixtureModel, alpha_bar: float, x, label="null",
     Equals ``E_w[pull^2 - 1/var] - (E_w[pull])^2`` with ``pull = (mu - x)/var``,
     which root finding uses for Newton steps and stability classification.
     """
-    subset = resolve_label(label, partition, mixture.num_components)
-    w, pull, var = _subset_score_terms(mixture, alpha_bar, x, subset)
-    first = np.sum(w * pull, axis=-1)
-    out = np.sum(w * (pull**2 - 1.0 / var), axis=-1) - first**2
+    w, pull, var = _score_terms(mixture, alpha_bar, x, label, partition)
+    first = (w * pull).sum(axis=0)
+    out = (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
     return float(out) if out.ndim == 0 else out

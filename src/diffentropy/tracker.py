@@ -22,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition
-from .entropy import binary_entropy_bits
+from .entropy import _logit_entropy_bits, binary_entropy_bits
 from .mixture import score
 
 __all__ = [
@@ -39,9 +39,10 @@ __all__ = [
     "estimate_conditional_entropy",
 ]
 
-# Tracked posteriors are clamped into [POST_CLAMP, 1 - POST_CLAMP]; the
-# multiplicative update saturates instead of overflowing.
+# Tracked posteriors are clamped into [POST_CLAMP, 1 - POST_CLAMP], as a clip
+# of their log-odds to +-LOGIT_MAX; the update saturates instead of overflowing.
 POST_CLAMP = 1e-12
+LOGIT_MAX = float(np.log((1.0 - POST_CLAMP) / POST_CLAMP))
 
 REPLAY_LABELS = ("z0", "z1", "null")
 
@@ -206,36 +207,26 @@ def _update_scale(update_scale, beta: float) -> float:
     return float(update_scale)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _clamped_logit_to_log_post(logit: np.ndarray) -> np.ndarray:
-    p = _sigmoid(logit)
-    return np.log(np.clip(p, POST_CLAMP, 1.0 - POST_CLAMP))
+def _logit_update(logit, x_next, mu_z0, mu_z1, beta_t: float, update_scale) -> np.ndarray:
+    """The tracked log-odds of z0 after one step, clipped to ``+-LOGIT_MAX``."""
+    delta = (x_next - mu_z0) ** 2 - (x_next - mu_z1) ** 2
+    return np.clip(logit - _update_scale(update_scale, beta_t) * delta, -LOGIT_MAX, LOGIT_MAX)
 
 
 def posterior_update(state: TrajectoryState, x_next, mu_z0, mu_z1, beta_t: float,
                      update_scale="bayes") -> np.ndarray:
     """Refresh ``log P(z0 | x)`` after observing the sampled next state.
 
-    The log posterior moves by ``-scale * (|x - mu_z0|^2 - |x - mu_z1|^2)``
-    and is renormalized against the complementary side, then clamped away
-    from 0 and 1.  ``update_scale`` picks the exponent weight: ``"bayes"``
+    The log-odds of z0 move by ``-scale * (|x - mu_z0|^2 - |x - mu_z1|^2)``
+    and are clipped to ``+-LOGIT_MAX``, which keeps the posterior within
+    ``[POST_CLAMP, 1 - POST_CLAMP]``.  ``update_scale`` picks the exponent weight: ``"bayes"``
     uses ``1 / (2 beta_t)``, ``"one-minus-beta"`` uses ``1 / (1 - beta_t)``, and
     a float is used verbatim.
     """
     lp = state.log_post_z0
-    logit = lp - np.log(-np.expm1(lp))
-    delta = (np.asarray(x_next) - np.asarray(mu_z0)) ** 2 - (np.asarray(x_next) - np.asarray(mu_z1)) ** 2
-    scale = _update_scale(update_scale, beta_t)
-    return _clamped_logit_to_log_post(logit - scale * delta)
+    logit = _logit_update(lp - np.log(-np.expm1(lp)), np.asarray(x_next), np.asarray(mu_z0),
+                          np.asarray(mu_z1), beta_t, update_scale)
+    return -np.logaddexp(0.0, -logit)
 
 
 @dataclass(frozen=True)
@@ -314,11 +305,9 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
             x = mu0 if label == "z0" else mu1
             if t > 1:
                 x = x + np.sqrt(beta) * draws[:, t]
-            delta = (x - mu0) ** 2 - (x - mu1) ** 2
-            logit = logit - _update_scale(update_scale, beta) * delta
-            p = np.exp(_clamped_logit_to_log_post(logit))
-            logit = np.log(p) - np.log1p(-p)
-            summand[t - 1] = float(np.mean(-binary_entropy_bits(p)))
+            logit = _logit_update(logit, x, mu0, mu1, beta, update_scale)
+            summand[t - 1] = -float(np.mean(_logit_entropy_bits(logit)))
+        del draws  # free this branch's n x (T+1) draws before the next branch's exist
         branch_means.append(summand)
 
     steps = np.arange(num_steps + 1)

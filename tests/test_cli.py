@@ -71,6 +71,19 @@ class TestConfig:
             {"partitions": [{"preset": "one-vs-rest"}]},
             {"partitions": [{"preset": "one-vs-one"}]},
             {"partitions": [{"preset": "one-vs-one", "classes": [1]}]},
+            {"mixture": {"means": "ab"}},
+            {"mixture": {"means": []}},
+            {"mixture": {"means": [-1.0, 1.0], "weights": ["a", "b"]}},
+            {"mixture": {"means": [-1.0, 1.0], "variances": "ab"}},
+            {"schedule": {"num_steps": "x"}},
+            {"schedule": {"num_steps": 150.0}},
+            {"seed": 1.5},
+            {"stride": 2.7},
+            {"samples": 2.5},
+            {"seed": True},
+            {"schedule": 5},
+            {"score_model": 5},
+            {"partitions": 5},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):

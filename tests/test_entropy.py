@@ -5,6 +5,7 @@ from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make
 from diffentropy.entropy import (
     QuadratureDomainError,
     QuadratureGrid,
+    _logit_entropy_bits,
     binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
@@ -13,6 +14,7 @@ from diffentropy.entropy import (
     prior_entropy_bits,
 )
 from diffentropy.mixture import class_posteriors, diffused_params, partition_posterior
+from diffentropy.tracker import LOGIT_MAX
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
@@ -43,7 +45,53 @@ class TestQuadratureGrid:
             conditional_entropy_at(FOUR_DELTAS, pair(FOUR_DELTAS, 0, 1), 0.5, grid)
 
 
+class TestLogitEntropy:
+    def test_matches_binary_entropy_across_the_clamped_range(self):
+        logits = np.concatenate([np.linspace(-LOGIT_MAX, LOGIT_MAX, 2001), [0.0, -LOGIT_MAX, LOGIT_MAX]])
+        # The coin's smaller probability, formed without cancellation.
+        p_small = 1.0 / (1.0 + np.exp(np.abs(logits)))
+        np.testing.assert_allclose(_logit_entropy_bits(logits), binary_entropy_bits(p_small),
+                                   rtol=0, atol=1e-15)
+        assert _logit_entropy_bits(np.array([0.0]))[0] == 1.0
+
+    def test_symmetric_in_the_logit(self):
+        logits = np.linspace(0.0, LOGIT_MAX, 101)
+        assert np.array_equal(_logit_entropy_bits(logits), _logit_entropy_bits(-logits))
+
+
+def _reference_entropy_bits(means, z0, z1, alpha_bar, grid):
+    """Plain-numpy H(z | x_t) for equal-weight deltas on the grid's midpoints.
+
+    Only the decision's components count, so each weighs 1 / |z0 + z1|.
+    """
+    x = grid.points()
+    var = 1.0 - alpha_bar
+    dens = [np.exp(-(x - np.sqrt(alpha_bar) * m) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+            for m in means]
+    union = len(z0) + len(z1)
+    joint0 = sum(dens[k] for k in z0) / union
+    joint1 = sum(dens[k] for k in z1) / union
+    total = joint0 + joint1
+    h = np.zeros_like(x)
+    live = total > 0.0
+    for joint in (joint0, joint1):
+        q = joint[live] / total[live]
+        h[live] -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
+    return float(np.sum(total * h) * grid.dx)
+
+
 class TestConditionalEntropy:
+    @pytest.mark.parametrize("t", [50, 300, 600])
+    @pytest.mark.parametrize("z0,z1", [([0], [1]), ([2], [3]), ([0, 1], [2, 3])])
+    def test_four_delta_decisions_match_a_plain_numpy_reference(self, t, z0, z1):
+        means = [-8.0, -4.0, 6.0, 8.0]
+        ab = SCHEDULE.alpha_bar(t)
+        sd = np.sqrt(1.0 - ab)
+        mu = np.sqrt(ab) * np.array(means)
+        grid = QuadratureGrid(float(np.min(mu) - 10.0 * sd), float(np.max(mu) + 10.0 * sd))
+        h = conditional_entropy_at(FOUR_DELTAS, make_partition(FOUR_DELTAS, z0, z1), ab, grid)
+        assert h == pytest.approx(_reference_entropy_bits(means, z0, z1, ab, grid), abs=1e-12)
+
     def test_full_noise_recovers_prior_entropy(self):
         h = conditional_entropy_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE.alpha_bars[-1])
         assert h == pytest.approx(1.0, abs=1e-3)

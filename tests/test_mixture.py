@@ -208,3 +208,31 @@ class TestScoreDerivative:
     def test_standard_normal_curvature(self):
         m = MixtureModel(weights=[1.0], means=[0.0], variances=[1.0])
         assert score_derivative(m, 0.5, 1.7) == pytest.approx(-1.0)
+
+
+class TestOutputShapes:
+    @pytest.mark.parametrize("func", [score, score_derivative])
+    def test_scalar_1d_and_2d_inputs_keep_their_shape(self, func):
+        grid = np.linspace(-9.0, 9.0, 12)
+        flat = func(FOUR_DELTAS, 0.4, grid)
+        assert isinstance(func(FOUR_DELTAS, 0.4, 1.5), float)
+        assert flat.shape == (12,)
+        square = func(FOUR_DELTAS, 0.4, grid.reshape(3, 4))
+        assert square.shape == (3, 4)
+        np.testing.assert_array_equal(square.ravel(), flat)
+        for i, x in enumerate(grid):
+            assert func(FOUR_DELTAS, 0.4, x) == flat[i]
+
+    def test_subset_labels_keep_their_shape(self):
+        p = make_partition(FOUR_DELTAS, [0, 1], [3])
+        xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
+        for label in ("z0", "z1", 2):
+            assert score(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
+            assert score_derivative(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
+
+    def test_per_component_arrays_trail_the_input_shape(self):
+        xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
+        assert class_log_likelihoods(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
+        assert class_posteriors(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
+        assert class_posteriors(FOUR_DELTAS, 0.4, 0.5).shape == (4,)
+        assert marginal_pdf(FOUR_DELTAS, 0.4, xs).shape == (2, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make
 from diffentropy.entropy import binary_entropy_bits, conditional_entropy_at
 from diffentropy.mixture import class_posteriors, partition_posterior, score
 from diffentropy.tracker import (
+    LOGIT_MAX,
+    POST_CLAMP,
     GmmScoreModel,
     McEntropyEstimate,
     ModelEvaluationError,
     ReplayScoreModel,
     TrajectoryState,
+    _logit_update,
     _population_draws,
     ancestral_step,
     estimate_conditional_entropy,
@@ -159,6 +164,17 @@ class TestPosteriorUpdate:
         state = self._state(0.5)
         lp = posterior_update(state, np.array([0.0]), np.array([0.0]), np.array([50.0]), 1e-4)
         assert np.exp(lp)[0] <= 1.0 - 1e-12
+
+    def test_logit_driven_past_the_clamp_saturates_exactly(self):
+        assert 1.0 / (1.0 + np.exp(-LOGIT_MAX)) == pytest.approx(1.0 - POST_CLAMP, rel=1e-15)
+        x = np.zeros(3)
+        for mu_z0, mu_z1, side in ((0.0, 50.0, 1.0), (50.0, 0.0, -1.0)):
+            logit = _logit_update(np.array([0.0, 20.0, -20.0]), x, mu_z0, mu_z1, 1e-4, "bayes")
+            assert np.all(logit == side * LOGIT_MAX)
+            # One more push in the same direction stays on the clamp.
+            assert np.all(_logit_update(logit, x, mu_z0, mu_z1, 1e-4, "bayes") == logit)
+        low = posterior_update(self._state(0.5), x[:1], np.array([50.0]), np.array([0.0]), 1e-4)
+        assert np.exp(low)[0] == pytest.approx(POST_CLAMP, rel=1e-12)
 
     def test_tracks_closed_form_posterior_along_a_trajectory(self):
         # One oracle-driven trajectory: the filtered posterior should stay
@@ -331,3 +347,17 @@ class TestTrajectoryState:
             TrajectoryState(x=np.zeros(1), log_post_z0=np.array([0.1]), t=1, branch="z0")
         with pytest.raises(ParameterError):
             TrajectoryState(x=np.zeros(1), log_post_z0=np.zeros(1), t=1, branch="left")
+
+
+class TestMemory:
+    def test_branch_draws_are_freed_before_the_next_branch(self):
+        # Each branch owns an n x (T+1) draws array; only one may be alive at
+        # a time, so the traced peak stays well below two of them.
+        n = 4000
+        tracemalloc.start()
+        try:
+            estimate_conditional_entropy(_ZeroModel(), SCHEDULE, n_z0=n, n_z1=n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * (SCHEDULE.num_steps + 1) * 8
