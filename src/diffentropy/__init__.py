@@ -32,7 +32,6 @@ from .entropy import (
     binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
-    information_transfer,
     jsd_at,
     prior_entropy_bits,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "score", "score_derivative",
     "DegenerateDensityError", "UndefinedPosteriorError",
     "QuadratureGrid", "EntropyProfile", "conditional_entropy_at", "jsd_at",
-    "entropy_profile", "information_transfer", "binary_entropy_bits",
+    "entropy_profile", "binary_entropy_bits",
     "prior_entropy_bits", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",
     "TrajectoryState", "McEntropyEstimate", "posterior_mean",

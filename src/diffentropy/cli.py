@@ -32,7 +32,7 @@ from .core import (
     linear_schedule,
     make_partition,
 )
-from .entropy import QuadratureDomainError, entropy_profile
+from .entropy import MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
 from .mixture import DegenerateDensityError, UndefinedPosteriorError
 from .tracker import (
     GmmScoreModel,
@@ -45,6 +45,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main",
            "run_profile", "run_estimate", "run_fixed_points"]
 
 METHODS = ("quadrature", "montecarlo", "fixedpoints")
+
+# Smallest accepted value of each count key; ``num_steps`` is bounded by
+# ``linear_schedule``, which the config boundary builds.
+_MINIMUMS = {"stride": 1, "samples_z0": 1, "samples_z1": 1, "grid_points": MIN_GRID_POINTS}
 
 NUMERICAL_ERRORS = (
     QuadratureDomainError,
@@ -101,6 +105,9 @@ class ExperimentConfig:
             raise ConfigError("replay score model needs a 'path'")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for key, low in _MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
 
     # -- domain object construction -------------------------------------
 

@@ -33,10 +33,10 @@ __all__ = [
     "conditional_entropy_at",
     "jsd_at",
     "entropy_profile",
-    "information_transfer",
 ]
 
 DEFAULT_GRID_POINTS = 4096
+MIN_GRID_POINTS = 64
 DEFAULT_SUPPORT_SPAN = 10.0  # grid reach in diffused standard deviations
 
 # Slack for clipping H into [0, 1]: anything beyond this is a genuine
@@ -61,8 +61,8 @@ class QuadratureGrid:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ParameterError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n < 64:
-            raise ParameterError(f"grid needs at least 64 points, got {self.n}")
+        if self.n < MIN_GRID_POINTS:
+            raise ParameterError(f"grid needs at least {MIN_GRID_POINTS} points, got {self.n}")
 
     @property
     def dx(self) -> float:
@@ -119,13 +119,28 @@ def _logit_entropy_bits(logit: np.ndarray) -> np.ndarray:
     return (np.log1p(u) + mag * u / (1.0 + u)) / LN2
 
 
-def _grid_points(mixture: MixtureModel, alpha_bar: float,
-                 grid: QuadratureGrid | None) -> tuple[np.ndarray, float]:
+def _level_grid(mixture: MixtureModel, alpha_bar: float, grid: QuadratureGrid | None,
+                n: int = DEFAULT_GRID_POINTS) -> QuadratureGrid:
+    """A grid covering the level's support: built to cover it, or the caller's, checked."""
     if grid is None:
-        grid = QuadratureGrid.for_mixture(mixture, alpha_bar)
-    else:
-        _check_coverage(grid, mixture, alpha_bar)
-    return grid.points(), grid.dx
+        return QuadratureGrid.for_mixture(mixture, alpha_bar, n=n)
+    _check_coverage(grid, mixture, alpha_bar)
+    return grid
+
+
+def _entropy_on_grid(mixture: MixtureModel, partition: Partition, alpha_bar: float,
+                     grid: QuadratureGrid) -> float:
+    """:func:`conditional_entropy_at` on a grid already known to cover the support."""
+    x = grid.points()
+    lj, _, _ = _log_joints(mixture, alpha_bar, x, partition.z0 + partition.z1)
+    k0 = len(partition.z0)
+    a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
+    h = float(np.sum((np.exp(a) + np.exp(b)) * _logit_entropy_bits(a - b)) * grid.dx)
+    if h > 1.0 + ENTROPY_CLIP_SLACK or h < -ENTROPY_CLIP_SLACK:
+        raise QuadratureDomainError(
+            f"conditional entropy {h!r} outside [0, 1]; grid too coarse or too narrow"
+        )
+    return min(max(h, 0.0), 1.0)
 
 
 def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
@@ -138,16 +153,7 @@ def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_ba
     ``a - b``.  Result is clipped into [0, 1]; an excursion beyond
     ``1 + 1e-9`` raises, since binary entropy cannot exceed one bit.
     """
-    x, dx = _grid_points(mixture, alpha_bar, grid)
-    lj, _, _ = _log_joints(mixture, alpha_bar, x, partition.z0 + partition.z1)
-    k0 = len(partition.z0)
-    a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
-    h = float(np.sum((np.exp(a) + np.exp(b)) * _logit_entropy_bits(a - b)) * dx)
-    if h > 1.0 + ENTROPY_CLIP_SLACK or h < -ENTROPY_CLIP_SLACK:
-        raise QuadratureDomainError(
-            f"conditional entropy {h!r} outside [0, 1]; grid too coarse or too narrow"
-        )
-    return min(max(h, 0.0), 1.0)
+    return _entropy_on_grid(mixture, partition, alpha_bar, _level_grid(mixture, alpha_bar, grid))
 
 
 def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
@@ -158,11 +164,12 @@ def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
     ``r`` the equal-prior posterior ``p0 / (p0 + p1)``.  For an equal-prior
     partition this satisfies ``H + JSD = 1`` exactly on a shared grid.
     """
-    x, dx = _grid_points(mixture, alpha_bar, grid)
+    grid = _level_grid(mixture, alpha_bar, grid)
+    x = grid.points()
     l0, l1 = (_logsumexp(_log_joints(mixture, alpha_bar, x, side)[0])
               for side in (partition.z0, partition.z1))
     mid = 0.5 * (np.exp(l0) + np.exp(l1))
-    return 1.0 - float(np.sum(mid * _logit_entropy_bits(l0 - l1)) * dx)
+    return 1.0 - float(np.sum(mid * _logit_entropy_bits(l0 - l1)) * grid.dx)
 
 
 @dataclass(frozen=True)
@@ -204,9 +211,8 @@ def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: Noise
     h = np.empty(len(times))
     for i, t in enumerate(times.steps):
         ab = schedule.alpha_bar(int(t))
-        g = grid if grid is not None else QuadratureGrid.for_mixture(mixture, ab, n=grid_points)
         try:
-            h[i] = conditional_entropy_at(mixture, partition, ab, g)
+            h[i] = _entropy_on_grid(mixture, partition, ab, _level_grid(mixture, ab, grid, grid_points))
         except QuadratureDomainError as err:
             raise QuadratureDomainError(f"step t={t}: {err}") from err
     rate = np.gradient(h, times.s) if len(times) > 1 else np.zeros(1)
@@ -219,7 +225,3 @@ def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: Noise
         prior_bits=prior,
     )
 
-
-def information_transfer(profile: EntropyProfile) -> np.ndarray:
-    """Bits of decision information already present at each time."""
-    return profile.prior_bits - profile.H_bits

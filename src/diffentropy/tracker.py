@@ -7,6 +7,12 @@ P(z0 | x_t) from the discrepancy between the two conditional denoising means.
 Per step, the population means of the posterior's (negative) binary entropy
 are combined with the decision priors into the entropy estimate.
 
+Each branch draws all its noise from one PCG64 stream, the branch's child of
+``SeedSequence(seed).spawn(2)``: x_T first, then one standard-normal vector
+per step t > 1, the same draws :func:`ancestral_step` makes when handed that
+generator.  The estimator therefore holds O(n) state whatever the number of
+steps.
+
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
 by ``eps = -sqrt(1 - alpha_bar_t) * d/dx log p(x_t | label)``.  The exact
@@ -256,19 +262,6 @@ class McEntropyEstimate:
                 raise ParameterError(f"{name} must match steps shape ({n},)")
 
 
-def _population_draws(seed: int, branch_index: int, n: int, num_steps: int) -> np.ndarray:
-    """Per-trajectory random numbers: column 0 seeds x_T, column t the step-t noise.
-
-    Each trajectory owns an independent child stream of the master seed, so
-    results are bit-identical however the population is evaluated or split.
-    """
-    branch_seq = np.random.SeedSequence(seed).spawn(2)[branch_index]
-    draws = np.empty((n, num_steps + 1))
-    for i, child in enumerate(branch_seq.spawn(n)):
-        draws[i] = np.random.Generator(np.random.PCG64(child)).standard_normal(num_steps + 1)
-    return draws
-
-
 def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedule,
                                  prior_z0: float = 0.5, n_z0: int = 1000, n_z1: int = 1000,
                                  seed: int = 0, update_scale="bayes") -> McEntropyEstimate:
@@ -278,6 +271,12 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     posterior initialized to the prior; each reverse step advances a branch
     under its own conditional mean, refreshes the tracked posteriors from both
     conditional means, and records the population entropy summand.
+
+    Branch ``i`` (0 for z0, 1 for z1) draws from one stream,
+    ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T as
+    ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1,
+    exactly the draws :func:`ancestral_step` makes with that generator.
+    Memory is O(n), independent of the number of steps.
     """
     if n_z0 < 1 or n_z1 < 1:
         raise ParameterError("both sample counts must be >= 1")
@@ -288,9 +287,10 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     prior_summand = -binary_entropy_bits(prior_z0)
 
     branch_means = []
-    for branch_index, (label, n) in enumerate((("z0", n_z0), ("z1", n_z1))):
-        draws = _population_draws(seed, branch_index, n, num_steps)
-        x = draws[:, 0].copy()
+    branch_seqs = np.random.SeedSequence(seed).spawn(2)
+    for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
+        rng = np.random.Generator(np.random.PCG64(branch_seq))
+        x = rng.standard_normal(n)
         logit = np.full(n, prior_logit)
         summand = np.empty(num_steps + 1)
         summand[num_steps] = prior_summand
@@ -304,10 +304,9 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
             mu1 = (x - beta / np.sqrt(1.0 - ab) * eps1) / root
             x = mu0 if label == "z0" else mu1
             if t > 1:
-                x = x + np.sqrt(beta) * draws[:, t]
+                x = x + np.sqrt(beta) * rng.standard_normal(n)
             logit = _logit_update(logit, x, mu0, mu1, beta, update_scale)
             summand[t - 1] = -float(np.mean(_logit_entropy_bits(logit)))
-        del draws  # free this branch's n x (T+1) draws before the next branch's exist
         branch_means.append(summand)
 
     steps = np.arange(num_steps + 1)

@@ -84,6 +84,11 @@ class TestConfig:
             {"schedule": 5},
             {"score_model": 5},
             {"partitions": 5},
+            {"stride": 0},
+            {"grid_points": 10},
+            {"samples": 0},
+            {"samples_z0": 0},
+            {"samples_z1": -3},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -254,3 +259,9 @@ class TestValidateAndErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["profile", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--samples", "0"], ["--grid", "10"]])
+    def test_out_of_range_override_is_config_error(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["validate-config", "--config", str(cfg)] + flag) == 2
+        assert "must be >=" in capsys.readouterr().err

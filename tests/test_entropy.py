@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diffentropy.entropy as entropy
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
 from diffentropy.entropy import (
     QuadratureDomainError,
@@ -9,7 +10,6 @@ from diffentropy.entropy import (
     binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
-    information_transfer,
     jsd_at,
     prior_entropy_bits,
 )
@@ -181,13 +181,26 @@ class TestEntropyProfile:
         with pytest.raises(QuadratureDomainError, match="step t="):
             entropy_profile(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE, grid=bad, stride=250)
 
+    def test_coverage_is_checked_for_caller_grids_only(self, monkeypatch):
+        # A level's own grid is built to cover the support; only a grid the
+        # caller supplies is checked, once per level.
+        checked = []
+        real_check = entropy._check_coverage
+        monkeypatch.setattr(entropy, "_check_coverage",
+                            lambda *args: checked.append(args) or real_check(*args))
+        part = pair(TWO_DELTAS, 0, 1)
+        prof = entropy_profile(TWO_DELTAS, part, SCHEDULE, stride=250)
+        assert checked == []
+        entropy_profile(TWO_DELTAS, part, SCHEDULE, grid=QuadratureGrid(-30.0, 30.0, n=512), stride=250)
+        assert len(checked) == len(prof.times)
+
 
 class TestInformationTransfer:
     def test_limits(self):
         part = pair(TWO_DELTAS, 0, 1)
         prof = entropy_profile(TWO_DELTAS, part, SCHEDULE, stride=20)
-        transfer = information_transfer(prof)
-        np.testing.assert_allclose(transfer, prof.transfer_bits, rtol=1e-15)
+        transfer = prof.transfer_bits
+        np.testing.assert_allclose(transfer, prof.prior_bits - prof.H_bits, rtol=1e-15)
         assert transfer[-1] == pytest.approx(0.0, abs=1e-3)   # nothing known at full noise
         assert transfer[0] == pytest.approx(prof.prior_bits, abs=1e-3)
         assert np.all(transfer >= -1e-9)

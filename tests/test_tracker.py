@@ -15,7 +15,6 @@ from diffentropy.tracker import (
     ReplayScoreModel,
     TrajectoryState,
     _logit_update,
-    _population_draws,
     ancestral_step,
     estimate_conditional_entropy,
     posterior_mean,
@@ -43,6 +42,11 @@ class _NanModel:
         out = np.array(np.asarray(x, dtype=float), copy=True)
         out[...] = np.nan
         return out
+
+
+def _branch_rng(seed, branch_index):
+    """The estimator's documented noise stream for one branch (0: z0, 1: z1)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[branch_index]))
 
 
 class _FixedNoise:
@@ -123,12 +127,12 @@ class TestAncestralStep:
                 return ORACLE.epsilon(x, t, "null")
 
         n = 1000
-        draws = _population_draws(seed=11, branch_index=0, n=n, num_steps=SCHEDULE.num_steps)
-        state = TrajectoryState(x=draws[:, 0], log_post_z0=np.full(n, np.log(0.5)),
+        rng = _branch_rng(11, 0)
+        state = TrajectoryState(x=rng.standard_normal(n), log_post_z0=np.full(n, np.log(0.5)),
                                 t=SCHEDULE.num_steps, branch="z0")
         model = _NullDriven()
         for t in range(SCHEDULE.num_steps, 0, -1):
-            state = ancestral_step(_FixedNoise(draws[:, t]), state, model, SCHEDULE)
+            state = ancestral_step(rng, state, model, SCHEDULE)
         near_left = np.sum(np.abs(state.x + 1.0) < 0.5)
         near_right = np.sum(np.abs(state.x - 1.0) < 0.5)
         assert near_left + near_right == n
@@ -179,16 +183,15 @@ class TestPosteriorUpdate:
     def test_tracks_closed_form_posterior_along_a_trajectory(self):
         # One oracle-driven trajectory: the filtered posterior should stay
         # close to the exact posterior of the visited states.
-        draws = _population_draws(seed=5, branch_index=0, n=1, num_steps=FAST.num_steps)
-        state = TrajectoryState(x=draws[:, 0], log_post_z0=np.log([PART.prior_z0]),
+        rng = _branch_rng(5, 0)
+        state = TrajectoryState(x=rng.standard_normal(1), log_post_z0=np.log([PART.prior_z0]),
                                 t=FAST.num_steps, branch="z0")
         hits = 0
         total = 0
         for t in range(FAST.num_steps, 0, -1):
             mu0 = posterior_mean(FAST_ORACLE, state.x, t, "z0", FAST)
             mu1 = posterior_mean(FAST_ORACLE, state.x, t, "z1", FAST)
-            nxt = ancestral_step(_FixedNoise(draws[:, t] if t > 1 else np.zeros(1)),
-                                 state, FAST_ORACLE, FAST)
+            nxt = ancestral_step(rng, state, FAST_ORACLE, FAST)
             lp = posterior_update(state, nxt.x, mu0, mu1, FAST.beta(t))
             state = TrajectoryState(x=nxt.x, log_post_z0=lp, t=nxt.t, branch="z0")
             exact, _ = partition_posterior(
@@ -227,21 +230,21 @@ class TestEstimateConditionalEntropy:
         assert np.all(est.H_bits <= 1.0 + 1e-9)
 
     def test_streaming_ops_reproduce_the_batch_estimator(self):
-        # The estimator must be the composition of the granular operations;
-        # posteriors depend on visited states only.
+        # The estimator must be the composition of the granular operations,
+        # driven by the same per-branch stream; posteriors depend on visited
+        # states only.
         n, seed = 6, 21
         est = estimate_conditional_entropy(FAST_ORACLE, FAST, n_z0=n, n_z1=n, seed=seed)
         for branch_index, branch in ((0, "z0"), (1, "z1")):
-            draws = _population_draws(seed, branch_index, n, FAST.num_steps)
-            state = TrajectoryState(x=draws[:, 0], log_post_z0=np.full(n, np.log(0.5)),
+            rng = _branch_rng(seed, branch_index)
+            state = TrajectoryState(x=rng.standard_normal(n), log_post_z0=np.full(n, np.log(0.5)),
                                     t=FAST.num_steps, branch=branch)
             series = np.empty(FAST.num_steps + 1)
             series[FAST.num_steps] = -binary_entropy_bits(0.5)
             for t in range(FAST.num_steps, 0, -1):
                 mu0 = posterior_mean(FAST_ORACLE, state.x, t, "z0", FAST)
                 mu1 = posterior_mean(FAST_ORACLE, state.x, t, "z1", FAST)
-                nxt = ancestral_step(_FixedNoise(draws[:, t] if t > 1 else np.zeros(n)),
-                                     state, FAST_ORACLE, FAST)
+                nxt = ancestral_step(rng, state, FAST_ORACLE, FAST)
                 lp = posterior_update(state, nxt.x, mu0, mu1, FAST.beta(t))
                 state = TrajectoryState(x=nxt.x, log_post_z0=lp, t=nxt.t, branch=branch)
                 series[t - 1] = np.mean(-binary_entropy_bits(np.exp(lp)))
@@ -350,9 +353,9 @@ class TestTrajectoryState:
 
 
 class TestMemory:
-    def test_branch_draws_are_freed_before_the_next_branch(self):
-        # Each branch owns an n x (T+1) draws array; only one may be alive at
-        # a time, so the traced peak stays well below two of them.
+    def test_peak_is_independent_of_the_number_of_steps(self):
+        # The estimator holds O(n) state (positions, logits, one noise vector,
+        # the step's temporaries); nothing of size n x T may exist.
         n = 4000
         tracemalloc.start()
         try:
@@ -360,4 +363,4 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * (SCHEDULE.num_steps + 1) * 8
+        assert peak < 64 * n * 8
