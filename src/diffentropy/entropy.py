@@ -212,7 +212,8 @@ def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: Noise
     for i, t in enumerate(times.steps):
         ab = schedule.alpha_bar(int(t))
         try:
-            h[i] = _entropy_on_grid(mixture, partition, ab, _level_grid(mixture, ab, grid, grid_points))
+            level_grid = _level_grid(mixture, ab, grid, grid_points)
+            h[i] = _entropy_on_grid(mixture, partition, ab, level_grid)
         except QuadratureDomainError as err:
             raise QuadratureDomainError(f"step t={t}: {err}") from err
     rate = np.gradient(h, times.s) if len(times) > 1 else np.zeros(1)

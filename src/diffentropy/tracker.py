@@ -7,11 +7,10 @@ P(z0 | x_t) from the discrepancy between the two conditional denoising means.
 Per step, the population means of the posterior's (negative) binary entropy
 are combined with the decision priors into the entropy estimate.
 
-Each branch draws all its noise from one PCG64 stream, the branch's child of
-``SeedSequence(seed).spawn(2)``: x_T first, then one standard-normal vector
-per step t > 1, the same draws :func:`ancestral_step` makes when handed that
-generator.  The estimator therefore holds O(n) state whatever the number of
-steps.
+Each branch draws all its noise from one PCG64 stream, its child of
+``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per step
+t > 1, the draws :func:`ancestral_step` makes with that generator; the
+estimator's memory is O(n) whatever the number of steps.
 
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
