@@ -28,7 +28,6 @@ from .mixture import (
 from .entropy import (
     EntropyProfile,
     QuadratureDomainError,
-    QuadratureGrid,
     binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
@@ -67,7 +66,7 @@ __all__ = [
     "class_log_likelihoods", "class_posteriors", "partition_posterior",
     "score", "score_derivative",
     "DegenerateDensityError", "UndefinedPosteriorError",
-    "QuadratureGrid", "EntropyProfile", "conditional_entropy_at", "jsd_at",
+    "EntropyProfile", "conditional_entropy_at", "jsd_at",
     "entropy_profile", "binary_entropy_bits",
     "prior_entropy_bits", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",

@@ -32,7 +32,7 @@ from .core import (
     linear_schedule,
     make_partition,
 )
-from .entropy import MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
+from .entropy import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
 from .mixture import DegenerateDensityError, UndefinedPosteriorError
 from .tracker import (
     GmmScoreModel,
@@ -85,7 +85,7 @@ class ExperimentConfig:
     seed: int = 0
     samples_z0: int = 1000
     samples_z1: int = 1000
-    grid_points: int = 4096
+    grid_points: int = DEFAULT_GRID_POINTS
     stride: int = 1
     prior_z0: float | None = None
     score_kind: str = "oracle"

@@ -14,6 +14,7 @@ Everything here is a pure function of immutable inputs and broadcasts over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,39 +77,60 @@ def diffuse_component(mu_k: float, var_k: float, alpha_bar: float, weight: float
     )
 
 
-def diffused_params(mixture: MixtureModel, alpha_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors of diffused means and variances for every component."""
-    if not 0.0 <= alpha_bar <= 1.0:
+def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors of diffused means and variances for every component.
+
+    ``alpha_bar`` is one level, or an array of levels; for an array the
+    components lie on a leading axis, shape ``(K,) + alpha_bar.shape``.
+    """
+    if isinstance(alpha_bar, np.ndarray):
+        shape = (-1,) + (1,) * alpha_bar.ndim
+        means, variances = mixture.means.reshape(shape), mixture.variances.reshape(shape)
+        lo, hi, sqrt = alpha_bar.min(), alpha_bar.max(), np.sqrt
+    else:  # both square roots are correctly rounded; math's is cheaper on one float
+        means, variances = mixture.means, mixture.variances
+        lo, hi, sqrt = alpha_bar, alpha_bar, math.sqrt
+    if not (0.0 <= lo and hi <= 1.0):
         raise ParameterError(f"alpha_bar must lie in [0, 1], got {alpha_bar!r}")
-    if alpha_bar == 1.0 and np.any(mixture.variances == 0.0):
+    if hi == 1.0 and np.any(mixture.variances == 0.0):
         raise DegenerateDensityError(
             "mixture contains point masses; densities are undefined at alpha_bar = 1"
         )
-    mu = np.sqrt(alpha_bar) * mixture.means
-    var = alpha_bar * mixture.variances + (1.0 - alpha_bar)
+    mu = sqrt(alpha_bar) * means
+    var = alpha_bar * variances + (1.0 - alpha_bar)
     return mu, var
 
 
-def _log_joints(mixture: MixtureModel, alpha_bar: float, x: np.ndarray, subset) -> tuple:
+def _log_joints(mixture: MixtureModel, alpha_bar, x: np.ndarray, subset) -> tuple:
     """The component kernel: ``log(w_k N(x; mu_kt, var_kt))`` for ``k`` in ``subset``.
 
     Components lie on a leading axis, shape ``(K,) + x.shape``, and the weights
     are renormalized within the subset.  Also returns the subset's diffused
     means and variances, shaped to broadcast against the log joints.
+    ``alpha_bar`` is one level, or an array of levels that broadcasts against
+    ``x`` (shape ``(L, 1)`` against ``(L, n)`` puts one level on each row);
+    either way every element sees the same arithmetic.
     """
     mu, var = diffused_params(mixture, alpha_bar)
     idx = np.reshape(subset, (-1,) + (1,) * x.ndim)
     w = np.maximum(mixture.weights[idx], POSTERIOR_FLOOR)
-    mu, var = mu[idx], var[idx]
+    if mu.ndim > 1:
+        mu, var = mu[idx.ravel()], var[idx.ravel()]
+    else:
+        mu, var = mu[idx], var[idx]
     return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var) + np.log(w / w.sum()), mu, var
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
+    if len(a) == 1:  # exact: a finite row plus log(1)
+        return a[0]
     top = a.max(axis=0)
     return top + np.log(np.exp(a - top).sum(axis=0))
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
+    if len(a) == 1:  # exact: exp(0) / 1 for a finite row
+        return np.ones_like(a)
     e = np.exp(a - a.max(axis=0))
     return e / e.sum(axis=0)
 

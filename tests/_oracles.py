@@ -20,3 +20,41 @@ def scan_box(mixture, alpha_bar, pad=4.0):
     lo = min(0.0, float(np.min(mu - pad * sd)))
     hi = max(0.0, float(np.max(mu + pad * sd)))
     return lo, hi
+
+
+def windowed_entropy_bits(means, weights, variances, z0, z1, alpha_bar, span=12.0, per_sd=32):
+    """H(z | x_t) in bits by plain numpy, on a grid local to the decision.
+
+    Each union component of positive weight gets the window mu +- ``span`` sd
+    of its diffused Gaussian; windows that touch are merged and each is cut
+    into cells of at most 1 / ``per_sd`` of its narrowest sd.  Shares no code
+    with ``diffentropy.mixture`` or ``diffentropy.entropy``.
+    """
+    means, weights, variances = (np.asarray(v, dtype=np.float64) for v in (means, weights, variances))
+    comps = [k for k in list(z0) + list(z1) if weights[k] > 0.0]
+    mu = np.sqrt(alpha_bar) * means[comps]
+    var = alpha_bar * variances[comps] + (1.0 - alpha_bar)
+    sd = np.sqrt(var)
+    log_prior = np.log(weights[comps] / weights[comps].sum())
+    in_z0 = np.isin(comps, list(z0))
+
+    spans = sorted(zip(mu - span * sd, mu + span * sd, sd))
+    merged = [list(spans[0])]
+    for lo, hi, s in spans[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1][1], merged[-1][2] = max(merged[-1][1], hi), min(merged[-1][2], s)
+        else:
+            merged.append([lo, hi, s])
+
+    total = 0.0
+    for lo, hi, s in merged:
+        n = int(np.ceil((hi - lo) * per_sd / s))
+        dx = (hi - lo) / n
+        x = np.linspace(lo + 0.5 * dx, hi - 0.5 * dx, n)[:, None]
+        log_joint = log_prior - 0.5 * np.log(2.0 * np.pi * var) - (x - mu) ** 2 / (2.0 * var)
+        side = [np.logaddexp.reduce(np.where(mask, log_joint, -np.inf), axis=1)
+                for mask in (in_z0, ~in_z0)]
+        log_p = np.logaddexp(*side)
+        # p(x) h(z | x) = -sum_z p(z, x) log2 p(z | x), every term in log space.
+        total -= sum(np.sum(np.exp(s_) * (s_ - log_p)) for s_ in side) * dx / np.log(2.0)
+    return float(total)

@@ -148,6 +148,17 @@ class TestProfileCommand:
         cfg = write_config(tmp_path / "c.json", method="montecarlo")
         assert main(["profile", "--config", str(cfg)]) == 2
 
+    def test_unresolved_window_is_numerical_failure(self, tmp_path, capsys):
+        # A point mass inside a wide component's window needs more cells
+        # than the config grants; the message says how many would do.
+        cfg = write_config(tmp_path / "c.json", mixture={
+            "means": [0.0, 0.5], "variances": [4.0, 0.0]})
+        out = str(tmp_path / "out")
+        assert main(["profile", "--config", str(cfg), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "step t=1:" in err and "grid_points=8192 would do" in err
+        assert main(["profile", "--config", str(cfg), "--out", out, "--grid", "8192"]) == 0
+
 
 class TestEstimateCommand:
     def test_csv_schema_and_seed_determinism(self, tmp_path):

@@ -1,11 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from _oracles import windowed_entropy_bits
 
 import diffentropy.entropy as entropy
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
 from diffentropy.entropy import (
     QuadratureDomainError,
-    QuadratureGrid,
     _logit_entropy_bits,
     binary_entropy_bits,
     conditional_entropy_at,
@@ -25,24 +28,64 @@ def pair(mixture, i, j):
     return make_partition(mixture, [i], [j])
 
 
-class TestQuadratureGrid:
-    def test_rejects_bad_bounds_and_tiny_grids(self):
-        with pytest.raises(ParameterError):
-            QuadratureGrid(1.0, 1.0)
-        with pytest.raises(ParameterError):
-            QuadratureGrid(0.0, 1.0, n=32)
+# A wide component with a point mass inside its window: one merged window
+# 4000 narrow sd wide at t = 1, which 1024 cells cannot resolve.
+WIDE_AND_NARROW = MixtureModel(weights=[0.5, 0.5], means=[0.0, 0.5], variances=[4.0, 0.0])
 
-    def test_auto_bounds_cover_ten_sigma(self):
-        grid = QuadratureGrid.for_mixture(FOUR_DELTAS, 0.5)
-        mu, var = diffused_params(FOUR_DELTAS, 0.5)
+
+def _window_edges(mixture, partition, alpha_bar, grid_points=entropy.DEFAULT_GRID_POINTS):
+    lo, dx, cells = entropy._windows(mixture, partition, np.array([alpha_bar]), grid_points,
+                                     lambda level: "here")
+    used = cells[0] > 0
+    return lo[0, used], (lo + dx * cells)[0, used], dx[0, used], cells[0, used]
+
+
+class TestWindows:
+    def test_rejects_tiny_grids(self):
+        with pytest.raises(ParameterError):
+            conditional_entropy_at(FOUR_DELTAS, pair(FOUR_DELTAS, 0, 1), 0.5, grid_points=32)
+
+    @pytest.mark.parametrize("t", [1, 100, 300, 1000])
+    def test_merged_windows_cover_ten_sd_of_the_union_only(self, t):
+        part = make_partition(FOUR_DELTAS, [0], [2, 3])
+        ab = SCHEDULE.alpha_bar(t)
+        lo, hi, dx, cells = _window_edges(FOUR_DELTAS, part, ab)
+        mu, var = diffused_params(FOUR_DELTAS, ab)
         sd = np.sqrt(var)
-        assert grid.lo <= np.min(mu - 10 * sd)
-        assert grid.hi >= np.max(mu + 10 * sd)
+        assert cells.sum() == entropy.DEFAULT_GRID_POINTS
+        assert np.all(lo[1:] > hi[:-1])  # disjoint, so every edge lies in a tail
+        for k in (0, 2, 3):
+            inside = (lo <= mu[k] - 10 * sd[k] + 1e-12) & (hi >= mu[k] + 10 * sd[k] - 1e-12)
+            assert inside.sum() == 1
+        for edge in np.concatenate([lo, hi]):
+            assert np.min(np.abs(edge - mu[[0, 2, 3]]) / sd[[0, 2, 3]]) >= 10 * (1 - 1e-12)
+        # Component 1 is outside the decision: no window is spent on it at low noise.
+        if t == 1:
+            assert not np.any((lo <= mu[1]) & (mu[1] <= hi))
+            assert len(lo) == 3
 
-    def test_coverage_violation_raises_with_bounds(self):
-        grid = QuadratureGrid(-2.0, 2.0, n=256)
-        with pytest.raises(QuadratureDomainError, match="must cover"):
-            conditional_entropy_at(FOUR_DELTAS, pair(FOUR_DELTAS, 0, 1), 0.5, grid)
+    def test_cells_split_by_width_in_narrowest_sd(self):
+        lo, hi, dx, cells = _window_edges(WIDE_AND_NARROW, pair(WIDE_AND_NARROW, 0, 1), 0.5)
+        assert len(lo) == 1 and cells[0] == entropy.DEFAULT_GRID_POINTS
+        lo, hi, dx, cells = _window_edges(FOUR_DELTAS, make_partition(FOUR_DELTAS, [0, 1], [2, 3]),
+                                          SCHEDULE.alpha_bar(1))
+        # Four equal windows of 20 sd each get a quarter of the cells.
+        np.testing.assert_array_equal(cells, [256] * 4)
+        np.testing.assert_allclose(dx, 20 * np.sqrt(SCHEDULE.betas[0]) / 256, rtol=1e-12)
+
+    def test_coarse_cell_raises_naming_a_grid_that_would_do(self):
+        part = pair(WIDE_AND_NARROW, 0, 1)
+        ab = SCHEDULE.alpha_bar(1)
+        with pytest.raises(QuadratureDomainError, match=r"alpha_bar=.*grid_points=16384 would do"):
+            conditional_entropy_at(WIDE_AND_NARROW, part, ab)
+        lo, hi, dx, cells = _window_edges(WIDE_AND_NARROW, part, ab, 16384)
+        assert dx[0] <= 0.25 * np.sqrt(1.0 - ab)
+
+    def test_mass_defect_raises(self, monkeypatch):
+        # Windows of 2 sd hold ~95% of the mass; the check must notice.
+        monkeypatch.setattr(entropy, "WINDOW_SPAN", 2.0)
+        with pytest.raises(QuadratureDomainError, match="mass"):
+            conditional_entropy_at(FOUR_DELTAS, pair(FOUR_DELTAS, 0, 1), 0.5)
 
 
 class TestLogitEntropy:
@@ -59,38 +102,44 @@ class TestLogitEntropy:
         assert np.array_equal(_logit_entropy_bits(logits), _logit_entropy_bits(-logits))
 
 
-def _reference_entropy_bits(means, z0, z1, alpha_bar, grid):
-    """Plain-numpy H(z | x_t) for equal-weight deltas on the grid's midpoints.
+# Far-apart decisions that a grid spanning the whole mixture got silently
+# wrong: (means of equal-weight deltas, z0, z1).
+FAR_APART = [
+    ((-1000.0, -999.9, 1000.0), [0], [1]),
+    ((-1000.0, -999.9, 1000.0), [0], [1, 2]),
+    ((-100.0, -99.5, 100.0, 100.5), [0, 2], [1, 3]),
+    ((-30.0, -29.8, 0.0, 30.0), [0, 2], [1, 3]),
+]
 
-    Only the decision's components count, so each weighs 1 / |z0 + z1|.
-    """
-    x = grid.points()
-    var = 1.0 - alpha_bar
-    dens = [np.exp(-(x - np.sqrt(alpha_bar) * m) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-            for m in means]
-    union = len(z0) + len(z1)
-    joint0 = sum(dens[k] for k in z0) / union
-    joint1 = sum(dens[k] for k in z1) / union
-    total = joint0 + joint1
-    h = np.zeros_like(x)
-    live = total > 0.0
-    for joint in (joint0, joint1):
-        q = joint[live] / total[live]
-        h[live] -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    return float(np.sum(total * h) * grid.dx)
+
+def _oracle(mixture, z0, z1, alpha_bar):
+    return windowed_entropy_bits(mixture.means, mixture.weights, mixture.variances, z0, z1, alpha_bar)
 
 
 class TestConditionalEntropy:
-    @pytest.mark.parametrize("t", [50, 300, 600])
+    @pytest.mark.parametrize("t", [1, 50, 300, 600, 1000])
     @pytest.mark.parametrize("z0,z1", [([0], [1]), ([2], [3]), ([0, 1], [2, 3])])
     def test_four_delta_decisions_match_a_plain_numpy_reference(self, t, z0, z1):
-        means = [-8.0, -4.0, 6.0, 8.0]
         ab = SCHEDULE.alpha_bar(t)
-        sd = np.sqrt(1.0 - ab)
-        mu = np.sqrt(ab) * np.array(means)
-        grid = QuadratureGrid(float(np.min(mu) - 10.0 * sd), float(np.max(mu) + 10.0 * sd))
-        h = conditional_entropy_at(FOUR_DELTAS, make_partition(FOUR_DELTAS, z0, z1), ab, grid)
-        assert h == pytest.approx(_reference_entropy_bits(means, z0, z1, ab, grid), abs=1e-12)
+        h = conditional_entropy_at(FOUR_DELTAS, make_partition(FOUR_DELTAS, z0, z1), ab)
+        assert h == pytest.approx(_oracle(FOUR_DELTAS, z0, z1, ab), abs=1e-12)
+
+    @pytest.mark.parametrize("means,z0,z1", FAR_APART)
+    def test_far_apart_decisions_match_the_windowed_oracle(self, means, z0, z1):
+        mixture = MixtureModel.deltas(means)
+        part = make_partition(mixture, z0, z1)
+        for t in [*range(1, 61), 100, 300, 1000]:
+            ab = SCHEDULE.alpha_bar(t)
+            assert conditional_entropy_at(mixture, part, ab) == pytest.approx(
+                _oracle(mixture, z0, z1, ab), abs=1e-12), f"t={t}"
+
+    def test_wide_and_narrow_raises_at_the_default_and_resolves_when_refined(self):
+        part = pair(WIDE_AND_NARROW, 0, 1)
+        ab = SCHEDULE.alpha_bar(1)
+        with pytest.raises(QuadratureDomainError):
+            conditional_entropy_at(WIDE_AND_NARROW, part, ab)
+        h = conditional_entropy_at(WIDE_AND_NARROW, part, ab, grid_points=16384)
+        assert h == pytest.approx(_oracle(WIDE_AND_NARROW, [0], [1], ab), abs=1e-12)
 
     def test_full_noise_recovers_prior_entropy(self):
         h = conditional_entropy_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE.alpha_bars[-1])
@@ -125,11 +174,12 @@ class TestConditionalEntropy:
         assert h == pytest.approx(prior_entropy_bits(part), abs=1e-3)
         assert prior_entropy_bits(part) == pytest.approx(0.4689955935892812)
 
-    def test_grid_refinement_converged(self):
-        part = pair(FOUR_DELTAS, 2, 3)
-        h1 = conditional_entropy_at(FOUR_DELTAS, part, 0.5, QuadratureGrid.for_mixture(FOUR_DELTAS, 0.5, n=4096))
-        h2 = conditional_entropy_at(FOUR_DELTAS, part, 0.5, QuadratureGrid.for_mixture(FOUR_DELTAS, 0.5, n=8192))
-        assert abs(h1 - h2) < 1e-8
+    @pytest.mark.parametrize("t", [1, 150, 500])
+    def test_converged_in_grid_points(self, t):
+        part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
+        ab = SCHEDULE.alpha_bar(t)
+        hs = [conditional_entropy_at(FOUR_DELTAS, part, ab, grid_points=n) for n in (512, 1024, 4096, 16384)]
+        assert max(hs) - min(hs) < 1e-11
 
     def test_monotone_in_forward_time(self):
         part = pair(TWO_DELTAS, 0, 1)
@@ -145,6 +195,13 @@ class TestJsd:
 
     def test_separated_deltas_saturate_at_one_bit(self):
         assert jsd_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-3)
+
+    def test_does_not_depend_on_the_priors(self):
+        # The divergence is between the side densities; a side without prior
+        # mass still has one.
+        skew = MixtureModel(weights=[0.0, 1.0], means=[-1.0, 1.0], variances=[0.0, 0.0])
+        assert jsd_at(skew, pair(skew, 0, 1), 0.5) == pytest.approx(
+            jsd_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), 0.5), abs=1e-14)
 
     def test_complements_conditional_entropy_for_even_priors(self):
         part = pair(TWO_DELTAS, 0, 1)
@@ -173,26 +230,40 @@ class TestEntropyProfile:
         s_fine = fine.times.s[np.argmax(fine.rate_bits)]
         assert s_coarse > s_fine
 
-    def test_step_annotation_on_coverage_error(self):
-        grid = QuadratureGrid(-30.0, 30.0, n=512)  # fine at high noise, too narrow later? keep valid
-        prof = entropy_profile(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE, grid=grid, stride=250)
+    def test_step_annotation_on_quadrature_error(self):
+        part = pair(WIDE_AND_NARROW, 0, 1)
+        prof = entropy_profile(WIDE_AND_NARROW, part, SCHEDULE, stride=250, grid_points=16384)
         assert prof.H_bits.shape == prof.times.s.shape
-        bad = QuadratureGrid(-0.5, 0.5, n=256)
-        with pytest.raises(QuadratureDomainError, match="step t="):
-            entropy_profile(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE, grid=bad, stride=250)
+        with pytest.raises(QuadratureDomainError, match=r"step t=1: .*grid_points=16384 would do"):
+            entropy_profile(WIDE_AND_NARROW, part, SCHEDULE, stride=250)
 
-    def test_coverage_is_checked_for_caller_grids_only(self, monkeypatch):
-        # A level's own grid is built to cover the support; only a grid the
-        # caller supplies is checked, once per level.
-        checked = []
-        real_check = entropy._check_coverage
-        monkeypatch.setattr(entropy, "_check_coverage",
-                            lambda *args: checked.append(args) or real_check(*args))
-        part = pair(TWO_DELTAS, 0, 1)
-        prof = entropy_profile(TWO_DELTAS, part, SCHEDULE, stride=250)
-        assert checked == []
-        entropy_profile(TWO_DELTAS, part, SCHEDULE, grid=QuadratureGrid(-30.0, 30.0, n=512), stride=250)
-        assert len(checked) == len(prof.times)
+    def test_profile_matches_single_levels(self):
+        part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
+        prof = entropy_profile(FOUR_DELTAS, part, SCHEDULE, stride=37)
+        single = [conditional_entropy_at(FOUR_DELTAS, part, SCHEDULE.alpha_bar(int(t)))
+                  for t in prof.times.steps]
+        np.testing.assert_array_equal(prof.H_bits, single)
+
+    def test_kernel_is_called_once_per_chunk_of_levels(self, monkeypatch):
+        calls = []
+        real_kernel = entropy._log_joints
+        monkeypatch.setattr(entropy, "_log_joints",
+                            lambda *args: calls.append(args) or real_kernel(*args))
+        prof = entropy_profile(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE)
+        per_chunk = entropy.CHUNK_TERMS // (2 * entropy.DEFAULT_GRID_POINTS)
+        assert len(calls) == math.ceil(len(prof.times) / per_chunk) < len(prof.times)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
+        entropy_profile(FOUR_DELTAS, part, SCHEDULE, stride=500)  # warm caches
+        tracemalloc.start()
+        try:
+            entropy_profile(FOUR_DELTAS, part, SCHEDULE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured 0.83 MB with chunks of 16k kernel terms, 1.8 MB with 32k.
+        assert peak < 1_400_000
 
 
 class TestInformationTransfer:

@@ -6,6 +6,9 @@ from diffentropy.core import MixtureModel, ParameterError, make_partition
 from diffentropy.mixture import (
     DegenerateDensityError,
     UndefinedPosteriorError,
+    _log_joints,
+    _logsumexp,
+    _softmax,
     class_log_likelihoods,
     class_posteriors,
     diffuse_component,
@@ -236,3 +239,29 @@ class TestOutputShapes:
         assert class_posteriors(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
         assert class_posteriors(FOUR_DELTAS, 0.4, 0.5).shape == (4,)
         assert marginal_pdf(FOUR_DELTAS, 0.4, xs).shape == (2, 3)
+
+
+class TestKernelHelpers:
+    @pytest.mark.parametrize("shape", [(1,), (1, 5), (1, 2, 3)])
+    def test_one_row_identities_are_exact(self, shape):
+        rows = np.random.default_rng(7).normal(scale=300.0, size=shape)
+        np.testing.assert_array_equal(_logsumexp(rows), rows[0])
+        ones = _softmax(rows)
+        assert ones.shape == shape
+        np.testing.assert_array_equal(ones, 1.0)
+
+    def test_level_batch_matches_one_level_at_a_time(self):
+        mixture = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.0, 0.4, 2.0])
+        levels = np.array([0.0, 0.1, 0.5, 0.999])
+        x = np.linspace(-6.0, 6.0, 4 * 7).reshape(4, 7)
+        batch, mu, var = _log_joints(mixture, levels[:, None], x, (2, 0))
+        assert batch.shape == (2, 4, 7) and mu.shape == var.shape == (2, 4, 1)
+        for i, ab in enumerate(levels):
+            single, _, _ = _log_joints(mixture, float(ab), x[i], (2, 0))
+            np.testing.assert_array_equal(batch[:, i], single)
+
+    def test_level_batch_checks_every_level(self):
+        with pytest.raises(ParameterError):
+            diffused_params(FOUR_DELTAS, np.array([0.5, 1.5]))
+        with pytest.raises(DegenerateDensityError):
+            diffused_params(FOUR_DELTAS, np.array([0.5, 1.0]))
