@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from diffentropy.bifurcation import drift_residual
-
 
 def sign_change_count(mixture, alpha_bar, lo, hi, n=100_000, drift_coeff=0.5):
     """Number of sign changes of the drift residual on a dense uniform grid."""
+    # Imported here so that the quadrature oracle below imports no package code.
+    from diffentropy.bifurcation import drift_residual
+
     x = np.linspace(lo, hi, n)
     g = drift_residual(mixture, alpha_bar, x, drift_coeff)
     s = np.sign(g)
@@ -28,7 +29,7 @@ def windowed_entropy_bits(means, weights, variances, z0, z1, alpha_bar, span=12.
     Each union component of positive weight gets the window mu +- ``span`` sd
     of its diffused Gaussian; windows that touch are merged and each is cut
     into cells of at most 1 / ``per_sd`` of its narrowest sd.  Shares no code
-    with ``diffentropy.mixture`` or ``diffentropy.entropy``.
+    with ``diffentropy``.
     """
     means, weights, variances = (np.asarray(v, dtype=np.float64) for v in (means, weights, variances))
     comps = [k for k in list(z0) + list(z1) if weights[k] > 0.0]
