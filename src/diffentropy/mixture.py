@@ -14,7 +14,6 @@ Everything here is a pure function of immutable inputs and broadcasts over
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,21 +82,19 @@ def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.nd
     ``alpha_bar`` is one level, or an array of levels; for an array the
     components lie on a leading axis, shape ``(K,) + alpha_bar.shape``.
     """
-    if isinstance(alpha_bar, np.ndarray):
-        shape = (-1,) + (1,) * alpha_bar.ndim
-        means, variances = mixture.means.reshape(shape), mixture.variances.reshape(shape)
-        lo, hi, sqrt = alpha_bar.min(), alpha_bar.max(), np.sqrt
-    else:  # both square roots are correctly rounded; math's is cheaper on one float
-        means, variances = mixture.means, mixture.variances
-        lo, hi, sqrt = alpha_bar, alpha_bar, math.sqrt
-    if not (0.0 <= lo and hi <= 1.0):
+    ab = np.asarray(alpha_bar, dtype=np.float64)
+    # Checked on Python floats: for one level, the common case, that is much
+    # cheaper than two array reductions.
+    levels = ab.ravel().tolist()
+    if not all(0.0 <= a <= 1.0 for a in levels):
         raise ParameterError(f"alpha_bar must lie in [0, 1], got {alpha_bar!r}")
-    if hi == 1.0 and np.any(mixture.variances == 0.0):
+    if 1.0 in levels and np.any(mixture.variances == 0.0):
         raise DegenerateDensityError(
             "mixture contains point masses; densities are undefined at alpha_bar = 1"
         )
-    mu = sqrt(alpha_bar) * means
-    var = alpha_bar * variances + (1.0 - alpha_bar)
+    shape = (-1,) + (1,) * ab.ndim
+    mu = np.sqrt(ab) * mixture.means.reshape(shape)
+    var = ab * mixture.variances.reshape(shape) + (1.0 - ab)
     return mu, var
 
 
@@ -112,12 +109,11 @@ def _log_joints(mixture: MixtureModel, alpha_bar, x: np.ndarray, subset) -> tupl
     either way every element sees the same arithmetic.
     """
     mu, var = diffused_params(mixture, alpha_bar)
-    idx = np.reshape(subset, (-1,) + (1,) * x.ndim)
-    w = np.maximum(mixture.weights[idx], POSTERIOR_FLOOR)
-    if mu.ndim > 1:
-        mu, var = mu[idx.ravel()], var[idx.ravel()]
-    else:
-        mu, var = mu[idx], var[idx]
+    idx = np.asarray(subset)
+    w = np.maximum(mixture.weights[idx], POSTERIOR_FLOOR).reshape((-1,) + (1,) * x.ndim)
+    # The levels' axes align with the trailing axes of x.
+    shape = (-1,) + (1,) * (x.ndim - mu.ndim + 1) + mu.shape[1:]
+    mu, var = mu[idx].reshape(shape), var[idx].reshape(shape)
     return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var) + np.log(w / w.sum()), mu, var
 
 

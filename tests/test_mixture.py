@@ -261,7 +261,8 @@ class TestKernelHelpers:
             np.testing.assert_array_equal(batch[:, i], single)
 
     def test_level_batch_checks_every_level(self):
-        with pytest.raises(ParameterError):
-            diffused_params(FOUR_DELTAS, np.array([0.5, 1.5]))
+        for levels in ([0.5, 1.5], [0.5, np.nan]):
+            with pytest.raises(ParameterError):
+                diffused_params(FOUR_DELTAS, np.array(levels))
         with pytest.raises(DegenerateDensityError):
             diffused_params(FOUR_DELTAS, np.array([0.5, 1.0]))
