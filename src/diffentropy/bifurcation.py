@@ -14,6 +14,15 @@ nodes where ``g`` is exactly zero are roots without a bracket.  At low noise
 repelling roots live in posterior switch layers of width ``~ var /
 separation`` that no reasonable grid hits, but the sign change across such a
 layer still brackets them.
+
+Each iteration takes ``g`` and its slope ``g'`` from one kernel pass.  A sweep
+solves its levels as a batch, in chunks of ``CHUNK_TERMS`` kernel terms (grid
+nodes x components): one kernel call evaluates the grids of a chunk's levels,
+and the brackets of all of them share one Newton-bisection, every bracket at
+its own level.  Every root is bitwise the one that solving its level alone
+gives; :func:`find_fixed_points` is that one-level case of the same path.  On
+a 2-vCPU Xeon VM a stride-1 sweep of four deltas (1000 levels) takes about
+0.1 s, against 0.6-0.9 s level by level.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid
-from .mixture import diffused_params, score, score_derivative
+from .mixture import CHUNK_TERMS, _score_and_derivative, diffused_params, score, score_derivative
 
 __all__ = [
     "DEFAULT_DRIFT_COEFF",
@@ -103,25 +112,15 @@ class BifurcationDiagram:
         return np.asarray([len(p) for p in self.points])
 
 
-def _default_box(mixture: MixtureModel, alpha_bar: float) -> tuple[float, float]:
-    # Roots live in the convex hull of the origin and the diffused means; a
-    # 4-sigma margin keeps the hull comfortably interior.
-    mu, var = diffused_params(mixture, alpha_bar)
-    sd = np.sqrt(var)
-    lo = min(0.0, float(np.min(mu - 4.0 * sd)))
-    hi = max(0.0, float(np.max(mu + 4.0 * sd)))
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
-    return lo, hi
-
-
-def _bracketed_roots(g, gp, lo, hi, g_lo, g_hi, residual_tol):
+def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi, residual_tol):
     """One root per sign-change bracket ``[lo, hi]``, with its residual.
 
-    The bracket arrays are narrowed in place.  A Newton step is taken when it
-    lands strictly inside the bracket and is at most half the step before
-    last, a bisection otherwise.  The first midpoint narrows every bracket
-    before any step is taken, so a later bisection never lands on it again.  A bracket is finished when it
+    ``terms(alpha_bar, x)`` returns ``(g, g')`` at ``x``, and bracket ``i``
+    belongs to level ``alpha_bar[i]``.  The bracket arrays are narrowed in
+    place.  A Newton step is taken when it lands strictly inside the bracket
+    and is at most half the step before last, a bisection otherwise.  The
+    first midpoint narrows every bracket before any step is taken, so a later
+    bisection never lands on it again.  A bracket is finished when it
     collapses to adjacent floats, when ``g`` vanishes at the iterate, or when
     the iterate's residual is below ``residual_tol`` and its Newton correction
     below float resolution at unit scale.  The iterate is then one of the
@@ -130,7 +129,7 @@ def _bracketed_roots(g, gp, lo, hi, g_lo, g_hi, residual_tol):
     resolution, so either end may be the better one.
     """
     x = 0.5 * (lo + hi)
-    gx = g(x)
+    gx, gpx = terms(alpha_bar, x)
     step = 0.5 * (hi - lo)
     step_before = hi - lo
     active = np.arange(lo.size)
@@ -143,7 +142,7 @@ def _bracketed_roots(g, gp, lo, hi, g_lo, g_hi, residual_tol):
         a, b = lo[active], hi[active]
         mid = 0.5 * (a + b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - gx / gp(x)
+            newton = x - gx / gpx
         # Close to a root near the origin the computed residual is rounding
         # noise over a span of many floats; the Newton test ends it there.
         converged = ((np.abs(gx) < residual_tol)
@@ -158,9 +157,90 @@ def _bracketed_roots(g, gp, lo, hi, g_lo, g_hi, residual_tol):
         step_before = step[keep]
         step = np.abs(x_new - x[keep])
         x = x_new
-        gx = g(x)
+        gx, gpx = terms(alpha_bar[active], x)
     better_hi = np.abs(g_hi) < np.abs(g_lo)
     return np.where(better_hi, hi, lo), np.where(better_hi, g_hi, g_lo)
+
+
+def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
+                            search_box: tuple[float, float] | None = None,
+                            n_starts: int = 256,
+                            drift_coeff: float = DEFAULT_DRIFT_COEFF,
+                            residual_tol: float = RESIDUAL_TOL) -> list[tuple[FixedPoint, ...]]:
+    """The fixed points at each level of ``alpha_bars``: the one solver path.
+
+    Levels are solved in chunks of ``CHUNK_TERMS`` kernel terms (grid nodes x
+    components).  Per chunk, one kernel call evaluates every level's grid,
+    the sign-change brackets of all its levels share one Newton-bisection,
+    and one more call classifies the roots.  Each level's nodes, brackets and
+    roots are bitwise those of solving it alone.
+    """
+    if n_starts < 2:
+        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
+    if search_box is not None and not float(search_box[0]) < float(search_box[1]):
+        raise ParameterError(f"search box must satisfy lo < hi, got {search_box!r}")
+    # The FixedPoint contract caps the acceptance threshold.
+    residual_tol = min(residual_tol, RESIDUAL_TOL)
+
+    def terms(ab, x):
+        # (g, g') from one kernel pass, bitwise equal to drift_residual and
+        # drift_residual_derivative at each point's own level.
+        s, ds = _score_and_derivative(mixture, ab, x)
+        return drift_coeff * x - s, drift_coeff - ds
+
+    per_chunk = max(1, CHUNK_TERMS // (n_starts * mixture.num_components))
+    found = []
+    for c0 in range(0, len(alpha_bars), per_chunk):
+        ab = alpha_bars[c0:c0 + per_chunk]
+        if search_box is None:
+            # Roots live in the convex hull of the origin and the diffused
+            # means; a 4-sigma margin keeps the hull comfortably interior.
+            # Every diffused sd is positive, so the box is never empty.
+            mu, var = diffused_params(mixture, ab)
+            sd = np.sqrt(var)
+            lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
+            hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
+        else:
+            lo_box = np.full(len(ab), float(search_box[0]))
+            hi_box = np.full(len(ab), float(search_box[1]))
+
+        grid = np.linspace(lo_box, hi_box, n_starts, axis=1)
+        g_grid = terms(ab[:, None], grid)[0]
+        signs = np.sign(g_grid)
+        level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
+        x, residuals = _bracketed_roots(terms, ab[level], grid[level, cell], grid[level, cell + 1],
+                                        g_grid[level, cell], g_grid[level, cell + 1], residual_tol)
+        zeros = np.nonzero(g_grid == 0.0)
+        level = np.concatenate([zeros[0], level])
+        x = np.concatenate([grid[zeros], x])
+        residuals = np.concatenate([g_grid[zeros], residuals])
+
+        # Per level, the sorted distinct converged roots; of equal roots the
+        # first (grid zeros before brackets) is kept.
+        keep = np.abs(residuals) < residual_tol
+        level, x, residuals = level[keep], x[keep], residuals[keep]
+        order = np.lexsort((x, level))
+        level, x, residuals = level[order], x[order], residuals[order]
+        first = np.ones(x.size, dtype=bool)
+        first[1:] = (level[1:] != level[:-1]) | (x[1:] != x[:-1])
+        level, x, residuals = level[first], x[first], residuals[first]
+        slopes = terms(ab[level], x)[1]
+
+        ends = np.searchsorted(level, np.arange(len(ab)), side="right")
+        begin = 0
+        for l, end in enumerate(ends):
+            if begin == end:
+                box = search_box if search_box is not None else (float(lo_box[l]), float(hi_box[l]))
+                warnings.warn(
+                    f"no drift fixed points converged at alpha_bar={float(ab[l])!r} in {box!r}",
+                    RuntimeWarning,
+                )
+            found.append(tuple(FixedPoint(x=float(r) + 0.0, alpha_bar=float(ab[l]),
+                                          residual=float(res), stable=bool(slope > 0.0))
+                               for r, res, slope in zip(x[begin:end], residuals[begin:end],
+                                                        slopes[begin:end])))
+            begin = end
+    return found
 
 
 def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
@@ -177,68 +257,45 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
     reported once), and stability is classified from the residual slope.  An
     empty result triggers a warning, not an error.  A cell holding an even
     number of roots shows no sign change; the grid must be fine enough that
-    roots are at least one cell apart.
+    roots are at least one cell apart.  The default box spans the origin and
+    every diffused mean with a 4-sigma margin.
 
     Very close to the clean end (variance below ~1e-3 for unit-scale
     mixtures), repelling roots that do not fall on an exactly representable
     point live on residual steps larger than ``residual_tol`` in float64 and
     are dropped; attracting roots are unaffected.
     """
-    if search_box is None:
-        search_box = _default_box(mixture, alpha_bar)
-    lo_box, hi_box = float(search_box[0]), float(search_box[1])
-    if not lo_box < hi_box:
-        raise ParameterError(f"search box must satisfy lo < hi, got {search_box!r}")
-    if n_starts < 2:
-        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
-
-    def g(x):
-        return drift_residual(mixture, alpha_bar, x, drift_coeff)
-
-    def gp(x):
-        return drift_residual_derivative(mixture, alpha_bar, x, drift_coeff)
-
-    # The FixedPoint contract caps the acceptance threshold.
-    residual_tol = min(residual_tol, RESIDUAL_TOL)
-
-    grid = np.linspace(lo_box, hi_box, n_starts)
-    g_grid = np.asarray(g(grid))
-    signs = np.sign(g_grid)
-    cells = np.flatnonzero(signs[1:] * signs[:-1] < 0)
-    x, residuals = _bracketed_roots(g, gp, grid[cells], grid[cells + 1],
-                                    g_grid[cells], g_grid[cells + 1], residual_tol)
-    zeros = g_grid == 0.0
-    x = np.concatenate([grid[zeros], x])
-    residuals = np.concatenate([g_grid[zeros], residuals])
-
-    keep = np.abs(residuals) < residual_tol
-    roots, first = np.unique(x[keep], return_index=True)
-    residuals = residuals[keep][first]
-    if roots.size == 0:
-        warnings.warn(
-            f"no drift fixed points converged at alpha_bar={alpha_bar!r} in {search_box!r}",
-            RuntimeWarning,
-        )
-        return ()
-
-    slopes = gp(roots)
-    return tuple(FixedPoint(x=float(r) + 0.0, alpha_bar=float(alpha_bar),
-                            residual=float(res), stable=bool(slope > 0.0))
-                 for r, res, slope in zip(roots, residuals, slopes))
+    return _fixed_points_at_levels(mixture, np.array([alpha_bar], dtype=np.float64), search_box,
+                                   n_starts, drift_coeff, residual_tol)[0]
 
 
 def _step_solver(mixture, schedule, drift_coeff, n_starts):
-    """``solve(t)``: the fixed points at step ``t``, each step solved once."""
+    """``solve(steps)``: the fixed points at each of ``steps``, each step solved once.
+
+    The steps not solved before are solved as one batch.  If the batch
+    fails, its steps are solved one at a time to name the step that fails.
+    """
     cache: dict[int, tuple[FixedPoint, ...]] = {}
 
-    def solve(t: int) -> tuple[FixedPoint, ...]:
-        if t not in cache:
+    def levels(steps):
+        return _fixed_points_at_levels(mixture, np.array([schedule.alpha_bar(t) for t in steps]),
+                                       drift_coeff=drift_coeff, n_starts=n_starts)
+
+    def solve(steps) -> list[tuple[FixedPoint, ...]]:
+        todo = [t for t in dict.fromkeys(int(t) for t in steps) if t not in cache]
+        if todo:
             try:
-                cache[t] = find_fixed_points(mixture, schedule.alpha_bar(t),
-                                             drift_coeff=drift_coeff, n_starts=n_starts)
-            except Exception as err:
-                raise type(err)(f"level t={t}: {err}") from err
-        return cache[t]
+                cache.update(zip(todo, levels(todo)))
+            except Exception:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    for t in todo:
+                        try:
+                            levels([t])
+                        except Exception as err:
+                            raise type(err)(f"level t={t}: {err}") from err
+                raise
+        return [cache[int(t)] for t in steps]
 
     return solve
 
@@ -268,10 +325,10 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule, stride: i
     """
     times = TimeGrid.strided(schedule, stride)
     solve = _step_solver(mixture, schedule, drift_coeff, n_starts)
-    levels = [solve(int(t)) for t in times.steps]
+    levels = solve(times.steps)
 
     def count_fn(t):
-        return len(solve(t))
+        return len(solve([t])[0])
 
     critical = []
     for i in range(1, len(levels)):
@@ -315,22 +372,22 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule, i: int, j
 
     solve = _step_solver(mixture, schedule, drift_coeff, n_starts)
 
-    def count_fn(t):
+    def count(t, points):
         root = np.sqrt(schedule.alpha_bar(t))
         lo, hi = root * (mu_i - pad), root * (mu_j + pad)
-        return sum(1 for p in solve(t) if p.stable and lo <= p.x <= hi)
+        return sum(1 for p in points if p.stable and lo <= p.x <= hi)
+
+    def count_fn(t):
+        return count(t, solve([t])[0])
 
     probes = list(range(1, schedule.num_steps + 1, coarse_stride))
     if probes[-1] != schedule.num_steps:
         probes.append(schedule.num_steps)
-    prev_t = probes[0]
-    prev_count = count_fn(prev_t)
-    if prev_count < 2:
+    counts = [count(t, points) for t, points in zip(probes, solve(probes))]
+    if counts[0] < 2:
         return None
-    for t in probes[1:]:
-        count = count_fn(t)
-        if count < 2:
-            t_lo, t_hi = _refine_change(prev_t, t, count_fn)
+    for k in range(1, len(probes)):
+        if counts[k] < 2:
+            t_lo, t_hi = _refine_change(probes[k - 1], probes[k], count_fn)
             return (t_lo + t_hi) / (2.0 * schedule.num_steps)
-        prev_t, prev_count = t, count
     return None

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid
-from .mixture import POSTERIOR_FLOOR, _log_joints, _logsumexp, diffused_params
+from .mixture import CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _logsumexp, diffused_params
 
 __all__ = [
     "QuadratureDomainError",
@@ -52,11 +52,6 @@ MIN_GRID_POINTS = 64
 WINDOW_SPAN = 10.0  # window half-width in diffused standard deviations
 MAX_CELL_SD = 0.25  # widest cell, in units of its window's narrowest sd
 MASS_TOL = 1e-9
-# Kernel terms (union components x cells) per chunk of a profile's levels:
-# each (components, levels, cells) array stays within 128 KiB.  Chunks of
-# 16k cells instead raised the peak RSS of the profile-estimate benchmark
-# from 40.2 to 43.4 MB, through the four-component decision.
-CHUNK_TERMS = 1 << 14
 
 # Slack for clipping H into [0, 1]: anything beyond this is a genuine
 # quadrature failure rather than roundoff.

@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from diffentropy import bifurcation
+from diffentropy import bifurcation, mixture
 from diffentropy.bifurcation import (
     FixedPoint,
     drift_residual,
@@ -18,6 +19,8 @@ from _oracles import scan_box, sign_change_count
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
+PAIR_SKEWED = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
+ROW_LOPSIDED = MixtureModel.deltas([-2.0, 1.0, 2.0])
 SCHEDULE = linear_schedule(1000)
 
 
@@ -200,21 +203,99 @@ class TestTraceBifurcations:
         assert event.s == pytest.approx((event.t_before + event.t_after) / 2000)
 
     def test_each_step_is_solved_once(self, monkeypatch):
-        solved = Counter()
-        real = bifurcation.find_fixed_points
+        batches = []
+        real = bifurcation._fixed_points_at_levels
 
-        def counting(mixture, alpha_bar, *args, **kwargs):
-            solved[alpha_bar] += 1
-            return real(mixture, alpha_bar, *args, **kwargs)
+        def counting(mixture, alpha_bars, *args, **kwargs):
+            batches.append(list(alpha_bars))
+            return real(mixture, alpha_bars, *args, **kwargs)
 
-        monkeypatch.setattr(bifurcation, "find_fixed_points", counting)
+        def solved():
+            return Counter(ab for batch in batches for ab in batch)
+
+        monkeypatch.setattr(bifurcation, "_fixed_points_at_levels", counting)
         diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20)
         assert diagram.critical
-        assert len(solved) > len(diagram.steps)  # refinement solved extra steps
-        assert set(solved.values()) == {1}
-        solved.clear()
+        # The strided levels are one batch; refinement then solves single steps.
+        assert batches[0] == list(diagram.alpha_bars)
+        assert all(len(batch) == 1 for batch in batches[1:])
+        assert len(solved()) > len(diagram.steps)  # refinement solved extra steps
+        assert set(solved().values()) == {1}
+        batches.clear()
         assert sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1) is not None
-        assert set(solved.values()) == {1}
+        probes = [SCHEDULE.alpha_bar(t) for t in range(1, 1001, 20)] + [SCHEDULE.alpha_bar(1000)]
+        assert batches[0] == probes
+        assert all(len(batch) == 1 for batch in batches[1:])
+        assert set(solved().values()) == {1}
+
+    @pytest.mark.parametrize("mix", [FOUR_DELTAS, PAIR_SKEWED, ROW_LOPSIDED])
+    def test_batched_sweep_equals_one_level_at_a_time_bitwise(self, mix):
+        diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
+        for t, points in zip(diagram.steps, diagram.points):
+            assert points == find_fixed_points(mix, SCHEDULE.alpha_bar(int(t)))
+
+    def test_batched_brackets_are_cells_of_each_levels_own_grid(self, monkeypatch):
+        brackets = []
+        real = bifurcation._bracketed_roots
+
+        def recording(terms, alpha_bar, lo, hi, *args):
+            brackets.extend(zip(alpha_bar.tolist(), lo.tolist(), hi.tolist()))
+            return real(terms, alpha_bar, lo, hi, *args)
+
+        monkeypatch.setattr(bifurcation, "_bracketed_roots", recording)
+        diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=7)
+        assert {ab for ab, _, _ in brackets} >= set(diagram.alpha_bars.tolist())
+        for ab, lo, hi in brackets:
+            nodes = np.linspace(*scan_box(FOUR_DELTAS, ab), 256).tolist()
+            assert nodes.index(hi) == nodes.index(lo) + 1
+
+    def test_sweep_makes_far_fewer_kernel_passes_than_levels(self, monkeypatch):
+        calls = []
+        real = mixture._score_terms
+        monkeypatch.setattr(mixture, "_score_terms", lambda *args: calls.append(args) or real(*args))
+        unimodal = MixtureModel(weights=[0.5, 0.5], means=[-0.5, 0.5], variances=[1.0, 1.0])
+        diagram = trace_bifurcations(unimodal, SCHEDULE, stride=10)
+        assert diagram.critical == () and len(diagram.steps) == 101
+        # Solving level by level takes two passes per Newton-bisection iteration.
+        assert len(calls) <= len(diagram.steps) // 4
+
+    def test_peak_memory_of_a_stride_one_sweep_is_bounded_by_the_chunk(self):
+        trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=500)  # warm caches
+        tracemalloc.start()
+        try:
+            trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured 1.35 MB with chunks of 16k kernel terms, 2.0 MB with 32k
+        # and 37 MB unchunked; the 1000 levels' fixed points take ~0.6 MB.
+        assert peak < 1_700_000
+
+    @pytest.mark.parametrize("stride, bad_step", [(1, 137), (10, 131)])
+    def test_a_failing_level_of_a_batch_names_its_step(self, monkeypatch, stride, bad_step):
+        bad = SCHEDULE.alpha_bar(bad_step)
+        real = mixture._log_joints
+
+        def failing(mix, alpha_bar, *args):
+            if np.any(np.asarray(alpha_bar) == bad):
+                raise FloatingPointError("kernel overflow")
+            return real(mix, alpha_bar, *args)
+
+        monkeypatch.setattr(mixture, "_log_joints", failing)
+        with pytest.raises(FloatingPointError, match=f"^level t={bad_step}: kernel overflow$"):
+            trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=stride)
+
+    def test_sweep_checks_n_starts_at_the_first_level(self):
+        with pytest.raises(ParameterError, match="^level t=1: n_starts must be >= 2"):
+            trace_bifurcations(TWO_DELTAS, SCHEDULE, stride=10, n_starts=1)
+
+    def test_each_rootless_level_of_a_batch_warns(self):
+        levels = np.array([0.3, 0.5, 0.7])
+        with pytest.warns(RuntimeWarning) as record:
+            found = bifurcation._fixed_points_at_levels(TWO_DELTAS, levels, search_box=(5.0, 6.0))
+        assert found == [(), (), ()]
+        assert [str(w.message) for w in record] == [
+            f"no drift fixed points converged at alpha_bar={ab!r} in (5.0, 6.0)" for ab in (0.3, 0.5, 0.7)]
 
 
 class TestSiblingSplitTime:

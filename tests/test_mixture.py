@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from diffentropy import mixture
 from diffentropy.core import MixtureModel, ParameterError, make_partition
 from diffentropy.mixture import (
     DegenerateDensityError,
     UndefinedPosteriorError,
     _log_joints,
+    _score_and_derivative,
     _logsumexp,
     _softmax,
     class_log_likelihoods,
@@ -266,3 +268,61 @@ class TestKernelHelpers:
                 diffused_params(FOUR_DELTAS, np.array(levels))
         with pytest.raises(DegenerateDensityError):
             diffused_params(FOUR_DELTAS, np.array([0.5, 1.0]))
+
+    def test_score_and_derivative_come_from_one_pass_bitwise(self):
+        p = make_partition(FOUR_DELTAS, [0, 1], [3])
+        xs = np.linspace(-11.0, 11.0, 23)
+        for label in ("null", "z0", "z1", 2):
+            for ab in (1e-4, 0.3, 0.999):
+                s, ds = _score_and_derivative(FOUR_DELTAS, ab, xs, label, p)
+                np.testing.assert_array_equal(s, score(FOUR_DELTAS, ab, xs, label=label, partition=p))
+                np.testing.assert_array_equal(
+                    ds, score_derivative(FOUR_DELTAS, ab, xs, label=label, partition=p))
+
+    def test_one_pass_with_one_level_per_point_matches_each_level_bitwise(self):
+        # The root finder's brackets: every point carries its own level.
+        levels = np.array([0.0, 1e-4, 0.05, 0.5, 0.9, 0.9999])
+        xs = np.linspace(-12.0, 12.0, levels.size)
+        for m in (FOUR_DELTAS, MixtureModel(weights=[1.0], means=[2.0], variances=[0.5])):
+            s, ds = _score_and_derivative(m, levels, xs)
+            grid_s, grid_ds = _score_and_derivative(m, levels[:, None], np.tile(xs, (levels.size, 1)))
+            for i, ab in enumerate(levels):
+                assert s[i] == score(m, ab, xs[i]) and ds[i] == score_derivative(m, ab, xs[i])
+                np.testing.assert_array_equal(grid_s[i], score(m, ab, xs))
+                np.testing.assert_array_equal(grid_ds[i], score_derivative(m, ab, xs))
+
+
+class TestOneComponentSubset:
+    MIX = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.0, 0.4, 2.0])
+    XS = np.concatenate([np.linspace(-40.0, 40.0, 33), [0.0, -0.0, 1e-300, 1e300]])
+
+    def test_score_and_derivative_equal_the_general_kernel_bitwise(self):
+        for k in range(3):
+            for ab in (0.0, 1e-4, 0.5, 0.999, np.array([[0.2], [0.7]])):
+                x = self.XS if np.ndim(ab) == 0 else np.tile(self.XS, (2, 1))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lj, mu, var = _log_joints(self.MIX, ab, x, (k,))
+                    w = _softmax(lj)
+                    pull = (mu - x) / var
+                    first = (w * pull).sum(axis=0)
+                    curvature = (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
+                    np.testing.assert_array_equal(score(self.MIX, ab, x, label=k), first)
+                    np.testing.assert_array_equal(score_derivative(self.MIX, ab, x, label=k), curvature)
+
+    def test_log_joints_are_skipped(self, monkeypatch):
+        calls = []
+        real = mixture._log_joints
+        monkeypatch.setattr(mixture, "_log_joints", lambda *args: calls.append(args) or real(*args))
+        p = make_partition(self.MIX, [1], [0, 2])
+        xs = np.linspace(-4.0, 4.0, 9)
+        score(self.MIX, 0.5, xs, label=1)
+        score_derivative(self.MIX, 0.5, xs, label="z0", partition=p)
+        assert calls == []
+        score(self.MIX, 0.5, xs, label="z1", partition=p)
+        assert len(calls) == 1
+
+    def test_range_and_point_mass_checks_still_run(self):
+        with pytest.raises(ParameterError):
+            score(self.MIX, 1.5, 0.3, label=1)
+        with pytest.raises(DegenerateDensityError):
+            score(self.MIX, 1.0, 0.3, label=1)
