@@ -78,15 +78,22 @@ def prior_entropy_bits(partition: Partition) -> float:
     return float(binary_entropy_bits(partition.prior_z0))
 
 
-def _logit_entropy_bits(logit: np.ndarray) -> np.ndarray:
+def _logit_entropy_bits(logit: np.ndarray, work=(None, None, None)) -> np.ndarray:
     """Binary entropy of the coin with log-odds ``logit``, in bits.
 
     With ``u = exp(-|logit|)`` it is ``log1p(u) + |logit| u / (1 + u)`` nats,
-    exact at both tails without forming the probabilities.
+    exact at both tails without forming the probabilities.  ``work`` may
+    name three arrays shaped like ``logit``, none of them ``logit`` itself,
+    that take every temporary; the result is then the last of them.  Unset,
+    each step allocates its result.
     """
-    mag = np.abs(logit)
-    u = np.exp(-mag)
-    return (np.log1p(u) + mag * u / (1.0 + u)) / LN2
+    w0, w1, w2 = work
+    mag = np.abs(logit, out=w0)
+    u = np.exp(np.negative(mag, out=w1), out=w1)
+    h = np.log1p(u, out=w2)
+    # mag and u are dead once read here: the tail term overwrites them.
+    tail = np.divide(np.multiply(mag, u, out=w0), np.add(1.0, u, out=w1), out=w0)
+    return np.divide(np.add(h, tail, out=w2), LN2, out=w2)
 
 
 def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,

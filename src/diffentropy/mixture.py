@@ -213,7 +213,9 @@ def _score_terms(mixture: MixtureModel, alpha_bar, x, label, partition):
     """Posterior weights, pulls ``(mu_kt - x) / var_kt`` and variances, and the score.
 
     A one-component subset skips the log joints: its posterior weight is
-    exactly 1, as the softmax of one row gives.
+    exactly 1, as the softmax of one row gives, and its score is its pull
+    row plus +0.0: the bits of the weighted sum over that one row, which
+    starts from +0.0 and so turns a -0.0 pull into +0.0.
     """
     subset = resolve_label(label, partition, mixture.num_components)
     x = np.asarray(x, dtype=np.float64)
@@ -224,7 +226,7 @@ def _score_terms(mixture: MixtureModel, alpha_bar, x, label, partition):
         lj, mu, var = _log_joints(mixture, alpha_bar, x, subset)
         w = _softmax(lj)
     pull = (mu - x) / var
-    return w, pull, var, (w * pull).sum(axis=0)
+    return w, pull, var, pull[0] + 0.0 if len(subset) == 1 else (w * pull).sum(axis=0)
 
 
 def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",

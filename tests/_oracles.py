@@ -59,3 +59,51 @@ def windowed_entropy_bits(means, weights, variances, z0, z1, alpha_bar, span=12.
         # p(x) h(z | x) = -sum_z p(z, x) log2 p(z | x), every term in log space.
         total -= sum(np.sum(np.exp(s_) * (s_ - log_p)) for s_ in side) * dx / np.log(2.0)
     return float(total)
+
+
+def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed,
+                         update_scale="bayes"):
+    """The Monte-Carlo estimator's branch series ``(h_z0, h_z1)`` by plain numpy.
+
+    The estimator's loop written out with a fresh array for every result:
+    branch ``i`` draws x_T and then one noise vector per step t > 1 from
+    ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``, moves under its own
+    denoising mean, updates the clipped log-odds of z0 from both means and
+    records minus the population mean of the binary entropy, in bits.
+    ``epsilon(x, t, label)`` is the score model.  Shares no code with
+    ``diffentropy``.
+    """
+    logit_max = np.log((1.0 - 1e-12) / 1e-12)
+    num_steps = len(betas)
+    p, q = np.float64(prior_z0), 1.0 - np.float64(prior_z0)
+    prior_summand = p * np.log2(p) + q * np.log2(q)
+    prior_logit = np.log(prior_z0) - np.log1p(-prior_z0)
+    series = []
+    for i, n in enumerate((n_z0, n_z1)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[i]))
+        x = rng.standard_normal(n)
+        logit = np.full(n, prior_logit)
+        summand = np.empty(num_steps + 1)
+        summand[num_steps] = prior_summand
+        for t in range(num_steps, 0, -1):
+            beta, ab = float(betas[t - 1]), float(alpha_bars[t - 1])
+            eps0 = np.asarray(epsilon(x, t, "z0"), dtype=np.float64)
+            eps1 = np.asarray(epsilon(x, t, "z1"), dtype=np.float64)
+            mu0 = (x - beta / np.sqrt(1.0 - ab) * eps0) / np.sqrt(1.0 - beta)
+            mu1 = (x - beta / np.sqrt(1.0 - ab) * eps1) / np.sqrt(1.0 - beta)
+            x = mu0 if i == 0 else mu1
+            if t > 1:
+                x = x + np.sqrt(beta) * rng.standard_normal(n)
+            if update_scale == "bayes":
+                scale = 1.0 / (2.0 * beta)
+            elif update_scale == "one-minus-beta":
+                scale = 1.0 / (1.0 - beta)
+            else:
+                scale = float(update_scale)
+            delta = (x - mu0) ** 2 - (x - mu1) ** 2
+            logit = np.clip(logit - scale * delta, -logit_max, logit_max)
+            mag = np.abs(logit)
+            u = np.exp(-mag)
+            summand[t - 1] = -float(np.mean((np.log1p(u) + mag * u / (1.0 + u)) / np.log(2.0)))
+        series.append(summand)
+    return series[0], series[1]

@@ -297,6 +297,9 @@ class TestOneComponentSubset:
     XS = np.concatenate([np.linspace(-40.0, 40.0, 33), [0.0, -0.0, 1e-300, 1e300]])
 
     def test_score_and_derivative_equal_the_general_kernel_bitwise(self):
+        def bits(a):
+            return np.asarray(a, dtype=np.float64).view(np.int64)
+
         for k in range(3):
             for ab in (0.0, 1e-4, 0.5, 0.999, np.array([[0.2], [0.7]])):
                 x = self.XS if np.ndim(ab) == 0 else np.tile(self.XS, (2, 1))
@@ -306,8 +309,14 @@ class TestOneComponentSubset:
                     pull = (mu - x) / var
                     first = (w * pull).sum(axis=0)
                     curvature = (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
-                    np.testing.assert_array_equal(score(self.MIX, ab, x, label=k), first)
-                    np.testing.assert_array_equal(score_derivative(self.MIX, ab, x, label=k), curvature)
+                    # The one-component score is its pull row plus +0.0: the
+                    # bits of the one-row sum, signed zeros and infinities included.
+                    for got in (score(self.MIX, ab, x, label=k),
+                                _score_and_derivative(self.MIX, ab, x, label=k)[0]):
+                        np.testing.assert_array_equal(bits(got), bits(first))
+                        np.testing.assert_array_equal(bits(got), bits((1.0 * pull).sum(axis=0)))
+                    np.testing.assert_array_equal(
+                        bits(score_derivative(self.MIX, ab, x, label=k)), bits(curvature))
 
     def test_log_joints_are_skipped(self, monkeypatch):
         calls = []

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _oracles import mc_entropy_reference
 
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
 from diffentropy.entropy import binary_entropy_bits, conditional_entropy_at
@@ -173,10 +174,10 @@ class TestPosteriorUpdate:
         assert 1.0 / (1.0 + np.exp(-LOGIT_MAX)) == pytest.approx(1.0 - POST_CLAMP, rel=1e-15)
         x = np.zeros(3)
         for mu_z0, mu_z1, side in ((0.0, 50.0, 1.0), (50.0, 0.0, -1.0)):
-            logit = _logit_update(np.array([0.0, 20.0, -20.0]), x, mu_z0, mu_z1, 1e-4, "bayes")
+            logit = _logit_update(np.array([0.0, 20.0, -20.0]), x, mu_z0, mu_z1, 1 / (2 * 1e-4))
             assert np.all(logit == side * LOGIT_MAX)
             # One more push in the same direction stays on the clamp.
-            assert np.all(_logit_update(logit, x, mu_z0, mu_z1, 1e-4, "bayes") == logit)
+            assert np.all(_logit_update(logit, x, mu_z0, mu_z1, 1 / (2 * 1e-4)) == logit)
         low = posterior_update(self._state(0.5), x[:1], np.array([50.0]), np.array([0.0]), 1e-4)
         assert np.exp(low)[0] == pytest.approx(POST_CLAMP, rel=1e-12)
 
@@ -267,6 +268,72 @@ class TestEstimateConditionalEntropy:
     def test_model_errors_carry_context(self):
         with pytest.raises(ModelEvaluationError):
             estimate_conditional_entropy(_NanModel(), FAST, n_z0=2, n_z1=2, seed=0)
+
+    @pytest.mark.parametrize("update_scale", [float("nan"), -1.0, 0.0, float("inf"), "bays", True])
+    def test_bad_update_scale_is_rejected_before_the_first_step(self, update_scale):
+        class _MustNotRun:
+            def epsilon(self, x, t, label):
+                raise AssertionError("the estimator stepped before checking update_scale")
+
+        with pytest.raises(ParameterError, match="update_scale"):
+            estimate_conditional_entropy(_MustNotRun(), FAST, n_z0=2, n_z1=2, seed=0,
+                                         update_scale=update_scale)
+        state = TrajectoryState(x=np.zeros(1), log_post_z0=np.log([0.5]), t=5, branch="z0")
+        with pytest.raises(ParameterError, match="update_scale"):
+            posterior_update(state, np.zeros(1), np.zeros(1), np.ones(1), 0.01, update_scale)
+
+
+THREE = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.1, 0.4, 2.0])
+THREE_PART = make_partition(THREE, [1], [0, 2])
+
+
+class _EchoModel:
+    """Returns its input array for z0 and a reversed view of it for z1."""
+
+    def epsilon(self, x, t, label):
+        return x if label == "z0" else x[::-1]
+
+
+class _KeepsReference:
+    """Keeps the z0 call's ``x`` and answers the z1 call of the step from it.
+
+    It also checks that the kept array still holds the values it was handed,
+    i.e. that nothing overwrote the state between a step's two predictions.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kept = self.snapshot = None
+
+    def epsilon(self, x, t, label):
+        if label == "z0":
+            self.kept, self.snapshot = x, np.array(x, copy=True)
+            return self.inner.epsilon(x, t, "z0")
+        assert np.array_equal(self.kept, self.snapshot)
+        return self.inner.epsilon(self.kept, t, "z1")
+
+
+class TestBitwiseReference:
+    """The estimator's in-place loop against the allocating reference in ``_oracles``."""
+
+    @pytest.mark.parametrize("model, prior_z0, n_z0, n_z1, update_scale", [
+        (FAST_ORACLE, 0.5, 1, 1, "bayes"),
+        (FAST_ORACLE, 0.3, 7, 40, "one-minus-beta"),
+        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 33, 1, 2.5),
+        (GmmScoreModel(THREE, FAST, THREE_PART, complement_mode="null"), 0.3, 16, 9, "bayes"),
+        (_EchoModel(), 0.3, 12, 5, "bayes"),
+        (_KeepsReference(GmmScoreModel(THREE, FAST, THREE_PART)), 0.3, 5, 12, "one-minus-beta"),
+    ], ids=["n1", "prior03-one-minus-beta", "float-scale", "null-complement", "echo-input",
+            "keeps-reference"])
+    def test_branch_series_are_bitwise_the_reference(self, model, prior_z0, n_z0, n_z1,
+                                                     update_scale):
+        est = estimate_conditional_entropy(model, FAST, prior_z0=prior_z0, n_z0=n_z0, n_z1=n_z1,
+                                           seed=13, update_scale=update_scale)
+        ref_z0, ref_z1 = mc_entropy_reference(model.epsilon, FAST.betas, FAST.alpha_bars, prior_z0,
+                                              n_z0, n_z1, 13, update_scale)
+        assert np.all(np.isfinite(ref_z0)) and np.all(np.isfinite(ref_z1))
+        np.testing.assert_array_equal(est.h_z0.view(np.int64), ref_z0.view(np.int64))
+        np.testing.assert_array_equal(est.h_z1.view(np.int64), ref_z1.view(np.int64))
 
 
 class TestGmmScoreModel:
