@@ -15,13 +15,7 @@ from .core import (
 )
 from .mixture import (
     DegenerateDensityError,
-    DiffusedComponent,
-    UndefinedPosteriorError,
-    class_log_likelihoods,
     class_posteriors,
-    diffuse_component,
-    marginal_pdf,
-    partition_posterior,
     score,
     score_derivative,
 )
@@ -39,11 +33,7 @@ from .tracker import (
     McEntropyEstimate,
     ModelEvaluationError,
     ReplayScoreModel,
-    TrajectoryState,
-    ancestral_step,
     estimate_conditional_entropy,
-    posterior_mean,
-    posterior_update,
     write_replay_csv,
 )
 from .bifurcation import (
@@ -62,17 +52,12 @@ __all__ = [
     "MixtureModel", "NoiseSchedule", "Partition", "TimeGrid",
     "linear_schedule", "make_partition",
     "ParameterError", "PartitionError",
-    "DiffusedComponent", "diffuse_component", "marginal_pdf",
-    "class_log_likelihoods", "class_posteriors", "partition_posterior",
-    "score", "score_derivative",
-    "DegenerateDensityError", "UndefinedPosteriorError",
+    "class_posteriors", "score", "score_derivative", "DegenerateDensityError",
     "EntropyProfile", "conditional_entropy_at", "jsd_at",
     "entropy_profile", "binary_entropy_bits",
     "prior_entropy_bits", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",
-    "TrajectoryState", "McEntropyEstimate", "posterior_mean",
-    "ancestral_step", "posterior_update", "estimate_conditional_entropy",
-    "ModelEvaluationError",
+    "McEntropyEstimate", "estimate_conditional_entropy", "ModelEvaluationError",
     "FixedPoint", "CountChange", "BifurcationDiagram", "drift_residual",
     "drift_residual_derivative", "find_fixed_points", "trace_bifurcations",
     "sibling_split_time",

@@ -20,9 +20,7 @@ solves its levels as a batch, in chunks of ``CHUNK_TERMS`` kernel terms (grid
 nodes x components): one kernel call evaluates the grids of a chunk's levels,
 and the brackets of all of them share one Newton-bisection, every bracket at
 its own level.  Every root is bitwise the one that solving its level alone
-gives; :func:`find_fixed_points` is that one-level case of the same path.  On
-a 2-vCPU Xeon VM a stride-1 sweep of four deltas (1000 levels) takes about
-0.1 s, against 0.6-0.9 s level by level.
+gives; :func:`find_fixed_points` is that one-level case of the same path.
 """
 
 from __future__ import annotations

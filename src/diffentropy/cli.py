@@ -33,7 +33,7 @@ from .core import (
     make_partition,
 )
 from .entropy import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
-from .mixture import DegenerateDensityError, UndefinedPosteriorError
+from .mixture import DegenerateDensityError
 from .tracker import (
     GmmScoreModel,
     ModelEvaluationError,
@@ -53,7 +53,6 @@ _MINIMUMS = {"stride": 1, "samples_z0": 1, "samples_z1": 1, "grid_points": MIN_G
 NUMERICAL_ERRORS = (
     QuadratureDomainError,
     ModelEvaluationError,
-    UndefinedPosteriorError,
     DegenerateDensityError,
     FloatingPointError,
 )

@@ -3,8 +3,8 @@ forward kernel.
 
 A component ``N(mu_k, var_k)`` noised to signal level ``alpha_bar`` becomes
 ``N(sqrt(alpha_bar) * mu_k, alpha_bar * var_k + (1 - alpha_bar))``, so the
-noisy marginal, the per-class likelihoods, the class posteriors and the exact
-score are all available in closed form.  Likelihood work is done in log space
+class posteriors, the exact score and its spatial derivative are all
+available in closed form.  Likelihood work is done in log space
 with log-sum-exp normalization; posteriors of well-separated components
 underflow catastrophically otherwise.
 
@@ -14,22 +14,14 @@ Everything here is a pure function of immutable inputs and broadcasts over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import MixtureModel, ParameterError, Partition
 
 __all__ = [
     "DegenerateDensityError",
-    "UndefinedPosteriorError",
-    "DiffusedComponent",
-    "diffuse_component",
     "diffused_params",
-    "marginal_pdf",
-    "class_log_likelihoods",
     "class_posteriors",
-    "partition_posterior",
     "resolve_label",
     "score",
     "score_derivative",
@@ -44,36 +36,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 class DegenerateDensityError(ValueError):
     """A zero-variance component has no density at ``alpha_bar = 1``."""
-
-
-class UndefinedPosteriorError(ValueError):
-    """Both sides of a partition carry zero posterior mass at this point."""
-
-
-@dataclass(frozen=True)
-class DiffusedComponent:
-    """One mixture component pushed forward to a given noise level."""
-
-    mu_kt: float
-    var_kt: float
-    weight: float
-
-
-def diffuse_component(mu_k: float, var_k: float, alpha_bar: float, weight: float = 1.0) -> DiffusedComponent:
-    """Noised parameters ``(sqrt(ab) * mu, ab * var + (1 - ab))`` of one component."""
-    if var_k < 0.0:
-        raise ParameterError(f"variance must be non-negative, got {var_k!r}")
-    if not 0.0 <= alpha_bar <= 1.0:
-        raise ParameterError(f"alpha_bar must lie in [0, 1], got {alpha_bar!r}")
-    if alpha_bar == 1.0 and var_k == 0.0:
-        raise DegenerateDensityError(
-            "component is a point mass at alpha_bar = 1; no density exists"
-        )
-    return DiffusedComponent(
-        mu_kt=float(np.sqrt(alpha_bar) * mu_k),
-        var_kt=float(alpha_bar * var_k + (1.0 - alpha_bar)),
-        weight=float(weight),
-    )
 
 
 def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +62,7 @@ def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.nd
 
 # Kernel terms (components x points) per chunk of a batched caller's levels,
 # the quadrature's cells and the root finder's grid nodes alike: each
-# (components, levels, points) array stays within 128 KiB.  Chunks of 16k
-# cells instead of 16k terms raised the peak RSS of the profile-estimate
-# benchmark from 40.2 to 43.4 MB, through the four-component decision.
+# (components, levels, points) array stays within 128 KiB.
 CHUNK_TERMS = 1 << 14
 
 
@@ -148,45 +108,11 @@ def _softmax(a: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0)
 
 
-def class_log_likelihoods(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray:
-    """Log density of ``x`` under each diffused component; shape ``x.shape + (K,)``."""
-    x = np.asarray(x, dtype=np.float64)
-    # A one-component subset carries weight 1, so its log joint is the log density.
-    return np.stack([_log_joints(mixture, alpha_bar, x, (k,))[0][0]
-                     for k in range(mixture.num_components)], axis=-1)
-
-
-def marginal_pdf(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray | float:
-    """Weighted sum of diffused component densities at ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    lj, _, _ = _log_joints(mixture, alpha_bar, x, range(mixture.num_components))
-    out = np.exp(_logsumexp(lj))
-    return float(out) if out.ndim == 0 else out
-
-
 def class_posteriors(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray:
     """Posterior probability of each component given the noisy observation ``x``."""
     x = np.asarray(x, dtype=np.float64)
     lj, _, _ = _log_joints(mixture, alpha_bar, x, range(mixture.num_components))
     return np.moveaxis(_softmax(lj), 0, -1)
-
-
-def partition_posterior(partition: Partition, posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse per-class posteriors onto the two partition sides.
-
-    The pair is renormalized over the union of the sides; if neither side
-    carries any mass the decision is undefined at that point.
-    """
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    p0 = posteriors[..., list(partition.z0)].sum(axis=-1)
-    p1 = posteriors[..., list(partition.z1)].sum(axis=-1)
-    total = p0 + p1
-    if np.any(total <= 0.0):
-        raise UndefinedPosteriorError(
-            "partition posterior undefined: both sides have zero mass "
-            "(measure-zero point for this decision)"
-        )
-    return p0 / total, p1 / total
 
 
 def resolve_label(label, partition: Partition | None, num_components: int) -> tuple[int, ...]:

@@ -9,22 +9,9 @@ are combined with the decision priors into the entropy estimate.
 
 Each branch draws all its noise from one PCG64 stream, its child of
 ``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per step
-t > 1, the draws :func:`ancestral_step` makes with that generator; the
+t > 1.  Each branch allocates its n-sized arrays (states, log-odds, both
+denoising means, noise) once, and every step writes into them, so the
 estimator's memory is O(n) whatever the number of steps.
-
-Each branch allocates its n-sized arrays once, before the step loop: the
-states ``x``, the log-odds, the two denoising means and the noise.  Every
-step writes its own results into them through ufunc ``out=`` arguments, the
-means and the noise doubling as the work space of the log-odds update and of
-the entropy summand, so the loop allocates nothing of size n.  A loop that
-allocates each result anew takes about a dozen 80 KB temporaries per step at
-n = 10^4.  They lie below glibc's mmap threshold, so they grow the heap top;
-freed, the top is trimmed back to the kernel, and the next step faults the
-same pages in again: about 10^5 minor page faults per estimate at
-T = 1000, against fewer than 10^3 with the buffers.  Every expression keeps
-its operands and their order, so estimates are bitwise those of the
-allocating loop.  The per-step schedule scalars are formed once, elementwise
-over the schedule, by the same arithmetic.
 
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
@@ -52,11 +39,7 @@ __all__ = [
     "GmmScoreModel",
     "ReplayScoreModel",
     "write_replay_csv",
-    "TrajectoryState",
     "McEntropyEstimate",
-    "posterior_mean",
-    "ancestral_step",
-    "posterior_update",
     "estimate_conditional_entropy",
 ]
 
@@ -168,28 +151,6 @@ def write_replay_csv(path, model: ScoreModel, schedule: NoiseSchedule, x_grid,
                 fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (t, x, cols[0][i], cols[1][i], cols[2][i]))
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
-    """One branch population mid-denoising: states, log posteriors, clock."""
-
-    x: np.ndarray
-    log_post_z0: np.ndarray
-    t: int
-    branch: str
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
-        lp = np.atleast_1d(np.asarray(self.log_post_z0, dtype=np.float64))
-        if x.shape != lp.shape:
-            raise ParameterError(f"x and log_post_z0 shapes differ: {x.shape} vs {lp.shape}")
-        if np.any(lp > 0.0):
-            raise ParameterError("log posteriors must be <= 0")
-        if self.branch not in ("z0", "z1"):
-            raise ParameterError(f"branch must be 'z0' or 'z1', got {self.branch!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "log_post_z0", lp)
-
-
 def _check_finite(eps: np.ndarray, x, t: int, label) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if not np.all(np.isfinite(eps)):
@@ -201,8 +162,8 @@ def _check_finite(eps: np.ndarray, x, t: int, label) -> np.ndarray:
     return eps
 
 
-def _denoising_mean(x, eps, coef: float, root: float, out=None):
-    """``(x - coef * eps) / root``, written into ``out`` when one is given.
+def _denoising_mean(x, eps, coef: float, root: float, out):
+    """``(x - coef * eps) / root``, written into ``out``.
 
     ``coef = beta_t / sqrt(1 - alpha_bar_t)`` and ``root = sqrt(1 - beta_t)``;
     ``out`` may be neither ``x`` nor ``eps``.
@@ -210,39 +171,12 @@ def _denoising_mean(x, eps, coef: float, root: float, out=None):
     return np.divide(np.subtract(x, np.multiply(coef, eps, out=out), out=out), root, out=out)
 
 
-def posterior_mean(score_model: ScoreModel, x, t: int, label, schedule: NoiseSchedule):
-    """Denoising mean ``(x - beta_t / sqrt(1 - alpha_bar_t) * eps) / sqrt(1 - beta_t)``."""
-    if not 1 <= t <= schedule.num_steps:
-        raise ParameterError(f"step {t} outside [1, {schedule.num_steps}]")
-    beta = schedule.beta(t)
-    ab = schedule.alpha_bar(t)
-    eps = _check_finite(score_model.epsilon(x, t, label), x, t, label)
-    return _denoising_mean(np.asarray(x, dtype=np.float64), eps, beta / np.sqrt(1.0 - ab),
-                           np.sqrt(1.0 - beta))
-
-
-def ancestral_step(rng: np.random.Generator, state: TrajectoryState,
-                   score_model: ScoreModel, schedule: NoiseSchedule) -> TrajectoryState:
-    """Advance one reverse step under the branch's own conditional mean.
-
-    Noise ``sqrt(beta_t) * N(0, 1)`` is added except at the final step
-    ``t = 1``, which is deterministic.  The carried posterior is unchanged;
-    apply :func:`posterior_update` with both conditional means to refresh it.
-    """
-    t = state.t
-    mu = posterior_mean(score_model, state.x, t, state.branch, schedule)
-    if t > 1:
-        mu = mu + np.sqrt(schedule.beta(t)) * rng.standard_normal(state.x.shape)
-    return TrajectoryState(x=mu, log_post_z0=state.log_post_z0, t=t - 1, branch=state.branch)
-
-
 def _update_scales(update_scale, betas) -> np.ndarray:
-    """The posterior update's weight at each of ``betas``.
+    """The posterior update's weight at each step of a schedule's ``betas`` array.
 
     Raises :class:`ParameterError` unless ``update_scale`` is ``"bayes"``,
     ``"one-minus-beta"`` or a finite number > 0.
     """
-    betas = np.asarray(betas, dtype=np.float64)
     if isinstance(update_scale, str):
         if update_scale == "bayes":
             # Exact Gaussian-filter weight for a transition of variance beta_t.
@@ -256,37 +190,19 @@ def _update_scales(update_scale, betas) -> np.ndarray:
                          f"got {update_scale!r}")
 
 
-def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out=None,
-                  work=(None, None)) -> np.ndarray:
+def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.ndarray:
     """The tracked log-odds of z0 after one step, clipped to ``+-LOGIT_MAX``.
 
     The log-odds move by ``-scale * (|x_next - mu_z0|^2 - |x_next - mu_z1|^2)``.
-    ``out`` takes the result and may be ``logit``; ``work`` may name two
-    arrays shaped like ``x_next`` that take the temporaries, and these may be
-    ``mu_z0`` and ``mu_z1`` themselves, in that order.  Unset, each step
-    allocates its result.
+    ``out`` takes the result and may be ``logit``; ``work`` names two arrays
+    shaped like ``x_next`` that take the temporaries, and these may be
+    ``mu_z0`` and ``mu_z1`` themselves, in that order.
     """
     w0, w1 = work
     d0 = np.square(np.subtract(x_next, mu_z0, out=w0), out=w0)
     d1 = np.square(np.subtract(x_next, mu_z1, out=w1), out=w1)
     step = np.multiply(scale, np.subtract(d0, d1, out=w0), out=w0)
     return np.clip(np.subtract(logit, step, out=out), -LOGIT_MAX, LOGIT_MAX, out=out)
-
-
-def posterior_update(state: TrajectoryState, x_next, mu_z0, mu_z1, beta_t: float,
-                     update_scale="bayes") -> np.ndarray:
-    """Refresh ``log P(z0 | x)`` after observing the sampled next state.
-
-    The log-odds of z0 move by ``-scale * (|x - mu_z0|^2 - |x - mu_z1|^2)``
-    and are clipped to ``+-LOGIT_MAX``, which keeps the posterior within
-    ``[POST_CLAMP, 1 - POST_CLAMP]``.  ``update_scale`` picks the exponent weight: ``"bayes"``
-    uses ``1 / (2 beta_t)``, ``"one-minus-beta"`` uses ``1 / (1 - beta_t)``, and
-    a finite number > 0 is used verbatim.
-    """
-    lp = state.log_post_z0
-    logit = _logit_update(lp - np.log(-np.expm1(lp)), np.asarray(x_next), np.asarray(mu_z0),
-                          np.asarray(mu_z1), float(_update_scales(update_scale, beta_t)))
-    return -np.logaddexp(0.0, -logit)
 
 
 @dataclass(frozen=True)
@@ -322,19 +238,22 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     """Run the full two-population estimator and return the ``H_{T..0}`` series.
 
     Both populations start from a standard normal at ``t = T`` with the
-    posterior initialized to the prior; each reverse step advances a branch
-    under its own conditional mean, refreshes the tracked posteriors from both
-    conditional means, and records the population entropy summand.
+    posterior initialized to the prior.  Each reverse step moves a branch to
+    its own denoising mean ``(x - beta_t / sqrt(1 - alpha_bar_t) * eps) /
+    sqrt(1 - beta_t)`` plus ``sqrt(beta_t) * N(0, 1)`` noise (none at the
+    final step ``t = 1``), moves the log-odds of z0 by ``-scale * (|x - mu_z0|^2
+    - |x - mu_z1|^2)``, clipped to ``+-LOGIT_MAX``, and records the population
+    entropy summand.  ``update_scale`` picks ``scale``: ``"bayes"`` uses
+    ``1 / (2 beta_t)``, ``"one-minus-beta"`` uses ``1 / (1 - beta_t)``, and a
+    finite number > 0 is used verbatim; it is checked before the first step.
 
     Branch ``i`` (0 for z0, 1 for z1) draws from one stream,
     ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T as
-    ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1,
-    exactly the draws :func:`ancestral_step` makes with that generator.
+    ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1.
     Memory is O(n), independent of the number of steps.  Every call of
     ``score_model.epsilon`` is handed the branch's one state buffer, which
     the step overwrites after both predictions are read (see
-    :class:`ScoreModel`).  ``update_scale`` is as for
-    :func:`posterior_update` and is checked before the first step.
+    :class:`ScoreModel`).
     """
     if n_z0 < 1 or n_z1 < 1:
         raise ParameterError("both sample counts must be >= 1")

@@ -23,6 +23,35 @@ def scan_box(mixture, alpha_bar, pad=4.0):
     return lo, hi
 
 
+def component_log_joints(means, weights, variances, alpha_bar, x):
+    """``log(w_k N(x; mu_kt, var_kt))`` of each diffused component, by plain numpy.
+
+    Components lie on the last axis, shape ``np.shape(x) + (K,)``.  Shares no
+    code with ``diffentropy``.
+    """
+    means, weights, variances = (np.asarray(v, dtype=np.float64) for v in (means, weights, variances))
+    mu = np.sqrt(alpha_bar) * means
+    var = alpha_bar * variances + (1.0 - alpha_bar)
+    x = np.asarray(x, dtype=np.float64)[..., None]
+    return np.log(weights) - 0.5 * np.log(2.0 * np.pi * var) - (x - mu) ** 2 / (2.0 * var)
+
+
+def mixture_log_density(means, weights, variances, alpha_bar, x):
+    """Log density of the diffused mixture at ``x``, by plain numpy."""
+    return np.logaddexp.reduce(component_log_joints(means, weights, variances, alpha_bar, x), axis=-1)
+
+
+def side_posterior(posteriors, z0, z1):
+    """P(z0 | x) of a two-side decision from per-component posteriors.
+
+    The sides' masses are renormalized over their union.  Shares no code with
+    ``diffentropy``.
+    """
+    posteriors = np.asarray(posteriors, dtype=np.float64)
+    p0 = posteriors[..., list(z0)].sum(axis=-1)
+    return p0 / (p0 + posteriors[..., list(z1)].sum(axis=-1))
+
+
 def windowed_entropy_bits(means, weights, variances, z0, z1, alpha_bar, span=12.0, per_sd=32):
     """H(z | x_t) in bits by plain numpy, on a grid local to the decision.
 

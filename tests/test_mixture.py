@@ -1,106 +1,101 @@
 import numpy as np
 import pytest
+from _oracles import component_log_joints, mixture_log_density
 from scipy import stats
 
 from diffentropy import mixture
 from diffentropy.core import MixtureModel, ParameterError, make_partition
 from diffentropy.mixture import (
     DegenerateDensityError,
-    UndefinedPosteriorError,
     _log_joints,
     _score_and_derivative,
     _logsumexp,
     _softmax,
-    class_log_likelihoods,
     class_posteriors,
-    diffuse_component,
     diffused_params,
-    marginal_pdf,
-    partition_posterior,
     score,
     score_derivative,
 )
 
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
+FOUR = (FOUR_DELTAS.means, FOUR_DELTAS.weights, FOUR_DELTAS.variances)
 
 
-class TestDiffuseComponent:
+class TestDiffusedParams:
+    @staticmethod
+    def _one(mean, variance, alpha_bar):
+        m = MixtureModel(weights=[1.0], means=[mean], variances=[variance])
+        mu, var = diffused_params(m, alpha_bar)
+        return float(mu[0]), float(var[0])
+
     def test_identity_at_no_noise(self):
-        c = diffuse_component(1.0, 0.2, 1.0)
-        assert c.mu_kt == pytest.approx(1.0)
-        assert c.var_kt == pytest.approx(0.2)
+        assert self._one(1.0, 0.2, 1.0) == pytest.approx((1.0, 0.2))
 
     def test_full_noise_collapses_to_standard_normal(self):
-        c = diffuse_component(5.0, 0.0, 0.0)
-        assert c.mu_kt == 0.0
-        assert c.var_kt == 1.0
+        assert self._one(5.0, 0.0, 0.0) == (0.0, 1.0)
 
     def test_partial_noise_values(self):
-        c = diffuse_component(-8.0, 0.0, 0.25)
-        assert c.mu_kt == pytest.approx(-4.0)
-        assert c.var_kt == pytest.approx(0.75)
+        assert self._one(-8.0, 0.0, 0.25) == pytest.approx((-4.0, 0.75))
+
+    def test_standard_normal_preserved(self):
+        for ab in (0.0, 0.3, 0.99):
+            assert self._one(0.0, 1.0, ab) == pytest.approx((0.0, 1.0), abs=1e-15)
 
     def test_delta_at_full_signal_is_degenerate(self):
         with pytest.raises(DegenerateDensityError):
-            diffuse_component(1.0, 0.0, 1.0)
+            diffused_params(MixtureModel.deltas([1.0]), 1.0)
 
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
-            diffuse_component(0.0, -0.5, 0.5)
+            MixtureModel(weights=[1.0], means=[0.0], variances=[-0.5])
         with pytest.raises(ParameterError):
-            diffuse_component(0.0, 1.0, 1.5)
+            diffused_params(MixtureModel.deltas([0.0]), 1.5)
 
 
-class TestMarginalPdf:
-    def test_standard_normal_preserved(self):
-        m = MixtureModel(weights=[1.0], means=[0.0], variances=[1.0])
-        for ab in (0.0, 0.3, 0.99):
-            assert marginal_pdf(m, ab, 0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi))
-
-    def test_symmetric_mixture_even_density(self):
+class TestAgainstPlainNumpy:
+    def test_symmetric_mixture_has_an_odd_score(self):
         xs = np.linspace(-4.0, 4.0, 41)
-        np.testing.assert_allclose(
-            marginal_pdf(TWO_DELTAS, 0.5, xs), marginal_pdf(TWO_DELTAS, 0.5, -xs), rtol=1e-13
-        )
+        np.testing.assert_allclose(score(TWO_DELTAS, 0.5, xs), -score(TWO_DELTAS, 0.5, -xs),
+                                   rtol=1e-13, atol=1e-15)
 
     def test_riemann_normalization(self):
-        # Quadrature oracle: the diffused marginal integrates to one.
+        # Quadrature oracle: the diffused marginal integrates to one, and the
+        # posteriors averaged over it recover the mixture weights.
         n = 2**14
         x = np.linspace(-20.0, 20.0, n)
-        total = np.trapezoid(marginal_pdf(FOUR_DELTAS, 0.5, x), x)
-        assert total == pytest.approx(1.0, abs=1e-6)
+        density = np.exp(mixture_log_density(*FOUR, 0.5, x))
+        assert np.trapezoid(density, x) == pytest.approx(1.0, abs=1e-6)
+        recovered = np.trapezoid(density[:, None] * class_posteriors(FOUR_DELTAS, 0.5, x), x, axis=0)
+        np.testing.assert_allclose(recovered, FOUR_DELTAS.weights, atol=1e-6)
 
     def test_matches_scipy_reference(self):
         ab = 0.37
         mu, var = diffused_params(FOUR_DELTAS, ab)
         xs = np.linspace(-12, 12, 101)
-        expected = sum(w * stats.norm.pdf(xs, m, np.sqrt(v))
-                       for w, m, v in zip(FOUR_DELTAS.weights, mu, var))
-        np.testing.assert_allclose(marginal_pdf(FOUR_DELTAS, ab, xs), expected, rtol=1e-12)
+        joints = np.stack([w * stats.norm.pdf(xs, m, np.sqrt(v))
+                           for w, m, v in zip(FOUR_DELTAS.weights, mu, var)], axis=-1)
+        np.testing.assert_allclose(np.exp(mixture_log_density(*FOUR, ab, xs)), joints.sum(axis=-1),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(class_posteriors(FOUR_DELTAS, ab, xs),
+                                   joints / joints.sum(axis=-1, keepdims=True), rtol=1e-10, atol=1e-300)
 
-    def test_degenerate_error_propagates(self):
-        with pytest.raises(DegenerateDensityError):
-            marginal_pdf(TWO_DELTAS, 1.0, 0.0)
-
-
-class TestClassLogLikelihoods:
-    def test_single_component_standard_normal(self):
+    def test_single_component_log_joint_is_the_log_density(self):
         m = MixtureModel(weights=[1.0], means=[0.0], variances=[1.0])
-        ll = class_log_likelihoods(m, 0.5, 0.0)
-        assert ll[0] == pytest.approx(np.log(1.0 / np.sqrt(2 * np.pi)))
+        lj, _, _ = _log_joints(m, 0.5, np.asarray(0.0), (0,))
+        assert lj[0] == pytest.approx(np.log(1.0 / np.sqrt(2 * np.pi)))
 
-    def test_symmetric_pair_equal_at_origin(self):
-        ll = class_log_likelihoods(TWO_DELTAS, 0.7, 0.0)
-        assert ll[0] == pytest.approx(ll[1], rel=1e-14)
+    def test_symmetric_pair_log_joints_equal_at_origin(self):
+        lj, _, _ = _log_joints(TWO_DELTAS, 0.7, np.asarray(0.0), (0, 1))
+        assert lj[0] == pytest.approx(lj[1], rel=1e-14)
 
-    def test_weighted_exp_sum_recovers_marginal(self):
+    def test_kernel_log_joints_match_the_reference(self):
         rng = np.random.default_rng(0)
         xs = rng.uniform(-12, 12, size=200)
         for ab in (0.1, 0.5, 0.9):
-            ll = class_log_likelihoods(FOUR_DELTAS, ab, xs)
-            rebuilt = np.sum(FOUR_DELTAS.weights * np.exp(ll), axis=-1)
-            np.testing.assert_allclose(rebuilt, marginal_pdf(FOUR_DELTAS, ab, xs), rtol=1e-12)
+            lj, _, _ = _log_joints(FOUR_DELTAS, ab, xs, range(4))
+            np.testing.assert_allclose(np.moveaxis(lj, 0, -1), component_log_joints(*FOUR, ab, xs),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestClassPosteriors:
@@ -124,41 +119,19 @@ class TestClassPosteriors:
             assert np.all(post >= 0.0)
             assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_degenerate_error_propagates(self):
+        with pytest.raises(DegenerateDensityError):
+            class_posteriors(TWO_DELTAS, 1.0, 0.0)
+
     def test_bayes_consistency_at_random_points(self):
         # weight * likelihood / marginal must reproduce each posterior entry.
         rng = np.random.default_rng(2)
         xs = rng.uniform(-12, 12, size=1000)
         abs_ = rng.uniform(0.01, 0.99, size=1000)
         for x, ab in zip(xs, abs_):
-            ll = class_log_likelihoods(FOUR_DELTAS, ab, x)
-            marg = marginal_pdf(FOUR_DELTAS, ab, x)
-            manual = FOUR_DELTAS.weights * np.exp(ll) / marg
+            lj = component_log_joints(*FOUR, ab, x)
+            manual = np.exp(lj - np.logaddexp.reduce(lj))
             np.testing.assert_allclose(class_posteriors(FOUR_DELTAS, ab, x), manual, atol=1e-10)
-
-
-class TestPartitionPosterior:
-    def test_even_posteriors(self):
-        p = make_partition(FOUR_DELTAS, [3], [2])
-        q0, q1 = partition_posterior(p, np.array([0.25, 0.25, 0.25, 0.25]))
-        assert q0 == pytest.approx(0.5)
-        assert q1 == pytest.approx(0.5)
-
-    def test_full_cover_needs_no_renormalization(self):
-        p = make_partition(FOUR_DELTAS, [0], [1, 2, 3])
-        q0, q1 = partition_posterior(p, np.array([0.1, 0.2, 0.3, 0.4]))
-        assert q0 == pytest.approx(0.1)
-        assert q1 == pytest.approx(0.9)
-
-    def test_renormalizes_over_the_union(self):
-        p = make_partition(FOUR_DELTAS, [0], [1])
-        q0, q1 = partition_posterior(p, np.array([0.2, 0.3, 0.5, 0.0]))
-        assert q0 == pytest.approx(0.4)
-        assert q1 == pytest.approx(0.6)
-
-    def test_zero_mass_union_is_undefined(self):
-        p = make_partition(FOUR_DELTAS, [0], [1])
-        with pytest.raises(UndefinedPosteriorError):
-            partition_posterior(p, np.array([0.0, 0.0, 0.5, 0.5]))
 
 
 class TestScore:
@@ -174,8 +147,8 @@ class TestScore:
     def test_matches_finite_difference_of_log_marginal(self):
         h = 1e-5
         for x in (-9.0, -2.0, 1.0, 6.5, 11.0):
-            fd = (np.log(marginal_pdf(FOUR_DELTAS, 0.5, x + h))
-                  - np.log(marginal_pdf(FOUR_DELTAS, 0.5, x - h))) / (2 * h)
+            fd = (mixture_log_density(*FOUR, 0.5, x + h)
+                  - mixture_log_density(*FOUR, 0.5, x - h)) / (2 * h)
             assert score(FOUR_DELTAS, 0.5, x) == pytest.approx(fd, abs=1e-6)
 
     def test_component_label_selects_single_gaussian(self):
@@ -235,12 +208,10 @@ class TestOutputShapes:
             assert score(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
             assert score_derivative(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
 
-    def test_per_component_arrays_trail_the_input_shape(self):
+    def test_posteriors_trail_the_input_shape(self):
         xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
-        assert class_log_likelihoods(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
         assert class_posteriors(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
         assert class_posteriors(FOUR_DELTAS, 0.4, 0.5).shape == (4,)
-        assert marginal_pdf(FOUR_DELTAS, 0.4, xs).shape == (2, 3)
 
 
 class TestKernelHelpers:

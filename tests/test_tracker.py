@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import mc_entropy_reference
+from _oracles import mc_entropy_reference, side_posterior
 
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
-from diffentropy.entropy import binary_entropy_bits, conditional_entropy_at
-from diffentropy.mixture import class_posteriors, partition_posterior, score
+from diffentropy.entropy import conditional_entropy_at
+from diffentropy.mixture import class_posteriors, score
 from diffentropy.tracker import (
     LOGIT_MAX,
     POST_CLAMP,
@@ -14,12 +14,10 @@ from diffentropy.tracker import (
     McEntropyEstimate,
     ModelEvaluationError,
     ReplayScoreModel,
-    TrajectoryState,
+    _denoising_mean,
     _logit_update,
-    ancestral_step,
+    _update_scales,
     estimate_conditional_entropy,
-    posterior_mean,
-    posterior_update,
     write_replay_csv,
 )
 
@@ -50,15 +48,25 @@ def _branch_rng(seed, branch_index):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[branch_index]))
 
 
-class _FixedNoise:
-    """Deterministic stand-in for a Generator: returns a preset column."""
+def _mean(x, eps, t, schedule=SCHEDULE):
+    """The denoising mean at step ``t``, written into a fresh array."""
+    beta, ab = schedule.beta(t), schedule.alpha_bar(t)
+    return _denoising_mean(x, eps, beta / np.sqrt(1.0 - ab), np.sqrt(1.0 - beta), out=np.empty(x.shape))
 
-    def __init__(self, column):
-        self.column = np.asarray(column, dtype=float)
 
-    def standard_normal(self, shape):
-        assert self.column.shape == tuple(shape) or self.column.shape == shape
-        return self.column
+def _update(logit, x_next, mu_z0, mu_z1, scale):
+    """One log-odds update into fresh arrays shaped like ``x_next``."""
+    out = np.empty(x_next.shape)
+    return _logit_update(logit, x_next, mu_z0, mu_z1, scale, out=out,
+                         work=(np.empty_like(out), np.empty_like(out)))
+
+
+def _logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
+def _sigmoid(logit):
+    return 1.0 / (1.0 + np.exp(-logit))
 
 
 class TestPosteriorMean:
@@ -66,9 +74,7 @@ class TestPosteriorMean:
         t = 100
         beta = SCHEDULE.beta(t)
         x = np.array([0.3, -2.0])
-        np.testing.assert_allclose(
-            posterior_mean(_ZeroModel(), x, t, "z0", SCHEDULE), x / np.sqrt(1 - beta)
-        )
+        np.testing.assert_allclose(_mean(x, np.zeros(2), t), x / np.sqrt(1 - beta))
 
     def test_equivalent_score_form(self):
         # Substituting eps = -sqrt(1-ab) * score collapses the mean to
@@ -77,132 +83,100 @@ class TestPosteriorMean:
         beta, ab = SCHEDULE.beta(t), SCHEDULE.alpha_bar(t)
         x = np.linspace(-2, 2, 9)
         expected = (x + beta * score(TWO_DELTAS, ab, x, "z0", PART)) / np.sqrt(1 - beta)
-        np.testing.assert_allclose(
-            posterior_mean(ORACLE, x, t, "z0", SCHEDULE), expected, rtol=1e-12
-        )
+        np.testing.assert_allclose(_mean(x, ORACLE.epsilon(x, t, "z0"), t), expected, rtol=1e-12)
 
     def test_tiny_beta_is_nearly_identity(self):
         # No-op step limit: for bounded noise predictions the denoising mean
         # collapses onto the state as beta shrinks.
-        class _ConstModel:
-            def epsilon(self, x, t, label):
-                return np.full_like(np.asarray(x, dtype=float), 0.8)
-
         x = np.array([0.7])
         gaps = []
         for beta in (1e-3, 1e-5, 1e-7):
             sched = linear_schedule(10, beta, beta)
-            gaps.append(abs(float(posterior_mean(_ConstModel(), x, 5, "z0", sched)[0]) - 0.7))
+            gaps.append(abs(float(_mean(x, np.full(1, 0.8), 5, sched)[0]) - 0.7))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 2e-4
 
-    def test_step_domain_checked(self):
-        with pytest.raises(ParameterError):
-            posterior_mean(ORACLE, np.array([0.0]), 0, "z0", SCHEDULE)
-
-    def test_nonfinite_output_raises(self):
-        with pytest.raises(ModelEvaluationError, match="t=3"):
-            posterior_mean(_NanModel(), np.array([1.0]), 3, "z0", SCHEDULE)
-
 
 class TestAncestralStep:
-    def test_final_step_is_noiseless(self):
-        state = TrajectoryState(x=np.array([0.4]), log_post_z0=np.log([0.5]), t=1, branch="z0")
-        rng = np.random.default_rng(0)
-        out = ancestral_step(rng, state, ORACLE, SCHEDULE)
-        np.testing.assert_allclose(out.x, posterior_mean(ORACLE, state.x, 1, "z0", SCHEDULE))
-        assert out.t == 0
-
-    def test_zero_noise_draw_reproduces_the_mean(self):
-        t = 250
-        state = TrajectoryState(x=np.array([0.1, -0.6]), log_post_z0=np.log([0.5, 0.5]),
-                                t=t, branch="z1")
-        out = ancestral_step(_FixedNoise(np.zeros(2)), state, ORACLE, SCHEDULE)
-        np.testing.assert_allclose(out.x, posterior_mean(ORACLE, state.x, t, "z1", SCHEDULE))
-
     def test_unconditional_terminal_mass_splits_evenly(self):
         # Oracle-driven generation from pure noise must land half the mass on
-        # each delta, within binomial fluctuation.
+        # each delta, within binomial fluctuation.  The state handed to the
+        # last step, x_1, has sd 0.01 about its delta, so it stands in for x_0.
         class _NullDriven:
+            def __init__(self):
+                self.x1 = {}
+
             def epsilon(self, x, t, label):
+                if t == 1:
+                    self.x1[x.size] = x.copy()
                 return ORACLE.epsilon(x, t, "null")
 
         n = 1000
-        rng = _branch_rng(11, 0)
-        state = TrajectoryState(x=rng.standard_normal(n), log_post_z0=np.full(n, np.log(0.5)),
-                                t=SCHEDULE.num_steps, branch="z0")
         model = _NullDriven()
-        for t in range(SCHEDULE.num_steps, 0, -1):
-            state = ancestral_step(rng, state, model, SCHEDULE)
-        near_left = np.sum(np.abs(state.x + 1.0) < 0.5)
-        near_right = np.sum(np.abs(state.x - 1.0) < 0.5)
+        estimate_conditional_entropy(model, SCHEDULE, n_z0=n, n_z1=1, seed=11)
+        x1 = model.x1[n]
+        near_left = np.sum(np.abs(x1 + 1.0) < 0.5)
+        near_right = np.sum(np.abs(x1 - 1.0) < 0.5)
         assert near_left + near_right == n
         three_sigma = 3 * np.sqrt(n * 0.25)
         assert abs(near_left - n / 2) < three_sigma
 
 
 class TestPosteriorUpdate:
-    def _state(self, p=0.5, t=500):
-        return TrajectoryState(x=np.array([0.0]), log_post_z0=np.log([p]), t=t, branch="z0")
-
     def test_equal_means_leave_posterior_unchanged(self):
-        state = self._state(0.37)
-        lp = posterior_update(state, np.array([1.0]), np.array([0.2]), np.array([0.2]), 0.01)
-        np.testing.assert_allclose(np.exp(lp), 0.37, rtol=1e-12)
+        logit = _logit(np.array([0.37]))
+        out = _update(logit, np.array([1.0]), np.array([0.2]), np.array([0.2]), 50.0)
+        np.testing.assert_array_equal(out, logit)
 
     def test_closer_to_z0_mean_increases_posterior(self):
-        state = self._state(0.5)
-        lp = posterior_update(state, np.array([0.0]), np.array([0.1]), np.array([0.9]), 0.01)
-        assert np.exp(lp)[0] > 0.5
+        out = _update(np.zeros(1), np.array([0.0]), np.array([0.1]), np.array([0.9]), 50.0)
+        assert _sigmoid(out[0]) > 0.5
 
-    def test_scale_modes(self):
-        state = self._state(0.5)
+    @pytest.mark.parametrize("mode, weight", [
+        ("bayes", lambda beta: 1 / (2 * beta)),
+        ("one-minus-beta", lambda beta: 1 / (1 - beta)),
+        (3.0, lambda beta: np.full(beta.shape, 3.0)),
+    ], ids=["bayes", "one-minus-beta", "number"])
+    def test_scale_modes(self, mode, weight):
         x, mu0, mu1 = np.array([0.0]), np.array([0.0]), np.array([1.0])
         delta = -1.0  # (x-mu0)^2 - (x-mu1)^2
-        beta = 0.02
-        for mode, scale in (("bayes", 1 / (2 * beta)), ("one-minus-beta", 1 / (1 - beta)), (3.0, 3.0)):
-            lp = posterior_update(state, x, mu0, mu1, beta, update_scale=mode)
-            expected = 1.0 / (1.0 + np.exp(scale * delta))
-            np.testing.assert_allclose(np.exp(lp), expected, rtol=1e-12)
+        betas = np.array([0.02, 0.5])
+        scales = _update_scales(mode, betas)
+        np.testing.assert_allclose(scales, weight(betas), rtol=1e-15)
+        out = _update(np.zeros(1), x, mu0, mu1, scales[0])
+        np.testing.assert_allclose(_sigmoid(out), 1.0 / (1.0 + np.exp(scales[0] * delta)), rtol=1e-12)
 
     def test_clamped_into_open_interval(self):
-        state = self._state(0.5)
-        lp = posterior_update(state, np.array([0.0]), np.array([0.0]), np.array([50.0]), 1e-4)
-        assert np.exp(lp)[0] <= 1.0 - 1e-12
+        out = _update(np.zeros(1), np.array([0.0]), np.array([0.0]), np.array([50.0]), 1 / (2 * 1e-4))
+        assert _sigmoid(out[0]) <= 1.0 - 1e-12
 
     def test_logit_driven_past_the_clamp_saturates_exactly(self):
-        assert 1.0 / (1.0 + np.exp(-LOGIT_MAX)) == pytest.approx(1.0 - POST_CLAMP, rel=1e-15)
+        assert _sigmoid(LOGIT_MAX) == pytest.approx(1.0 - POST_CLAMP, rel=1e-15)
+        assert _sigmoid(-LOGIT_MAX) == pytest.approx(POST_CLAMP, rel=1e-12)
         x = np.zeros(3)
         for mu_z0, mu_z1, side in ((0.0, 50.0, 1.0), (50.0, 0.0, -1.0)):
-            logit = _logit_update(np.array([0.0, 20.0, -20.0]), x, mu_z0, mu_z1, 1 / (2 * 1e-4))
+            logit = _update(np.array([0.0, 20.0, -20.0]), x, mu_z0, mu_z1, 1 / (2 * 1e-4))
             assert np.all(logit == side * LOGIT_MAX)
             # One more push in the same direction stays on the clamp.
-            assert np.all(_logit_update(logit, x, mu_z0, mu_z1, 1 / (2 * 1e-4)) == logit)
-        low = posterior_update(self._state(0.5), x[:1], np.array([50.0]), np.array([0.0]), 1e-4)
-        assert np.exp(low)[0] == pytest.approx(POST_CLAMP, rel=1e-12)
+            assert np.all(_update(logit, x, mu_z0, mu_z1, 1 / (2 * 1e-4)) == logit)
 
     def test_tracks_closed_form_posterior_along_a_trajectory(self):
-        # One oracle-driven trajectory: the filtered posterior should stay
-        # close to the exact posterior of the visited states.
+        # One oracle-driven z0 trajectory, stepped with the estimator's
+        # formulas: the filtered posterior should stay close to the exact
+        # posterior of the visited states.
         rng = _branch_rng(5, 0)
-        state = TrajectoryState(x=rng.standard_normal(1), log_post_z0=np.log([PART.prior_z0]),
-                                t=FAST.num_steps, branch="z0")
+        x = rng.standard_normal(1)
+        logit = np.full(1, _logit(PART.prior_z0))
+        scales = _update_scales("bayes", FAST.betas)
         hits = 0
-        total = 0
-        for t in range(FAST.num_steps, 0, -1):
-            mu0 = posterior_mean(FAST_ORACLE, state.x, t, "z0", FAST)
-            mu1 = posterior_mean(FAST_ORACLE, state.x, t, "z1", FAST)
-            nxt = ancestral_step(rng, state, FAST_ORACLE, FAST)
-            lp = posterior_update(state, nxt.x, mu0, mu1, FAST.beta(t))
-            state = TrajectoryState(x=nxt.x, log_post_z0=lp, t=nxt.t, branch="z0")
-            exact, _ = partition_posterior(
-                PART, class_posteriors(TWO_DELTAS, FAST.alpha_bar(t - 1) if t > 1 else FAST.alpha_bar(1),
-                                       float(state.x[0]))
-            )
-            if t > 1:
-                total += 1
-                hits += abs(float(np.exp(lp)[0]) - float(exact)) < 0.05
-        assert hits / total >= 0.95
+        for t in range(FAST.num_steps, 1, -1):
+            mu0, mu1 = (_mean(x, FAST_ORACLE.epsilon(x, t, label), t, FAST) for label in ("z0", "z1"))
+            x = mu0 + np.sqrt(FAST.beta(t)) * rng.standard_normal(1)
+            _logit_update(logit, x, mu0, mu1, scales[t - 1], out=logit, work=(mu0, mu1))
+            exact = side_posterior(class_posteriors(TWO_DELTAS, FAST.alpha_bar(t - 1), x),
+                                   PART.z0, PART.z1)
+            hits += abs(_sigmoid(logit[0]) - exact[0]) < 0.05
+        assert hits / (FAST.num_steps - 1) >= 0.95
 
 
 class TestEstimateConditionalEntropy:
@@ -230,28 +204,6 @@ class TestEstimateConditionalEntropy:
         assert np.all(est.H_bits >= 0.0)
         assert np.all(est.H_bits <= 1.0 + 1e-9)
 
-    def test_streaming_ops_reproduce_the_batch_estimator(self):
-        # The estimator must be the composition of the granular operations,
-        # driven by the same per-branch stream; posteriors depend on visited
-        # states only.
-        n, seed = 6, 21
-        est = estimate_conditional_entropy(FAST_ORACLE, FAST, n_z0=n, n_z1=n, seed=seed)
-        for branch_index, branch in ((0, "z0"), (1, "z1")):
-            rng = _branch_rng(seed, branch_index)
-            state = TrajectoryState(x=rng.standard_normal(n), log_post_z0=np.full(n, np.log(0.5)),
-                                    t=FAST.num_steps, branch=branch)
-            series = np.empty(FAST.num_steps + 1)
-            series[FAST.num_steps] = -binary_entropy_bits(0.5)
-            for t in range(FAST.num_steps, 0, -1):
-                mu0 = posterior_mean(FAST_ORACLE, state.x, t, "z0", FAST)
-                mu1 = posterior_mean(FAST_ORACLE, state.x, t, "z1", FAST)
-                nxt = ancestral_step(rng, state, FAST_ORACLE, FAST)
-                lp = posterior_update(state, nxt.x, mu0, mu1, FAST.beta(t))
-                state = TrajectoryState(x=nxt.x, log_post_z0=lp, t=nxt.t, branch=branch)
-                series[t - 1] = np.mean(-binary_entropy_bits(np.exp(lp)))
-            stored = est.h_z0 if branch == "z0" else est.h_z1
-            np.testing.assert_allclose(series, stored, atol=1e-9)
-
     def test_matches_quadrature_on_a_short_run(self):
         est = estimate_conditional_entropy(FAST_ORACLE, FAST, n_z0=500, n_z1=500, seed=7)
         quad = np.array([conditional_entropy_at(TWO_DELTAS, PART, FAST.alpha_bar(t))
@@ -269,6 +221,14 @@ class TestEstimateConditionalEntropy:
         with pytest.raises(ModelEvaluationError):
             estimate_conditional_entropy(_NanModel(), FAST, n_z0=2, n_z1=2, seed=0)
 
+        class _NanAtStep3:
+            def epsilon(self, x, t, label):
+                eps = FAST_ORACLE.epsilon(x, t, label)
+                return eps * np.nan if (t, label) == (3, "z1") else eps
+
+        with pytest.raises(ModelEvaluationError, match="t=3, label='z1'"):
+            estimate_conditional_entropy(_NanAtStep3(), FAST, n_z0=2, n_z1=2, seed=0)
+
     @pytest.mark.parametrize("update_scale", [float("nan"), -1.0, 0.0, float("inf"), "bays", True])
     def test_bad_update_scale_is_rejected_before_the_first_step(self, update_scale):
         class _MustNotRun:
@@ -278,9 +238,8 @@ class TestEstimateConditionalEntropy:
         with pytest.raises(ParameterError, match="update_scale"):
             estimate_conditional_entropy(_MustNotRun(), FAST, n_z0=2, n_z1=2, seed=0,
                                          update_scale=update_scale)
-        state = TrajectoryState(x=np.zeros(1), log_post_z0=np.log([0.5]), t=5, branch="z0")
         with pytest.raises(ParameterError, match="update_scale"):
-            posterior_update(state, np.zeros(1), np.zeros(1), np.ones(1), 0.01, update_scale)
+            _update_scales(update_scale, FAST.betas)
 
 
 THREE = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.1, 0.4, 2.0])
@@ -407,16 +366,6 @@ class TestReplayScoreModel:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ModelEvaluationError, match="header"):
             ReplayScoreModel.from_csv(path)
-
-
-class TestTrajectoryState:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            TrajectoryState(x=np.zeros(2), log_post_z0=np.zeros(3), t=1, branch="z0")
-        with pytest.raises(ParameterError):
-            TrajectoryState(x=np.zeros(1), log_post_z0=np.array([0.1]), t=1, branch="z0")
-        with pytest.raises(ParameterError):
-            TrajectoryState(x=np.zeros(1), log_post_z0=np.zeros(1), t=1, branch="left")
 
 
 class TestMemory:
