@@ -21,6 +21,8 @@ nodes x components): one kernel call evaluates the grids of a chunk's levels,
 and the brackets of all of them share one Newton-bisection, every bracket at
 its own level.  Every root is bitwise the one that solving its level alone
 gives; :func:`find_fixed_points` is that one-level case of the same path.
+Count changes between swept levels are bisected down to adjacent steps in
+lockstep: each round solves the midpoints of all open brackets as one batch.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ class CountChange:
     t_before: int
     t_after: int
     s: float
-    alpha_bar_before: float
-    alpha_bar_after: float
     count_before: int
     count_after: int
 
@@ -105,12 +105,8 @@ class BifurcationDiagram:
     points: tuple[tuple[FixedPoint, ...], ...]
     critical: tuple[CountChange, ...]
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.asarray([len(p) for p in self.points])
 
-
-def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi, residual_tol):
+def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
     """One root per sign-change bracket ``[lo, hi]``, with its residual.
 
     ``terms(alpha_bar, x)`` returns ``(g, g')`` at ``x``, and bracket ``i``
@@ -120,7 +116,7 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi, residual_tol):
     first midpoint narrows every bracket before any step is taken, so a later
     bisection never lands on it again.  A bracket is finished when it
     collapses to adjacent floats, when ``g`` vanishes at the iterate, or when
-    the iterate's residual is below ``residual_tol`` and its Newton correction
+    the iterate's residual is below ``RESIDUAL_TOL`` and its Newton correction
     below float resolution at unit scale.  The iterate is then one of the
     bracket ends, and whichever end has the smaller ``|g|`` is reported: near
     razor-thin roots the residual is a step function of ``x`` at float
@@ -143,7 +139,7 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi, residual_tol):
             newton = x - gx / gpx
         # Close to a root near the origin the computed residual is rounding
         # noise over a span of many floats; the Newton test ends it there.
-        converged = ((np.abs(gx) < residual_tol)
+        converged = ((np.abs(gx) < RESIDUAL_TOL)
                      & (np.abs(newton - x) <= _EPS * np.maximum(1.0, np.abs(x))))
         done = (gx == 0.0) | converged | ~((a < mid) & (mid < b))
         if done.all():
@@ -163,8 +159,7 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi, residual_tol):
 def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
                             search_box: tuple[float, float] | None = None,
                             n_starts: int = 256,
-                            drift_coeff: float = DEFAULT_DRIFT_COEFF,
-                            residual_tol: float = RESIDUAL_TOL) -> list[tuple[FixedPoint, ...]]:
+                            drift_coeff: float = DEFAULT_DRIFT_COEFF) -> list[tuple[FixedPoint, ...]]:
     """The fixed points at each level of ``alpha_bars``: the one solver path.
 
     Levels are solved in chunks of ``CHUNK_TERMS`` kernel terms (grid nodes x
@@ -177,8 +172,6 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
         raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
     if search_box is not None and not float(search_box[0]) < float(search_box[1]):
         raise ParameterError(f"search box must satisfy lo < hi, got {search_box!r}")
-    # The FixedPoint contract caps the acceptance threshold.
-    residual_tol = min(residual_tol, RESIDUAL_TOL)
 
     def terms(ab, x):
         # (g, g') from one kernel pass, bitwise equal to drift_residual and
@@ -207,7 +200,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
         signs = np.sign(g_grid)
         level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
         x, residuals = _bracketed_roots(terms, ab[level], grid[level, cell], grid[level, cell + 1],
-                                        g_grid[level, cell], g_grid[level, cell + 1], residual_tol)
+                                        g_grid[level, cell], g_grid[level, cell + 1])
         zeros = np.nonzero(g_grid == 0.0)
         level = np.concatenate([zeros[0], level])
         x = np.concatenate([grid[zeros], x])
@@ -215,7 +208,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
 
         # Per level, the sorted distinct converged roots; of equal roots the
         # first (grid zeros before brackets) is kept.
-        keep = np.abs(residuals) < residual_tol
+        keep = np.abs(residuals) < RESIDUAL_TOL
         level, x, residuals = level[keep], x[keep], residuals[keep]
         order = np.lexsort((x, level))
         level, x, residuals = level[order], x[order], residuals[order]
@@ -244,14 +237,13 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
 def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
                       search_box: tuple[float, float] | None = None,
                       n_starts: int = 256,
-                      drift_coeff: float = DEFAULT_DRIFT_COEFF,
-                      residual_tol: float = RESIDUAL_TOL) -> tuple[FixedPoint, ...]:
+                      drift_coeff: float = DEFAULT_DRIFT_COEFF) -> tuple[FixedPoint, ...]:
     """Locate every root of the drift residual inside the search box.
 
     Evaluates the residual on ``n_starts`` evenly spaced nodes, reports nodes
     where it is exactly zero, and runs one safeguarded Newton-bisection per
     sign-change cell, so each bracket yields one root.  Roots whose residual
-    is below ``residual_tol`` are kept (a root two brackets end on is
+    is below ``RESIDUAL_TOL`` are kept (a root two brackets end on is
     reported once), and stability is classified from the residual slope.  An
     empty result triggers a warning, not an error.  A cell holding an even
     number of roots shows no sign change; the grid must be fine enough that
@@ -260,59 +252,59 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
 
     Very close to the clean end (variance below ~1e-3 for unit-scale
     mixtures), repelling roots that do not fall on an exactly representable
-    point live on residual steps larger than ``residual_tol`` in float64 and
+    point live on residual steps larger than ``RESIDUAL_TOL`` in float64 and
     are dropped; attracting roots are unaffected.
     """
     return _fixed_points_at_levels(mixture, np.array([alpha_bar], dtype=np.float64), search_box,
-                                   n_starts, drift_coeff, residual_tol)[0]
+                                   n_starts, drift_coeff)[0]
 
 
-def _step_solver(mixture, schedule, drift_coeff, n_starts):
-    """``solve(steps)``: the fixed points at each of ``steps``, each step solved once.
+def _solve_steps(mixture, schedule, steps, drift_coeff=DEFAULT_DRIFT_COEFF):
+    """The fixed points at each of ``steps``, solved as one batch.
 
-    The steps not solved before are solved as one batch.  If the batch
-    fails, its steps are solved one at a time to name the step that fails.
+    If the batch fails, its steps are solved one at a time to name the step
+    that fails.
     """
-    cache: dict[int, tuple[FixedPoint, ...]] = {}
-
-    def levels(steps):
+    def solve(steps):
         return _fixed_points_at_levels(mixture, np.array([schedule.alpha_bar(t) for t in steps]),
-                                       drift_coeff=drift_coeff, n_starts=n_starts)
+                                       drift_coeff=drift_coeff)
 
-    def solve(steps) -> list[tuple[FixedPoint, ...]]:
-        todo = [t for t in dict.fromkeys(int(t) for t in steps) if t not in cache]
-        if todo:
-            try:
-                cache.update(zip(todo, levels(todo)))
-            except Exception:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    for t in todo:
-                        try:
-                            levels([t])
-                        except Exception as err:
-                            raise type(err)(f"level t={t}: {err}") from err
-                raise
-        return [cache[int(t)] for t in steps]
-
-    return solve
+    try:
+        return solve(steps)
+    except Exception:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for t in steps:
+                try:
+                    solve([t])
+                except Exception as err:
+                    raise type(err)(f"level t={t}: {err}") from err
+        raise
 
 
-def _refine_change(t_lo, t_hi, count_fn) -> tuple[int, int]:
-    """Shrink a count-change bracket to adjacent integer steps."""
-    c_lo = count_fn(t_lo)
-    while t_hi - t_lo > 1:
-        mid = (t_lo + t_hi) // 2
-        if count_fn(mid) == c_lo:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return t_lo, t_hi
+def _bisect_changes(mixture, schedule, brackets, count, drift_coeff=DEFAULT_DRIFT_COEFF):
+    """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps, in lockstep.
+
+    ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo``
+    and ``c_hi`` its values at the bracket's ends.  Each round solves the
+    midpoints of all brackets wider than one step as one batch; a midpoint
+    whose count equals ``c_lo`` becomes its bracket's low end, any other its
+    high end.  Brackets with disjoint interiors never solve a step twice.
+    """
+    brackets = list(brackets)
+    while True:
+        open_ = [k for k, (t_lo, _, t_hi, _) in enumerate(brackets) if t_hi - t_lo > 1]
+        if not open_:
+            return brackets
+        mids = [(brackets[k][0] + brackets[k][2]) // 2 for k in open_]
+        for k, t, points in zip(open_, mids, _solve_steps(mixture, schedule, mids, drift_coeff)):
+            t_lo, c_lo, t_hi, c_hi = brackets[k]
+            c = count(t, points)
+            brackets[k] = (t, c, t_hi, c_hi) if c == c_lo else (t_lo, c_lo, t, c)
 
 
 def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule, stride: int = 10,
-                       drift_coeff: float = DEFAULT_DRIFT_COEFF,
-                       n_starts: int = 256) -> BifurcationDiagram:
+                       drift_coeff: float = DEFAULT_DRIFT_COEFF) -> BifurcationDiagram:
     """Sweep the schedule, collect fixed points per level, locate count changes.
 
     Count changes between strided levels are refined by bisection on the step
@@ -322,70 +314,50 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule, stride: i
     that cluster closer than it.
     """
     times = TimeGrid.strided(schedule, stride)
-    solve = _step_solver(mixture, schedule, drift_coeff, n_starts)
-    levels = solve(times.steps)
-
-    def count_fn(t):
-        return len(solve([t])[0])
-
-    critical = []
-    for i in range(1, len(levels)):
-        if len(levels[i]) != len(levels[i - 1]):
-            t_lo, t_hi = _refine_change(int(times.steps[i - 1]), int(times.steps[i]), count_fn)
-            critical.append(CountChange(
-                t_before=t_lo,
-                t_after=t_hi,
-                s=(t_lo + t_hi) / (2.0 * schedule.num_steps),
-                alpha_bar_before=schedule.alpha_bar(t_lo),
-                alpha_bar_after=schedule.alpha_bar(t_hi),
-                count_before=count_fn(t_lo),
-                count_after=count_fn(t_hi),
-            ))
-
-    alpha_bars = np.asarray([schedule.alpha_bar(int(t)) for t in times.steps])
+    steps = [int(t) for t in times.steps]
+    levels = _solve_steps(mixture, schedule, steps, drift_coeff)
+    brackets = [(steps[i - 1], len(levels[i - 1]), steps[i], len(levels[i]))
+                for i in range(1, len(levels)) if len(levels[i]) != len(levels[i - 1])]
+    changes = _bisect_changes(mixture, schedule, brackets, lambda t, points: len(points), drift_coeff)
     return BifurcationDiagram(
         steps=times.steps,
         s=times.s,
-        alpha_bars=alpha_bars,
+        alpha_bars=np.asarray([schedule.alpha_bar(t) for t in steps]),
         points=tuple(levels),
-        critical=tuple(critical),
+        critical=tuple(CountChange(t_before=t_lo, t_after=t_hi,
+                                   s=(t_lo + t_hi) / (2.0 * schedule.num_steps),
+                                   count_before=c_lo, count_after=c_hi)
+                       for t_lo, c_lo, t_hi, c_hi in changes),
     )
 
 
-def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule, i: int, j: int,
-                       margin: float = 0.3, coarse_stride: int = 20,
-                       drift_coeff: float = DEFAULT_DRIFT_COEFF,
-                       n_starts: int = 256) -> float | None:
+def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule,
+                       i: int, j: int) -> float | None:
     """Normalized time where components ``i`` and ``j`` lose separate branches.
 
-    Counts stable fixed points inside the pair's (noise-scaled) bracket and
-    returns the midpoint of the adjacent-step interval over which the count
-    first drops below two in forward time, or ``None`` if the pair never has
-    two branches on this schedule.
+    Counts the stable fixed points inside the pair's bracket, the span of the
+    two means widened by 0.3 of their gap on each side and scaled by
+    ``sqrt(alpha_bar)``, at every 20th step.  Returns the midpoint of the
+    adjacent-step interval over which the count first drops below two in
+    forward time, bisected within the first 20-step interval that ends
+    below two, or ``None`` if the pair never has two branches on this
+    schedule.
     """
     if not (0 <= i < mixture.num_components and 0 <= j < mixture.num_components) or i == j:
         raise ParameterError(f"need two distinct component indices, got ({i}, {j})")
     mu_i, mu_j = sorted((mixture.means[i], mixture.means[j]))
-    pad = margin * (mu_j - mu_i)
+    pad = 0.3 * (mu_j - mu_i)
 
-    solve = _step_solver(mixture, schedule, drift_coeff, n_starts)
-
-    def count(t, points):
+    def separate(t, points):
         root = np.sqrt(schedule.alpha_bar(t))
         lo, hi = root * (mu_i - pad), root * (mu_j + pad)
-        return sum(1 for p in points if p.stable and lo <= p.x <= hi)
+        return sum(1 for p in points if p.stable and lo <= p.x <= hi) >= 2
 
-    def count_fn(t):
-        return count(t, solve([t])[0])
-
-    probes = list(range(1, schedule.num_steps + 1, coarse_stride))
-    if probes[-1] != schedule.num_steps:
-        probes.append(schedule.num_steps)
-    counts = [count(t, points) for t, points in zip(probes, solve(probes))]
-    if counts[0] < 2:
+    probes = [int(t) for t in TimeGrid.strided(schedule, 20).steps]
+    flags = [separate(t, points) for t, points in zip(probes, _solve_steps(mixture, schedule, probes))]
+    if not flags[0] or all(flags):
         return None
-    for k in range(1, len(probes)):
-        if counts[k] < 2:
-            t_lo, t_hi = _refine_change(probes[k - 1], probes[k], count_fn)
-            return (t_lo + t_hi) / (2.0 * schedule.num_steps)
-    return None
+    k = flags.index(False)
+    [(t_lo, _, t_hi, _)] = _bisect_changes(mixture, schedule, [(probes[k - 1], True, probes[k], False)],
+                                           separate)
+    return (t_lo + t_hi) / (2.0 * schedule.num_steps)

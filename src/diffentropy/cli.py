@@ -171,6 +171,9 @@ def _scalar(value, key: str, kind: type):
     # bool is an int subclass, and a float must not be truncated to an integer.
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    # JSON's NaN and +-Infinity parse as floats, and an integer may exceed the float range.
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return kind(value)
 
 

@@ -5,12 +5,7 @@ import numpy as np
 
 def sign_change_count(mixture, alpha_bar, lo, hi, n=100_000, drift_coeff=0.5):
     """Number of sign changes of the drift residual on a dense uniform grid."""
-    # Imported here so that the quadrature oracle below imports no package code.
-    from diffentropy.bifurcation import drift_residual
-
-    x = np.linspace(lo, hi, n)
-    g = drift_residual(mixture, alpha_bar, x, drift_coeff)
-    s = np.sign(g)
+    s = np.sign(drift_residual_reference(mixture, alpha_bar, np.linspace(lo, hi, n), drift_coeff))
     return int(np.sum(s[1:] * s[:-1] < 0))
 
 
@@ -34,6 +29,21 @@ def component_log_joints(means, weights, variances, alpha_bar, x):
     var = alpha_bar * variances + (1.0 - alpha_bar)
     x = np.asarray(x, dtype=np.float64)[..., None]
     return np.log(weights) - 0.5 * np.log(2.0 * np.pi * var) - (x - mu) ** 2 / (2.0 * var)
+
+
+def drift_residual_reference(mixture, alpha_bar, x, drift_coeff=0.5):
+    """``drift_coeff * x - d/dx log p_t(x)`` of a ``MixtureModel``, by plain numpy.
+
+    The score is the posterior-weighted pull ``(mu_kt - x) / var_kt`` of the
+    components, with posteriors from :func:`component_log_joints`.  Shares no
+    code with ``diffentropy``.
+    """
+    log_joints = component_log_joints(mixture.means, mixture.weights, mixture.variances, alpha_bar, x)
+    posteriors = np.exp(log_joints - np.logaddexp.reduce(log_joints, axis=-1, keepdims=True))
+    mu = np.sqrt(alpha_bar) * np.asarray(mixture.means, dtype=np.float64)
+    var = alpha_bar * np.asarray(mixture.variances, dtype=np.float64) + (1.0 - alpha_bar)
+    x = np.asarray(x, dtype=np.float64)
+    return drift_coeff * x - np.sum(posteriors * (mu - x[..., None]) / var, axis=-1)
 
 
 def mixture_log_density(means, weights, variances, alpha_bar, x):

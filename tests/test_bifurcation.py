@@ -15,7 +15,7 @@ from diffentropy.bifurcation import (
 )
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule
 
-from _oracles import scan_box, sign_change_count
+from _oracles import drift_residual_reference, scan_box, sign_change_count
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
@@ -215,16 +215,20 @@ class TestTraceBifurcations:
 
         monkeypatch.setattr(bifurcation, "_fixed_points_at_levels", counting)
         diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20)
-        assert diagram.critical
-        # The strided levels are one batch; refinement then solves single steps.
+        # The strided levels are one batch; then each round of the bisection
+        # solves the midpoints of every count change as one batch, at most
+        # ceil(log2(20)) = 5 rounds.
+        assert len(diagram.critical) > 1
         assert batches[0] == list(diagram.alpha_bars)
-        assert all(len(batch) == 1 for batch in batches[1:])
+        assert 1 <= len(batches) - 1 <= 5
+        assert len(batches[1]) == len(diagram.critical)
         assert len(solved()) > len(diagram.steps)  # refinement solved extra steps
         assert set(solved().values()) == {1}
         batches.clear()
         assert sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1) is not None
         probes = [SCHEDULE.alpha_bar(t) for t in range(1, 1001, 20)] + [SCHEDULE.alpha_bar(1000)]
         assert batches[0] == probes
+        assert 1 <= len(batches) - 1 <= 5
         assert all(len(batch) == 1 for batch in batches[1:])
         assert set(solved().values()) == {1}
 
@@ -285,10 +289,6 @@ class TestTraceBifurcations:
         with pytest.raises(FloatingPointError, match=f"^level t={bad_step}: kernel overflow$"):
             trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=stride)
 
-    def test_sweep_checks_n_starts_at_the_first_level(self):
-        with pytest.raises(ParameterError, match="^level t=1: n_starts must be >= 2"):
-            trace_bifurcations(TWO_DELTAS, SCHEDULE, stride=10, n_starts=1)
-
     def test_each_rootless_level_of_a_batch_warns(self):
         levels = np.array([0.3, 0.5, 0.7])
         with pytest.warns(RuntimeWarning) as record:
@@ -305,6 +305,30 @@ class TestSiblingSplitTime:
         assert s01 is not None and s23 is not None
         assert s01 > s23  # wider pair keeps separate branches deeper into the noise
         assert 0.05 < s23 < s01 < 0.5
+
+    def test_split_is_where_the_stable_count_first_drops_below_two(self):
+        # In the bracket of the pair (-2.75, 3) the stable count falls 3 -> 2
+        # at t = 243 and 2 -> 1 at t = 255, both inside the probe interval
+        # [241, 261]; the split is the second drop.
+        mix = MixtureModel.deltas([-2.75, 0.0, 3.0])
+        pad = 0.3 * 5.75
+
+        def stable(t, points):
+            root = np.sqrt(SCHEDULE.alpha_bar(int(t)))
+            return sum(1 for p in points if p.stable and root * (-2.75 - pad) <= p.x <= root * (3.0 + pad))
+
+        diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
+        counts = [stable(t, points) for t, points in zip(diagram.steps, diagram.points)]
+        first = next(int(t) for t, c in zip(diagram.steps, counts) if c < 2)
+        assert first == 255 and (counts[242 - 1], counts[243 - 1]) == (3, 2)
+        assert sibling_split_time(mix, SCHEDULE, 0, 2) == (2 * first - 1) / 2000 == 0.2545
+        # A dense scan counts the stable roots (upward sign changes of the
+        # residual) in the bracket on either side of the drop.
+        for t, expected in ((first - 1, 2), (first, 1)):
+            ab = SCHEDULE.alpha_bar(t)
+            x = np.sqrt(ab) * np.linspace(-2.75 - pad, 3.0 + pad, 100_000)
+            g = np.sign(drift_residual_reference(mix, ab, x))
+            assert np.sum((g[:-1] < 0) & (g[1:] > 0)) == expected
 
     def test_twin_components_never_split(self):
         twins = MixtureModel(weights=[0.5, 0.5], means=[1.0, 1.0], variances=[0.0, 0.0])

@@ -271,6 +271,25 @@ class TestValidateAndErrors:
         path.write_text("{not json")
         assert main(["profile", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "401-digit"])
+    @pytest.mark.parametrize("key", ["drift_coeff", "prior_z0", "beta_end", "means"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, key, value):
+        # Python's json reads NaN and +-Infinity as floats, and a 401-digit
+        # integer overflows one.
+        cfg = write_config(tmp_path / "c.json", method="fixedpoints", stride=50)
+        text = cfg.read_text()
+        if key == "beta_end":
+            text = text.replace('"beta_end": 0.12', f'"beta_end": {value}')
+        elif key == "means":
+            text = text.replace('"means": [-1.0, 1.0]', f'"means": [-1.0, {value}]')
+        else:
+            text = text.replace('"stride": 50', f'"stride": 50, "{key}": {value}')
+        cfg.write_text(text)
+        assert main(["fixed-points", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--stride", "0"], ["--samples", "0"], ["--grid", "10"]])
     def test_out_of_range_override_is_config_error(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path / "c.json")
