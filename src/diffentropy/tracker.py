@@ -9,9 +9,14 @@ are combined with the decision priors into the entropy estimate.
 
 Each branch draws all its noise from one PCG64 stream, its child of
 ``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per step
-t > 1.  Each branch allocates its n-sized arrays (states, log-odds, both
-denoising means, noise) once, and every step writes into them, so the
-estimator's memory is O(n) whatever the number of steps.
+t > 1.  The per-step vectors are drawn one block of ``NOISE_BLOCK`` steps
+ahead on one worker thread (inline when the process may use only one CPU)
+while the caller's thread runs the steps; they are the same draws in the same
+order, so outputs are unchanged.  The score model is still called only from
+the caller's thread, so it needs no thread safety.  Each branch allocates its
+n-sized arrays (states, log-odds, both denoising means, two noise blocks)
+once, and every step writes into them, so the estimator's memory is O(n)
+whatever the number of steps.
 
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
@@ -21,9 +26,10 @@ mixture oracle and a file-backed replay model are provided.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -50,6 +56,10 @@ LOGIT_MAX = float(np.log((1.0 - POST_CLAMP) / POST_CLAMP))
 
 REPLAY_LABELS = ("z0", "z1", "null")
 
+# Noise rows per block that the worker thread draws ahead of the estimator.
+# Two blocks of n-rows are in flight per branch, so this stays small.
+NOISE_BLOCK = 2
+
 
 class ModelEvaluationError(RuntimeError):
     """A score model returned non-finite output or lacks data for a query."""
@@ -64,6 +74,8 @@ class ScoreModel(Protocol):
         step's predictions, so keep a copy, not a reference, of anything
         needed later.  The returned array is only read, never written, so a
         model may return its input, a view of it, or an array it caches.
+        The estimator calls it only from the caller's thread, never from the
+        worker that draws its noise ahead, so a model needs no thread safety.
         """
         ...
 
@@ -109,16 +121,31 @@ class ReplayScoreModel:
 
     @classmethod
     def from_csv(cls, path) -> "ReplayScoreModel":
+        """Load a replay table; a malformed file raises :class:`ModelEvaluationError`."""
+        expected = ["t", "x", "eps_z0", "eps_z1", "eps_null"]
+        header = None
         rows: dict[int, list[tuple[float, float, float, float]]] = {}
         with open(path, newline="") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader)
-            expected = ["t", "x", "eps_z0", "eps_z1", "eps_null"]
-            if [h.strip() for h in header] != expected:
-                raise ModelEvaluationError(f"replay header must be {expected}, got {header}")
-            for row in reader:
-                t = int(row[0])
-                rows.setdefault(t, []).append(tuple(float(v) for v in row[1:]))
+            for num, line in enumerate(fh, 1):
+                if line.startswith("#"):
+                    continue
+                fields = [field.strip() for field in line.split(",")]
+                if header is None:
+                    header = fields
+                    if header != expected:
+                        raise ModelEvaluationError(
+                            f"replay file {path}, line {num}: header must be {expected}, got {header}")
+                    continue
+                try:
+                    if len(fields) != len(expected):
+                        raise ValueError(f"expected {len(expected)} fields, got {len(fields)}")
+                    t = int(fields[0])
+                    values = tuple(float(v) for v in fields[1:])
+                except ValueError as err:
+                    raise ModelEvaluationError(f"replay file {path}, line {num}: {err}") from None
+                rows.setdefault(t, []).append(values)
+        if header is None:
+            raise ModelEvaluationError(f"replay file {path} is empty: no header line")
         table: dict[int, dict[str, np.ndarray]] = {}
         for t, entries in rows.items():
             entries.sort()
@@ -205,6 +232,45 @@ def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.nd
     return np.clip(np.subtract(logit, step, out=out), -LOGIT_MAX, LOGIT_MAX, out=out)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _noise_rows(rng, n: int, count: int, pool):
+    """Yield ``count`` rows of ``rng.standard_normal(n)``, then one spare row.
+
+    ``pool``'s worker (the caller's thread if ``pool`` is None) draws the
+    rows ``NOISE_BLOCK`` at a time, one block ahead of the caller; they equal
+    ``count`` successive ``standard_normal(n)`` calls.  A row is the caller's
+    work space until it asks for the next one, and the spare row, never drawn
+    into, is work space for a step without noise.
+    """
+    blocks = np.empty((2, NOISE_BLOCK, n))
+    sizes = [min(NOISE_BLOCK, count - start) for start in range(0, count, NOISE_BLOCK)]
+
+    def draw(j):
+        block = blocks[j % 2, :sizes[j]]
+        if pool is None:
+            rng.standard_normal(out=block)
+            return None
+        return pool.submit(rng.standard_normal, out=block)
+
+    pending = draw(0) if sizes else None
+    for j, size in enumerate(sizes):
+        if pending is not None:
+            pending.result()
+        # The other block's rows were all handed out, and the caller has
+        # asked past the last of them, so it is free to refill.
+        if j + 1 < len(sizes):
+            pending = draw(j + 1)
+        yield from blocks[j % 2, :size]
+    yield blocks[0, 0]
+
+
 @dataclass(frozen=True)
 class McEntropyEstimate:
     """Monte-Carlo conditional-entropy series, indexed by step ``t = 0..T``.
@@ -249,7 +315,8 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
 
     Branch ``i`` (0 for z0, 1 for z1) draws from one stream,
     ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T as
-    ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1.
+    ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1,
+    which one worker thread draws a block of ``NOISE_BLOCK`` steps ahead.
     Memory is O(n), independent of the number of steps.  Every call of
     ``score_model.epsilon`` is handed the branch's one state buffer, which
     the step overwrites after both predictions are read (see
@@ -269,31 +336,38 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     roots = np.sqrt(1.0 - betas).tolist()
     noise_sds = np.sqrt(betas).tolist()
 
+    # Imported here, not with the package: it adds ~5 ms to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # On one CPU the handoffs to a worker cost more than the overlap saves.
+    workers = ThreadPoolExecutor(1) if _usable_cpus() > 1 else contextlib.nullcontext()
     branch_means = []
     branch_seqs = np.random.SeedSequence(seed).spawn(2)
-    for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
-        rng = np.random.Generator(np.random.PCG64(branch_seq))
-        x = rng.standard_normal(n)
-        logit = np.full(n, prior_logit)
-        mu0, mu1, noise = np.empty(n), np.empty(n), np.empty(n)
-        own = mu0 if label == "z0" else mu1
-        summand = np.empty(num_steps + 1)
-        summand[num_steps] = prior_summand
-        for t in range(num_steps, 0, -1):
-            i = t - 1
-            eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0")
-            eps1 = _check_finite(score_model.epsilon(x, t, "z1"), x, t, "z1")
-            _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
-            _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
-            # Both predictions are read, so x (which they may alias) is free.
-            if t > 1:
-                np.add(own, np.multiply(noise_sds[i], rng.standard_normal(out=noise), out=noise),
-                       out=x)
-            else:
-                np.copyto(x, own)
-            _logit_update(logit, x, mu0, mu1, scales[i], out=logit, work=(mu0, mu1))
-            summand[i] = -float(np.mean(_logit_entropy_bits(logit, work=(mu0, mu1, noise))))
-        branch_means.append(summand)
+    with workers as pool:
+        for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
+            rng = np.random.Generator(np.random.PCG64(branch_seq))
+            x = rng.standard_normal(n)
+            noise_rows = _noise_rows(rng, n, num_steps - 1, pool)
+            logit = np.full(n, prior_logit)
+            mu0, mu1 = np.empty(n), np.empty(n)
+            own = mu0 if label == "z0" else mu1
+            summand = np.empty(num_steps + 1)
+            summand[num_steps] = prior_summand
+            for t in range(num_steps, 0, -1):
+                i = t - 1
+                eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0")
+                eps1 = _check_finite(score_model.epsilon(x, t, "z1"), x, t, "z1")
+                _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
+                _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
+                # Both predictions are read, so x (which they may alias) is free.
+                noise = next(noise_rows)
+                if t > 1:
+                    np.add(own, np.multiply(noise_sds[i], noise, out=noise), out=x)
+                else:
+                    np.copyto(x, own)
+                _logit_update(logit, x, mu0, mu1, scales[i], out=logit, work=(mu0, mu1))
+                summand[i] = -float(np.mean(_logit_entropy_bits(logit, work=(mu0, mu1, noise))))
+            branch_means.append(summand)
 
     steps = np.arange(num_steps + 1)
     h_bits = -(prior_z0 * branch_means[0] + (1.0 - prior_z0) * branch_means[1])

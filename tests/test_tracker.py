@@ -1,14 +1,23 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from _oracles import mc_entropy_reference, side_posterior
 
-from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
+from diffentropy.core import (
+    MixtureModel,
+    NoiseSchedule,
+    ParameterError,
+    linear_schedule,
+    make_partition,
+)
+from diffentropy import tracker
 from diffentropy.entropy import conditional_entropy_at
 from diffentropy.mixture import class_posteriors, score
 from diffentropy.tracker import (
     LOGIT_MAX,
+    NOISE_BLOCK,
     POST_CLAMP,
     GmmScoreModel,
     McEntropyEstimate,
@@ -293,6 +302,73 @@ class TestBitwiseReference:
         assert np.all(np.isfinite(ref_z0)) and np.all(np.isfinite(ref_z1))
         np.testing.assert_array_equal(est.h_z0.view(np.int64), ref_z0.view(np.int64))
         np.testing.assert_array_equal(est.h_z1.view(np.int64), ref_z1.view(np.int64))
+
+
+def _assert_bitwise_reference(est, model, schedule, n_z0, n_z1, seed):
+    ref_z0, ref_z1 = mc_entropy_reference(model.epsilon, schedule.betas, schedule.alpha_bars, 0.5,
+                                          n_z0, n_z1, seed)
+    np.testing.assert_array_equal(est.h_z0.view(np.int64), ref_z0.view(np.int64))
+    np.testing.assert_array_equal(est.h_z1.view(np.int64), ref_z1.view(np.int64))
+
+
+class _RaisesAtStep3:
+    def epsilon(self, x, t, label):
+        if t == 3:
+            raise ModelEvaluationError("no prediction at t=3")
+        return FAST_ORACLE.epsilon(x, t, label)
+
+
+class _RecordsThreads:
+    def __init__(self, inner):
+        self.inner = inner
+        self.callers, self.alive = set(), set()
+
+    def epsilon(self, x, t, label):
+        self.callers.add(threading.get_ident())
+        self.alive.add(threading.active_count())
+        return self.inner.epsilon(x, t, label)
+
+
+class TestNoiseWorker:
+    """Noise drawn ahead on a worker thread: same numbers, same errors, no stray thread."""
+
+    def test_score_model_errors_propagate_and_the_worker_is_joined(self, tmp_path):
+        sched = linear_schedule(8, 0.005, 0.2)
+        path = tmp_path / "gap.csv"
+        write_replay_csv(path, GmmScoreModel(TWO_DELTAS, sched, PART), sched, np.linspace(-6, 6, 41),
+                         steps=[t for t in range(1, 9) if t != 3])
+        cases = [(_RaisesAtStep3(), FAST, "no prediction at t=3"),
+                 (ReplayScoreModel.from_csv(path), sched, "no rows for step t=3")]
+        for model, schedule, message in cases:
+            before = threading.active_count()
+            with pytest.raises(ModelEvaluationError, match=message):
+                mc_entropy_reference(model.epsilon, schedule.betas, schedule.alpha_bars, 0.5,
+                                     6, 5, 2)
+            with pytest.raises(ModelEvaluationError, match=message):
+                estimate_conditional_entropy(model, schedule, n_z0=6, n_z1=5, seed=2)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_score_model_runs_only_on_the_calling_thread(self, monkeypatch, cpus):
+        monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
+        model = _RecordsThreads(FAST_ORACLE)
+        before = threading.active_count()
+        est = estimate_conditional_entropy(model, FAST, n_z0=9, n_z1=4, seed=5)
+        assert model.callers == {threading.get_ident()}
+        # On one CPU the noise is drawn inline: no thread is started.
+        assert (model.alive == {before}) == (cpus == 1)
+        _assert_bitwise_reference(est, FAST_ORACLE, FAST, 9, 4, 5)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("num_steps", [1, 2, 3, 2 * NOISE_BLOCK + 2])
+    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, num_steps,
+                                                                 cpus):
+        # num_steps - 1 noisy steps: none, one, two, and 2 * NOISE_BLOCK + 1.
+        monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
+        sched = NoiseSchedule.from_betas(np.linspace(0.02, 0.3, num_steps))
+        model = GmmScoreModel(TWO_DELTAS, sched, PART)
+        est = estimate_conditional_entropy(model, sched, n_z0=7, n_z1=3, seed=21)
+        _assert_bitwise_reference(est, model, sched, 7, 3, 21)
 
 
 class TestGmmScoreModel:
