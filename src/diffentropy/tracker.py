@@ -126,24 +126,28 @@ class ReplayScoreModel:
         header = None
         rows: dict[int, list[tuple[float, float, float, float]]] = {}
         with open(path, newline="") as fh:
-            for num, line in enumerate(fh, 1):
-                if line.startswith("#"):
-                    continue
-                fields = [field.strip() for field in line.split(",")]
-                if header is None:
-                    header = fields
-                    if header != expected:
-                        raise ModelEvaluationError(
-                            f"replay file {path}, line {num}: header must be {expected}, got {header}")
-                    continue
-                try:
-                    if len(fields) != len(expected):
-                        raise ValueError(f"expected {len(expected)} fields, got {len(fields)}")
-                    t = int(fields[0])
-                    values = tuple(float(v) for v in fields[1:])
-                except ValueError as err:
-                    raise ModelEvaluationError(f"replay file {path}, line {num}: {err}") from None
-                rows.setdefault(t, []).append(values)
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as err:
+                raise ModelEvaluationError(f"replay file {path} is not text: {err}") from None
+        for num, line in enumerate(lines, 1):
+            if line.startswith("#"):
+                continue
+            fields = [field.strip() for field in line.split(",")]
+            if header is None:
+                header = fields
+                if header != expected:
+                    raise ModelEvaluationError(
+                        f"replay file {path}, line {num}: header must be {expected}, got {header}")
+                continue
+            try:
+                if len(fields) != len(expected):
+                    raise ValueError(f"expected {len(expected)} fields, got {len(fields)}")
+                t = int(fields[0])
+                values = tuple(float(v) for v in fields[1:])
+            except ValueError as err:
+                raise ModelEvaluationError(f"replay file {path}, line {num}: {err}") from None
+            rows.setdefault(t, []).append(values)
         if header is None:
             raise ModelEvaluationError(f"replay file {path} is empty: no header line")
         table: dict[int, dict[str, np.ndarray]] = {}

@@ -199,14 +199,15 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("body, where", [
-        ("", "is empty"),
-        ("# comment only\nt,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1,-0.1,abc\n", "line 3"),
-        ("t,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1\n", "line 2"),
-        ("t,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1,-0.1,0.0\n149.5,0.0,0.1,-0.1,0.0\n", "line 3"),
-    ], ids=["empty", "non-numeric", "short-row", "non-integer-t"])
+        (b"", "is empty"),
+        (b"# comment only\nt,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1,-0.1,abc\n", "line 3"),
+        (b"t,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1\n", "line 2"),
+        (b"t,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1,-0.1,0.0\n149.5,0.0,0.1,-0.1,0.0\n", "line 3"),
+        (b"t,x,eps_z0,eps_z1,eps_null\n\xff\xfe,0.0,0.1,-0.1,0.0\n", "is not text"),
+    ], ids=["empty", "non-numeric", "short-row", "non-integer-t", "not-text"])
     def test_malformed_replay_file_is_numerical_failure(self, tmp_path, capsys, body, where):
         replay = tmp_path / "bad.csv"
-        replay.write_text(body)
+        replay.write_bytes(body)
         cfg = write_config(tmp_path / "c.json", method="montecarlo", samples=4,
                            score_model={"kind": "replay", "path": str(replay)})
         assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _oracles import mc_entropy_reference, side_posterior
 
+from diffentropy import tracker
 from diffentropy.core import (
     MixtureModel,
     NoiseSchedule,
@@ -12,7 +13,6 @@ from diffentropy.core import (
     linear_schedule,
     make_partition,
 )
-from diffentropy import tracker
 from diffentropy.entropy import conditional_entropy_at
 from diffentropy.mixture import class_posteriors, score
 from diffentropy.tracker import (
@@ -332,7 +332,8 @@ class _RecordsThreads:
 class TestNoiseWorker:
     """Noise drawn ahead on a worker thread: same numbers, same errors, no stray thread."""
 
-    def test_score_model_errors_propagate_and_the_worker_is_joined(self, tmp_path):
+    def test_score_model_errors_propagate_and_the_worker_is_joined(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tracker, "_usable_cpus", lambda: 2)
         sched = linear_schedule(8, 0.005, 0.2)
         path = tmp_path / "gap.csv"
         write_replay_csv(path, GmmScoreModel(TWO_DELTAS, sched, PART), sched, np.linspace(-6, 6, 41),
