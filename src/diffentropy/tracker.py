@@ -340,7 +340,7 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     roots = np.sqrt(1.0 - betas).tolist()
     noise_sds = np.sqrt(betas).tolist()
 
-    # Imported here, not with the package: it adds ~5 ms to every CLI start.
+    # Imported here, not with the package: it adds ~9 ms to every CLI start.
     from concurrent.futures import ThreadPoolExecutor
 
     # On one CPU the handoffs to a worker cost more than the overlap saves.
