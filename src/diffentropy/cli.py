@@ -231,7 +231,12 @@ def _partition_spec(entry: dict, k: int, index: int) -> PartitionSpec:
         default = f"group-{'-'.join(map(str, z0))}_vs_{'-'.join(map(str, z1))}"
     else:
         raise ConfigError(f"unknown partition preset {preset!r}")
-    return PartitionSpec(z0=z0, z1=z1, name=str(entry.get("name", default)))
+    name = str(entry.get("name", default))
+    # The name becomes part of a file name and of a CSV comment line.
+    if name in ("", ".", "..") or any(c in "/\\" or not c.isprintable() for c in name):
+        raise ConfigError(f"partition #{index} name must be a non-empty file name without "
+                          f"path separators or control characters, got {name!r}")
+    return PartitionSpec(z0=z0, z1=z1, name=name)
 
 
 _SCALAR_KEYS = {

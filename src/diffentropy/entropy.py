@@ -14,6 +14,8 @@ narrowest standard deviation; on such windows the midpoint rule converges
 exponentially.  The quadrature raises :class:`QuadratureDomainError` rather
 than return a wrong number when
 
+- the windows have no finite width in float64 (means too large for their
+  standard deviations),
 - a cell is wider than a quarter of its window's narrowest standard
   deviation (the message names a ``grid_points`` that would do),
 - the density's mass on the cells is off one by more than 1e-9, or
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid
-from .mixture import CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _logsumexp, diffused_params
+from .mixture import (CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _logsumexp, _subset_params,
+                      diffused_params)
 
 __all__ = [
     "QuadratureDomainError",
@@ -126,6 +129,14 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
     width = np.where(np.isfinite(lo), hi - lo, 0.0)
     span = width / narrow  # an empty slot spans 0 / inf = 0
     cum = np.cumsum(span, axis=0)
+    # Means so large that mu +- 10 sd rounds to one float (or overflows)
+    # leave no width to split into cells.
+    lost = ~(np.isfinite(cum[-1]) & (cum[-1] > 0.0))
+    if np.any(lost):
+        l = int(np.argmax(lost))
+        raise QuadratureDomainError(
+            f"{where(l)}: the decision's windows have no finite width in float64 "
+            f"(diffused means {mu[:, l].tolist()!r} for sds {sd[:, l].tolist()!r})")
     cells = np.diff(np.rint(cum / cum[-1] * grid_points).astype(np.int64), axis=0, prepend=0)
     dx = width / np.maximum(cells, 1)
     coarse = dx > MAX_CELL_SD * narrow
@@ -172,11 +183,11 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
             cell[:cell_dx.size] - np.repeat(first[rows].ravel(), counts) + 0.5) * cell_dx
         x, cell_dx = x.reshape(len(ab), grid_points), cell_dx.reshape(len(ab), grid_points)
         if equal_priors:
-            a, b = (_logsumexp(_log_joints(mixture, ab, x, side)[0])
+            a, b = (_logsumexp(_log_joints(_subset_params(mixture, ab, side, x.ndim), x))
                     for side in (partition.z0, partition.z1))
             dens = 0.5 * (np.exp(a) + np.exp(b))
         else:
-            lj, _, _ = _log_joints(mixture, ab, x, partition.z0 + partition.z1)
+            lj = _log_joints(_subset_params(mixture, ab, partition.z0 + partition.z1, x.ndim), x)
             a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
             dens = np.exp(a) + np.exp(b)
         mass[rows] = (dens * cell_dx).sum(axis=1)

@@ -66,32 +66,37 @@ def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.nd
 CHUNK_TERMS = 1 << 14
 
 
-def _subset_params(mixture: MixtureModel, alpha_bar, x: np.ndarray, subset) -> tuple:
-    """Diffused means and variances of the components in ``subset``.
+def _log_weights(mixture: MixtureModel, subset) -> np.ndarray:
+    """Log weights of the components in ``subset``, renormalized within it."""
+    w = np.maximum(mixture.weights[np.asarray(subset)], POSTERIOR_FLOOR)
+    return np.log(w / w.sum())
+
+
+def _subset_params(mixture: MixtureModel, alpha_bar, subset, ndim: int) -> tuple:
+    """The kernel's parameters for ``subset``: diffused means, variances, log weights.
 
     Components lie on a leading axis, and the levels' axes align with the
-    trailing axes of ``x``, so both broadcast against ``x``.
+    trailing axes of an ``x`` of ``ndim`` dimensions, so all three broadcast
+    against ``x``.
     """
     mu, var = diffused_params(mixture, alpha_bar)
     idx = np.asarray(subset)
-    shape = (idx.size,) + (1,) * (x.ndim - mu.ndim + 1) + mu.shape[1:]
-    return mu[idx].reshape(shape), var[idx].reshape(shape)
+    shape = (idx.size,) + (1,) * (ndim - mu.ndim + 1) + mu.shape[1:]
+    return (mu[idx].reshape(shape), var[idx].reshape(shape),
+            _log_weights(mixture, idx).reshape((-1,) + (1,) * ndim))
 
 
-def _log_joints(mixture: MixtureModel, alpha_bar, x: np.ndarray, subset) -> tuple:
-    """The component kernel: ``log(w_k N(x; mu_kt, var_kt))`` for ``k`` in ``subset``.
+def _log_joints(params: tuple, x: np.ndarray) -> np.ndarray:
+    """The component kernel: ``log(w_k N(x; mu_kt, var_kt))`` of each component.
 
-    Components lie on a leading axis, shape ``(K,) + x.shape``, and the weights
-    are renormalized within the subset.  Also returns the subset's diffused
-    means and variances, shaped to broadcast against the log joints.
-    ``alpha_bar`` is one level, or an array of levels that broadcasts against
-    ``x`` (shape ``(L, 1)`` against ``(L, n)`` puts one level on each row, and
-    shape ``(n,)`` against ``(n,)`` one level per point); either way every
-    element sees the same arithmetic.
+    ``params`` is a :func:`_subset_params` triple; components lie on a leading
+    axis, shape ``(K,) + x.shape``.  Levels broadcast against ``x``: params of
+    ``alpha_bar`` shape ``(L, 1)`` against ``x`` of shape ``(L, n)`` put one
+    level on each row, and shape ``(n,)`` against ``(n,)`` one level per
+    point; either way every element sees the same arithmetic.
     """
-    mu, var = _subset_params(mixture, alpha_bar, x, subset)
-    w = np.maximum(mixture.weights[np.asarray(subset)], POSTERIOR_FLOOR).reshape((-1,) + (1,) * x.ndim)
-    return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var) + np.log(w / w.sum()), mu, var
+    mu, var, log_w = params
+    return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var) + log_w
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -111,7 +116,7 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 def class_posteriors(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray:
     """Posterior probability of each component given the noisy observation ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    lj, _, _ = _log_joints(mixture, alpha_bar, x, range(mixture.num_components))
+    lj = _log_joints(_subset_params(mixture, alpha_bar, range(mixture.num_components), x.ndim), x)
     return np.moveaxis(_softmax(lj), 0, -1)
 
 
@@ -135,24 +140,27 @@ def resolve_label(label, partition: Partition | None, num_components: int) -> tu
     return (k,)
 
 
-def _score_terms(mixture: MixtureModel, alpha_bar, x, label, partition):
+def _score_terms(params: tuple, x: np.ndarray) -> tuple:
     """Posterior weights, pulls ``(mu_kt - x) / var_kt`` and variances, and the score.
 
-    A one-component subset skips the log joints: its posterior weight is
+    The one score formula, on a :func:`_subset_params` triple.  A
+    one-component subset skips the log joints: its posterior weight is
     exactly 1, as the softmax of one row gives, and its score is its pull
     row plus +0.0: the bits of the weighted sum over that one row, which
     starts from +0.0 and so turns a -0.0 pull into +0.0.
     """
+    mu, var, _ = params
+    single = len(mu) == 1
+    w = 1.0 if single else _softmax(_log_joints(params, x))
+    pull = (mu - x) / var
+    return w, pull, var, pull[0] + 0.0 if single else (w * pull).sum(axis=0)
+
+
+def _label_terms(mixture: MixtureModel, alpha_bar, x, label, partition) -> tuple:
+    """:func:`_score_terms` of the subset that ``label`` selects, at ``alpha_bar``."""
     subset = resolve_label(label, partition, mixture.num_components)
     x = np.asarray(x, dtype=np.float64)
-    if len(subset) == 1:
-        mu, var = _subset_params(mixture, alpha_bar, x, subset)
-        w = 1.0
-    else:
-        lj, mu, var = _log_joints(mixture, alpha_bar, x, subset)
-        w = _softmax(lj)
-    pull = (mu - x) / var
-    return w, pull, var, pull[0] + 0.0 if len(subset) == 1 else (w * pull).sum(axis=0)
+    return _score_terms(_subset_params(mixture, alpha_bar, subset, x.ndim), x)
 
 
 def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",
@@ -162,7 +170,7 @@ def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",
     Arrays (or numpy scalars), bitwise equal to the two functions' values;
     ``alpha_bar`` may be an array of levels, as for the component kernel.
     """
-    w, pull, var, first = _score_terms(mixture, alpha_bar, x, label, partition)
+    w, pull, var, first = _label_terms(mixture, alpha_bar, x, label, partition)
     return first, (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
 
 
@@ -172,7 +180,7 @@ def score(mixture: MixtureModel, alpha_bar: float, x, label="null", partition: P
     For posterior weights ``w_k(x)`` within the subset this is
     ``sum_k w_k(x) * (mu_kt - x) / var_kt``, the exact conditional score.
     """
-    out = _score_terms(mixture, alpha_bar, x, label, partition)[3]
+    out = _label_terms(mixture, alpha_bar, x, label, partition)[3]
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,35 +9,36 @@ are combined with the decision priors into the entropy estimate.
 
 Each branch draws all its noise from one PCG64 stream, its child of
 ``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per step
-t > 1.  The per-step vectors are drawn one block of ``NOISE_BLOCK`` steps
-ahead on one worker thread (inline when the process may use only one CPU)
-while the caller's thread runs the steps; they are the same draws in the same
-order, so outputs are unchanged.  The score model is still called only from
-the caller's thread, so it needs no thread safety.  Each branch allocates its
-n-sized arrays (states, log-odds, both denoising means, two noise blocks)
-once, and every step writes into them, so the estimator's memory is O(n)
-whatever the number of steps.
+t > 1.  Once x_T is drawn, a producer thread of the branch draws the per-step
+vectors in blocks of ``NOISE_BLOCK_BYTES`` (256 KiB), one block ahead of the
+caller's thread, which runs the steps (inline when the process may use only
+one CPU); they are the same draws in the same order, so outputs are
+unchanged.  The score model is called only from the caller's thread, so it
+needs no thread safety.  Each branch allocates its n-sized arrays (states,
+log-odds, both denoising means, two noise blocks) once, and every step writes
+into them, so the estimator's memory is O(n) whatever the number of steps.
 
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
 by ``eps = -sqrt(1 - alpha_bar_t) * d/dx log p(x_t | label)``.  The exact
-mixture oracle and a file-backed replay model are provided.
+mixture oracle, which reads each step's kernel parameters from tables built
+once, and a file-backed replay model are provided.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import os
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition
 from .entropy import _logit_entropy_bits, binary_entropy_bits
-from .mixture import score
+from .mixture import _log_weights, _score_terms, diffused_params, resolve_label, score
 
 __all__ = [
     "ModelEvaluationError",
@@ -56,9 +57,10 @@ LOGIT_MAX = float(np.log((1.0 - POST_CLAMP) / POST_CLAMP))
 
 REPLAY_LABELS = ("z0", "z1", "null")
 
-# Noise rows per block that the worker thread draws ahead of the estimator.
-# Two blocks of n-rows are in flight per branch, so this stays small.
-NOISE_BLOCK = 2
+# Bytes per block of noise rows that a branch's producer thread draws ahead of
+# the estimator: max(1, NOISE_BLOCK_BYTES // (8 n)) rows.  Two blocks are in
+# flight per branch, so this stays small.
+NOISE_BLOCK_BYTES = 1 << 18
 
 
 class ModelEvaluationError(RuntimeError):
@@ -73,9 +75,12 @@ class ScoreModel(Protocol):
         call, and the estimator overwrites it once it has read both of a
         step's predictions, so keep a copy, not a reference, of anything
         needed later.  The returned array is only read, never written, so a
-        model may return its input, a view of it, or an array it caches.
+        model may return its input, a view of it, or an array it caches.  A
+        model may also build per-step state once, as :class:`GmmScoreModel`
+        tabulates each step's kernel parameters, so a call does only the
+        arithmetic on ``x``.
         The estimator calls it only from the caller's thread, never from the
-        worker that draws its noise ahead, so a model needs no thread safety.
+        producer that draws its noise ahead, so a model needs no thread safety.
         """
         ...
 
@@ -88,23 +93,51 @@ class GmmScoreModel:
     unconditional (full mixture) score, the two-forward-pass approximation
     used for one-vs-rest decisions; ``"exact"`` uses the true complement
     sub-mixture.
+
+    Construction tabulates, for steps 1..T, ``-sqrt(1 - alpha_bar_t)`` and the
+    kernel's parameters (diffused means, variances, log weights) of each
+    label's subset: ``"null"``, each component index, and ``"z0"``/``"z1"``
+    given a partition.  A call at such a step runs only the kernel arithmetic
+    on ``x``; any other query (step 0, say) calls :func:`score`.  Either way
+    the prediction is ``-sqrt(1 - alpha_bar_t) * score(...)``, bitwise.
     """
 
     mixture: MixtureModel
     schedule: NoiseSchedule
     partition: Partition | None = None
     complement_mode: str = "exact"
+    _tables: dict = field(init=False, repr=False, compare=False)
+    _neg_roots: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.complement_mode not in ("exact", "null"):
             raise ParameterError(f"complement_mode must be 'exact' or 'null', got {self.complement_mode!r}")
+        k = self.mixture.num_components
+        labels = ["null", *range(k)] + (["z0", "z1"] if self.partition is not None else [])
+        mu, var = diffused_params(self.mixture, self.schedule.alpha_bars)
+        tables = {}
+        for label in labels:
+            idx = list(resolve_label(label, self.partition, k))
+            # Row t - 1 holds step t, shaped (components, 1) against a 1-d x.
+            tables[label] = (mu[idx].T[..., None].copy(), var[idx].T[..., None].copy(),
+                             _log_weights(self.mixture, idx)[:, None])
+        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_neg_roots", (-np.sqrt(1.0 - self.schedule.alpha_bars)).tolist())
 
     def epsilon(self, x, t: int, label) -> np.ndarray:
-        ab = self.schedule.alpha_bar(t)
         if label == "z1" and self.complement_mode == "null":
             label = "null"
-        grad = score(self.mixture, ab, x, label=label, partition=self.partition)
-        return -np.sqrt(1.0 - ab) * np.asarray(grad)
+        table = self._tables.get(label) if 0 < t <= len(self._neg_roots) else None
+        if table is None:
+            ab = self.schedule.alpha_bar(t)
+            grad = score(self.mixture, ab, x, label=label, partition=self.partition)
+            return -np.sqrt(1.0 - ab) * np.asarray(grad)
+        x = np.asarray(x, dtype=np.float64)
+        mu, var, log_w = table
+        params = (mu[t - 1], var[t - 1], log_w)
+        if x.ndim != 1:
+            params = tuple(p.reshape((-1,) + (1,) * x.ndim) for p in params)
+        return self._neg_roots[t - 1] * _score_terms(params, x)[3]
 
 
 class ReplayScoreModel:
@@ -184,7 +217,7 @@ def write_replay_csv(path, model: ScoreModel, schedule: NoiseSchedule, x_grid,
 
 def _check_finite(eps: np.ndarray, x, t: int, label) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
-    if not np.all(np.isfinite(eps)):
+    if not np.isfinite(eps).all():
         bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(eps)))[0])
         xval = np.atleast_1d(np.asarray(x))[bad] if np.ndim(x) else x
         raise ModelEvaluationError(
@@ -233,7 +266,8 @@ def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.nd
     d0 = np.square(np.subtract(x_next, mu_z0, out=w0), out=w0)
     d1 = np.square(np.subtract(x_next, mu_z1, out=w1), out=w1)
     step = np.multiply(scale, np.subtract(d0, d1, out=w0), out=w0)
-    return np.clip(np.subtract(logit, step, out=out), -LOGIT_MAX, LOGIT_MAX, out=out)
+    moved = np.subtract(logit, step, out=out)
+    return np.minimum(np.maximum(moved, -LOGIT_MAX, out=out), LOGIT_MAX, out=out)
 
 
 def _usable_cpus() -> int:
@@ -244,35 +278,71 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _noise_rows(rng, n: int, count: int, pool):
-    """Yield ``count`` rows of ``rng.standard_normal(n)``, then one spare row.
+class _NoiseRows:
+    """``count`` successive ``rng.standard_normal(n)`` rows, drawn one block ahead.
 
-    ``pool``'s worker (the caller's thread if ``pool`` is None) draws the
-    rows ``NOISE_BLOCK`` at a time, one block ahead of the caller; they equal
-    ``count`` successive ``standard_normal(n)`` calls.  A row is the caller's
-    work space until it asks for the next one, and the spare row, never drawn
-    into, is work space for a step without noise.
+    A block holds ``max(1, NOISE_BLOCK_BYTES // (8 n))`` rows, and two are in
+    flight.  As a context manager it starts a producer thread that fills the
+    blocks in turn (unless ``threaded`` is false: then :meth:`rows` draws each
+    block when its first row is asked for), and on leaving it stops and joins
+    the producer, however the caller's loop ended.  The producer owns block
+    ``b`` from taking ``_free[b]`` until the caller has read the block, and
+    the caller may take ``_filled[b]`` once the block is drawn.
     """
-    blocks = np.empty((2, NOISE_BLOCK, n))
-    sizes = [min(NOISE_BLOCK, count - start) for start in range(0, count, NOISE_BLOCK)]
 
-    def draw(j):
-        block = blocks[j % 2, :sizes[j]]
-        if pool is None:
-            rng.standard_normal(out=block)
-            return None
-        return pool.submit(rng.standard_normal, out=block)
+    def __init__(self, rng, n: int, count: int, threaded: bool):
+        rows = max(1, min(count, NOISE_BLOCK_BYTES // (8 * n)))
+        self._rng = rng
+        self._blocks = np.empty((2, rows, n))
+        self._sizes = [min(rows, count - start) for start in range(0, count, rows)]
+        self._free = (threading.Lock(), threading.Lock())
+        self._filled = (threading.Lock(), threading.Lock())
+        for lock in self._filled:
+            lock.acquire()
+        self._stop = False
+        threaded = threaded and bool(self._sizes)
+        self._producer = threading.Thread(target=self._produce) if threaded else None
 
-    pending = draw(0) if sizes else None
-    for j, size in enumerate(sizes):
-        if pending is not None:
-            pending.result()
-        # The other block's rows were all handed out, and the caller has
-        # asked past the last of them, so it is free to refill.
-        if j + 1 < len(sizes):
-            pending = draw(j + 1)
-        yield from blocks[j % 2, :size]
-    yield blocks[0, 0]
+    def _produce(self):
+        for j, size in enumerate(self._sizes):
+            self._free[j % 2].acquire()
+            if self._stop:
+                return
+            self._rng.standard_normal(out=self._blocks[j % 2, :size])
+            self._filled[j % 2].release()
+
+    def __enter__(self):
+        if self._producer is not None:
+            self._producer.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._producer is not None:
+            self._stop = True
+            # Only the caller releases a free lock, so one held now stays held
+            # until this release; it wakes a producer waiting for that block.
+            for lock in self._free:
+                if lock.locked():
+                    lock.release()
+            self._producer.join()
+
+    def rows(self):
+        """Yield the rows in order, then a spare row that no later draw overwrites.
+
+        A row is the caller's work space until it asks for the next one, and
+        the spare row is work space for a step without noise.
+        """
+        for j, size in enumerate(self._sizes):
+            block = self._blocks[j % 2, :size]
+            if self._producer is None:
+                self._rng.standard_normal(out=block)
+            else:
+                self._filled[j % 2].acquire()
+            yield from block
+            # The caller has asked past the block's last row, so it is free.
+            if self._producer is not None:
+                self._free[j % 2].release()
+        yield self._blocks[0, 0]
 
 
 @dataclass(frozen=True)
@@ -320,7 +390,7 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     Branch ``i`` (0 for z0, 1 for z1) draws from one stream,
     ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T as
     ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1,
-    which one worker thread draws a block of ``NOISE_BLOCK`` steps ahead.
+    which a producer thread draws one block of ``NOISE_BLOCK_BYTES`` ahead.
     Memory is O(n), independent of the number of steps.  Every call of
     ``score_model.epsilon`` is handed the branch's one state buffer, which
     the step overwrites after both predictions are read (see
@@ -340,23 +410,20 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     roots = np.sqrt(1.0 - betas).tolist()
     noise_sds = np.sqrt(betas).tolist()
 
-    # Imported here, not with the package: it adds ~9 ms to every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # On one CPU the handoffs to a worker cost more than the overlap saves.
-    workers = ThreadPoolExecutor(1) if _usable_cpus() > 1 else contextlib.nullcontext()
+    # On one CPU the handoffs to a producer cost more than the overlap saves.
+    threaded = _usable_cpus() > 1
     branch_means = []
     branch_seqs = np.random.SeedSequence(seed).spawn(2)
-    with workers as pool:
-        for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
-            rng = np.random.Generator(np.random.PCG64(branch_seq))
-            x = rng.standard_normal(n)
-            noise_rows = _noise_rows(rng, n, num_steps - 1, pool)
-            logit = np.full(n, prior_logit)
-            mu0, mu1 = np.empty(n), np.empty(n)
-            own = mu0 if label == "z0" else mu1
-            summand = np.empty(num_steps + 1)
-            summand[num_steps] = prior_summand
+    for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
+        rng = np.random.Generator(np.random.PCG64(branch_seq))
+        x = rng.standard_normal(n)
+        logit = np.full(n, prior_logit)
+        mu0, mu1 = np.empty(n), np.empty(n)
+        own = mu0 if label == "z0" else mu1
+        summand = np.empty(num_steps + 1)
+        summand[num_steps] = prior_summand
+        with _NoiseRows(rng, n, num_steps - 1, threaded) as noise_rows:
+            rows = noise_rows.rows()
             for t in range(num_steps, 0, -1):
                 i = t - 1
                 eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0")
@@ -364,14 +431,15 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
                 _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
                 _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
                 # Both predictions are read, so x (which they may alias) is free.
-                noise = next(noise_rows)
+                noise = next(rows)
                 if t > 1:
                     np.add(own, np.multiply(noise_sds[i], noise, out=noise), out=x)
                 else:
                     np.copyto(x, own)
                 _logit_update(logit, x, mu0, mu1, scales[i], out=logit, work=(mu0, mu1))
-                summand[i] = -float(np.mean(_logit_entropy_bits(logit, work=(mu0, mu1, noise))))
-            branch_means.append(summand)
+                h = _logit_entropy_bits(logit, work=(mu0, mu1, noise))
+                summand[i] = -float(np.add.reduce(h) / n)
+        branch_means.append(summand)
 
     steps = np.arange(num_steps + 1)
     h_bits = -(prior_z0 * branch_means[0] + (1.0 - prior_z0) * branch_means[1])

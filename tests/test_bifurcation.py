@@ -278,14 +278,14 @@ class TestTraceBifurcations:
     @pytest.mark.parametrize("stride, bad_step", [(1, 137), (10, 131)])
     def test_a_failing_level_of_a_batch_names_its_step(self, monkeypatch, stride, bad_step):
         bad = SCHEDULE.alpha_bar(bad_step)
-        real = mixture._log_joints
+        real = mixture._subset_params
 
         def failing(mix, alpha_bar, *args):
             if np.any(np.asarray(alpha_bar) == bad):
                 raise FloatingPointError("kernel overflow")
             return real(mix, alpha_bar, *args)
 
-        monkeypatch.setattr(mixture, "_log_joints", failing)
+        monkeypatch.setattr(mixture, "_subset_params", failing)
         with pytest.raises(FloatingPointError, match=f"^level t={bad_step}: kernel overflow$"):
             trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=stride)
 

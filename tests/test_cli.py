@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import diffentropy
 from diffentropy.cli import ConfigError, ExperimentConfig, load_config, main
 from diffentropy.core import linear_schedule
 from diffentropy.tracker import GmmScoreModel, write_replay_csv
@@ -182,6 +192,27 @@ class TestEstimateCommand:
         assert len(rows) == 151
         assert all(np.isfinite(float(r.split(",")[2])) for r in rows)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_estimate_job_loads_no_executor_module(self, tmp_path, cpus):
+        # The noise producer is a plain thread: concurrent.futures, with its
+        # imports, would cost every CLI process ~9 ms and ~0.6 MB.
+        cfg = write_config(tmp_path / "c.json", method="montecarlo", samples=4)
+        script = "\n".join([
+            "import sys",
+            "import diffentropy.tracker as tracker",
+            "from diffentropy.cli import main",
+            f"tracker._usable_cpus = lambda: {cpus}",
+            f"assert main(['estimate', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0",
+            "print(sorted(name for name in sys.modules if name.startswith('concurrent')))",
+        ])
+        src = str(Path(diffentropy.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "estimate.csv").exists()
+
     def test_missing_replay_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", method="montecarlo",
                            score_model={"kind": "replay", "path": str(tmp_path / "nope.csv")})
@@ -311,3 +342,116 @@ class TestValidateAndErrors:
         cfg = write_config(tmp_path / "c.json")
         assert main(["validate-config", "--config", str(cfg)] + flag) == 2
         assert "must be >=" in capsys.readouterr().err
+
+
+class TestConfigFuzz:
+    """Malformed and edge-case configs on small schedules: an exit code, never a traceback."""
+
+    JUNK = st.sampled_from(["x", "", None, True, [], {}, [1], -1, 0, float("nan"), float("inf")])
+    EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, 1e6, 1e150, 1e300, -1e300,
+                             1.7976931348623157e308])
+
+    @staticmethod
+    @st.composite
+    def cases(draw, junk=JUNK, edges=EDGES):
+        def mostly(valid, invalid=junk):
+            # Invalid one time in 40, so most configs reach a job.  The pick
+            # is 17, not 0: Hypothesis favours the simplest draw, 0.
+            return draw(invalid) if draw(st.integers(0, 39)) == 17 else draw(valid)
+
+        k = draw(st.integers(1, 5))
+        finite = st.one_of(st.floats(-20.0, 20.0), edges)
+        positive = st.one_of(st.floats(0.01, 5.0), st.sampled_from([1e-300, 1e-12, 1e12, 1e300]))
+        bad_list = st.one_of(junk, st.lists(finite, max_size=6))
+        mix = {"means": mostly(st.lists(finite, min_size=k, max_size=k), bad_list)}
+        if draw(st.booleans()):
+            w = draw(st.lists(positive, min_size=k, max_size=k))
+            mix["weights"] = mostly(st.just([v / sum(w) for v in w]), bad_list)
+        if draw(st.booleans()):
+            mix["variances"] = mostly(st.lists(st.one_of(st.just(0.0), positive), min_size=k,
+                                               max_size=k), bad_list)
+        method = draw(st.sampled_from(["quadrature", "montecarlo", "fixedpoints"]))
+        # Small schedules and samples keep each job to milliseconds.
+        schedule = {"num_steps": mostly(st.integers(2, 30), st.one_of(junk, st.integers(-2, 1)))}
+        if draw(st.booleans()):
+            beta = st.one_of(st.floats(1e-6, 0.5), st.sampled_from([1e-300, 1e-12, 0.5, 0.999999]))
+            lo, hi = sorted([draw(beta), draw(beta)])
+            schedule["beta_start"], schedule["beta_end"] = mostly(st.just(lo)), mostly(st.just(hi))
+        raw = {"mixture": mix, "method": mostly(st.just(method)), "schedule": mostly(st.just(schedule))}
+
+        index = st.integers(0, k - 1)
+        bad_indices = st.lists(st.one_of(junk, st.integers(-2, k + 1), st.floats(0.0, k)), max_size=3)
+        partitions = []
+        for _ in range(mostly(st.just(1), st.integers(0, 3))):
+            preset = draw(st.sampled_from([None, "one-vs-one", "one-vs-rest", "group-vs-group"]))
+            if preset in (None, "group-vs-group"):
+                order = draw(st.permutations(range(k)))
+                cut = max(1, k - 1) if k < 3 else draw(st.integers(1, k - 1))
+                entry = {"z0": list(order[:cut]), "z1": list(order[cut:])}
+                side = draw(st.sampled_from(["z0", "z1"]))
+                entry[side] = mostly(st.just(entry[side]), bad_indices)
+            elif preset == "one-vs-one":
+                entry = {"classes": mostly(st.lists(index, min_size=2, max_size=2), bad_indices)}
+            else:
+                entry = {"target": mostly(index, bad_indices)}
+            if preset is not None:
+                entry["preset"] = preset
+            if draw(st.booleans()):
+                entry["name"] = mostly(st.text("ab-_.", min_size=1, max_size=4), st.text(max_size=4))
+            partitions.append(mostly(st.just(entry)))
+        raw["partitions"] = partitions
+
+        prior = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-300, 1.0 - 1e-16]))
+        raw["samples"] = mostly(st.integers(1, 6), st.one_of(junk, st.integers(-3, 0)))
+        for key, valid in (("seed", st.integers(0, 2**40)), ("samples_z1", st.integers(1, 6)),
+                           ("grid_points", st.integers(64, 1024)),
+                           ("stride", st.integers(1, 40)), ("prior_z0", prior),
+                           ("drift_coeff", st.one_of(st.floats(-2.0, 2.0), edges))):
+            if draw(st.booleans()):
+                raw[key] = mostly(valid, st.one_of(junk, st.integers(-3, 0)))
+        if draw(st.booleans()):
+            raw["score_model"] = {
+                "kind": mostly(st.just("oracle"), st.sampled_from(["replay", "bogus"])),
+                "complement": mostly(st.sampled_from(["exact", "null"]))}
+        if draw(st.integers(0, 39)) == 17:
+            raw[draw(st.sampled_from(["typo", "partition"]))] = draw(junk)
+        command = {"quadrature": "profile", "montecarlo": "estimate",
+                   "fixedpoints": "fixed-points"}[method]
+        if draw(st.integers(0, 39)) == 17:
+            command = draw(st.sampled_from(["profile", "estimate", "fixed-points", "validate-config"]))
+        return raw, command
+
+    # Edge configs may overflow on the way to their exit code; the warnings
+    # say so on stderr, which is not what this test checks.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(cases())
+    def test_every_config_ends_in_an_exit_code(self, case):
+        raw, command = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    def test_means_past_float_resolution_are_numerical_failure(self, tmp_path, capsys):
+        # Found by the fuzz: mu +- 10 sd rounded to one float, and the cell
+        # split divided 0 by 0 into negative cell counts (a ValueError).
+        cfg = write_config(tmp_path / "c.json", mixture={"means": [1e150, 1e150, 1e150]},
+                           partitions=[{"z0": [0], "z1": [1, 2]}])
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "no finite width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["\x00", "a/b", "..", "", "x\ny", "c\\d"])
+    def test_partition_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        # Found by the fuzz: a NUL byte in a name crashed the profile job's
+        # file write; a separator or ".." would write outside --out.
+        cfg = write_config(tmp_path / "c.json", partitions=[{"z0": [0], "z1": [1], "name": name}])
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "name must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

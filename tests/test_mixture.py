@@ -10,6 +10,7 @@ from diffentropy.mixture import (
     _log_joints,
     _score_and_derivative,
     _logsumexp,
+    _subset_params,
     _softmax,
     class_posteriors,
     diffused_params,
@@ -20,6 +21,12 @@ from diffentropy.mixture import (
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR = (FOUR_DELTAS.means, FOUR_DELTAS.weights, FOUR_DELTAS.variances)
+
+
+def _kernel(mix, alpha_bar, x, subset):
+    """The log joints of ``subset`` at ``x``, with the diffused means and variances."""
+    params = _subset_params(mix, alpha_bar, subset, np.ndim(x))
+    return _log_joints(params, x), params[0], params[1]
 
 
 class TestDiffusedParams:
@@ -82,18 +89,18 @@ class TestAgainstPlainNumpy:
 
     def test_single_component_log_joint_is_the_log_density(self):
         m = MixtureModel(weights=[1.0], means=[0.0], variances=[1.0])
-        lj, _, _ = _log_joints(m, 0.5, np.asarray(0.0), (0,))
+        lj, _, _ = _kernel(m, 0.5, np.asarray(0.0), (0,))
         assert lj[0] == pytest.approx(np.log(1.0 / np.sqrt(2 * np.pi)))
 
     def test_symmetric_pair_log_joints_equal_at_origin(self):
-        lj, _, _ = _log_joints(TWO_DELTAS, 0.7, np.asarray(0.0), (0, 1))
+        lj, _, _ = _kernel(TWO_DELTAS, 0.7, np.asarray(0.0), (0, 1))
         assert lj[0] == pytest.approx(lj[1], rel=1e-14)
 
     def test_kernel_log_joints_match_the_reference(self):
         rng = np.random.default_rng(0)
         xs = rng.uniform(-12, 12, size=200)
         for ab in (0.1, 0.5, 0.9):
-            lj, _, _ = _log_joints(FOUR_DELTAS, ab, xs, range(4))
+            lj, _, _ = _kernel(FOUR_DELTAS, ab, xs, range(4))
             np.testing.assert_allclose(np.moveaxis(lj, 0, -1), component_log_joints(*FOUR, ab, xs),
                                        rtol=1e-12, atol=1e-12)
 
@@ -227,10 +234,10 @@ class TestKernelHelpers:
         mixture = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.0, 0.4, 2.0])
         levels = np.array([0.0, 0.1, 0.5, 0.999])
         x = np.linspace(-6.0, 6.0, 4 * 7).reshape(4, 7)
-        batch, mu, var = _log_joints(mixture, levels[:, None], x, (2, 0))
+        batch, mu, var = _kernel(mixture, levels[:, None], x, (2, 0))
         assert batch.shape == (2, 4, 7) and mu.shape == var.shape == (2, 4, 1)
         for i, ab in enumerate(levels):
-            single, _, _ = _log_joints(mixture, float(ab), x[i], (2, 0))
+            single, _, _ = _kernel(mixture, float(ab), x[i], (2, 0))
             np.testing.assert_array_equal(batch[:, i], single)
 
     def test_level_batch_checks_every_level(self):
@@ -275,7 +282,7 @@ class TestOneComponentSubset:
             for ab in (0.0, 1e-4, 0.5, 0.999, np.array([[0.2], [0.7]])):
                 x = self.XS if np.ndim(ab) == 0 else np.tile(self.XS, (2, 1))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    lj, mu, var = _log_joints(self.MIX, ab, x, (k,))
+                    lj, mu, var = _kernel(self.MIX, ab, x, (k,))
                     w = _softmax(lj)
                     pull = (mu - x) / var
                     first = (w * pull).sum(axis=0)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -14,10 +15,10 @@ from diffentropy.core import (
     make_partition,
 )
 from diffentropy.entropy import conditional_entropy_at
-from diffentropy.mixture import class_posteriors, score
+from diffentropy.mixture import DegenerateDensityError, class_posteriors, score
 from diffentropy.tracker import (
     LOGIT_MAX,
-    NOISE_BLOCK,
+    NOISE_BLOCK_BYTES,
     POST_CLAMP,
     GmmScoreModel,
     McEntropyEstimate,
@@ -253,6 +254,8 @@ class TestEstimateConditionalEntropy:
 
 THREE = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.1, 0.4, 2.0])
 THREE_PART = make_partition(THREE, [1], [0, 2])
+FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
+GROUPS = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
 
 
 class _EchoModel:
@@ -311,64 +314,151 @@ def _assert_bitwise_reference(est, model, schedule, n_z0, n_z1, seed):
     np.testing.assert_array_equal(est.h_z1.view(np.int64), ref_z1.view(np.int64))
 
 
-class _RaisesAtStep3:
+class _RaisesAtStep:
+    def __init__(self, step):
+        self.step = step
+
     def epsilon(self, x, t, label):
-        if t == 3:
-            raise ModelEvaluationError("no prediction at t=3")
+        if t == self.step:
+            raise ModelEvaluationError(f"no prediction at t={t}")
         return FAST_ORACLE.epsilon(x, t, label)
 
 
 class _RecordsThreads:
-    def __init__(self, inner):
-        self.inner = inner
-        self.callers, self.alive = set(), set()
+    """Records the calling threads, and the live thread count at each branch's first call."""
+
+    def __init__(self, inner, first_step):
+        self.inner, self.first_step = inner, first_step
+        self.callers, self.alive_at_first = set(), []
 
     def epsilon(self, x, t, label):
         self.callers.add(threading.get_ident())
-        self.alive.add(threading.active_count())
+        if (t, label) == (self.first_step, "z0"):
+            self.alive_at_first.append(threading.active_count())
         return self.inner.epsilon(x, t, label)
 
 
-class TestNoiseWorker:
-    """Noise drawn ahead on a worker thread: same numbers, same errors, no stray thread."""
+def _estimate_bounded(*args, **kwargs):
+    """``estimate_conditional_entropy`` on a helper thread, so a deadlocked
+    producer fails the test within a minute instead of hanging it.
 
-    def test_score_model_errors_propagate_and_the_worker_is_joined(self, monkeypatch, tmp_path):
+    Returns the estimate and the helper's thread id; re-raises its error.
+    """
+    done = {}
+
+    def run():
+        done["ident"] = threading.get_ident()
+        try:
+            done["estimate"] = estimate_conditional_entropy(*args, **kwargs)
+        except Exception as err:  # handed to the test's thread below
+            done["error"] = err
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "the estimator did not finish within 60 s"
+    if "error" in done:
+        raise done["error"]
+    return done["estimate"], done["ident"]
+
+
+def _block_rows(n, count):
+    return tracker._NoiseRows(np.random.default_rng(0), n, count, threaded=False)._blocks.shape[1]
+
+
+class TestNoiseWorker:
+    """Noise drawn ahead on a producer thread: same numbers, same errors, no stray thread."""
+
+    def test_blocks_hold_the_byte_budget(self):
+        assert NOISE_BLOCK_BYTES == 256 * 1024
+        # 3 rows of 10^4; never more rows than the draws; at least one row,
+        # the spare, even with no draws or with rows wider than the budget.
+        assert [_block_rows(n, count) for n, count in
+                [(10_000, 999), (1, 999), (7, 0), (40_000, 999)]] == [3, 999, 1, 1]
+
+    @pytest.mark.parametrize("step", [FAST.num_steps, FAST.num_steps - 3, 3],
+                             ids=["first-step", "mid-run", "near-the-end"])
+    def test_score_model_errors_propagate_and_the_producer_is_joined(self, monkeypatch, tmp_path,
+                                                                     step):
         monkeypatch.setattr(tracker, "_usable_cpus", lambda: 2)
+        # Two rows per block for n = 6 and 5: at the first two errors the
+        # producer is waiting for a block to be freed.
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 6 * 2)
         sched = linear_schedule(8, 0.005, 0.2)
         path = tmp_path / "gap.csv"
         write_replay_csv(path, GmmScoreModel(TWO_DELTAS, sched, PART), sched, np.linspace(-6, 6, 41),
                          steps=[t for t in range(1, 9) if t != 3])
-        cases = [(_RaisesAtStep3(), FAST, "no prediction at t=3"),
+        cases = [(_RaisesAtStep(step), FAST, f"no prediction at t={step}"),
                  (ReplayScoreModel.from_csv(path), sched, "no rows for step t=3")]
         for model, schedule, message in cases:
             before = threading.active_count()
             with pytest.raises(ModelEvaluationError, match=message):
                 mc_entropy_reference(model.epsilon, schedule.betas, schedule.alpha_bars, 0.5,
                                      6, 5, 2)
-            with pytest.raises(ModelEvaluationError, match=message):
-                estimate_conditional_entropy(model, schedule, n_z0=6, n_z1=5, seed=2)
+            with pytest.raises(ModelEvaluationError, match=message) as caught:
+                _estimate_bounded(model, schedule, n_z0=6, n_z1=5, seed=2)
+            # The traceback, which holds the estimator's frames, is still alive.
+            assert caught.tb is not None
             assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_score_model_runs_only_on_the_calling_thread(self, monkeypatch, cpus):
         monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
-        model = _RecordsThreads(FAST_ORACLE)
+        # 2 and 4 rows per block: each branch's producer has more blocks to
+        # draw than fit ahead, so it waits alive through the branch's first step.
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 9 * 2)
+        model = _RecordsThreads(FAST_ORACLE, FAST.num_steps)
         before = threading.active_count()
-        est = estimate_conditional_entropy(model, FAST, n_z0=9, n_z1=4, seed=5)
-        assert model.callers == {threading.get_ident()}
-        # On one CPU the noise is drawn inline: no thread is started.
-        assert (model.alive == {before}) == (cpus == 1)
+        est, caller = _estimate_bounded(model, FAST, n_z0=9, n_z1=4, seed=5)
+        assert model.callers == {caller}
+        # Besides the caller's helper thread, the producer is alive at step
+        # T's first prediction; on one CPU the noise is drawn inline: no
+        # thread is started.
+        assert model.alive_at_first == [before + 1 + (cpus > 1)] * 2
+        assert threading.active_count() == before
         _assert_bitwise_reference(est, FAST_ORACLE, FAST, 9, 4, 5)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("num_steps", [1, 2, 3, 2 * NOISE_BLOCK + 2])
-    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, num_steps,
-                                                                 cpus):
-        # num_steps - 1 noisy steps: none, one, two, and 2 * NOISE_BLOCK + 1.
-        monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
-        sched = NoiseSchedule.from_betas(np.linspace(0.02, 0.3, num_steps))
+    def test_handoffs_under_contention_are_bitwise_the_reference(self, monkeypatch):
+        # One row per block makes every noisy step a handoff; three estimates
+        # at once (six threads) with a 1 us switch interval interleave the
+        # handoffs as much as the interpreter allows.  A block read before it
+        # is drawn, or redrawn before it is read, changes the bits.
+        monkeypatch.setattr(tracker, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8)
+        sched = linear_schedule(60, 0.005, 0.2)
         model = GmmScoreModel(TWO_DELTAS, sched, PART)
-        est = estimate_conditional_entropy(model, sched, n_z0=7, n_z1=3, seed=21)
+        results = {}
+
+        def run(seed):
+            results[seed] = estimate_conditional_entropy(model, sched, n_z0=5, n_z1=3, seed=seed)
+
+        helpers = [threading.Thread(target=run, args=(seed,), daemon=True) for seed in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for helper in helpers:
+                helper.start()
+            for helper in helpers:
+                helper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(helper.is_alive() for helper in helpers)
+        assert sorted(results) == [0, 1, 2]
+        for seed, est in results.items():
+            _assert_bitwise_reference(est, model, sched, 5, 3, seed)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("noisy", [0, 1, 2, 8, 9])
+    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, noisy, cpus):
+        # Blocks of 2 rows for n_z0 = 7 and of 4 rows for n_z1 = 3.  Noisy
+        # steps: none, one, two, 8 (full blocks only) and 9, where each branch
+        # crosses at least 2 block boundaries and ends on a partial block.
+        monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 7 * 2)
+        assert [_block_rows(7, 9), _block_rows(3, 9)] == [2, 4]
+        sched = NoiseSchedule.from_betas(np.linspace(0.02, 0.3, noisy + 1))
+        model = GmmScoreModel(TWO_DELTAS, sched, PART)
+        est, _ = _estimate_bounded(model, sched, n_z0=7, n_z1=3, seed=21)
         _assert_bitwise_reference(est, model, sched, 7, 3, 21)
 
 
@@ -396,6 +486,61 @@ class TestGmmScoreModel:
     def test_bad_mode_rejected(self):
         with pytest.raises(ParameterError):
             GmmScoreModel(TWO_DELTAS, SCHEDULE, PART, complement_mode="sometimes")
+
+    XS = (np.concatenate([np.linspace(-10.0, 10.0, 41), [-0.0, 1e-300, 40.0]]),
+          np.linspace(-9.0, 9.0, 12).reshape(3, 4), np.float64(0.3))
+
+    @pytest.mark.parametrize("mode", ["exact", "null"])
+    @pytest.mark.parametrize("mixture, partition", [(THREE, THREE_PART), (FOUR_DELTAS, GROUPS)],
+                             ids=["one-vs-two", "group-vs-group"])
+    def test_tables_give_the_score_relation_bitwise(self, mixture, partition, mode):
+        # THREE_PART's z0 is one component and its z1 two; GROUPS has two a side.
+        model = GmmScoreModel(mixture, FAST, partition, complement_mode=mode)
+        for t in (1, FAST.num_steps // 2, FAST.num_steps):
+            ab = FAST.alpha_bar(t)
+            for label in ("z0", "z1", "null", 0, 2):
+                rewritten = "null" if (label, mode) == ("z1", "null") else label
+                for x in self.XS:
+                    got = model.epsilon(x, t, label)
+                    want = -np.sqrt(1 - ab) * score(mixture, ab, x, label=rewritten, partition=partition)
+                    assert np.shape(got) == np.shape(want)
+                    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                                  np.asarray(want).view(np.int64))
+
+    def test_steps_of_the_schedule_do_not_call_score(self, monkeypatch):
+        calls = []
+        real = tracker.score
+        monkeypatch.setattr(tracker, "score",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        model = GmmScoreModel(THREE, FAST, THREE_PART)
+        for t in (1, FAST.num_steps):
+            for label in ("z0", "z1", "null", 1):
+                model.epsilon(self.XS[0], t, label)
+        assert calls == []
+        model.epsilon(self.XS[0], 0, "z0")
+        assert len(calls) == 1
+
+    def test_queries_outside_the_tables_keep_their_value_or_error(self):
+        x = self.XS[0]
+        model = GmmScoreModel(THREE, FAST, THREE_PART)
+        for label in ("z0", "z1", "null", 1):
+            want = -np.sqrt(1.0 - 1.0) * score(THREE, 1.0, x, label=label, partition=THREE_PART)
+            np.testing.assert_array_equal(model.epsilon(x, 0, label).view(np.int64),
+                                          want.view(np.int64))
+        for t in (FAST.num_steps + 1, -1):
+            with pytest.raises(ParameterError, match="outside"):
+                model.epsilon(x, t, "z0")
+        for label in ("z2", 3):
+            with pytest.raises(ParameterError):
+                model.epsilon(x, 5, label)
+        with pytest.raises(ParameterError, match="needs a partition"):
+            GmmScoreModel(THREE, FAST).epsilon(x, 5, "z0")
+        # Point masses have no density at alpha_bar = 1 (step 0), but the
+        # model builds and serves every step of the schedule.
+        deltas = GmmScoreModel(FOUR_DELTAS, FAST, GROUPS)
+        with pytest.raises(DegenerateDensityError):
+            deltas.epsilon(x, 0, "z0")
+        assert np.all(np.isfinite(deltas.epsilon(x, 1, "z0")))
 
 
 class TestReplayScoreModel:
