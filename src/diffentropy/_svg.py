@@ -15,6 +15,8 @@ __all__ = ["line_chart", "scatter_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
+WIDTH, HEIGHT = 720, 480
+DOT_RADIUS = 1.6
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -40,8 +42,7 @@ def _fmt(v: float) -> str:
 
 
 class _Frame:
-    def __init__(self, xs, ys, width, height):
-        self.width, self.height = width, height
+    def __init__(self, xs, ys):
         self.x0 = min(float(np.min(x)) for x in xs)
         self.x1 = max(float(np.max(x)) for x in xs)
         self.y0 = min(float(np.min(y)) for y in ys)
@@ -55,14 +56,14 @@ class _Frame:
         self.y1 += pad
 
     def px(self, x):
-        return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * (self.width - MARGIN_L - MARGIN_R)
+        return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y):
-        return self.height - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * (self.height - MARGIN_T - MARGIN_B)
+        return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
 def _chrome(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
-    w, h = frame.width, frame.height
+    w, h = WIDTH, HEIGHT
     parts = [
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{w - MARGIN_L - MARGIN_R}" '
@@ -93,48 +94,46 @@ def _chrome(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
     return parts
 
 
-def _legend(labels: list[str], width: int) -> list[str]:
+def _legend(labels: list[str]) -> list[str]:
     parts = []
     for i, label in enumerate(labels):
         y = MARGIN_T + 14 + 14 * i
         color = PALETTE[i % len(PALETTE)]
-        parts.append(f'<line x1="{width - 150}" y1="{y - 4}" x2="{width - 130}" y2="{y - 4}" '
+        parts.append(f'<line x1="{WIDTH - 150}" y1="{y - 4}" x2="{WIDTH - 130}" y2="{y - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - 124}" y="{y}" font-size="10" '
+        parts.append(f'<text x="{WIDTH - 124}" y="{y}" font-size="10" '
                      f'font-family="sans-serif">{label}</text>')
     return parts
 
 
-def _document(width: int, height: int, body: list[str]) -> str:
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">')
+def _document(body: list[str]) -> str:
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}">')
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
-               width: int = 720, height: int = 480) -> str:
+def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render ``(label, x, y)`` triples as colored polylines with a legend."""
     series = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in series]
-    frame = _Frame([x for _, x, _ in series], [y for _, _, y in series], width, height)
+    frame = _Frame([x for _, x, _ in series], [y for _, _, y in series])
     body = _chrome(frame, title, xlabel, ylabel)
     for i, (_, x, y) in enumerate(series):
         pts = " ".join(f"{frame.px(a):.2f},{frame.py(b):.2f}" for a, b in zip(x, y))
         body.append(f'<polyline points="{pts}" fill="none" '
                     f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.5"/>')
-    body.extend(_legend([label for label, _, _ in series], width))
-    return _document(width, height, body)
+    body.extend(_legend([label for label, _, _ in series]))
+    return _document(body)
 
 
-def scatter_chart(groups, title: str = "", xlabel: str = "", ylabel: str = "",
-                  width: int = 720, height: int = 480, radius: float = 1.6) -> str:
+def scatter_chart(groups, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render ``(label, x, y)`` point groups as colored dots."""
     groups = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in groups]
-    frame = _Frame([x for _, x, _ in groups], [y for _, _, y in groups], width, height)
+    frame = _Frame([x for _, x, _ in groups], [y for _, _, y in groups])
     body = _chrome(frame, title, xlabel, ylabel)
     for i, (_, x, y) in enumerate(groups):
         color = PALETTE[i % len(PALETTE)]
         for a, b in zip(x, y):
             body.append(f'<circle cx="{frame.px(a):.2f}" cy="{frame.py(b):.2f}" '
-                        f'r="{radius:g}" fill="{color}"/>')
-    body.extend(_legend([label for label, _, _ in groups], width))
-    return _document(width, height, body)
+                        f'r="{DOT_RADIUS:g}" fill="{color}"/>')
+    body.extend(_legend([label for label, _, _ in groups]))
+    return _document(body)

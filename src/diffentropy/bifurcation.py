@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid
+from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid, _level_namer
 from .mixture import CHUNK_TERMS, _score_and_derivative, diffused_params, score, score_derivative
 
 __all__ = [
@@ -159,14 +159,17 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
 def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
                             search_box: tuple[float, float] | None = None,
                             n_starts: int = 256,
-                            drift_coeff: float = DEFAULT_DRIFT_COEFF) -> list[tuple[FixedPoint, ...]]:
+                            drift_coeff: float = DEFAULT_DRIFT_COEFF,
+                            steps=None) -> list[tuple[FixedPoint, ...]]:
     """The fixed points at each level of ``alpha_bars``: the one solver path.
 
     Levels are solved in chunks of ``CHUNK_TERMS`` kernel terms (grid nodes x
     components).  Per chunk, one kernel call evaluates every level's grid,
     the sign-change brackets of all its levels share one Newton-bisection,
     and one more call classifies the roots.  Each level's nodes, brackets and
-    roots are bitwise those of solving it alone.
+    roots are bitwise those of solving it alone.  A level whose grid residual
+    is not finite (its search box overflows, say) raises
+    ``FloatingPointError`` that names its step if ``steps`` are given.
     """
     if n_starts < 2:
         raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
@@ -179,6 +182,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
         s, ds = _score_and_derivative(mixture, ab, x)
         return drift_coeff * x - s, drift_coeff - ds
 
+    where = _level_namer(alpha_bars, steps)
     per_chunk = max(1, CHUNK_TERMS // (n_starts * mixture.num_components))
     found = []
     for c0 in range(0, len(alpha_bars), per_chunk):
@@ -195,8 +199,14 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
             lo_box = np.full(len(ab), float(search_box[0]))
             hi_box = np.full(len(ab), float(search_box[1]))
 
-        grid = np.linspace(lo_box, hi_box, n_starts, axis=1)
-        g_grid = terms(ab[:, None], grid)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(lo_box, hi_box, n_starts, axis=1)
+            g_grid = terms(ab[:, None], grid)[0]
+        if not np.isfinite(g_grid).all():
+            l = int(np.argmin(np.isfinite(g_grid).all(axis=1)))
+            raise FloatingPointError(
+                f"{where(c0 + l)}: the drift residual is not finite on the search box "
+                f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
         signs = np.sign(g_grid)
         level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
         x, residuals = _bracketed_roots(terms, ab[level], grid[level, cell], grid[level, cell + 1],
@@ -245,7 +255,8 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
     sign-change cell, so each bracket yields one root.  Roots whose residual
     is below ``RESIDUAL_TOL`` are kept (a root two brackets end on is
     reported once), and stability is classified from the residual slope.  An
-    empty result triggers a warning, not an error.  A cell holding an even
+    empty result triggers a warning, not an error; a residual that is not
+    finite on the grid raises ``FloatingPointError``.  A cell holding an even
     number of roots shows no sign change; the grid must be fine enough that
     roots are at least one cell apart.  The default box spans the origin and
     every diffused mean with a 4-sigma margin.
@@ -262,24 +273,10 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
 def _solve_steps(mixture, schedule, steps, drift_coeff=DEFAULT_DRIFT_COEFF):
     """The fixed points at each of ``steps``, solved as one batch.
 
-    If the batch fails, its steps are solved one at a time to name the step
-    that fails.
+    A level whose residual is not finite raises an error that names its step.
     """
-    def solve(steps):
-        return _fixed_points_at_levels(mixture, np.array([schedule.alpha_bar(t) for t in steps]),
-                                       drift_coeff=drift_coeff)
-
-    try:
-        return solve(steps)
-    except Exception:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for t in steps:
-                try:
-                    solve([t])
-                except Exception as err:
-                    raise type(err)(f"level t={t}: {err}") from err
-        raise
+    return _fixed_points_at_levels(mixture, np.array([schedule.alpha_bar(t) for t in steps]),
+                                   drift_coeff=drift_coeff, steps=steps)
 
 
 def _bisect_changes(mixture, schedule, brackets, count, drift_coeff=DEFAULT_DRIFT_COEFF):

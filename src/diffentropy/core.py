@@ -234,6 +234,13 @@ def make_partition(mixture: MixtureModel, z0: Iterable[int], z1: Iterable[int]) 
     )
 
 
+def _level_namer(alpha_bars, steps=None):
+    """``where(l)``, the name of level ``l`` in an error message: its step if given."""
+    if steps is not None:
+        return lambda l: f"step t={steps[l]}"
+    return lambda l: f"alpha_bar={float(alpha_bars[l])!r}"
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Integer diffusion steps and their normalized times ``s = t / T``."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid
+from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid, _level_namer
 from .mixture import (CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _logsumexp, _subset_params,
                       diffused_params)
 
@@ -108,7 +108,7 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
     of zero cells once the level's windows run out.  ``where(l)`` names
     level ``l`` in an error message.
     """
-    comps = list(partition.z0 + partition.z1)
+    comps = list(partition.union)
     mu, var = diffused_params(mixture, alpha_bars)
     mu, sd = mu[comps], np.sqrt(var[comps])
     order = np.argsort(mu - WINDOW_SPAN * sd, axis=0, kind="stable")
@@ -164,13 +164,11 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
     if grid_points < MIN_GRID_POINTS:
         raise ParameterError(f"grid needs at least {MIN_GRID_POINTS} points, got {grid_points}")
 
-    def where(l):
-        return f"step t={steps[l]}" if steps is not None else f"alpha_bar={float(alpha_bars[l])!r}"
-
+    where = _level_namer(alpha_bars, steps)
     lo, dx, cells = _windows(mixture, partition, alpha_bars, grid_points, where)
     first = np.cumsum(cells, axis=1) - cells
     k0 = len(partition.z0)
-    per_chunk = max(1, CHUNK_TERMS // (grid_points * len(partition.z0 + partition.z1)))
+    per_chunk = max(1, CHUNK_TERMS // (grid_points * len(partition.union)))
     cell = np.tile(np.arange(grid_points), min(per_chunk, len(alpha_bars)))
     h, mass = np.empty(len(alpha_bars)), np.empty(len(alpha_bars))
     for c0 in range(0, len(alpha_bars), per_chunk):
@@ -187,7 +185,7 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
                     for side in (partition.z0, partition.z1))
             dens = 0.5 * (np.exp(a) + np.exp(b))
         else:
-            lj = _log_joints(_subset_params(mixture, ab, partition.z0 + partition.z1, x.ndim), x)
+            lj = _log_joints(_subset_params(mixture, ab, partition.union, x.ndim), x)
             a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
             dens = np.exp(a) + np.exp(b)
         mass[rows] = (dens * cell_dx).sum(axis=1)

@@ -11,12 +11,12 @@ Each branch draws all its noise from one PCG64 stream, its child of
 ``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per step
 t > 1.  Once x_T is drawn, a producer thread of the branch draws the per-step
 vectors in blocks of ``NOISE_BLOCK_BYTES`` (256 KiB), one block ahead of the
-caller's thread, which runs the steps (inline when the process may use only
-one CPU); they are the same draws in the same order, so outputs are
-unchanged.  The score model is called only from the caller's thread, so it
-needs no thread safety.  Each branch allocates its n-sized arrays (states,
-log-odds, both denoising means, two noise blocks) once, and every step writes
-into them, so the estimator's memory is O(n) whatever the number of steps.
+caller's thread, which runs the steps; they are the same draws in the same
+order, so outputs are unchanged.  The score model is called only from the
+caller's thread, so it needs no thread safety.  Each branch allocates its
+n-sized arrays (states, log-odds, both denoising means, two noise blocks)
+once, and every step writes into them, so the estimator's memory is O(n)
+whatever the number of steps.
 
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -270,27 +269,18 @@ def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.nd
     return np.minimum(np.maximum(moved, -LOGIT_MAX, out=out), LOGIT_MAX, out=out)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 class _NoiseRows:
     """``count`` successive ``rng.standard_normal(n)`` rows, drawn one block ahead.
 
     A block holds ``max(1, NOISE_BLOCK_BYTES // (8 n))`` rows, and two are in
     flight.  As a context manager it starts a producer thread that fills the
-    blocks in turn (unless ``threaded`` is false: then :meth:`rows` draws each
-    block when its first row is asked for), and on leaving it stops and joins
-    the producer, however the caller's loop ended.  The producer owns block
-    ``b`` from taking ``_free[b]`` until the caller has read the block, and
-    the caller may take ``_filled[b]`` once the block is drawn.
+    blocks in turn, and on leaving it stops and joins the producer, however
+    the caller's loop ended.  The producer owns block ``b`` from taking
+    ``_free[b]`` until the caller has read the block, and the caller may take
+    ``_filled[b]`` once the block is drawn.
     """
 
-    def __init__(self, rng, n: int, count: int, threaded: bool):
+    def __init__(self, rng, n: int, count: int):
         rows = max(1, min(count, NOISE_BLOCK_BYTES // (8 * n)))
         self._rng = rng
         self._blocks = np.empty((2, rows, n))
@@ -300,8 +290,7 @@ class _NoiseRows:
         for lock in self._filled:
             lock.acquire()
         self._stop = False
-        threaded = threaded and bool(self._sizes)
-        self._producer = threading.Thread(target=self._produce) if threaded else None
+        self._producer = threading.Thread(target=self._produce)
 
     def _produce(self):
         for j, size in enumerate(self._sizes):
@@ -312,19 +301,17 @@ class _NoiseRows:
             self._filled[j % 2].release()
 
     def __enter__(self):
-        if self._producer is not None:
-            self._producer.start()
+        self._producer.start()
         return self
 
     def __exit__(self, *exc_info):
-        if self._producer is not None:
-            self._stop = True
-            # Only the caller releases a free lock, so one held now stays held
-            # until this release; it wakes a producer waiting for that block.
-            for lock in self._free:
-                if lock.locked():
-                    lock.release()
-            self._producer.join()
+        self._stop = True
+        # Only the caller releases a free lock, so one held now stays held
+        # until this release; it wakes a producer waiting for that block.
+        for lock in self._free:
+            if lock.locked():
+                lock.release()
+        self._producer.join()
 
     def rows(self):
         """Yield the rows in order, then a spare row that no later draw overwrites.
@@ -333,15 +320,10 @@ class _NoiseRows:
         the spare row is work space for a step without noise.
         """
         for j, size in enumerate(self._sizes):
-            block = self._blocks[j % 2, :size]
-            if self._producer is None:
-                self._rng.standard_normal(out=block)
-            else:
-                self._filled[j % 2].acquire()
-            yield from block
+            self._filled[j % 2].acquire()
+            yield from self._blocks[j % 2, :size]
             # The caller has asked past the block's last row, so it is free.
-            if self._producer is not None:
-                self._free[j % 2].release()
+            self._free[j % 2].release()
         yield self._blocks[0, 0]
 
 
@@ -410,8 +392,6 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     roots = np.sqrt(1.0 - betas).tolist()
     noise_sds = np.sqrt(betas).tolist()
 
-    # On one CPU the handoffs to a producer cost more than the overlap saves.
-    threaded = _usable_cpus() > 1
     branch_means = []
     branch_seqs = np.random.SeedSequence(seed).spawn(2)
     for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
@@ -422,7 +402,7 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
         own = mu0 if label == "z0" else mu1
         summand = np.empty(num_steps + 1)
         summand[num_steps] = prior_summand
-        with _NoiseRows(rng, n, num_steps - 1, threaded) as noise_rows:
+        with _NoiseRows(rng, n, num_steps - 1) as noise_rows:
             rows = noise_rows.rows()
             for t in range(num_steps, 0, -1):
                 i = t - 1

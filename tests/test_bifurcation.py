@@ -278,16 +278,19 @@ class TestTraceBifurcations:
     @pytest.mark.parametrize("stride, bad_step", [(1, 137), (10, 131)])
     def test_a_failing_level_of_a_batch_names_its_step(self, monkeypatch, stride, bad_step):
         bad = SCHEDULE.alpha_bar(bad_step)
-        real = mixture._subset_params
+        real = bifurcation._score_and_derivative
 
-        def failing(mix, alpha_bar, *args):
-            if np.any(np.asarray(alpha_bar) == bad):
-                raise FloatingPointError("kernel overflow")
-            return real(mix, alpha_bar, *args)
+        def failing(mix, alpha_bar, x):
+            s, ds = real(mix, alpha_bar, x)
+            return np.where(np.asarray(alpha_bar) == bad, np.nan, s), ds
 
-        monkeypatch.setattr(mixture, "_subset_params", failing)
-        with pytest.raises(FloatingPointError, match=f"^level t={bad_step}: kernel overflow$"):
+        monkeypatch.setattr(bifurcation, "_score_and_derivative", failing)
+        with pytest.raises(FloatingPointError, match=f"^step t={bad_step}: "):
             trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=stride)
+
+    def test_an_overflowing_search_box_raises_naming_its_level(self):
+        with pytest.raises(FloatingPointError, match=r"^alpha_bar=0\.5: .* not finite"):
+            find_fixed_points(TWO_DELTAS, 0.5, search_box=(-1.7e308, 1.7e308))
 
     def test_each_rootless_level_of_a_batch_warns(self):
         levels = np.array([0.3, 0.5, 0.7])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,16 +193,13 @@ class TestEstimateCommand:
         assert len(rows) == 151
         assert all(np.isfinite(float(r.split(",")[2])) for r in rows)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_estimate_job_loads_no_executor_module(self, tmp_path, cpus):
+    def test_estimate_job_loads_no_executor_module(self, tmp_path):
         # The noise producer is a plain thread: concurrent.futures, with its
         # imports, would cost every CLI process ~9 ms and ~0.6 MB.
         cfg = write_config(tmp_path / "c.json", method="montecarlo", samples=4)
         script = "\n".join([
             "import sys",
-            "import diffentropy.tracker as tracker",
             "from diffentropy.cli import main",
-            f"tracker._usable_cpus = lambda: {cpus}",
             f"assert main(['estimate', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0",
             "print(sorted(name for name in sys.modules if name.startswith('concurrent')))",
         ])
@@ -301,6 +299,22 @@ class TestFixedPointsCommand:
         lone = {s: xs[0] for s, xs in by_s.items() if len(xs) == 1 and s < 1.0}
         assert lone
         assert all(x > 0 for x in lone.values())
+
+    def test_overflowing_search_box_is_numerical_failure(self, tmp_path, capsys):
+        # The default box spans the whole float range, so the grid and the
+        # residual overflow: the job fails loudly, not with an empty diagram.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mixture": {"means": [-1.7976931348623157e308,
+                                                         1.7976931348623157e308]},
+                                   "method": "fixedpoints", "schedule": {"num_steps": 10}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fixed-points", "--config", str(cfg), "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: step t=1: "), err
+        assert not (out / "fixed_points.csv").exists()
 
 
 class TestValidateAndErrors:

@@ -363,7 +363,7 @@ def _estimate_bounded(*args, **kwargs):
 
 
 def _block_rows(n, count):
-    return tracker._NoiseRows(np.random.default_rng(0), n, count, threaded=False)._blocks.shape[1]
+    return tracker._NoiseRows(np.random.default_rng(0), n, count)._blocks.shape[1]
 
 
 class TestNoiseWorker:
@@ -380,7 +380,6 @@ class TestNoiseWorker:
                              ids=["first-step", "mid-run", "near-the-end"])
     def test_score_model_errors_propagate_and_the_producer_is_joined(self, monkeypatch, tmp_path,
                                                                      step):
-        monkeypatch.setattr(tracker, "_usable_cpus", lambda: 2)
         # Two rows per block for n = 6 and 5: at the first two errors the
         # producer is waiting for a block to be freed.
         monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 6 * 2)
@@ -401,9 +400,7 @@ class TestNoiseWorker:
             assert caught.tb is not None
             assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_score_model_runs_only_on_the_calling_thread(self, monkeypatch, cpus):
-        monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
+    def test_score_model_runs_only_on_the_calling_thread(self, monkeypatch):
         # 2 and 4 rows per block: each branch's producer has more blocks to
         # draw than fit ahead, so it waits alive through the branch's first step.
         monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 9 * 2)
@@ -412,9 +409,8 @@ class TestNoiseWorker:
         est, caller = _estimate_bounded(model, FAST, n_z0=9, n_z1=4, seed=5)
         assert model.callers == {caller}
         # Besides the caller's helper thread, the producer is alive at step
-        # T's first prediction; on one CPU the noise is drawn inline: no
-        # thread is started.
-        assert model.alive_at_first == [before + 1 + (cpus > 1)] * 2
+        # T's first prediction.
+        assert model.alive_at_first == [before + 2] * 2
         assert threading.active_count() == before
         _assert_bitwise_reference(est, FAST_ORACLE, FAST, 9, 4, 5)
 
@@ -423,7 +419,6 @@ class TestNoiseWorker:
         # at once (six threads) with a 1 us switch interval interleave the
         # handoffs as much as the interpreter allows.  A block read before it
         # is drawn, or redrawn before it is read, changes the bits.
-        monkeypatch.setattr(tracker, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8)
         sched = linear_schedule(60, 0.005, 0.2)
         model = GmmScoreModel(TWO_DELTAS, sched, PART)
@@ -447,13 +442,11 @@ class TestNoiseWorker:
         for seed, est in results.items():
             _assert_bitwise_reference(est, model, sched, 5, 3, seed)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("noisy", [0, 1, 2, 8, 9])
-    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, noisy, cpus):
+    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, noisy):
         # Blocks of 2 rows for n_z0 = 7 and of 4 rows for n_z1 = 3.  Noisy
         # steps: none, one, two, 8 (full blocks only) and 9, where each branch
         # crosses at least 2 block boundaries and ends on a partial block.
-        monkeypatch.setattr(tracker, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 7 * 2)
         assert [_block_rows(7, 9), _block_rows(3, 9)] == [2, 4]
         sched = NoiseSchedule.from_betas(np.linspace(0.02, 0.3, noisy + 1))
