@@ -442,13 +442,18 @@ class TestNoiseWorker:
         for seed, est in results.items():
             _assert_bitwise_reference(est, model, sched, 5, 3, seed)
 
+    @pytest.mark.parametrize("budget, rows", [(8 * 7 * 2, [2, 4]), (8, [1, 1])],
+                             ids=["2-and-4-rows", "1-row"])
     @pytest.mark.parametrize("noisy", [0, 1, 2, 8, 9])
-    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, noisy):
-        # Blocks of 2 rows for n_z0 = 7 and of 4 rows for n_z1 = 3.  Noisy
-        # steps: none, one, two, 8 (full blocks only) and 9, where each branch
-        # crosses at least 2 block boundaries and ends on a partial block.
-        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 7 * 2)
-        assert [_block_rows(7, 9), _block_rows(3, 9)] == [2, 4]
+    def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, noisy, budget,
+                                                                rows):
+        # Blocks of 2 rows for n_z0 = 7 and of 4 rows for n_z1 = 3, or of one
+        # row each, where every noisy step is a handoff.  Noisy steps: none,
+        # one, two, 8 (full blocks only) and 9, where each branch crosses at
+        # least 2 block boundaries and, with 2 and 4 rows, ends on a partial
+        # block.
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", budget)
+        assert [_block_rows(7, 9), _block_rows(3, 9)] == rows
         sched = NoiseSchedule.from_betas(np.linspace(0.02, 0.3, noisy + 1))
         model = GmmScoreModel(TWO_DELTAS, sched, PART)
         est, _ = _estimate_bounded(model, sched, n_z0=7, n_z1=3, seed=21)
