@@ -40,8 +40,6 @@ from .bifurcation import (
     BifurcationDiagram,
     CountChange,
     FixedPoint,
-    drift_residual,
-    drift_residual_derivative,
     find_fixed_points,
     sibling_split_time,
     trace_bifurcations,
@@ -58,7 +56,6 @@ __all__ = [
     "prior_entropy_bits", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",
     "McEntropyEstimate", "estimate_conditional_entropy", "ModelEvaluationError",
-    "FixedPoint", "CountChange", "BifurcationDiagram", "drift_residual",
-    "drift_residual_derivative", "find_fixed_points", "trace_bifurcations",
-    "sibling_split_time",
+    "FixedPoint", "CountChange", "BifurcationDiagram", "find_fixed_points",
+    "trace_bifurcations", "sibling_split_time",
 ]

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid, _level_namer
-from .mixture import CHUNK_TERMS, _score_and_derivative, diffused_params, score, score_derivative
+from .mixture import CHUNK_TERMS, _score_and_derivative, diffused_params
+# Unused here, but perfbench/tracing.py wraps them under these names.
+from .mixture import score, score_derivative  # noqa: F401
 
 __all__ = [
     "DEFAULT_DRIFT_COEFF",
@@ -41,8 +43,6 @@ __all__ = [
     "FixedPoint",
     "CountChange",
     "BifurcationDiagram",
-    "drift_residual",
-    "drift_residual_derivative",
     "find_fixed_points",
     "trace_bifurcations",
     "sibling_split_time",
@@ -51,17 +51,6 @@ __all__ = [
 DEFAULT_DRIFT_COEFF = 0.5
 RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
-
-
-def drift_residual(mixture: MixtureModel, alpha_bar: float, x,
-                   drift_coeff: float = DEFAULT_DRIFT_COEFF):
-    """``drift_coeff * x - score(x)`` at the given noise level."""
-    return drift_coeff * np.asarray(x, dtype=np.float64) - score(mixture, alpha_bar, x)
-
-
-def drift_residual_derivative(mixture: MixtureModel, alpha_bar: float, x,
-                              drift_coeff: float = DEFAULT_DRIFT_COEFF):
-    return drift_coeff - score_derivative(mixture, alpha_bar, x)
 
 
 @dataclass(frozen=True)
@@ -177,8 +166,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
         raise ParameterError(f"search box must satisfy lo < hi, got {search_box!r}")
 
     def terms(ab, x):
-        # (g, g') from one kernel pass, bitwise equal to drift_residual and
-        # drift_residual_derivative at each point's own level.
+        # (g, g') from one kernel pass, each point at its own level.
         s, ds = _score_and_derivative(mixture, ab, x)
         return drift_coeff * x - s, drift_coeff - ds
 

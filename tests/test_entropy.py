@@ -29,15 +29,23 @@ def pair(mixture, i, j):
 
 
 # A wide component with a point mass inside its window: one merged window
-# 4000 narrow sd wide at t = 1, which 1024 cells cannot resolve.
+# 4000 narrow sd wide at t = 1, with the switch layers of the point mass in it.
 WIDE_AND_NARROW = MixtureModel(weights=[0.5, 0.5], means=[0.0, 0.5], variances=[4.0, 0.0])
 
+# The widest cell the Gaussian factor allows, in units of the narrowest sd.
+GAUSS_CELL_SD = np.pi * np.sqrt(2.0 / np.log(1.0 / entropy.WINDOW_TOL))
 
-def _window_edges(mixture, partition, alpha_bar, grid_points=entropy.DEFAULT_GRID_POINTS):
-    lo, dx, cells = entropy._windows(mixture, partition, np.array([alpha_bar]), grid_points,
-                                     lambda level: "here")
+
+def _cell_counts(mixture, partition, alpha_bars, grid_points=entropy.MIN_GRID_POINTS):
+    log_w = entropy._log_weights(mixture, partition.union)
+    return entropy._windows(mixture, partition, np.asarray(alpha_bars), log_w, grid_points,
+                            lambda level: "here")
+
+
+def _window_edges(mixture, partition, alpha_bar, grid_points=entropy.MIN_GRID_POINTS):
+    lo, dx, cells, count = _cell_counts(mixture, partition, [alpha_bar], grid_points)
     used = cells[0] > 0
-    return lo[0, used], (lo + dx * cells)[0, used], dx[0, used], cells[0, used]
+    return lo[0, used], (lo + dx * cells)[0, used], dx[0, used], cells[0, used], count[0]
 
 
 class TestWindows:
@@ -49,10 +57,11 @@ class TestWindows:
     def test_merged_windows_cover_ten_sd_of_the_union_only(self, t):
         part = make_partition(FOUR_DELTAS, [0], [2, 3])
         ab = SCHEDULE.alpha_bar(t)
-        lo, hi, dx, cells = _window_edges(FOUR_DELTAS, part, ab)
+        lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, ab)
         mu, var = diffused_params(FOUR_DELTAS, ab)
         sd = np.sqrt(var)
-        assert cells.sum() == entropy.DEFAULT_GRID_POINTS
+        assert cells.sum() == count >= entropy.MIN_GRID_POINTS
+        assert count & (count - 1) == 0  # a power of two
         assert np.all(lo[1:] > hi[:-1])  # disjoint, so every edge lies in a tail
         for k in (0, 2, 3):
             inside = (lo <= mu[k] - 10 * sd[k] + 1e-12) & (hi >= mu[k] + 10 * sd[k] - 1e-12)
@@ -64,22 +73,30 @@ class TestWindows:
             assert not np.any((lo <= mu[1]) & (mu[1] <= hi))
             assert len(lo) == 3
 
-    def test_cells_split_by_width_in_narrowest_sd(self):
-        lo, hi, dx, cells = _window_edges(WIDE_AND_NARROW, pair(WIDE_AND_NARROW, 0, 1), 0.5)
-        assert len(lo) == 1 and cells[0] == entropy.DEFAULT_GRID_POINTS
-        lo, hi, dx, cells = _window_edges(FOUR_DELTAS, make_partition(FOUR_DELTAS, [0, 1], [2, 3]),
-                                          SCHEDULE.alpha_bar(1))
-        # Four equal windows of 20 sd each get a quarter of the cells.
+    def test_cells_split_by_need(self):
+        lo, hi, dx, cells, count = _window_edges(WIDE_AND_NARROW, pair(WIDE_AND_NARROW, 0, 1), 0.5)
+        assert len(lo) == 1 and cells[0] == count
+        part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
+        lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, SCHEDULE.alpha_bar(1))
+        # Four equal windows of 20 sd each, with no switch layer in any of
+        # them, need what the Gaussian factor asks for, and get a quarter of
+        # the next power of two each.
+        need = 4 * np.ceil(20 / GAUSS_CELL_SD)
+        assert count // 2 < need <= count
+        np.testing.assert_array_equal(cells, [count // 4] * 4)
+        np.testing.assert_allclose(dx, 20 * np.sqrt(SCHEDULE.betas[0]) / (count // 4), rtol=1e-12)
+        # A raised floor is split the same way.
+        lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, SCHEDULE.alpha_bar(1), 1000)
+        assert count == 1024
         np.testing.assert_array_equal(cells, [256] * 4)
-        np.testing.assert_allclose(dx, 20 * np.sqrt(SCHEDULE.betas[0]) / 256, rtol=1e-12)
 
-    def test_coarse_cell_raises_naming_a_grid_that_would_do(self):
+    def test_level_over_the_cell_cap_raises(self):
         part = pair(WIDE_AND_NARROW, 0, 1)
-        ab = SCHEDULE.alpha_bar(1)
-        with pytest.raises(QuadratureDomainError, match=r"alpha_bar=.*grid_points=16384 would do"):
+        ab = 1.0 - 1e-9  # a point mass of sd 3e-5 in a window 40 wide
+        need = int(np.ceil(40.0 / (GAUSS_CELL_SD * np.sqrt(1.0 - ab))))
+        assert need > entropy.MAX_CELLS
+        with pytest.raises(QuadratureDomainError, match=r"alpha_bar=.* more than the 1048576"):
             conditional_entropy_at(WIDE_AND_NARROW, part, ab)
-        lo, hi, dx, cells = _window_edges(WIDE_AND_NARROW, part, ab, 16384)
-        assert dx[0] <= 0.25 * np.sqrt(1.0 - ab)
 
     def test_mass_defect_raises(self, monkeypatch):
         # Windows of 2 sd hold ~95% of the mass; the check must notice.
@@ -112,8 +129,28 @@ FAR_APART = [
 ]
 
 
-def _oracle(mixture, z0, z1, alpha_bar):
-    return windowed_entropy_bits(mixture.means, mixture.weights, mixture.variances, z0, z1, alpha_bar)
+def _oracle(mixture, z0, z1, alpha_bar, per_sd=32):
+    return windowed_entropy_bits(mixture.means, mixture.weights, mixture.variances, z0, z1, alpha_bar,
+                                 per_sd=per_sd)
+
+
+# Decisions whose default profiles must match a dense grid to H_TOL: the
+# benchmark's three, the comb's coarse split, a near and a far pair, and
+# components of unequal variances, whose log-odds are quadratic in x.
+SIZING = [
+    pytest.param(FOUR_DELTAS, [0], [1], id="left-pair"),
+    pytest.param(FOUR_DELTAS, [2], [3], id="right-pair"),
+    pytest.param(FOUR_DELTAS, [0, 1], [2, 3], id="coarse"),
+    pytest.param(MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0]), [0, 1], [2, 3], id="comb-coarse"),
+    pytest.param(TWO_DELTAS, [0], [1], id="pair-1"),
+    pytest.param(MixtureModel.deltas([-20.0, 20.0]), [0], [1], id="pair-20"),
+    pytest.param(MixtureModel(weights=[0.5, 0.5], means=[-1.0, 1.0], variances=[0.5, 0.05]),
+                 [0], [1], id="unequal-variances"),
+    pytest.param(MixtureModel(weights=[0.5, 0.5], means=[0.0, 0.0], variances=[1.0, 0.01]),
+                 [0], [1], id="same-mean-unequal-variances"),
+    pytest.param(MixtureModel(weights=[0.3, 0.3, 0.4], means=[0.0, 0.5, 1.0], variances=[4.0, 0.0, 0.0]),
+                 [0], [1, 2], id="wide-around-point-masses"),
+]
 
 
 class TestConditionalEntropy:
@@ -133,13 +170,24 @@ class TestConditionalEntropy:
             assert conditional_entropy_at(mixture, part, ab) == pytest.approx(
                 _oracle(mixture, z0, z1, ab), abs=1e-12), f"t={t}"
 
-    def test_wide_and_narrow_raises_at_the_default_and_resolves_when_refined(self):
+    def test_wide_and_narrow_resolves_at_the_default_as_when_refined(self):
         part = pair(WIDE_AND_NARROW, 0, 1)
-        ab = SCHEDULE.alpha_bar(1)
-        with pytest.raises(QuadratureDomainError):
-            conditional_entropy_at(WIDE_AND_NARROW, part, ab)
-        h = conditional_entropy_at(WIDE_AND_NARROW, part, ab, grid_points=16384)
-        assert h == pytest.approx(_oracle(WIDE_AND_NARROW, [0], [1], ab), abs=1e-12)
+        for t in (1, 2, 10, 100):
+            ab = SCHEDULE.alpha_bar(t)
+            h = conditional_entropy_at(WIDE_AND_NARROW, part, ab)
+            refined = conditional_entropy_at(WIDE_AND_NARROW, part, ab, grid_points=1 << 17)
+            assert h == pytest.approx(refined, abs=entropy.H_TOL), f"t={t}"
+            assert h == pytest.approx(_oracle(WIDE_AND_NARROW, [0], [1], ab), abs=entropy.H_TOL)
+
+    def test_switch_layer_refines_the_cells(self, monkeypatch):
+        # The left pair at t = 146: cells that resolve only the Gaussian
+        # factor miss the posterior's switch layer between the two deltas.
+        part = pair(FOUR_DELTAS, 0, 1)
+        ab = SCHEDULE.alpha_bar(146)
+        ref = _oracle(FOUR_DELTAS, [0], [1], ab, per_sd=64)
+        assert conditional_entropy_at(FOUR_DELTAS, part, ab) == pytest.approx(ref, abs=entropy.H_TOL)
+        monkeypatch.setattr(entropy, "_branch_points", lambda mu, *rest: np.full((2,) + mu.shape[1:], np.nan))
+        assert abs(conditional_entropy_at(FOUR_DELTAS, part, ab) - ref) > 1e-11
 
     def test_full_noise_recovers_prior_entropy(self):
         h = conditional_entropy_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE.alpha_bars[-1])
@@ -203,12 +251,29 @@ class TestJsd:
         assert jsd_at(skew, pair(skew, 0, 1), 0.5) == pytest.approx(
             jsd_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), 0.5), abs=1e-14)
 
-    def test_complements_conditional_entropy_for_even_priors(self):
-        part = pair(TWO_DELTAS, 0, 1)
+    @pytest.mark.parametrize("z0,z1", [([0], [1]), ([0, 1], [2, 3])])
+    def test_complements_conditional_entropy_for_even_priors(self, z0, z1):
+        part = make_partition(FOUR_DELTAS, z0, z1)
         for ab in np.linspace(SCHEDULE.alpha_bars[-1], SCHEDULE.alpha_bars[0], 25):
-            h = conditional_entropy_at(TWO_DELTAS, part, ab)
-            j = jsd_at(TWO_DELTAS, part, ab)
-            assert h + j == pytest.approx(1.0, abs=1e-6)
+            h = conditional_entropy_at(FOUR_DELTAS, part, ab)
+            j = jsd_at(FOUR_DELTAS, part, ab)
+            assert h + j == 1.0
+
+    @pytest.mark.parametrize("t", [1, 146, 300, 600, 1000])
+    @pytest.mark.parametrize("mixture,z0,z1", [
+        (FOUR_DELTAS, [0], [1, 2, 3]),
+        (MixtureModel(weights=[0.1, 0.2, 0.7], means=[-1.0, 0.0, 2.0], variances=[0.5, 0.0, 0.05]),
+         [0, 2], [1]),
+    ])
+    def test_matches_a_plain_numpy_reference(self, mixture, z0, z1, t):
+        # The JSD is one bit less the entropy of the equal-weight mixture of
+        # the two renormalized sides.
+        ab = SCHEDULE.alpha_bar(t)
+        w = np.asarray(mixture.weights, dtype=np.float64).copy()
+        for side in (z0, z1):
+            w[side] = 0.5 * w[side] / w[side].sum()
+        ref = 1.0 - windowed_entropy_bits(mixture.means, w, mixture.variances, z0, z1, ab, per_sd=64)
+        assert jsd_at(mixture, make_partition(mixture, z0, z1), ab) == pytest.approx(ref, abs=entropy.H_TOL)
 
 
 class TestEntropyProfile:
@@ -232,10 +297,17 @@ class TestEntropyProfile:
 
     def test_step_annotation_on_quadrature_error(self):
         part = pair(WIDE_AND_NARROW, 0, 1)
-        prof = entropy_profile(WIDE_AND_NARROW, part, SCHEDULE, stride=250, grid_points=16384)
+        prof = entropy_profile(WIDE_AND_NARROW, part, SCHEDULE, stride=250)
         assert prof.H_bits.shape == prof.times.s.shape
-        with pytest.raises(QuadratureDomainError, match=r"step t=1: .*grid_points=16384 would do"):
-            entropy_profile(WIDE_AND_NARROW, part, SCHEDULE, stride=250)
+        # A first step of beta = 1e-9 leaves the point mass too narrow for the cap.
+        with pytest.raises(QuadratureDomainError, match=r"step t=1: .* more than the 1048576"):
+            entropy_profile(WIDE_AND_NARROW, part, linear_schedule(1000, 1e-9, 0.02), stride=250)
+
+    @pytest.mark.parametrize("mixture,z0,z1", SIZING)
+    def test_default_profile_matches_a_dense_grid(self, mixture, z0, z1):
+        prof = entropy_profile(mixture, make_partition(mixture, z0, z1), SCHEDULE, stride=9)
+        ref = [_oracle(mixture, z0, z1, SCHEDULE.alpha_bar(int(t)), per_sd=64) for t in prof.times.steps]
+        np.testing.assert_allclose(prof.H_bits, ref, rtol=0, atol=entropy.H_TOL)
 
     def test_profile_matches_single_levels(self):
         part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
@@ -248,10 +320,18 @@ class TestEntropyProfile:
         calls = []
         real_kernel = entropy._log_joints
         monkeypatch.setattr(entropy, "_log_joints",
-                            lambda *args: calls.append(args) or real_kernel(*args))
-        prof = entropy_profile(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), SCHEDULE)
-        per_chunk = entropy.CHUNK_TERMS // (2 * entropy.DEFAULT_GRID_POINTS)
-        assert len(calls) == math.ceil(len(prof.times) / per_chunk) < len(prof.times)
+                            lambda params, x: calls.append(np.shape(x)) or real_kernel(params, x))
+        part = pair(TWO_DELTAS, 0, 1)
+        prof = entropy_profile(TWO_DELTAS, part, SCHEDULE)
+        # Levels of one cell count share chunks; the window rule's calls
+        # take one point per level.
+        chunks = [shape for shape in calls if len(shape) == 2]
+        count = _cell_counts(TWO_DELTAS, part, SCHEDULE.alpha_bars)[3]
+        sizes = {int(n): entropy.CHUNK_TERMS // (2 * int(n)) for n in count}
+        assert len(sizes) > 1
+        assert len(chunks) == sum(math.ceil(np.sum(count == n) / per_chunk)
+                                  for n, per_chunk in sizes.items()) < len(prof.times)
+        assert all(rows <= sizes[n] for rows, n in chunks)
 
     def test_peak_memory_is_bounded_by_the_chunk(self):
         part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
