@@ -15,7 +15,6 @@ from .core import (
 )
 from .mixture import (
     DegenerateDensityError,
-    class_posteriors,
     score,
     score_derivative,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "MixtureModel", "NoiseSchedule", "Partition", "TimeGrid",
     "linear_schedule", "make_partition",
     "ParameterError", "PartitionError",
-    "class_posteriors", "score", "score_derivative", "DegenerateDensityError",
+    "score", "score_derivative", "DegenerateDensityError",
     "EntropyProfile", "conditional_entropy_at", "jsd_at",
     "entropy_profile", "binary_entropy_bits",
     "prior_entropy_bits", "QuadratureDomainError",

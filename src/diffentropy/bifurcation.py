@@ -1,16 +1,19 @@
 """Fixed points of the reverse drift and their bifurcations across noise.
 
-The drift residual is ``g(x) = c * x - d/dx log p_t(x)`` with ``c = 0.5`` by
-default; its roots are the attractors/repellers organizing the generative
-dynamics, and the noise levels where the root count changes are the
-bifurcations that split one branch of generation into several.
+The drift residual is ``g(x) = c * x - d/dx log p_t(x)`` with ``c =
+DRIFT_COEFF = 0.5``, the variance-preserving drift; its roots are the
+attractors/repellers organizing the generative dynamics, and the noise levels
+where the root count changes are the bifurcations that split one branch of
+generation into several.
 
-Roots are located from the sign changes of ``g`` on a uniform grid over the
-search box.  Each sign-change cell brackets one root, which a safeguarded
-Newton-bisection iteration (``rtsafe``, Numerical Recipes section 9.4) narrows
-down to float resolution: the Newton step is taken when it stays inside the
-bracket and at most halves the step before last, a bisection otherwise.  Grid
-nodes where ``g`` is exactly zero are roots without a bracket.  At low noise
+Roots are located from the sign changes of ``g`` on ``GRID_NODES`` (256)
+evenly spaced nodes over a search box that spans the origin and every
+diffused mean with a 4-sigma margin.  Each sign-change cell brackets one
+root, which a safeguarded Newton-bisection iteration (``rtsafe``, Numerical
+Recipes section 9.4) narrows down to float resolution: the Newton step is
+taken when it stays inside the bracket and at most halves the step before
+last, a bisection otherwise.  Grid nodes where ``g`` is exactly zero are
+roots without a bracket.  At low noise
 repelling roots live in posterior switch layers of width ``~ var /
 separation`` that no reasonable grid hits, but the sign change across such a
 layer still brackets them.
@@ -38,7 +41,7 @@ from .mixture import CHUNK_TERMS, _score_and_derivative, diffused_params
 from .mixture import score, score_derivative  # noqa: F401
 
 __all__ = [
-    "DEFAULT_DRIFT_COEFF",
+    "DRIFT_COEFF",
     "RESIDUAL_TOL",
     "FixedPoint",
     "CountChange",
@@ -48,7 +51,8 @@ __all__ = [
     "sibling_split_time",
 ]
 
-DEFAULT_DRIFT_COEFF = 0.5
+DRIFT_COEFF = 0.5  # the variance-preserving drift's coefficient
+GRID_NODES = 256  # nodes of each level's sign-change grid
 RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -145,11 +149,8 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
     return np.where(better_hi, hi, lo), np.where(better_hi, g_hi, g_lo)
 
 
-def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
-                            search_box: tuple[float, float] | None = None,
-                            n_starts: int = 256,
-                            drift_coeff: float = DEFAULT_DRIFT_COEFF,
-                            steps=None) -> list[tuple[FixedPoint, ...]]:
+def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps=None
+                            ) -> list[tuple[FixedPoint, ...]]:
     """The fixed points at each level of ``alpha_bars``: the one solver path.
 
     Levels are solved in chunks of ``CHUNK_TERMS`` kernel terms (grid nodes x
@@ -160,35 +161,26 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
     is not finite (its search box overflows, say) raises
     ``FloatingPointError`` that names its step if ``steps`` are given.
     """
-    if n_starts < 2:
-        raise ParameterError(f"n_starts must be >= 2, got {n_starts}")
-    if search_box is not None and not float(search_box[0]) < float(search_box[1]):
-        raise ParameterError(f"search box must satisfy lo < hi, got {search_box!r}")
-
     def terms(ab, x):
         # (g, g') from one kernel pass, each point at its own level.
         s, ds = _score_and_derivative(mixture, ab, x)
-        return drift_coeff * x - s, drift_coeff - ds
+        return DRIFT_COEFF * x - s, DRIFT_COEFF - ds
 
     where = _level_namer(alpha_bars, steps)
-    per_chunk = max(1, CHUNK_TERMS // (n_starts * mixture.num_components))
+    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * mixture.num_components))
     found = []
     for c0 in range(0, len(alpha_bars), per_chunk):
         ab = alpha_bars[c0:c0 + per_chunk]
-        if search_box is None:
-            # Roots live in the convex hull of the origin and the diffused
-            # means; a 4-sigma margin keeps the hull comfortably interior.
-            # Every diffused sd is positive, so the box is never empty.
-            mu, var = diffused_params(mixture, ab)
-            sd = np.sqrt(var)
-            lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
-            hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
-        else:
-            lo_box = np.full(len(ab), float(search_box[0]))
-            hi_box = np.full(len(ab), float(search_box[1]))
+        # Roots live in the convex hull of the origin and the diffused
+        # means; a 4-sigma margin keeps the hull comfortably interior.
+        # Every diffused sd is positive, so the box is never empty.
+        mu, var = diffused_params(mixture, ab)
+        sd = np.sqrt(var)
+        lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
+        hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
 
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = np.linspace(lo_box, hi_box, n_starts, axis=1)
+            grid = np.linspace(lo_box, hi_box, GRID_NODES, axis=1)
             g_grid = terms(ab[:, None], grid)[0]
         if not np.isfinite(g_grid).all():
             l = int(np.argmin(np.isfinite(g_grid).all(axis=1)))
@@ -219,7 +211,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
         begin = 0
         for l, end in enumerate(ends):
             if begin == end:
-                box = search_box if search_box is not None else (float(lo_box[l]), float(hi_box[l]))
+                box = (float(lo_box[l]), float(hi_box[l]))
                 warnings.warn(
                     f"no drift fixed points converged at alpha_bar={float(ab[l])!r} in {box!r}",
                     RuntimeWarning,
@@ -232,13 +224,10 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray,
     return found
 
 
-def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
-                      search_box: tuple[float, float] | None = None,
-                      n_starts: int = 256,
-                      drift_coeff: float = DEFAULT_DRIFT_COEFF) -> tuple[FixedPoint, ...]:
+def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoint, ...]:
     """Locate every root of the drift residual inside the search box.
 
-    Evaluates the residual on ``n_starts`` evenly spaced nodes, reports nodes
+    Evaluates the residual on ``GRID_NODES`` evenly spaced nodes, reports nodes
     where it is exactly zero, and runs one safeguarded Newton-bisection per
     sign-change cell, so each bracket yields one root.  Roots whose residual
     is below ``RESIDUAL_TOL`` are kept (a root two brackets end on is
@@ -246,28 +235,27 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float,
     empty result triggers a warning, not an error; a residual that is not
     finite on the grid raises ``FloatingPointError``.  A cell holding an even
     number of roots shows no sign change; the grid must be fine enough that
-    roots are at least one cell apart.  The default box spans the origin and
-    every diffused mean with a 4-sigma margin.
+    roots are at least one cell apart.  The box spans the origin and every
+    diffused mean with a 4-sigma margin.
 
     Very close to the clean end (variance below ~1e-3 for unit-scale
     mixtures), repelling roots that do not fall on an exactly representable
     point live on residual steps larger than ``RESIDUAL_TOL`` in float64 and
     are dropped; attracting roots are unaffected.
     """
-    return _fixed_points_at_levels(mixture, np.array([alpha_bar], dtype=np.float64), search_box,
-                                   n_starts, drift_coeff)[0]
+    return _fixed_points_at_levels(mixture, np.array([alpha_bar], dtype=np.float64))[0]
 
 
-def _solve_steps(mixture, schedule, steps, drift_coeff=DEFAULT_DRIFT_COEFF):
+def _solve_steps(mixture, schedule, steps):
     """The fixed points at each of ``steps``, solved as one batch.
 
     A level whose residual is not finite raises an error that names its step.
     """
     return _fixed_points_at_levels(mixture, np.array([schedule.alpha_bar(t) for t in steps]),
-                                   drift_coeff=drift_coeff, steps=steps)
+                                   steps=steps)
 
 
-def _bisect_changes(mixture, schedule, brackets, count, drift_coeff=DEFAULT_DRIFT_COEFF):
+def _bisect_changes(mixture, schedule, brackets, count):
     """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps, in lockstep.
 
     ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo``
@@ -282,14 +270,14 @@ def _bisect_changes(mixture, schedule, brackets, count, drift_coeff=DEFAULT_DRIF
         if not open_:
             return brackets
         mids = [(brackets[k][0] + brackets[k][2]) // 2 for k in open_]
-        for k, t, points in zip(open_, mids, _solve_steps(mixture, schedule, mids, drift_coeff)):
+        for k, t, points in zip(open_, mids, _solve_steps(mixture, schedule, mids)):
             t_lo, c_lo, t_hi, c_hi = brackets[k]
             c = count(t, points)
             brackets[k] = (t, c, t_hi, c_hi) if c == c_lo else (t_lo, c_lo, t, c)
 
 
-def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule, stride: int = 10,
-                       drift_coeff: float = DEFAULT_DRIFT_COEFF) -> BifurcationDiagram:
+def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
+                       stride: int = 10) -> BifurcationDiagram:
     """Sweep the schedule, collect fixed points per level, locate count changes.
 
     Count changes between strided levels are refined by bisection on the step
@@ -300,10 +288,10 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule, stride: i
     """
     times = TimeGrid.strided(schedule, stride)
     steps = [int(t) for t in times.steps]
-    levels = _solve_steps(mixture, schedule, steps, drift_coeff)
+    levels = _solve_steps(mixture, schedule, steps)
     brackets = [(steps[i - 1], len(levels[i - 1]), steps[i], len(levels[i]))
                 for i in range(1, len(levels)) if len(levels[i]) != len(levels[i - 1])]
-    changes = _bisect_changes(mixture, schedule, brackets, lambda t, points: len(points), drift_coeff)
+    changes = _bisect_changes(mixture, schedule, brackets, lambda t, points: len(points))
     return BifurcationDiagram(
         steps=times.steps,
         s=times.s,

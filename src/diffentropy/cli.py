@@ -1,7 +1,8 @@
 """Command-line front end: experiment configs in, CSV (and optional SVG) out.
 
 Configs are JSON documents describing the mixture, the noise schedule, the
-decision partitions and the method to run.  Outputs are deterministic given
+decision partitions and the method to run, in one schema: a key outside it
+is a config problem that names its path.  Outputs are deterministic given
 (config, seed): CSV is the canonical format (17 significant digits, comment
 header carrying the tool version and the hash of the config keys the job
 reads), SVG is a convenience rendering only.  Exit codes: 0 success, 2 usage
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     linear_schedule,
     make_partition,
 )
-from .entropy import MIN_GRID_POINTS, QuadratureDomainError, entropy_profile
+from .entropy import QuadratureDomainError, entropy_profile
 from .mixture import DegenerateDensityError
 from .tracker import (
     GmmScoreModel,
@@ -48,15 +49,34 @@ METHODS = ("quadrature", "montecarlo", "fixedpoints")
 
 # Smallest accepted value of each count key; ``num_steps`` is bounded by
 # ``linear_schedule``, which the config boundary builds.
-_MINIMUMS = {"stride": 1, "samples_z0": 1, "samples_z1": 1, "grid_points": MIN_GRID_POINTS}
+_MINIMUMS = {"stride": 1, "samples_z0": 1, "samples_z1": 1}
 
 # The keys of ``ExperimentConfig.to_dict`` that each method's job reads, and
 # so its config hash covers.
 _HASHED_KEYS = {
-    "quadrature": ("mixture", "schedule", "partitions", "stride", "grid_points"),
+    "quadrature": ("mixture", "schedule", "partitions", "stride"),
     "montecarlo": ("mixture", "schedule", "partitions", "seed", "samples_z0", "samples_z1",
                    "prior_z0", "score_model"),
-    "fixedpoints": ("mixture", "schedule", "stride", "drift_coeff"),
+    "fixedpoints": ("mixture", "schedule", "stride"),
+}
+
+# The one schema of a config: the keys each object may hold, with the type of
+# each scalar key; any other key is an error.
+_TOP_KEYS = {"method": str, "mixture": dict, "schedule": dict, "partitions": list, "seed": int,
+             "samples": int, "samples_z0": int, "samples_z1": int, "stride": int,
+             "prior_z0": float, "score_model": dict, "out": str}
+_SECTION_KEYS = {
+    "mixture": {"means": list, "weights": list, "variances": list},
+    "schedule": {"num_steps": int, "beta_start": float, "beta_end": float},
+    "score_model": {"kind": str, "path": str, "complement": str},
+}
+_SCORE_FIELDS = {"kind": "score_kind", "path": "replay_path", "complement": "complement"}
+# A partition entry's keys besides ``name``, by preset (None: explicit sides).
+_PRESET_KEYS = {
+    None: ("z0", "z1"),
+    "one-vs-one": ("preset", "classes"),
+    "one-vs-rest": ("preset", "target"),
+    "group-vs-group": ("preset", "z0", "z1"),
 }
 
 NUMERICAL_ERRORS = (
@@ -93,13 +113,11 @@ class ExperimentConfig:
     seed: int = 0
     samples_z0: int = 1000
     samples_z1: int = 1000
-    grid_points: int = MIN_GRID_POINTS
     stride: int = 1
     prior_z0: float | None = None
     score_kind: str = "oracle"
     replay_path: str | None = None
     complement: str = "exact"
-    drift_coeff: float = 0.5
     out: str = "."
 
     def __post_init__(self):
@@ -155,12 +173,10 @@ class ExperimentConfig:
             "seed": self.seed,
             "samples_z0": self.samples_z0,
             "samples_z1": self.samples_z1,
-            "grid_points": self.grid_points,
             "stride": self.stride,
             "prior_z0": self.prior_z0,
             "score_model": {"kind": self.score_kind, "path": self.replay_path,
                             "complement": self.complement},
-            "drift_coeff": self.drift_coeff,
             "out": self.out,
         }
 
@@ -177,9 +193,12 @@ class ExperimentConfig:
 
 
 def _scalar(value, key: str, kind: type):
-    """``value`` as ``kind``: a number key takes a JSON number, an integer key a JSON integer."""
+    """``value`` as ``kind``: a string key takes a JSON string, a number key a
+    JSON number, an integer key a JSON integer."""
     if kind is str:
-        return str(value)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
     # bool is an int subclass, and a float must not be truncated to an integer.
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
@@ -187,6 +206,17 @@ def _scalar(value, key: str, kind: type):
     if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return kind(value)
+
+
+def _object(value, where: str, keys) -> dict:
+    """``value``, an object at path ``where`` ("" for the root) holding only ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {where or 'root'} must be an object, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        path = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ConfigError(f"unknown config key {path!r}: {where or 'the root'} takes {list(keys)}")
+    return value
 
 
 def _numbers(mix: dict, key: str) -> tuple[float, ...] | None:
@@ -198,117 +228,84 @@ def _numbers(mix: dict, key: str) -> tuple[float, ...] | None:
     return tuple(_scalar(v, f"mixture.{key}", float) for v in values)
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config {key!r} must be an object, got {value!r}")
-    return value
-
-
-def _index(value, key: str, index: int) -> int:
-    return _scalar(value, f"partition #{index} {key!r}: component index", int)
-
-
-def _index_list(entry: dict, key: str, index: int) -> tuple[int, ...]:
+def _index_list(entry: dict, key: str, where: str) -> tuple[int, ...]:
     values = entry.get(key)
     if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"partition #{index} needs {key!r} as a list of component indices, "
-                          f"got {values!r}")
-    return tuple(_index(v, key, index) for v in values)
+        raise ConfigError(f"{where} needs {key!r} as a list of component indices, got {values!r}")
+    return tuple(_scalar(v, f"{where}.{key}: component index", int) for v in values)
 
 
 def _partition_spec(entry: dict, k: int, index: int) -> PartitionSpec:
+    where = f"partitions[{index}]"
     if not isinstance(entry, dict):
-        raise ConfigError(f"partition #{index} must be an object, got {entry!r}")
+        raise ConfigError(f"{where} must be an object, got {entry!r}")
     preset = entry.get("preset")
+    if not (preset is None or isinstance(preset, str)) or preset not in _PRESET_KEYS:
+        raise ConfigError(f"{where}: unknown partition preset {preset!r}")
+    _object(entry, where, _PRESET_KEYS[preset] + ("name",))
     if preset is None:
         if "z0" not in entry or "z1" not in entry:
-            raise ConfigError(f"partition #{index} needs 'z0' and 'z1' (or a 'preset')")
-        z0, z1 = _index_list(entry, "z0", index), _index_list(entry, "z1", index)
+            raise ConfigError(f"{where} needs 'z0' and 'z1' (or a 'preset')")
+        z0, z1 = _index_list(entry, "z0", where), _index_list(entry, "z1", where)
         default = f"z0-{'-'.join(map(str, z0))}_vs_z1-{'-'.join(map(str, z1))}"
     elif preset == "one-vs-one":
-        classes = _index_list(entry, "classes", index)
+        classes = _index_list(entry, "classes", where)
         if len(classes) != 2:
-            raise ConfigError(f"partition #{index} 'classes' needs two component indices, "
-                              f"got {list(classes)}")
+            raise ConfigError(f"{where}.classes needs two component indices, got {list(classes)}")
         z0, z1 = classes[:1], classes[1:]
         default = f"c{z0[0]}-vs-c{z1[0]}"
     elif preset == "one-vs-rest":
-        target = _index(entry.get("target"), "target", index)
+        target = _scalar(entry.get("target"), f"{where}.target: component index", int)
         z0 = (target,)
         z1 = tuple(i for i in range(k) if i != target)
         default = f"c{target}-vs-rest"
-    elif preset == "group-vs-group":
-        z0, z1 = _index_list(entry, "z0", index), _index_list(entry, "z1", index)
-        default = f"group-{'-'.join(map(str, z0))}_vs_{'-'.join(map(str, z1))}"
     else:
-        raise ConfigError(f"unknown partition preset {preset!r}")
-    name = str(entry.get("name", default))
+        z0, z1 = _index_list(entry, "z0", where), _index_list(entry, "z1", where)
+        default = f"group-{'-'.join(map(str, z0))}_vs_{'-'.join(map(str, z1))}"
+    name = _scalar(entry["name"], f"{where}.name", str) if "name" in entry else default
     # The name becomes part of a file name and of a CSV comment line.
     if name in ("", ".", "..") or any(c in "/\\" or not c.isprintable() for c in name):
-        raise ConfigError(f"partition #{index} name must be a non-empty file name without "
+        raise ConfigError(f"{where}.name must be a non-empty file name without "
                           f"path separators or control characters, got {name!r}")
     return PartitionSpec(z0=z0, z1=z1, name=name)
 
 
-_SCALAR_KEYS = {
-    "method": str, "num_steps": int, "beta_start": float, "beta_end": float,
-    "seed": int, "samples_z0": int, "samples_z1": int, "grid_points": int,
-    "stride": int, "drift_coeff": float, "out": str,
-}
-
-
 def _config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)} | {"mixture", "schedule", "partition", "score_model", "samples"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    mix = _section(raw, "mixture")
+    raw = _object(raw, "", _TOP_KEYS)
+    mix, sched, score = (_object(raw.get(name, {}), name, _SECTION_KEYS[name])
+                         for name in ("mixture", "schedule", "score_model"))
     if "means" not in mix:
         raise ConfigError("config needs mixture.means")
-    means = _numbers(mix, "means")
-    kwargs: dict = {"means": means, "weights": _numbers(mix, "weights"),
-                    "variances": _numbers(mix, "variances")}
-    sched = _section(raw, "schedule")
-    if "betas" in sched:
-        raise ConfigError("explicit beta arrays are supported via the library API, not the CLI config")
-    for key in ("num_steps", "beta_start", "beta_end"):
-        if key in sched:
-            kwargs[key] = _scalar(sched[key], f"schedule.{key}", _SCALAR_KEYS[key])
+    kwargs: dict = {key: _numbers(mix, key) for key in _SECTION_KEYS["mixture"]}
+    for key, value in sched.items():
+        kwargs[key] = _scalar(value, f"schedule.{key}", _SECTION_KEYS["schedule"][key])
+    for key, value in score.items():
+        # A null path is the default, as ``to_dict`` writes it.
+        if value is not None or key != "path":
+            kwargs[_SCORE_FIELDS[key]] = _scalar(value, f"score_model.{key}", str)
+    for key, value in raw.items():
+        kind = _TOP_KEYS[key]
+        # A null prior_z0 is the partition's own, as ``to_dict`` writes it.
+        if kind not in (dict, list) and (value is not None or key != "prior_z0"):
+            kwargs[key] = _scalar(value, key, kind)
+    if "samples" in kwargs:
+        if "samples_z0" in raw or "samples_z1" in raw:
+            raise ConfigError("config gives 'samples' with 'samples_z0'/'samples_z1': "
+                              "'samples' sets both, so give one or the others")
+        kwargs["samples_z0"] = kwargs["samples_z1"] = kwargs.pop("samples")
 
-    for key, kind in _SCALAR_KEYS.items():
-        if key in raw:
-            kwargs[key] = _scalar(raw[key], key, kind)
-    if "samples" in raw:
-        kwargs["samples_z0"] = kwargs["samples_z1"] = _scalar(raw["samples"], "samples", int)
-    if raw.get("prior_z0") is not None:
-        kwargs["prior_z0"] = _scalar(raw["prior_z0"], "prior_z0", float)
-
-    score = _section(raw, "score_model")
-    if score:
-        kwargs["score_kind"] = str(score.get("kind", "oracle"))
-        kwargs["replay_path"] = score.get("path")
-        kwargs["complement"] = str(score.get("complement", "exact"))
-
-    entries = raw.get("partitions", raw.get("partition"))
-    if entries is not None:
-        if isinstance(entries, dict):
-            entries = [entries]
+    if "partitions" in raw:
+        entries = raw["partitions"]
         if not isinstance(entries, (list, tuple)):
             raise ConfigError(f"config 'partitions' must be a list of objects, got {entries!r}")
-        k = len(means)
-        specs = [_partition_spec(e, k, i) for i, e in enumerate(entries)]
+        specs = [_partition_spec(e, len(kwargs["means"]), i) for i, e in enumerate(entries)]
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ConfigError(f"partition names must be unique, got {names}")
         kwargs["partitions"] = tuple(specs)
 
     try:
-        cfg = ExperimentConfig(method=str(raw.get("method", "quadrature")),
-                               **{k: v for k, v in kwargs.items() if k != "method"})
+        cfg = ExperimentConfig(method=kwargs.pop("method", "quadrature"), **kwargs)
         cfg.mixture()
         cfg.schedule()
         cfg.built_partitions()
@@ -377,8 +374,7 @@ def run_profile(config: ExperimentConfig, out_dir: str, svg: bool = False) -> li
     written = []
     rate_series = []
     for name, partition in config.built_partitions():
-        profile = entropy_profile(mixture, partition, schedule,
-                                  stride=config.stride, grid_points=config.grid_points)
+        profile = entropy_profile(mixture, partition, schedule, stride=config.stride)
         rows = zip(profile.times.steps, profile.times.s, profile.H_bits,
                    profile.rate_bits, profile.transfer_bits)
         text = _csv_text(_common_comments(config) + [f"partition {name}"],
@@ -442,9 +438,8 @@ def run_fixed_points(config: ExperimentConfig, out_dir: str, svg: bool = False) 
         raise ConfigError(f"fixed-points needs method='fixedpoints', config says {config.method!r}")
     mixture = config.mixture()
     schedule = config.schedule()
-    diagram = trace_bifurcations(mixture, schedule, stride=config.stride,
-                                 drift_coeff=config.drift_coeff)
-    comments = _common_comments(config) + [f"drift_coeff {config.drift_coeff!r}"]
+    diagram = trace_bifurcations(mixture, schedule, stride=config.stride)
+    comments = _common_comments(config)
     for event in diagram.critical:
         comments.append(
             f"critical s={event.s!r} steps {event.t_before}->{event.t_after} "
@@ -486,8 +481,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--samples", type=int, default=None,
                         help="override both per-branch sample counts")
-    parser.add_argument("--grid", type=int, default=None,
-                        help="override the floor on the quadrature cells per level")
     parser.add_argument("--stride", type=int, default=None, help="override the evaluation stride")
 
 
@@ -497,8 +490,6 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
         updates["seed"] = args.seed
     if args.samples is not None:
         updates["samples_z0"] = updates["samples_z1"] = args.samples
-    if args.grid is not None:
-        updates["grid_points"] = args.grid
     if args.stride is not None:
         updates["stride"] = args.stride
     return replace(config, **updates) if updates else config

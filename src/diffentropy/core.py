@@ -138,11 +138,6 @@ class NoiseSchedule:
             raise ParameterError(f"step {t} outside [0, {self.num_steps}]")
         return 1.0 if t == 0 else float(self.alpha_bars[t - 1])
 
-    def beta(self, t: int) -> float:
-        if not 1 <= t <= self.num_steps:
-            raise ParameterError(f"step {t} outside [1, {self.num_steps}]")
-        return float(self.betas[t - 1])
-
     @classmethod
     def from_betas(cls, betas: Iterable[float]) -> "NoiseSchedule":
         betas = np.asarray(list(betas), dtype=np.float64)

@@ -34,8 +34,8 @@ entropy) bounds each window's ``h`` twice:
   as a delta between two others does.
 
 A window needs ``W / h`` cells.  A level gets the next power of two at or
-above both ``grid_points`` (a floor, 64 by default) and its windows' summed
-needs, each window its need plus a share of the rest in proportion to it.
+above both ``MIN_CELLS`` (64) and its windows' summed needs, each window its
+need plus a share of the rest in proportion to it.
 H is then right to ``H_TOL`` = 1e-12 bits, as the tests check against dense
 plain-numpy grids.  The quadrature raises :class:`QuadratureDomainError`
 rather than return a wrong number when
@@ -75,7 +75,7 @@ __all__ = [
     "entropy_profile",
 ]
 
-MIN_GRID_POINTS = 64
+MIN_CELLS = 64  # fewest cells a level takes
 WINDOW_SPAN = 10.0  # window half-width in diffused standard deviations
 WINDOW_TOL = 1e-13  # quadrature error target per window, eps in the module docstring
 H_TOL = 1e-12  # stated tolerance on H, in bits
@@ -143,7 +143,7 @@ def _branch_points(mu, var, log_w, i, j) -> np.ndarray:
 
 
 def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,
-             log_w: np.ndarray, grid_points: int, where) -> tuple:
+             log_w: np.ndarray, where) -> tuple:
     """Each level's merged union windows and their cells, one slot per component.
 
     Returns ``lo``, ``dx`` and ``cells`` of shape ``(L, C)``, slot ``j`` of level
@@ -208,14 +208,14 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
         raise QuadratureDomainError(
             f"{where(l)}: the decision needs {int(total[l])} cells for an error of "
             f"{WINDOW_TOL} per window, more than the {MAX_CELLS} a level may take")
-    count = 2 ** np.ceil(np.log2(np.maximum(total, grid_points)))
+    count = 2 ** np.ceil(np.log2(np.maximum(total, MIN_CELLS)))
     cum = np.cumsum(need, axis=0)
     cells = (base + np.diff(np.rint(cum / cum[-1] * (count - total)), axis=0, prepend=0)).astype(np.int64)
     return lo.T, (width / np.maximum(cells, 1)).T, cells.T, count.astype(np.int64)
 
 
 def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,
-                    grid_points: int, steps=None, equal_priors: bool = False) -> np.ndarray:
+                    steps=None, equal_priors: bool = False) -> np.ndarray:
     """The quadrature of H(z | x_t) in bits at each level of ``alpha_bars``.
 
     The one quadrature path: windows and cells from :func:`_windows`; levels
@@ -224,16 +224,13 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
     equal-weight mixture of the two side densities, each renormalized within
     itself, as the JSD does.
     """
-    if grid_points < MIN_GRID_POINTS:
-        raise ParameterError(f"grid needs at least {MIN_GRID_POINTS} points, got {grid_points}")
-
     where = _level_namer(alpha_bars, steps)
     if equal_priors:
         log_w = np.log(0.5) + np.concatenate([_log_weights(mixture, side)
                                               for side in (partition.z0, partition.z1)])
     else:
         log_w = _log_weights(mixture, partition.union)
-    lo, dx, cells, count = _windows(mixture, partition, alpha_bars, log_w, grid_points, where)
+    lo, dx, cells, count = _windows(mixture, partition, alpha_bars, log_w, where)
     first = np.cumsum(cells, axis=1) - cells
     k0 = len(partition.z0)
     h, mass = np.empty(len(alpha_bars)), np.empty(len(alpha_bars))
@@ -270,35 +267,30 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
     return np.clip(h, 0.0, 1.0)
 
 
-def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
-                           grid_points: int = MIN_GRID_POINTS) -> float:
+def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_bar: float) -> float:
     """Conditional entropy of the decision at one noise level, in bits.
 
     With the side log joints ``a = log pi0 p0`` and ``b = log pi1 p1`` (the
     union's component kernel summed per side), this is the quadrature of the
     density ``e^a + e^b`` against the binary entropy of the posterior logit
-    ``a - b``, right to ``H_TOL`` bits.  ``grid_points`` is a floor on the
-    level's cells, which the error bound of the module docstring sets.  The
-    result is clipped into [0, 1]; an excursion beyond ``1 + 1e-9``, a mass
-    defect or a level that needs more than ``MAX_CELLS`` cells raises
-    :class:`QuadratureDomainError`.
+    ``a - b``, right to ``H_TOL`` bits, on the cells that the error bound of
+    the module docstring sets.  The result is clipped into [0, 1]; an
+    excursion beyond ``1 + 1e-9``, a mass defect or a level that needs more
+    than ``MAX_CELLS`` cells raises :class:`QuadratureDomainError`.
     """
-    return float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64),
-                                 grid_points)[0])
+    return float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64))[0])
 
 
-def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float,
-           grid_points: int = MIN_GRID_POINTS) -> float:
+def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float) -> float:
     """Jensen-Shannon divergence between the two side densities, in bits.
 
     Quadrature of ``(p0 + p1)/2 * [r log2 r + (1-r) log2(1-r)] + 1`` with
     ``r`` the equal-prior posterior ``p0 / (p0 + p1)``, on cells chosen as
-    for :func:`conditional_entropy_at`, ``grid_points`` again a floor.  For
-    an equal-prior partition the two share their cells and ``H + JSD = 1``
-    exactly.
+    for :func:`conditional_entropy_at`.  For an equal-prior partition the two
+    share their cells and ``H + JSD = 1`` exactly.
     """
     return 1.0 - float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64),
-                                       grid_points, equal_priors=True)[0])
+                                       equal_priors=True)[0])
 
 
 @dataclass(frozen=True)
@@ -328,16 +320,16 @@ class EntropyProfile:
 
 
 def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: NoiseSchedule,
-                    stride: int = 1, grid_points: int = MIN_GRID_POINTS) -> EntropyProfile:
+                    stride: int = 1) -> EntropyProfile:
     """Evaluate the conditional entropy at every ``stride``-th schedule step.
 
-    Every level gets its own windows and cell count, at least
-    ``grid_points``, so the cells track the shrinking support; a quadrature
-    error names the step it happened at.
+    Every level gets its own windows and cell count, at least ``MIN_CELLS``,
+    so the cells track the shrinking support; a quadrature error names the
+    step it happened at.
     """
     times = TimeGrid.strided(schedule, stride)
     h = _entropy_levels(mixture, partition, schedule.alpha_bars[times.steps - 1],
-                        grid_points, steps=times.steps)
+                        steps=times.steps)
     rate = np.gradient(h, times.s) if len(times) > 1 else np.zeros(1)
     prior = prior_entropy_bits(partition)
     return EntropyProfile(

@@ -21,7 +21,6 @@ from .core import MixtureModel, ParameterError, Partition
 __all__ = [
     "DegenerateDensityError",
     "diffused_params",
-    "class_posteriors",
     "resolve_label",
     "score",
     "score_derivative",
@@ -111,13 +110,6 @@ def _softmax(a: np.ndarray) -> np.ndarray:
         return np.ones_like(a)
     e = np.exp(a - a.max(axis=0))
     return e / e.sum(axis=0)
-
-
-def class_posteriors(mixture: MixtureModel, alpha_bar: float, x) -> np.ndarray:
-    """Posterior probability of each component given the noisy observation ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    lj = _log_joints(_subset_params(mixture, alpha_bar, range(mixture.num_components), x.ndim), x)
-    return np.moveaxis(_softmax(lj), 0, -1)
 
 
 def resolve_label(label, partition: Partition | None, num_components: int) -> tuple[int, ...]:

@@ -27,8 +27,6 @@ once, and a file-backed replay model are provided.
 
 from __future__ import annotations
 
-import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -153,7 +151,12 @@ class ReplayScoreModel:
 
     @classmethod
     def from_csv(cls, path) -> "ReplayScoreModel":
-        """Load a replay table; a malformed file raises :class:`ModelEvaluationError`."""
+        """Load a replay table; a malformed file raises :class:`ModelEvaluationError`.
+
+        Malformed means: empty or not text, a wrong header, a row without five
+        fields, a value that is not a finite number, a non-integer ``t``, or
+        an ``x`` that a step holds twice.
+        """
         expected = ["t", "x", "eps_z0", "eps_z1", "eps_null"]
         header = None
         rows: dict[int, list[tuple[float, float, float, float]]] = {}
@@ -186,6 +189,17 @@ class ReplayScoreModel:
         for t, entries in rows.items():
             entries.sort()
             cols = np.asarray(entries, dtype=np.float64)
+            # Interpolation needs finite values, each step's x strictly increasing.
+            finite = np.isfinite(cols).all(axis=1)
+            if not finite.all():
+                raise ModelEvaluationError(
+                    f"replay file {path}, step t={t}: the row {cols[~finite][0].tolist()} "
+                    "holds a value that is not finite")
+            twice = cols[1:, 0] == cols[:-1, 0]
+            if np.any(twice):
+                raise ModelEvaluationError(
+                    f"replay file {path}, step t={t}: x={float(cols[1:, 0][twice][0])!r} "
+                    "appears on two rows")
             table[t] = {"x": cols[:, 0], "z0": cols[:, 1], "z1": cols[:, 2], "null": cols[:, 3]}
         if not table:
             raise ModelEvaluationError(f"replay file {path} holds no data rows")
@@ -232,25 +246,6 @@ def _denoising_mean(x, eps, coef: float, root: float, out):
     ``out`` may be neither ``x`` nor ``eps``.
     """
     return np.divide(np.subtract(x, np.multiply(coef, eps, out=out), out=out), root, out=out)
-
-
-def _update_scales(update_scale, betas) -> np.ndarray:
-    """The posterior update's weight at each step of a schedule's ``betas`` array.
-
-    Raises :class:`ParameterError` unless ``update_scale`` is ``"bayes"``,
-    ``"one-minus-beta"`` or a finite number > 0.
-    """
-    if isinstance(update_scale, str):
-        if update_scale == "bayes":
-            # Exact Gaussian-filter weight for a transition of variance beta_t.
-            return 1.0 / (2.0 * betas)
-        if update_scale == "one-minus-beta":
-            return 1.0 / (1.0 - betas)
-    elif (isinstance(update_scale, numbers.Real) and not isinstance(update_scale, bool)
-          and math.isfinite(update_scale) and update_scale > 0.0):
-        return np.full(betas.shape, float(update_scale))
-    raise ParameterError("update_scale must be 'bayes', 'one-minus-beta' or a finite number > 0, "
-                         f"got {update_scale!r}")
 
 
 def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.ndarray:
@@ -345,7 +340,6 @@ class McEntropyEstimate:
     n_z1: int
     seed: int
     prior_z0: float
-    update_scale: object = "bayes"
 
     def __post_init__(self):
         n = self.steps.size
@@ -356,18 +350,17 @@ class McEntropyEstimate:
 
 def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedule,
                                  prior_z0: float = 0.5, n_z0: int = 1000, n_z1: int = 1000,
-                                 seed: int = 0, update_scale="bayes") -> McEntropyEstimate:
+                                 seed: int = 0) -> McEntropyEstimate:
     """Run the full two-population estimator and return the ``H_{T..0}`` series.
 
     Both populations start from a standard normal at ``t = T`` with the
     posterior initialized to the prior.  Each reverse step moves a branch to
     its own denoising mean ``(x - beta_t / sqrt(1 - alpha_bar_t) * eps) /
     sqrt(1 - beta_t)`` plus ``sqrt(beta_t) * N(0, 1)`` noise (none at the
-    final step ``t = 1``), moves the log-odds of z0 by ``-scale * (|x - mu_z0|^2
-    - |x - mu_z1|^2)``, clipped to ``+-LOGIT_MAX``, and records the population
-    entropy summand.  ``update_scale`` picks ``scale``: ``"bayes"`` uses
-    ``1 / (2 beta_t)``, ``"one-minus-beta"`` uses ``1 / (1 - beta_t)``, and a
-    finite number > 0 is used verbatim; it is checked before the first step.
+    final step ``t = 1``), moves the log-odds of z0 by ``-(|x - mu_z0|^2 -
+    |x - mu_z1|^2) / (2 beta_t)``, clipped to ``+-LOGIT_MAX``, and records the
+    population entropy summand.  ``1 / (2 beta_t)`` is the exact
+    Gaussian-filter weight for a transition of variance ``beta_t``.
 
     Branch ``i`` (0 for z0, 1 for z1) draws from one stream,
     ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T as
@@ -387,7 +380,7 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     prior_summand = -binary_entropy_bits(prior_z0)
     # Step t's scalars sit at index t - 1.
     betas = schedule.betas
-    scales = _update_scales(update_scale, betas).tolist()
+    scales = (1.0 / (2.0 * betas)).tolist()
     coefs = (betas / np.sqrt(1.0 - schedule.alpha_bars)).tolist()
     roots = np.sqrt(1.0 - betas).tolist()
     noise_sds = np.sqrt(betas).tolist()
@@ -433,5 +426,4 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
         n_z1=n_z1,
         seed=seed,
         prior_z0=prior_z0,
-        update_scale=update_scale,
     )

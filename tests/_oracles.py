@@ -3,9 +3,9 @@
 import numpy as np
 
 
-def sign_change_count(mixture, alpha_bar, lo, hi, n=100_000, drift_coeff=0.5):
+def sign_change_count(mixture, alpha_bar, lo, hi, n=100_000):
     """Number of sign changes of the drift residual on a dense uniform grid."""
-    s = np.sign(drift_residual_reference(mixture, alpha_bar, np.linspace(lo, hi, n), drift_coeff))
+    s = np.sign(drift_residual_reference(mixture, alpha_bar, np.linspace(lo, hi, n)))
     return int(np.sum(s[1:] * s[:-1] < 0))
 
 
@@ -31,35 +31,42 @@ def component_log_joints(means, weights, variances, alpha_bar, x):
     return np.log(weights) - 0.5 * np.log(2.0 * np.pi * var) - (x - mu) ** 2 / (2.0 * var)
 
 
-def drift_residual_reference(mixture, alpha_bar, x, drift_coeff=0.5):
-    """``drift_coeff * x - d/dx log p_t(x)`` of a ``MixtureModel``, by plain numpy.
+def component_posteriors(mixture, alpha_bar, x):
+    """Each component's posterior given ``x``, from :func:`component_log_joints`.
 
-    The score is the posterior-weighted pull ``(mu_kt - x) / var_kt`` of the
-    components, with posteriors from :func:`component_log_joints`.  Shares no
-    code with ``diffentropy``.
+    Components lie on the last axis.  Shares no code with ``diffentropy``.
     """
     log_joints = component_log_joints(mixture.means, mixture.weights, mixture.variances, alpha_bar, x)
-    posteriors = np.exp(log_joints - np.logaddexp.reduce(log_joints, axis=-1, keepdims=True))
+    return np.exp(log_joints - np.logaddexp.reduce(log_joints, axis=-1, keepdims=True))
+
+
+def drift_residual_reference(mixture, alpha_bar, x):
+    """``0.5 * x - d/dx log p_t(x)`` of a ``MixtureModel``, by plain numpy.
+
+    The score is the posterior-weighted pull ``(mu_kt - x) / var_kt`` of the
+    components, with posteriors from :func:`component_posteriors`.  Shares no
+    code with ``diffentropy``.
+    """
+    posteriors = component_posteriors(mixture, alpha_bar, x)
     mu = np.sqrt(alpha_bar) * np.asarray(mixture.means, dtype=np.float64)
     var = alpha_bar * np.asarray(mixture.variances, dtype=np.float64) + (1.0 - alpha_bar)
     x = np.asarray(x, dtype=np.float64)
-    return drift_coeff * x - np.sum(posteriors * (mu - x[..., None]) / var, axis=-1)
+    return 0.5 * x - np.sum(posteriors * (mu - x[..., None]) / var, axis=-1)
 
 
-def drift_residual_derivative_reference(mixture, alpha_bar, x, drift_coeff=0.5):
+def drift_residual_derivative_reference(mixture, alpha_bar, x):
     """``d/dx`` of :func:`drift_residual_reference`, by plain numpy.
 
     The score's slope is the posterior mean of ``pull^2 - 1 / var_kt`` less
     the squared posterior mean of the pull ``(mu_kt - x) / var_kt``.  Shares no
     code with ``diffentropy``.
     """
-    log_joints = component_log_joints(mixture.means, mixture.weights, mixture.variances, alpha_bar, x)
-    posteriors = np.exp(log_joints - np.logaddexp.reduce(log_joints, axis=-1, keepdims=True))
+    posteriors = component_posteriors(mixture, alpha_bar, x)
     mu = np.sqrt(alpha_bar) * np.asarray(mixture.means, dtype=np.float64)
     var = alpha_bar * np.asarray(mixture.variances, dtype=np.float64) + (1.0 - alpha_bar)
     pull = (mu - np.asarray(x, dtype=np.float64)[..., None]) / var
     mean = np.sum(posteriors * pull, axis=-1)
-    return drift_coeff - (np.sum(posteriors * (pull**2 - 1.0 / var), axis=-1) - mean**2)
+    return 0.5 - (np.sum(posteriors * (pull**2 - 1.0 / var), axis=-1) - mean**2)
 
 
 def mixture_log_density(means, weights, variances, alpha_bar, x):
@@ -116,14 +123,14 @@ def windowed_entropy_bits(means, weights, variances, z0, z1, alpha_bar, span=12.
     return float(total)
 
 
-def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed,
-                         update_scale="bayes"):
+def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed):
     """The Monte-Carlo estimator's branch series ``(h_z0, h_z1)`` by plain numpy.
 
     The estimator's loop written out with a fresh array for every result:
     branch ``i`` draws x_T and then one noise vector per step t > 1 from
     ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``, moves under its own
-    denoising mean, updates the clipped log-odds of z0 from both means and
+    denoising mean, updates the clipped log-odds of z0 from both means with
+    the weight ``1 / (2 beta_t)`` and
     records minus the population mean of the binary entropy, in bits.
     ``epsilon(x, t, label)`` is the score model.  Shares no code with
     ``diffentropy``.
@@ -149,12 +156,7 @@ def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed,
             x = mu0 if i == 0 else mu1
             if t > 1:
                 x = x + np.sqrt(beta) * rng.standard_normal(n)
-            if update_scale == "bayes":
-                scale = 1.0 / (2.0 * beta)
-            elif update_scale == "one-minus-beta":
-                scale = 1.0 / (1.0 - beta)
-            else:
-                scale = float(update_scale)
+            scale = 1.0 / (2.0 * beta)
             delta = (x - mu0) ** 2 - (x - mu1) ** 2
             logit = np.clip(logit - scale * delta, -logit_max, logit_max)
             mag = np.abs(logit)

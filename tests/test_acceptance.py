@@ -236,7 +236,6 @@ def test_criterion_8_determinism(tmp_path):
         "seed": 42,
         "samples": 50,
         "stride": 10,
-        "grid_points": 1024,
     }
     cfg_q = tmp_path / "quad.json"
     cfg_q.write_text(json.dumps(config))

@@ -23,6 +23,18 @@ ROW_LOPSIDED = MixtureModel.deltas([-2.0, 1.0, 2.0])
 SCHEDULE = linear_schedule(1000)
 
 
+def _injected(residual, slope):
+    """A stand-in for ``_score_and_derivative`` whose drift residual is ``residual(x)``."""
+    def score_and_derivative(mix, alpha_bar, x):
+        x = np.asarray(x, dtype=np.float64)
+        return bifurcation.DRIFT_COEFF * x - residual(x), bifurcation.DRIFT_COEFF - slope(x)
+    return score_and_derivative
+
+
+# A residual 1 + x^2 with no root anywhere.
+ROOTLESS = _injected(lambda x: 1.0 + x * x, lambda x: 2.0 * x)
+
+
 class TestDriftResidual:
     def test_single_standard_component_has_origin_root(self):
         m = MixtureModel(weights=[1.0], means=[0.0], variances=[1.0])
@@ -51,11 +63,14 @@ class TestDriftResidual:
                 fd, rel=1e-6, abs=1e-6
             )
 
-    def test_drift_coefficient_is_configurable(self):
-        x = 1.3
-        assert drift_residual_reference(TWO_DELTAS, 0.5, x, drift_coeff=0.0) == pytest.approx(
-            drift_residual_reference(TWO_DELTAS, 0.5, x) - 0.5 * x
-        )
+    def test_drift_coefficient_is_the_vp_drift(self):
+        # The library's residual is DRIFT_COEFF * x less its score; the
+        # oracle's is 0.5 * x less a plain-numpy score.
+        assert bifurcation.DRIFT_COEFF == 0.5
+        x = np.linspace(-3.0, 3.0, 13)
+        np.testing.assert_allclose(
+            drift_residual_reference(TWO_DELTAS, 0.5, x),
+            bifurcation.DRIFT_COEFF * x - mixture.score(TWO_DELTAS, 0.5, x), rtol=1e-12, atol=1e-14)
 
 
 class TestFindFixedPoints:
@@ -112,17 +127,18 @@ class TestFindFixedPoints:
         stable = [p for p in pts if p.stable]
         assert len(stable) == 4
 
-    def test_root_on_a_grid_node_is_reported_once(self):
-        # With an odd node count the symmetric box puts a node on the origin,
-        # where the residual is exactly zero: a root with no sign-change cell.
-        n = 257
+    def test_root_on_a_grid_node_is_reported_once(self, monkeypatch):
+        # The residual (x - a)(x - b), with a on a grid node and b inside a
+        # cell: at a it is exactly zero, a root with no sign-change cell.
         for ab in (1e-4, 0.5, 0.999):
-            lo, hi = scan_box(TWO_DELTAS, ab)
-            assert np.linspace(lo, hi, n)[n // 2] == 0.0
-            assert drift_residual_reference(TWO_DELTAS, ab, 0.0) == 0.0
-            pts = find_fixed_points(TWO_DELTAS, ab, n_starts=n)
-            assert [p.x for p in pts if abs(p.x) < 1e-6] == [0.0]
-            assert len(pts) == sign_change_count(TWO_DELTAS, ab, lo, hi)
+            nodes = np.linspace(*scan_box(TWO_DELTAS, ab), bifurcation.GRID_NODES)
+            a, b = nodes[100], 0.5 * (nodes[150] + nodes[151])
+            monkeypatch.setattr(bifurcation, "_score_and_derivative", _injected(
+                lambda x: (x - a) * (x - b), lambda x: 2.0 * x - a - b))
+            pts = find_fixed_points(TWO_DELTAS, ab)
+            assert [p.stable for p in pts] == [False, True]
+            assert pts[0].x == a and pts[0].residual == 0.0
+            assert pts[1].x == pytest.approx(b, abs=1e-12)
 
     def test_counts_match_dense_scan_at_refined_events(self):
         # The adjacent steps around each count change of FOUR_DELTAS, where
@@ -146,13 +162,10 @@ class TestFindFixedPoints:
             assert [p.stable for p in pts] == [True, False, True]
             assert abs(drift_residual_derivative_reference(skewed, ab, pts[1].x)) > 1e4
 
-    def test_bad_search_box_rejected(self):
-        with pytest.raises(ParameterError):
-            find_fixed_points(TWO_DELTAS, 0.5, search_box=(1.0, 1.0))
-
-    def test_rootless_box_warns_and_returns_empty(self):
+    def test_rootless_box_warns_and_returns_empty(self, monkeypatch):
+        monkeypatch.setattr(bifurcation, "_score_and_derivative", ROOTLESS)
         with pytest.warns(RuntimeWarning, match="no drift fixed points"):
-            assert find_fixed_points(TWO_DELTAS, 0.5, search_box=(5.0, 6.0)) == ()
+            assert find_fixed_points(TWO_DELTAS, 0.5) == ()
 
     def test_fixed_point_constructor_enforces_convergence(self):
         with pytest.raises(ParameterError):
@@ -288,16 +301,21 @@ class TestTraceBifurcations:
             trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=stride)
 
     def test_an_overflowing_search_box_raises_naming_its_level(self):
-        with pytest.raises(FloatingPointError, match=r"^alpha_bar=0\.5: .* not finite"):
-            find_fixed_points(TWO_DELTAS, 0.5, search_box=(-1.7e308, 1.7e308))
+        # The box spans the deltas' 2.4e308, so its node spacing overflows.
+        huge = MixtureModel.deltas([-1.7e308, 1.7e308])
+        message = r"^alpha_bar=0\.5: .* not finite on the search box"
+        with pytest.raises(FloatingPointError, match=message):
+            find_fixed_points(huge, 0.5)
 
-    def test_each_rootless_level_of_a_batch_warns(self):
+    def test_each_rootless_level_of_a_batch_warns(self, monkeypatch):
+        monkeypatch.setattr(bifurcation, "_score_and_derivative", ROOTLESS)
         levels = np.array([0.3, 0.5, 0.7])
         with pytest.warns(RuntimeWarning) as record:
-            found = bifurcation._fixed_points_at_levels(TWO_DELTAS, levels, search_box=(5.0, 6.0))
+            found = bifurcation._fixed_points_at_levels(TWO_DELTAS, levels)
         assert found == [(), (), ()]
         assert [str(w.message) for w in record] == [
-            f"no drift fixed points converged at alpha_bar={ab!r} in (5.0, 6.0)" for ab in (0.3, 0.5, 0.7)]
+            f"no drift fixed points converged at alpha_bar={ab!r} in {scan_box(TWO_DELTAS, ab)!r}"
+            for ab in (0.3, 0.5, 0.7)]
 
 
 class TestSiblingSplitTime:

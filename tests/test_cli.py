@@ -20,15 +20,17 @@ from diffentropy.tracker import GmmScoreModel, write_replay_csv
 from diffentropy.core import MixtureModel, make_partition
 
 
+SCHEDULE_150 = {"num_steps": 150, "beta_start": 5e-4, "beta_end": 0.12}
+
+
 def write_config(path, **overrides):
     base = {
         "mixture": {"means": [-1.0, 1.0]},
-        "schedule": {"num_steps": 150, "beta_start": 5e-4, "beta_end": 0.12},
+        "schedule": SCHEDULE_150,
         "partitions": [{"z0": [0], "z1": [1]}],
         "method": "quadrature",
         "seed": 7,
         "stride": 10,
-        "grid_points": 1024,
     }
     base.update(overrides)
     path.write_text(json.dumps(base))
@@ -43,14 +45,14 @@ class TestConfig:
     def test_hash_is_stable_and_content_sensitive(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.json"))
         b = load_config(write_config(tmp_path / "b.json"))
-        c = load_config(write_config(tmp_path / "c.json", grid_points=2048))
+        c = load_config(write_config(tmp_path / "c.json", stride=5))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
     @pytest.mark.parametrize("method, unread, read", [
-        ("fixedpoints", {"samples": 5}, {"drift_coeff": 0.25}),
-        ("quadrature", {"drift_coeff": 0.25}, {"stride": 5}),
-        ("montecarlo", {"grid_points": 2048}, {"samples": 5}),
+        ("fixedpoints", {"samples": 5}, {"stride": 5}),
+        ("quadrature", {"seed": 3}, {"partitions": [{"z0": [1], "z1": [0]}]}),
+        ("montecarlo", {"stride": 5}, {"samples": 5}),
     ])
     def test_hash_covers_only_the_keys_the_job_reads(self, tmp_path, method, unread, read):
         base = load_config(write_config(tmp_path / "a.json", method=method))
@@ -108,16 +110,58 @@ class TestConfig:
             {"score_model": 5},
             {"partitions": 5},
             {"stride": 0},
-            {"grid_points": 10},
             {"samples": 0},
             {"samples_z0": 0},
             {"samples_z1": -3},
+            # Misspelt keys of a section, once ignored.
+            {"mixture": {"means": [-1.0, 1.0], "weigths": [0.9, 0.1]}},
+            {"schedule": {"num_step": 20}},
+            {"score_model": {"complemnt": "null"}},
+            {"partitions": [{"preset": "one-vs-one", "classes": [0, 1], "target": 1}]},
+            {"partitions": [{"z0": [0], "z1": [1], "preset": None}]},
+            # Field names of the parsed config, once accepted at the top and ignored.
+            {"complement": "null"},
+            {"means": [-2.0, 2.0]},
+            {"weights": [0.9, 0.1]},
+            {"variances": [0.5, 0.5]},
+            {"score_kind": "replay"},
+            {"replay_path": "eps.csv"},
+            # Schedule keys at the top, once beating the schedule's.
+            {"num_steps": 20},
+            {"beta_start": 1e-3},
+            {"beta_end": 0.05},
+            # Two spellings of one setting.
+            {"samples": 10, "samples_z0": 500},
+            {"samples": 10, "samples_z1": 500},
+            {"partition": {"z0": [1], "z1": [0]}},
+            # Settings that are constants of the library.
+            {"grid_points": 1024},
+            {"drift_coeff": 0.5},
+            # Strings must be JSON strings.
+            {"out": 5},
+            {"score_model": {"kind": "replay", "path": 5}},
+            {"partitions": [{"z0": [0], "z1": [1], "name": 7}]},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         path = write_config(tmp_path / "bad.json", **overrides)
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"mixture": {"means": [-1.0, 1.0], "weigths": [0.9, 0.1]}}, "mixture.weigths"),
+        ({"schedule": {"num_step": 20}}, "schedule.num_step"),
+        ({"score_model": {"complemnt": "null"}}, "score_model.complemnt"),
+        ({"partitions": [{"z0": [0], "z1": [1]}, {"preset": "one-vs-rest", "target": 0, "z0": [0]}]},
+         "partitions[1].z0"),
+        ({"complement": "null"}, "complement"),
+    ])
+    def test_an_unknown_key_exits_2_naming_its_path(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"unknown config key {path!r}" in err[0], err
+        assert not (tmp_path / "out").exists()
 
 
 class TestProfileCommand:
@@ -254,7 +298,12 @@ class TestEstimateCommand:
         (b"t,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1\n", "line 2"),
         (b"t,x,eps_z0,eps_z1,eps_null\n150,0.0,0.1,-0.1,0.0\n149.5,0.0,0.1,-0.1,0.0\n", "line 3"),
         (b"t,x,eps_z0,eps_z1,eps_null\n\xff\xfe,0.0,0.1,-0.1,0.0\n", "is not text"),
-    ], ids=["empty", "non-numeric", "short-row", "non-integer-t", "not-text"])
+        (b"t,x,eps_z0,eps_z1,eps_null\n6,0.0,0.1,-0.1,0.0\n6,0,123,-123,0\n7,0.0,0.1,-0.1,0.0\n",
+         "step t=6: x=0.0 appears on two rows"),
+        (b"t,x,eps_z0,eps_z1,eps_null\n150,-1.0,0.1,-0.1,0.0\n150,0.0,0.1,nan,0.0\n",
+         "step t=150: the row [0.0, 0.1, nan, 0.0] holds a value that is not finite"),
+    ], ids=["empty", "non-numeric", "short-row", "non-integer-t", "not-text", "repeated-x",
+            "non-finite"])
     def test_malformed_replay_file_is_numerical_failure(self, tmp_path, capsys, body, where):
         replay = tmp_path / "bad.csv"
         replay.write_bytes(body)
@@ -355,14 +404,14 @@ class TestValidateAndErrors:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
                              ids=["nan", "inf", "-inf", "401-digit"])
-    @pytest.mark.parametrize("key", ["drift_coeff", "prior_z0", "beta_end", "means"])
+    @pytest.mark.parametrize("key", ["beta_start", "prior_z0", "beta_end", "means"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, key, value):
         # Python's json reads NaN and +-Infinity as floats, and a 401-digit
         # integer overflows one.
         cfg = write_config(tmp_path / "c.json", method="fixedpoints", stride=50)
         text = cfg.read_text()
-        if key == "beta_end":
-            text = text.replace('"beta_end": 0.12', f'"beta_end": {value}')
+        if key.startswith("beta"):
+            text = text.replace(f'"{key}": {SCHEDULE_150[key]!r}', f'"{key}": {value}')
         elif key == "means":
             text = text.replace('"means": [-1.0, 1.0]', f'"means": [-1.0, {value}]')
         else:
@@ -372,11 +421,20 @@ class TestValidateAndErrors:
         assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--samples", "0"], ["--grid", "10"]])
+    @pytest.mark.parametrize("flag", [["--stride", "0"], ["--samples", "0"]])
     def test_out_of_range_override_is_config_error(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path / "c.json")
         assert main(["validate-config", "--config", str(cfg)] + flag) == 2
         assert "must be >=" in capsys.readouterr().err
+
+    def test_grid_flag_is_a_usage_error(self, tmp_path, capsys):
+        # The quadrature's cells come from an error bound: there is no grid to set.
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as caught:
+            main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out"), "--grid", "1024"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFuzz:
@@ -437,11 +495,12 @@ class TestConfigFuzz:
         raw["partitions"] = partitions
 
         prior = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-300, 1.0 - 1e-16]))
-        raw["samples"] = mostly(st.integers(1, 6), st.one_of(junk, st.integers(-3, 0)))
-        for key, valid in (("seed", st.integers(0, 2**40)), ("samples_z1", st.integers(1, 6)),
-                           ("grid_points", st.integers(64, 1024)),
-                           ("stride", st.integers(1, 40)), ("prior_z0", prior),
-                           ("drift_coeff", st.one_of(st.floats(-2.0, 2.0), edges))):
+        # One spelling of the sample counts: both at once, or one per side.
+        counts = ("samples",) if draw(st.booleans()) else ("samples_z0", "samples_z1")
+        for key in counts:
+            raw[key] = mostly(st.integers(1, 6), st.one_of(junk, st.integers(-3, 0)))
+        for key, valid in (("seed", st.integers(0, 2**40)), ("stride", st.integers(1, 40)),
+                           ("prior_z0", prior)):
             if draw(st.booleans()):
                 raw[key] = mostly(valid, st.one_of(junk, st.integers(-3, 0)))
         if draw(st.booleans()):
@@ -449,7 +508,8 @@ class TestConfigFuzz:
                 "kind": mostly(st.just("oracle"), st.sampled_from(["replay", "bogus"])),
                 "complement": mostly(st.sampled_from(["exact", "null"]))}
         if draw(st.integers(0, 39)) == 17:
-            raw[draw(st.sampled_from(["typo", "partition"]))] = draw(junk)
+            raw[draw(st.sampled_from(["typo", "partition", "grid_points", "drift_coeff",
+                                      "samples_z0"]))] = draw(junk)
         command = {"quadrature": "profile", "montecarlo": "estimate",
                    "fixedpoints": "fixed-points"}[method]
         if draw(st.integers(0, 39)) == 17:

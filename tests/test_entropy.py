@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import side_posterior, windowed_entropy_bits
+from _oracles import component_posteriors, side_posterior, windowed_entropy_bits
 
 import diffentropy.entropy as entropy
-from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
+from diffentropy.core import MixtureModel, linear_schedule, make_partition
 from diffentropy.entropy import (
     QuadratureDomainError,
     _logit_entropy_bits,
@@ -16,7 +16,7 @@ from diffentropy.entropy import (
     jsd_at,
     prior_entropy_bits,
 )
-from diffentropy.mixture import class_posteriors, diffused_params
+from diffentropy.mixture import diffused_params
 from diffentropy.tracker import LOGIT_MAX
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
@@ -36,23 +36,18 @@ WIDE_AND_NARROW = MixtureModel(weights=[0.5, 0.5], means=[0.0, 0.5], variances=[
 GAUSS_CELL_SD = np.pi * np.sqrt(2.0 / np.log(1.0 / entropy.WINDOW_TOL))
 
 
-def _cell_counts(mixture, partition, alpha_bars, grid_points=entropy.MIN_GRID_POINTS):
+def _cell_counts(mixture, partition, alpha_bars):
     log_w = entropy._log_weights(mixture, partition.union)
-    return entropy._windows(mixture, partition, np.asarray(alpha_bars), log_w, grid_points,
-                            lambda level: "here")
+    return entropy._windows(mixture, partition, np.asarray(alpha_bars), log_w, lambda level: "here")
 
 
-def _window_edges(mixture, partition, alpha_bar, grid_points=entropy.MIN_GRID_POINTS):
-    lo, dx, cells, count = _cell_counts(mixture, partition, [alpha_bar], grid_points)
+def _window_edges(mixture, partition, alpha_bar):
+    lo, dx, cells, count = _cell_counts(mixture, partition, [alpha_bar])
     used = cells[0] > 0
     return lo[0, used], (lo + dx * cells)[0, used], dx[0, used], cells[0, used], count[0]
 
 
 class TestWindows:
-    def test_rejects_tiny_grids(self):
-        with pytest.raises(ParameterError):
-            conditional_entropy_at(FOUR_DELTAS, pair(FOUR_DELTAS, 0, 1), 0.5, grid_points=32)
-
     @pytest.mark.parametrize("t", [1, 100, 300, 1000])
     def test_merged_windows_cover_ten_sd_of_the_union_only(self, t):
         part = make_partition(FOUR_DELTAS, [0], [2, 3])
@@ -60,7 +55,7 @@ class TestWindows:
         lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, ab)
         mu, var = diffused_params(FOUR_DELTAS, ab)
         sd = np.sqrt(var)
-        assert cells.sum() == count >= entropy.MIN_GRID_POINTS
+        assert cells.sum() == count >= entropy.MIN_CELLS
         assert count & (count - 1) == 0  # a power of two
         assert np.all(lo[1:] > hi[:-1])  # disjoint, so every edge lies in a tail
         for k in (0, 2, 3):
@@ -73,7 +68,7 @@ class TestWindows:
             assert not np.any((lo <= mu[1]) & (mu[1] <= hi))
             assert len(lo) == 3
 
-    def test_cells_split_by_need(self):
+    def test_cells_split_by_need(self, monkeypatch):
         lo, hi, dx, cells, count = _window_edges(WIDE_AND_NARROW, pair(WIDE_AND_NARROW, 0, 1), 0.5)
         assert len(lo) == 1 and cells[0] == count
         part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
@@ -86,7 +81,8 @@ class TestWindows:
         np.testing.assert_array_equal(cells, [count // 4] * 4)
         np.testing.assert_allclose(dx, 20 * np.sqrt(SCHEDULE.betas[0]) / (count // 4), rtol=1e-12)
         # A raised floor is split the same way.
-        lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, SCHEDULE.alpha_bar(1), 1000)
+        monkeypatch.setattr(entropy, "MIN_CELLS", 1000)
+        lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, SCHEDULE.alpha_bar(1))
         assert count == 1024
         np.testing.assert_array_equal(cells, [256] * 4)
 
@@ -175,7 +171,7 @@ class TestConditionalEntropy:
         for t in (1, 2, 10, 100):
             ab = SCHEDULE.alpha_bar(t)
             h = conditional_entropy_at(WIDE_AND_NARROW, part, ab)
-            refined = conditional_entropy_at(WIDE_AND_NARROW, part, ab, grid_points=1 << 17)
+            refined = _oracle(WIDE_AND_NARROW, [0], [1], ab, per_sd=64)
             assert h == pytest.approx(refined, abs=entropy.H_TOL), f"t={t}"
             assert h == pytest.approx(_oracle(WIDE_AND_NARROW, [0], [1], ab), abs=entropy.H_TOL)
 
@@ -208,7 +204,7 @@ class TestConditionalEntropy:
         sides = rng.random(n) < part.prior_z0
         comp = np.where(sides, 2, 3)
         xs = mu[comp] + np.sqrt(var[comp]) * rng.standard_normal(n)
-        q0 = side_posterior(class_posteriors(mixture, ab, xs), part.z0, part.z1)
+        q0 = side_posterior(component_posteriors(mixture, ab, xs), part.z0, part.z1)
         values = binary_entropy_bits(q0)
         mc = values.mean()
         sem = values.std(ddof=1) / np.sqrt(n)
@@ -224,9 +220,11 @@ class TestConditionalEntropy:
 
     @pytest.mark.parametrize("t", [1, 150, 500])
     def test_converged_in_grid_points(self, t):
+        # The default cells against the plain-numpy grid at 32 to 256 cells per sd.
         part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
         ab = SCHEDULE.alpha_bar(t)
-        hs = [conditional_entropy_at(FOUR_DELTAS, part, ab, grid_points=n) for n in (512, 1024, 4096, 16384)]
+        hs = [conditional_entropy_at(FOUR_DELTAS, part, ab)]
+        hs += [_oracle(FOUR_DELTAS, [0, 1], [2, 3], ab, per_sd=n) for n in (32, 64, 128, 256)]
         assert max(hs) - min(hs) < 1e-11
 
     def test_monotone_in_forward_time(self):

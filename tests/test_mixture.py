@@ -9,10 +9,10 @@ from diffentropy.mixture import (
     DegenerateDensityError,
     _log_joints,
     _score_and_derivative,
+    _score_terms,
     _logsumexp,
     _subset_params,
     _softmax,
-    class_posteriors,
     diffused_params,
     score,
     score_derivative,
@@ -27,6 +27,13 @@ def _kernel(mix, alpha_bar, x, subset):
     """The log joints of ``subset`` at ``x``, with the diffused means and variances."""
     params = _subset_params(mix, alpha_bar, subset, np.ndim(x))
     return _log_joints(params, x), params[0], params[1]
+
+
+def _score_weights(mix, alpha_bar, x):
+    """The posterior weights that the score sums over, components on the last axis."""
+    x = np.asarray(x, dtype=np.float64)
+    params = _subset_params(mix, alpha_bar, range(mix.num_components), x.ndim)
+    return np.moveaxis(_score_terms(params, x)[0], 0, -1)
 
 
 class TestDiffusedParams:
@@ -73,7 +80,7 @@ class TestAgainstPlainNumpy:
         x = np.linspace(-20.0, 20.0, n)
         density = np.exp(mixture_log_density(*FOUR, 0.5, x))
         assert np.trapezoid(density, x) == pytest.approx(1.0, abs=1e-6)
-        recovered = np.trapezoid(density[:, None] * class_posteriors(FOUR_DELTAS, 0.5, x), x, axis=0)
+        recovered = np.trapezoid(density[:, None] * _score_weights(FOUR_DELTAS, 0.5, x), x, axis=0)
         np.testing.assert_allclose(recovered, FOUR_DELTAS.weights, atol=1e-6)
 
     def test_matches_scipy_reference(self):
@@ -84,7 +91,7 @@ class TestAgainstPlainNumpy:
                            for w, m, v in zip(FOUR_DELTAS.weights, mu, var)], axis=-1)
         np.testing.assert_allclose(np.exp(mixture_log_density(*FOUR, ab, xs)), joints.sum(axis=-1),
                                    rtol=1e-12)
-        np.testing.assert_allclose(class_posteriors(FOUR_DELTAS, ab, xs),
+        np.testing.assert_allclose(_score_weights(FOUR_DELTAS, ab, xs),
                                    joints / joints.sum(axis=-1, keepdims=True), rtol=1e-10, atol=1e-300)
 
     def test_single_component_log_joint_is_the_log_density(self):
@@ -107,14 +114,14 @@ class TestAgainstPlainNumpy:
 
 class TestClassPosteriors:
     def test_symmetry_gives_even_split(self):
-        np.testing.assert_allclose(class_posteriors(TWO_DELTAS, 0.5, 0.0), [0.5, 0.5])
+        np.testing.assert_allclose(_score_weights(TWO_DELTAS, 0.5, 0.0), [0.5, 0.5])
 
     def test_equal_likelihood_recovers_prior(self):
         m = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
-        np.testing.assert_allclose(class_posteriors(m, 0.5, 0.0), [1 / 3, 2 / 3], rtol=1e-12)
+        np.testing.assert_allclose(_score_weights(m, 0.5, 0.0), [1 / 3, 2 / 3], rtol=1e-12)
 
     def test_low_noise_concentration(self):
-        post = class_posteriors(FOUR_DELTAS, 0.99, 6.0)
+        post = _score_weights(FOUR_DELTAS, 0.99, 6.0)
         assert post[2] > 0.999
 
     def test_rows_normalized_everywhere(self):
@@ -122,13 +129,13 @@ class TestClassPosteriors:
         xs = rng.uniform(-15, 15, size=1000)
         abs_ = rng.uniform(1e-4, 1 - 1e-4, size=1000)
         for x, ab in zip(xs, abs_):
-            post = class_posteriors(FOUR_DELTAS, ab, x)
+            post = _score_weights(FOUR_DELTAS, ab, x)
             assert np.all(post >= 0.0)
             assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_error_propagates(self):
         with pytest.raises(DegenerateDensityError):
-            class_posteriors(TWO_DELTAS, 1.0, 0.0)
+            _score_weights(TWO_DELTAS, 1.0, 0.0)
 
     def test_bayes_consistency_at_random_points(self):
         # weight * likelihood / marginal must reproduce each posterior entry.
@@ -138,7 +145,7 @@ class TestClassPosteriors:
         for x, ab in zip(xs, abs_):
             lj = component_log_joints(*FOUR, ab, x)
             manual = np.exp(lj - np.logaddexp.reduce(lj))
-            np.testing.assert_allclose(class_posteriors(FOUR_DELTAS, ab, x), manual, atol=1e-10)
+            np.testing.assert_allclose(_score_weights(FOUR_DELTAS, ab, x), manual, atol=1e-10)
 
 
 class TestScore:
@@ -217,8 +224,8 @@ class TestOutputShapes:
 
     def test_posteriors_trail_the_input_shape(self):
         xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
-        assert class_posteriors(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
-        assert class_posteriors(FOUR_DELTAS, 0.4, 0.5).shape == (4,)
+        assert _score_weights(FOUR_DELTAS, 0.4, xs).shape == (2, 3, 4)
+        assert _score_weights(FOUR_DELTAS, 0.4, 0.5).shape == (4,)
 
 
 class TestKernelHelpers:

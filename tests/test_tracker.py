@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import mc_entropy_reference, side_posterior
+from _oracles import component_posteriors, mc_entropy_reference, side_posterior
 
 from diffentropy import tracker
 from diffentropy.core import (
@@ -15,7 +15,7 @@ from diffentropy.core import (
     make_partition,
 )
 from diffentropy.entropy import conditional_entropy_at
-from diffentropy.mixture import DegenerateDensityError, class_posteriors, score
+from diffentropy.mixture import DegenerateDensityError, score
 from diffentropy.tracker import (
     LOGIT_MAX,
     NOISE_BLOCK_BYTES,
@@ -26,7 +26,6 @@ from diffentropy.tracker import (
     ReplayScoreModel,
     _denoising_mean,
     _logit_update,
-    _update_scales,
     estimate_conditional_entropy,
     write_replay_csv,
 )
@@ -60,7 +59,7 @@ def _branch_rng(seed, branch_index):
 
 def _mean(x, eps, t, schedule=SCHEDULE):
     """The denoising mean at step ``t``, written into a fresh array."""
-    beta, ab = schedule.beta(t), schedule.alpha_bar(t)
+    beta, ab = schedule.betas[t - 1], schedule.alpha_bar(t)
     return _denoising_mean(x, eps, beta / np.sqrt(1.0 - ab), np.sqrt(1.0 - beta), out=np.empty(x.shape))
 
 
@@ -82,7 +81,7 @@ def _sigmoid(logit):
 class TestPosteriorMean:
     def test_zero_noise_prediction_rescales(self):
         t = 100
-        beta = SCHEDULE.beta(t)
+        beta = SCHEDULE.betas[t - 1]
         x = np.array([0.3, -2.0])
         np.testing.assert_allclose(_mean(x, np.zeros(2), t), x / np.sqrt(1 - beta))
 
@@ -90,7 +89,7 @@ class TestPosteriorMean:
         # Substituting eps = -sqrt(1-ab) * score collapses the mean to
         # (x + beta * score) / sqrt(1 - beta).
         t = 400
-        beta, ab = SCHEDULE.beta(t), SCHEDULE.alpha_bar(t)
+        beta, ab = SCHEDULE.betas[t - 1], SCHEDULE.alpha_bar(t)
         x = np.linspace(-2, 2, 9)
         expected = (x + beta * score(TWO_DELTAS, ab, x, "z0", PART)) / np.sqrt(1 - beta)
         np.testing.assert_allclose(_mean(x, ORACLE.epsilon(x, t, "z0"), t), expected, rtol=1e-12)
@@ -142,19 +141,13 @@ class TestPosteriorUpdate:
         out = _update(np.zeros(1), np.array([0.0]), np.array([0.1]), np.array([0.9]), 50.0)
         assert _sigmoid(out[0]) > 0.5
 
-    @pytest.mark.parametrize("mode, weight", [
-        ("bayes", lambda beta: 1 / (2 * beta)),
-        ("one-minus-beta", lambda beta: 1 / (1 - beta)),
-        (3.0, lambda beta: np.full(beta.shape, 3.0)),
-    ], ids=["bayes", "one-minus-beta", "number"])
-    def test_scale_modes(self, mode, weight):
+    @pytest.mark.parametrize("beta", [0.02, 0.5])
+    def test_scale_weighs_the_squared_gap(self, beta):
         x, mu0, mu1 = np.array([0.0]), np.array([0.0]), np.array([1.0])
         delta = -1.0  # (x-mu0)^2 - (x-mu1)^2
-        betas = np.array([0.02, 0.5])
-        scales = _update_scales(mode, betas)
-        np.testing.assert_allclose(scales, weight(betas), rtol=1e-15)
-        out = _update(np.zeros(1), x, mu0, mu1, scales[0])
-        np.testing.assert_allclose(_sigmoid(out), 1.0 / (1.0 + np.exp(scales[0] * delta)), rtol=1e-12)
+        scale = 1 / (2 * beta)
+        out = _update(np.zeros(1), x, mu0, mu1, scale)
+        np.testing.assert_allclose(_sigmoid(out), 1.0 / (1.0 + np.exp(scale * delta)), rtol=1e-12)
 
     def test_clamped_into_open_interval(self):
         out = _update(np.zeros(1), np.array([0.0]), np.array([0.0]), np.array([50.0]), 1 / (2 * 1e-4))
@@ -177,13 +170,13 @@ class TestPosteriorUpdate:
         rng = _branch_rng(5, 0)
         x = rng.standard_normal(1)
         logit = np.full(1, _logit(PART.prior_z0))
-        scales = _update_scales("bayes", FAST.betas)
+        scales = 1 / (2 * FAST.betas)
         hits = 0
         for t in range(FAST.num_steps, 1, -1):
             mu0, mu1 = (_mean(x, FAST_ORACLE.epsilon(x, t, label), t, FAST) for label in ("z0", "z1"))
-            x = mu0 + np.sqrt(FAST.beta(t)) * rng.standard_normal(1)
+            x = mu0 + np.sqrt(FAST.betas[t - 1]) * rng.standard_normal(1)
             _logit_update(logit, x, mu0, mu1, scales[t - 1], out=logit, work=(mu0, mu1))
-            exact = side_posterior(class_posteriors(TWO_DELTAS, FAST.alpha_bar(t - 1), x),
+            exact = side_posterior(component_posteriors(TWO_DELTAS, FAST.alpha_bar(t - 1), x),
                                    PART.z0, PART.z1)
             hits += abs(_sigmoid(logit[0]) - exact[0]) < 0.05
         assert hits / (FAST.num_steps - 1) >= 0.95
@@ -239,18 +232,6 @@ class TestEstimateConditionalEntropy:
         with pytest.raises(ModelEvaluationError, match="t=3, label='z1'"):
             estimate_conditional_entropy(_NanAtStep3(), FAST, n_z0=2, n_z1=2, seed=0)
 
-    @pytest.mark.parametrize("update_scale", [float("nan"), -1.0, 0.0, float("inf"), "bays", True])
-    def test_bad_update_scale_is_rejected_before_the_first_step(self, update_scale):
-        class _MustNotRun:
-            def epsilon(self, x, t, label):
-                raise AssertionError("the estimator stepped before checking update_scale")
-
-        with pytest.raises(ParameterError, match="update_scale"):
-            estimate_conditional_entropy(_MustNotRun(), FAST, n_z0=2, n_z1=2, seed=0,
-                                         update_scale=update_scale)
-        with pytest.raises(ParameterError, match="update_scale"):
-            _update_scales(update_scale, FAST.betas)
-
 
 THREE = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.1, 0.4, 2.0])
 THREE_PART = make_partition(THREE, [1], [0, 2])
@@ -287,21 +268,19 @@ class _KeepsReference:
 class TestBitwiseReference:
     """The estimator's in-place loop against the allocating reference in ``_oracles``."""
 
-    @pytest.mark.parametrize("model, prior_z0, n_z0, n_z1, update_scale", [
-        (FAST_ORACLE, 0.5, 1, 1, "bayes"),
-        (FAST_ORACLE, 0.3, 7, 40, "one-minus-beta"),
-        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 33, 1, 2.5),
-        (GmmScoreModel(THREE, FAST, THREE_PART, complement_mode="null"), 0.3, 16, 9, "bayes"),
-        (_EchoModel(), 0.3, 12, 5, "bayes"),
-        (_KeepsReference(GmmScoreModel(THREE, FAST, THREE_PART)), 0.3, 5, 12, "one-minus-beta"),
-    ], ids=["n1", "prior03-one-minus-beta", "float-scale", "null-complement", "echo-input",
-            "keeps-reference"])
-    def test_branch_series_are_bitwise_the_reference(self, model, prior_z0, n_z0, n_z1,
-                                                     update_scale):
+    @pytest.mark.parametrize("model, prior_z0, n_z0, n_z1", [
+        (FAST_ORACLE, 0.5, 1, 1),
+        (FAST_ORACLE, 0.3, 7, 40),
+        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 33, 1),
+        (GmmScoreModel(THREE, FAST, THREE_PART, complement_mode="null"), 0.3, 16, 9),
+        (_EchoModel(), 0.3, 12, 5),
+        (_KeepsReference(GmmScoreModel(THREE, FAST, THREE_PART)), 0.3, 5, 12),
+    ], ids=["n1", "prior03", "one-vs-two", "null-complement", "echo-input", "keeps-reference"])
+    def test_branch_series_are_bitwise_the_reference(self, model, prior_z0, n_z0, n_z1):
         est = estimate_conditional_entropy(model, FAST, prior_z0=prior_z0, n_z0=n_z0, n_z1=n_z1,
-                                           seed=13, update_scale=update_scale)
+                                           seed=13)
         ref_z0, ref_z1 = mc_entropy_reference(model.epsilon, FAST.betas, FAST.alpha_bars, prior_z0,
-                                              n_z0, n_z1, 13, update_scale)
+                                              n_z0, n_z1, 13)
         assert np.all(np.isfinite(ref_z0)) and np.all(np.isfinite(ref_z1))
         np.testing.assert_array_equal(est.h_z0.view(np.int64), ref_z0.view(np.int64))
         np.testing.assert_array_equal(est.h_z1.view(np.int64), ref_z1.view(np.int64))
