@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError(f"complement must be 'exact' or 'null', got {self.complement!r}")
         if self.score_kind == "replay" and not self.replay_path:
             raise ConfigError("replay score model needs a 'path'")
+        if self.score_kind == "oracle" and self.replay_path is not None:
+            raise ConfigError("an oracle score model reads no 'path'")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for key, low in _MINIMUMS.items():
@@ -394,8 +396,7 @@ def run_profile(config: ExperimentConfig, out_dir: str, svg: bool = False) -> li
 def _score_model(config: ExperimentConfig, mixture, schedule, partition):
     if config.score_kind == "replay":
         return ReplayScoreModel.from_csv(config.replay_path)
-    return GmmScoreModel(mixture=mixture, schedule=schedule, partition=partition,
-                         complement_mode=config.complement)
+    return GmmScoreModel(mixture=mixture, schedule=schedule, partition=partition)
 
 
 def run_estimate(config: ExperimentConfig, out_dir: str, svg: bool = False) -> list[str]:
@@ -412,6 +413,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, svg: bool = False) -> l
     estimate = estimate_conditional_entropy(
         model, schedule, prior_z0=prior,
         n_z0=config.samples_z0, n_z1=config.samples_z1, seed=config.seed,
+        complement=config.complement,
     )
     rows = ((t, s, h, h0, h1, estimate.n_z0, estimate.n_z1, estimate.seed)
             for t, s, h, h0, h1 in zip(estimate.steps, estimate.s, estimate.H_bits,
@@ -474,14 +476,25 @@ def run_fixed_points(config: ExperimentConfig, out_dir: str, svg: bool = False) 
 # -- argument parsing -------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# The override flags, and the ones each subcommand takes: those its job reads.
+_OVERRIDE_HELP = {"seed": "override the config seed",
+                  "samples": "override both per-branch sample counts",
+                  "stride": "override the evaluation stride"}
+_COMMANDS = {
+    "profile": ("quadrature entropy/rate/transfer profiles", ("stride",)),
+    "estimate": ("Monte-Carlo entropy estimate via posterior tracking", ("seed", "samples")),
+    "fixed-points": ("reverse-drift fixed points across noise levels", ("stride",)),
+    "validate-config": ("parse and validate a config, print its hash", ("seed", "samples", "stride")),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, overrides) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out')")
     parser.add_argument("--svg", action="store_true", help="also write SVG figures")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="override both per-branch sample counts")
-    parser.add_argument("--stride", type=int, default=None, help="override the evaluation stride")
+    parser.set_defaults(**dict.fromkeys(_OVERRIDE_HELP))
+    for name in overrides:
+        parser.add_argument(f"--{name}", type=int, help=_OVERRIDE_HELP[name])
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -501,13 +514,8 @@ def main(argv=None) -> int:
         description="Conditional-entropy and bifurcation analysis of 1-D diffusion experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("profile", "quadrature entropy/rate/transfer profiles"),
-        ("estimate", "Monte-Carlo entropy estimate via posterior tracking"),
-        ("fixed-points", "reverse-drift fixed points across noise levels"),
-        ("validate-config", "parse and validate a config, print its hash"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
+    for name, (help_text, overrides) in _COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text), overrides)
 
     args = parser.parse_args(argv)
     try:

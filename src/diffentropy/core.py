@@ -171,7 +171,6 @@ class Partition:
     z1: tuple[int, ...]
     prior_z0: float
     prior_z1: float
-    num_components: int
 
     def __post_init__(self):
         if abs(self.prior_z0 + self.prior_z1 - 1.0) > PRIOR_SUM_TOL:
@@ -182,13 +181,6 @@ class Partition:
     @property
     def union(self) -> tuple[int, ...]:
         return self.z0 + self.z1
-
-    def side(self, label: str) -> tuple[int, ...]:
-        if label == "z0":
-            return self.z0
-        if label == "z1":
-            return self.z1
-        raise PartitionError(f"unknown partition side {label!r}")
 
 
 def _checked_side(indices: Iterable[int], name: str, k: int) -> tuple[int, ...]:
@@ -225,7 +217,6 @@ def make_partition(mixture: MixtureModel, z0: Iterable[int], z1: Iterable[int]) 
         z1=side1,
         prior_z0=w0 / total,
         prior_z1=w1 / total,
-        num_components=k,
     )
 
 

@@ -115,21 +115,16 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 def resolve_label(label, partition: Partition | None, num_components: int) -> tuple[int, ...]:
     """Map a conditioning label to the component subset it denotes.
 
-    ``"z0"``/``"z1"`` require a partition, ``"null"`` means the full mixture,
-    and an integer selects a single component.
+    ``"null"`` means the full mixture, and ``"z0"``/``"z1"`` a side of
+    ``partition``, which they require; any other label is an error.
     """
-    if isinstance(label, str):
-        if label == "null":
-            return tuple(range(num_components))
-        if label in ("z0", "z1"):
-            if partition is None:
-                raise ParameterError(f"label {label!r} needs a partition")
-            return partition.side(label)
-        raise ParameterError(f"unknown label {label!r}")
-    k = int(label)
-    if not 0 <= k < num_components:
-        raise ParameterError(f"component label {k} out of range for {num_components} components")
-    return (k,)
+    if not isinstance(label, str) or label not in ("z0", "z1", "null"):
+        raise ParameterError(f"unknown label {label!r}: the labels are 'z0', 'z1' and 'null'")
+    if label == "null":
+        return tuple(range(num_components))
+    if partition is None:
+        raise ParameterError(f"label {label!r} needs a partition")
+    return partition.z0 if label == "z0" else partition.z1
 
 
 def _score_terms(params: tuple, x: np.ndarray) -> tuple:

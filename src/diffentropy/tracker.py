@@ -20,9 +20,12 @@ whatever the number of steps.
 
 Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
 sampler; ``epsilon`` is the predicted noise, related to the conditional score
-by ``eps = -sqrt(1 - alpha_bar_t) * d/dx log p(x_t | label)``.  The exact
-mixture oracle, which reads each step's kernel parameters from tables built
-once, and a file-backed replay model are provided.
+by ``eps = -sqrt(1 - alpha_bar_t) * d/dx log p(x_t | label)``.  The estimator
+asks for the labels ``"z0"``, ``"z1"`` and ``"null"`` (the unconditional
+model) at steps ``1..T``, the three columns of a replay file; its
+``complement`` option picks ``"z1"`` or ``"null"`` as the second prediction.
+The exact mixture oracle, which reads each step's kernel parameters from
+tables built once, and a file-backed replay model are provided.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition
 from .entropy import _logit_entropy_bits, binary_entropy_bits
-from .mixture import _log_weights, _score_terms, diffused_params, resolve_label, score
+from .mixture import _log_weights, _score_terms, diffused_params, resolve_label
+# Unused here, but perfbench/tracing.py wraps it under this name.
+from .mixture import score  # noqa: F401
 
 __all__ = [
     "ModelEvaluationError",
@@ -68,6 +73,8 @@ class ScoreModel(Protocol):
     def epsilon(self, x, t: int, label) -> np.ndarray:
         """Predicted noise for state ``x`` at step ``t`` under ``label``.
 
+        The estimator asks only for steps ``1..T`` and for ``"z0"`` and either
+        ``"z1"`` or, under its ``complement="null"``, ``"null"``.
         ``x`` is the estimator's work buffer: it is valid only during the
         call, and the estimator overwrites it once it has read both of a
         step's predictions, so keep a copy, not a reference, of anything
@@ -86,35 +93,25 @@ class ScoreModel(Protocol):
 class GmmScoreModel:
     """Exact noise predictions from a mixture's closed-form conditional scores.
 
-    ``complement_mode="null"`` replaces the ``"z1"`` conditional with the
-    unconditional (full mixture) score, the two-forward-pass approximation
-    used for one-vs-rest decisions; ``"exact"`` uses the true complement
-    sub-mixture.
-
     Construction tabulates, for steps 1..T, ``-sqrt(1 - alpha_bar_t)`` and the
-    kernel's parameters (diffused means, variances, log weights) of each
-    label's subset: ``"null"``, each component index, and ``"z0"``/``"z1"``
-    given a partition.  A call at such a step runs only the kernel arithmetic
-    on ``x``; any other query (step 0, say) calls :func:`score`.  Either way
-    the prediction is ``-sqrt(1 - alpha_bar_t) * score(...)``, bitwise.
+    kernel's parameters (diffused means, variances, log weights) of each of
+    the ``REPLAY_LABELS``: ``"z0"`` and ``"z1"``, the sides of ``partition``,
+    and ``"null"``, the full mixture.  A call runs only the kernel arithmetic
+    on ``x``, and its prediction is ``-sqrt(1 - alpha_bar_t) * score(...)``,
+    bitwise.  Any other step or label raises :class:`ParameterError`.
     """
 
     mixture: MixtureModel
     schedule: NoiseSchedule
-    partition: Partition | None = None
-    complement_mode: str = "exact"
+    partition: Partition
     _tables: dict = field(init=False, repr=False, compare=False)
     _neg_roots: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.complement_mode not in ("exact", "null"):
-            raise ParameterError(f"complement_mode must be 'exact' or 'null', got {self.complement_mode!r}")
-        k = self.mixture.num_components
-        labels = ["null", *range(k)] + (["z0", "z1"] if self.partition is not None else [])
         mu, var = diffused_params(self.mixture, self.schedule.alpha_bars)
         tables = {}
-        for label in labels:
-            idx = list(resolve_label(label, self.partition, k))
+        for label in REPLAY_LABELS:
+            idx = list(resolve_label(label, self.partition, self.mixture.num_components))
             # Row t - 1 holds step t, shaped (components, 1) against a 1-d x.
             tables[label] = (mu[idx].T[..., None].copy(), var[idx].T[..., None].copy(),
                              _log_weights(self.mixture, idx)[:, None])
@@ -122,15 +119,12 @@ class GmmScoreModel:
         object.__setattr__(self, "_neg_roots", (-np.sqrt(1.0 - self.schedule.alpha_bars)).tolist())
 
     def epsilon(self, x, t: int, label) -> np.ndarray:
-        if label == "z1" and self.complement_mode == "null":
-            label = "null"
-        table = self._tables.get(label) if 0 < t <= len(self._neg_roots) else None
-        if table is None:
-            ab = self.schedule.alpha_bar(t)
-            grad = score(self.mixture, ab, x, label=label, partition=self.partition)
-            return -np.sqrt(1.0 - ab) * np.asarray(grad)
+        num_steps = len(self._neg_roots)
+        if label not in REPLAY_LABELS or not 0 < t <= num_steps:
+            raise ParameterError(f"the oracle serves labels {REPLAY_LABELS} at steps 1..{num_steps}, "
+                                 f"got label {label!r} at step t={t}")
         x = np.asarray(x, dtype=np.float64)
-        mu, var, log_w = table
+        mu, var, log_w = self._tables[label]
         params = (mu[t - 1], var[t - 1], log_w)
         if x.ndim != 1:
             params = tuple(p.reshape((-1,) + (1,) * x.ndim) for p in params)
@@ -350,8 +344,13 @@ class McEntropyEstimate:
 
 def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedule,
                                  prior_z0: float = 0.5, n_z0: int = 1000, n_z1: int = 1000,
-                                 seed: int = 0) -> McEntropyEstimate:
+                                 seed: int = 0, complement: str = "exact") -> McEntropyEstimate:
     """Run the full two-population estimator and return the ``H_{T..0}`` series.
+
+    Each step asks ``score_model`` for two predictions: ``"z0"``, and the
+    complement's, which is ``"z1"`` for ``complement="exact"`` and the
+    unconditional ``"null"`` for ``complement="null"``, the two-forward-pass
+    approximation of one-vs-rest decisions.
 
     Both populations start from a standard normal at ``t = T`` with the
     posterior initialized to the prior.  Each reverse step moves a branch to
@@ -375,6 +374,9 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
         raise ParameterError("both sample counts must be >= 1")
     if not 0.0 < prior_z0 < 1.0:
         raise ParameterError(f"prior_z0 must lie strictly inside (0, 1), got {prior_z0!r}")
+    if complement not in ("exact", "null"):
+        raise ParameterError(f"complement must be 'exact' or 'null', got {complement!r}")
+    other = "z1" if complement == "exact" else "null"
     num_steps = schedule.num_steps
     prior_logit = np.log(prior_z0) - np.log1p(-prior_z0)
     prior_summand = -binary_entropy_bits(prior_z0)
@@ -400,7 +402,7 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
             for t in range(num_steps, 0, -1):
                 i = t - 1
                 eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0")
-                eps1 = _check_finite(score_model.epsilon(x, t, "z1"), x, t, "z1")
+                eps1 = _check_finite(score_model.epsilon(x, t, other), x, t, other)
                 _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
                 _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
                 # Both predictions are read, so x (which they may alias) is free.

@@ -215,10 +215,11 @@ def test_criterion_7_null_model_approximation():
         mixture = MixtureModel.deltas(means)
         part = make_partition(mixture, [0], list(range(1, k)))
         runs = {}
-        for mode in ("exact", "null"):
-            model = GmmScoreModel(mixture, SCHEDULE, part, complement_mode=mode)
-            runs[mode] = estimate_conditional_entropy(
-                model, SCHEDULE, prior_z0=1.0 / k, n_z0=1000, n_z1=1000, seed=42
+        model = GmmScoreModel(mixture, SCHEDULE, part)
+        for complement in ("exact", "null"):
+            runs[complement] = estimate_conditional_entropy(
+                model, SCHEDULE, prior_z0=1.0 / k, n_z0=1000, n_z1=1000, seed=42,
+                complement=complement,
             ).H_bits
         gaps[k] = float(np.max(np.abs(runs["null"] - runs["exact"])))
     ok = gaps[2] > gaps[4] > gaps[8]

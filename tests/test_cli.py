@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diffentropy
+from diffentropy import cli
 from diffentropy.cli import ConfigError, ExperimentConfig, load_config, main
 from diffentropy.core import linear_schedule
 from diffentropy.tracker import GmmScoreModel, write_replay_csv
@@ -21,6 +22,36 @@ from diffentropy.core import MixtureModel, make_partition
 
 
 SCHEDULE_150 = {"num_steps": 150, "beta_start": 5e-4, "beta_end": 0.12}
+
+# Deltas at -2, 0 and 2, one-vs-rest on the first, over 50 steps of the default betas.
+THREE_DELTAS = {"mixture": {"means": [-2.0, 0.0, 2.0]}, "schedule": {"num_steps": 50},
+                "partitions": [{"preset": "one-vs-rest", "target": 0, "name": "d"}], "seed": 1}
+COMMANDS = {"quadrature": "profile", "montecarlo": "estimate", "fixedpoints": "fixed-points"}
+
+
+@pytest.fixture(scope="module")
+def replay_tables(tmp_path_factory):
+    """THREE_DELTAS's oracle tabulated by ``write_replay_csv`` on 601 and on 121
+    nodes of [-6, 6], by node count."""
+    mixture = MixtureModel.deltas([-2.0, 0.0, 2.0])
+    sched = linear_schedule(50)
+    model = GmmScoreModel(mixture, sched, make_partition(mixture, [0], [1, 2]))
+    paths = {}
+    for nodes in (601, 121):
+        paths[nodes] = str(tmp_path_factory.mktemp("replay") / f"eps{nodes}.csv")
+        write_replay_csv(paths[nodes], model, sched, np.linspace(-6.0, 6.0, nodes))
+    return paths
+
+
+def data_rows(where, method, config):
+    """The config's hash and the lines of its job's CSVs that are not comments."""
+    where.mkdir()
+    cfg = where / "c.json"
+    cfg.write_text(json.dumps({**config, "method": method}))
+    assert main([COMMANDS[method], "--config", str(cfg), "--out", str(where / "out")]) == 0
+    rows = [ln for path in sorted((where / "out").glob("*.csv"))
+            for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return load_config(str(cfg)).config_hash(), rows
 
 
 def write_config(path, **overrides):
@@ -41,6 +72,9 @@ class TestConfig:
     def test_round_trip_identity(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        # An oracle's path is null, as ``to_dict`` writes it.
+        assert cfg.to_dict()["score_model"]["path"] is None
+        assert load_config(write_config(tmp_path / "d.json", **cfg.to_dict())) == cfg
 
     def test_hash_is_stable_and_content_sensitive(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.json"))
@@ -141,6 +175,9 @@ class TestConfig:
             {"out": 5},
             {"score_model": {"kind": "replay", "path": 5}},
             {"partitions": [{"z0": [0], "z1": [1], "name": 7}]},
+            # A path that an oracle score model does not read.
+            {"score_model": {"path": "eps.csv"}},
+            {"score_model": {"kind": "oracle", "path": "eps.csv", "complement": "null"}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -275,6 +312,20 @@ class TestEstimateCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
         assert len(list(tmp_path.glob("*.csv"))) == 1
+
+    def test_replay_model_honours_the_null_complement(self, tmp_path, replay_tables):
+        # The replay model once ran the exact complement under complement
+        # "null": 0.302 bits from the oracle's "null" estimate.
+        config = {**THREE_DELTAS, "samples": 2000}
+        runs = {}
+        for kind in ("oracle", "replay"):
+            score_model = {"kind": kind, "complement": "null"}
+            if kind == "replay":
+                score_model["path"] = replay_tables[601]
+            _, rows = data_rows(tmp_path / kind, "montecarlo", {**config, "score_model": score_model})
+            runs[kind] = np.array([float(row.split(",")[2]) for row in rows[1:]])
+        assert runs["oracle"].shape == runs["replay"].shape == (51,)
+        np.testing.assert_allclose(runs["replay"], runs["oracle"], rtol=0, atol=1e-4)
 
     def test_missing_replay_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", method="montecarlo",
@@ -427,6 +478,19 @@ class TestValidateAndErrors:
         assert main(["validate-config", "--config", str(cfg)] + flag) == 2
         assert "must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("profile", ["--samples", "7"]), ("profile", ["--seed", "1"]),
+        ("fixed-points", ["--seed", "5"]), ("fixed-points", ["--samples", "3"]),
+        ("estimate", ["--stride", "3"]),
+    ])
+    def test_a_flag_the_job_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")] + flag)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_flag_is_a_usage_error(self, tmp_path, capsys):
         # The quadrature's cells come from an error bound: there is no grid to set.
         cfg = write_config(tmp_path / "c.json")
@@ -435,6 +499,52 @@ class TestValidateAndErrors:
         assert caught.value.code == 2
         assert "unrecognized arguments: --grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# One change of each key that a job's config hash covers, as (method, key,
+# THREE_DELTAS's score model, change).  A replay path names a node count of
+# ``replay_tables``.
+REPLAY = {"kind": "replay", "path": 601}
+HASHED_KEY_CHANGES = [
+    *[(method, key, None, change) for method in COMMANDS for key, change in [
+        ("mixture", {"mixture": {"means": [-2.0, 0.0, 2.5]}}),
+        ("schedule", {"schedule": {"num_steps": 50, "beta_end": 0.03}}),
+        ("stride", {"stride": 7}),
+        ("partitions", {"partitions": [{"preset": "one-vs-rest", "target": 1, "name": "d"}]}),
+    ] if key in cli._HASHED_KEYS[method]],
+    ("montecarlo", "seed", None, {"seed": 2}),
+    ("montecarlo", "samples_z0", None, {"samples_z0": 41}),
+    ("montecarlo", "samples_z1", None, {"samples_z1": 41}),
+    ("montecarlo", "prior_z0", None, {"prior_z0": 0.5}),
+    ("montecarlo", "score_model", None, {"score_model": {"complement": "null"}}),
+    ("montecarlo", "score_model", None, {"score_model": REPLAY}),
+    ("montecarlo", "score_model", REPLAY, {"score_model": {**REPLAY, "complement": "null"}}),
+    ("montecarlo", "score_model", REPLAY, {"score_model": {**REPLAY, "path": 121}}),
+]
+
+
+class TestHashedKeys:
+    def test_every_hashed_key_has_a_change(self):
+        covered = {(method, key) for method, key, _, _ in HASHED_KEY_CHANGES}
+        assert covered == {(method, key) for method, keys in cli._HASHED_KEYS.items() for key in keys}
+
+    @pytest.mark.parametrize("method, key, score_model, change", HASHED_KEY_CHANGES,
+                             ids=[f"{m}-{k}-{json.dumps(c)}" for m, k, _, c in HASHED_KEY_CHANGES])
+    def test_a_hashed_key_changes_the_data_rows(self, tmp_path, replay_tables, method, key,
+                                                score_model, change):
+        def resolved(config):
+            if "path" in config.get("score_model", {}):
+                config["score_model"] = {**config["score_model"],
+                                         "path": replay_tables[config["score_model"]["path"]]}
+            return config
+
+        base = {**THREE_DELTAS, "samples_z0": 40, "samples_z1": 40}
+        if score_model is not None:
+            base["score_model"] = score_model
+        before = data_rows(tmp_path / "before", method, resolved(dict(base)))
+        after = data_rows(tmp_path / "after", method, resolved({**base, **change}))
+        assert before[0] != after[0]
+        assert before[1] != after[1]
 
 
 class TestConfigFuzz:

@@ -169,7 +169,8 @@ class TestScore:
         ab = 0.5
         mu, var = diffused_params(FOUR_DELTAS, ab)
         x = 1.3
-        assert score(FOUR_DELTAS, ab, x, label=2) == pytest.approx((mu[2] - x) / var[2])
+        p = make_partition(FOUR_DELTAS, [2], [0, 1, 3])
+        assert score(FOUR_DELTAS, ab, x, label="z0", partition=p) == pytest.approx((mu[2] - x) / var[2])
 
     def test_partition_labels(self):
         p = make_partition(FOUR_DELTAS, [3], [2])
@@ -179,6 +180,10 @@ class TestScore:
         )
         with pytest.raises(ParameterError):
             score(FOUR_DELTAS, 0.5, 0.7, label="z0")
+        # Labels are "z0", "z1" and "null": a component index is not one.
+        for label in (2, 0, "z2"):
+            with pytest.raises(ParameterError, match="unknown label"):
+                score(FOUR_DELTAS, 0.5, 0.7, label=label, partition=p)
 
     def test_null_label_equals_full_mixture(self):
         xs = np.linspace(-10, 10, 7)
@@ -218,7 +223,8 @@ class TestOutputShapes:
     def test_subset_labels_keep_their_shape(self):
         p = make_partition(FOUR_DELTAS, [0, 1], [3])
         xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
-        for label in ("z0", "z1", 2):
+        # z0 holds two components and z1 one.
+        for label in ("z0", "z1", "null"):
             assert score(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
             assert score_derivative(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
 
@@ -255,9 +261,10 @@ class TestKernelHelpers:
             diffused_params(FOUR_DELTAS, np.array([0.5, 1.0]))
 
     def test_score_and_derivative_come_from_one_pass_bitwise(self):
+        # z0 holds two components and z1 one.
         p = make_partition(FOUR_DELTAS, [0, 1], [3])
         xs = np.linspace(-11.0, 11.0, 23)
-        for label in ("null", "z0", "z1", 2):
+        for label in ("null", "z0", "z1"):
             for ab in (1e-4, 0.3, 0.999):
                 s, ds = _score_and_derivative(FOUR_DELTAS, ab, xs, label, p)
                 np.testing.assert_array_equal(s, score(FOUR_DELTAS, ab, xs, label=label, partition=p))
@@ -281,11 +288,17 @@ class TestOneComponentSubset:
     MIX = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.0, 0.4, 2.0])
     XS = np.concatenate([np.linspace(-40.0, 40.0, 33), [0.0, -0.0, 1e-300, 1e300]])
 
+    def one(self, k, side="z0"):
+        """``(label, partition)`` selecting component ``k`` alone, as side ``side``."""
+        rest = [j for j in range(3) if j != k]
+        return side, make_partition(self.MIX, *([[k], rest] if side == "z0" else [rest, [k]]))
+
     def test_score_and_derivative_equal_the_general_kernel_bitwise(self):
         def bits(a):
             return np.asarray(a, dtype=np.float64).view(np.int64)
 
-        for k in range(3):
+        for k, side in [(0, "z0"), (1, "z1"), (2, "z0"), (2, "z1")]:
+            label, p = self.one(k, side)
             for ab in (0.0, 1e-4, 0.5, 0.999, np.array([[0.2], [0.7]])):
                 x = self.XS if np.ndim(ab) == 0 else np.tile(self.XS, (2, 1))
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -296,12 +309,13 @@ class TestOneComponentSubset:
                     curvature = (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
                     # The one-component score is its pull row plus +0.0: the
                     # bits of the one-row sum, signed zeros and infinities included.
-                    for got in (score(self.MIX, ab, x, label=k),
-                                _score_and_derivative(self.MIX, ab, x, label=k)[0]):
+                    for got in (score(self.MIX, ab, x, label=label, partition=p),
+                                _score_and_derivative(self.MIX, ab, x, label, p)[0]):
                         np.testing.assert_array_equal(bits(got), bits(first))
                         np.testing.assert_array_equal(bits(got), bits((1.0 * pull).sum(axis=0)))
                     np.testing.assert_array_equal(
-                        bits(score_derivative(self.MIX, ab, x, label=k)), bits(curvature))
+                        bits(score_derivative(self.MIX, ab, x, label=label, partition=p)),
+                        bits(curvature))
 
     def test_log_joints_are_skipped(self, monkeypatch):
         calls = []
@@ -309,14 +323,15 @@ class TestOneComponentSubset:
         monkeypatch.setattr(mixture, "_log_joints", lambda *args: calls.append(args) or real(*args))
         p = make_partition(self.MIX, [1], [0, 2])
         xs = np.linspace(-4.0, 4.0, 9)
-        score(self.MIX, 0.5, xs, label=1)
+        score(self.MIX, 0.5, xs, *self.one(1, "z1"))
         score_derivative(self.MIX, 0.5, xs, label="z0", partition=p)
         assert calls == []
         score(self.MIX, 0.5, xs, label="z1", partition=p)
         assert len(calls) == 1
 
     def test_range_and_point_mass_checks_still_run(self):
+        label, p = self.one(1)
         with pytest.raises(ParameterError):
-            score(self.MIX, 1.5, 0.3, label=1)
+            score(self.MIX, 1.5, 0.3, label=label, partition=p)
         with pytest.raises(DegenerateDensityError):
-            score(self.MIX, 1.0, 0.3, label=1)
+            score(self.MIX, 1.0, 0.3, label=label, partition=p)

@@ -15,7 +15,7 @@ from diffentropy.core import (
     make_partition,
 )
 from diffentropy.entropy import conditional_entropy_at
-from diffentropy.mixture import DegenerateDensityError, score
+from diffentropy.mixture import score
 from diffentropy.tracker import (
     LOGIT_MAX,
     NOISE_BLOCK_BYTES,
@@ -265,21 +265,69 @@ class _KeepsReference:
         return self.inner.epsilon(self.kept, t, "z1")
 
 
+class _NullForZ1:
+    """Answers a ``"z1"`` query with the inner model's ``"null"`` prediction."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def epsilon(self, x, t, label):
+        return self.inner.epsilon(x, t, "null" if label == "z1" else label)
+
+
+class _RecordsLabels:
+    """Records the labels that the estimator asks for."""
+
+    def __init__(self, inner):
+        self.inner, self.labels = inner, set()
+
+    def epsilon(self, x, t, label):
+        self.labels.add(label)
+        return self.inner.epsilon(x, t, label)
+
+
+class TestComplement:
+    """The estimator's ``complement`` picks the second prediction of each step."""
+
+    def test_null_complement_asks_for_null_in_place_of_z1(self):
+        runs = {}
+        for complement in ("exact", "null"):
+            model = _RecordsLabels(GmmScoreModel(THREE, FAST, THREE_PART))
+            runs[complement] = estimate_conditional_entropy(model, FAST, n_z0=6, n_z1=9, seed=3,
+                                                            complement=complement)
+            assert model.labels == {"z0", "z1" if complement == "exact" else "null"}
+        rewritten = estimate_conditional_entropy(_NullForZ1(GmmScoreModel(THREE, FAST, THREE_PART)),
+                                                 FAST, n_z0=6, n_z1=9, seed=3)
+        for name in ("h_z0", "h_z1"):
+            np.testing.assert_array_equal(getattr(runs["null"], name).view(np.int64),
+                                          getattr(rewritten, name).view(np.int64))
+        assert not np.array_equal(runs["null"].H_bits, runs["exact"].H_bits)
+
+    @pytest.mark.parametrize("complement", ["sometimes", "z1", None, ["null"]])
+    def test_bad_complement_rejected(self, complement):
+        model = _RecordsLabels(FAST_ORACLE)
+        with pytest.raises(ParameterError, match="complement must be"):
+            estimate_conditional_entropy(model, FAST, n_z0=2, n_z1=2, seed=0, complement=complement)
+        assert model.labels == set()
+
+
 class TestBitwiseReference:
     """The estimator's in-place loop against the allocating reference in ``_oracles``."""
 
-    @pytest.mark.parametrize("model, prior_z0, n_z0, n_z1", [
-        (FAST_ORACLE, 0.5, 1, 1),
-        (FAST_ORACLE, 0.3, 7, 40),
-        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 33, 1),
-        (GmmScoreModel(THREE, FAST, THREE_PART, complement_mode="null"), 0.3, 16, 9),
-        (_EchoModel(), 0.3, 12, 5),
-        (_KeepsReference(GmmScoreModel(THREE, FAST, THREE_PART)), 0.3, 5, 12),
+    @pytest.mark.parametrize("model, prior_z0, n_z0, n_z1, complement", [
+        (FAST_ORACLE, 0.5, 1, 1, "exact"),
+        (FAST_ORACLE, 0.3, 7, 40, "exact"),
+        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 33, 1, "exact"),
+        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 16, 9, "null"),
+        (_EchoModel(), 0.3, 12, 5, "exact"),
+        (_KeepsReference(GmmScoreModel(THREE, FAST, THREE_PART)), 0.3, 5, 12, "exact"),
     ], ids=["n1", "prior03", "one-vs-two", "null-complement", "echo-input", "keeps-reference"])
-    def test_branch_series_are_bitwise_the_reference(self, model, prior_z0, n_z0, n_z1):
+    def test_branch_series_are_bitwise_the_reference(self, model, prior_z0, n_z0, n_z1, complement):
         est = estimate_conditional_entropy(model, FAST, prior_z0=prior_z0, n_z0=n_z0, n_z1=n_z1,
-                                           seed=13)
-        ref_z0, ref_z1 = mc_entropy_reference(model.epsilon, FAST.betas, FAST.alpha_bars, prior_z0,
+                                           seed=13, complement=complement)
+        # The reference asks for "z1"; the null complement answers it with "null".
+        epsilon = model.epsilon if complement == "exact" else _NullForZ1(model).epsilon
+        ref_z0, ref_z1 = mc_entropy_reference(epsilon, FAST.betas, FAST.alpha_bars, prior_z0,
                                               n_z0, n_z1, 13)
         assert np.all(np.isfinite(ref_z0)) and np.all(np.isfinite(ref_z1))
         np.testing.assert_array_equal(est.h_z0.view(np.int64), ref_z0.view(np.int64))
@@ -450,36 +498,20 @@ class TestGmmScoreModel:
             rtol=1e-13,
         )
 
-    def test_null_complement_mode_rewrites_z1(self):
-        approx = GmmScoreModel(TWO_DELTAS, SCHEDULE, PART, complement_mode="null")
-        x = np.linspace(-2, 2, 5)
-        np.testing.assert_allclose(
-            approx.epsilon(x, 100, "z1"), ORACLE.epsilon(x, 100, "null"), rtol=1e-13
-        )
-        np.testing.assert_allclose(
-            approx.epsilon(x, 100, "z0"), ORACLE.epsilon(x, 100, "z0"), rtol=1e-13
-        )
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            GmmScoreModel(TWO_DELTAS, SCHEDULE, PART, complement_mode="sometimes")
-
     XS = (np.concatenate([np.linspace(-10.0, 10.0, 41), [-0.0, 1e-300, 40.0]]),
           np.linspace(-9.0, 9.0, 12).reshape(3, 4), np.float64(0.3))
 
-    @pytest.mark.parametrize("mode", ["exact", "null"])
     @pytest.mark.parametrize("mixture, partition", [(THREE, THREE_PART), (FOUR_DELTAS, GROUPS)],
                              ids=["one-vs-two", "group-vs-group"])
-    def test_tables_give_the_score_relation_bitwise(self, mixture, partition, mode):
+    def test_tables_give_the_score_relation_bitwise(self, mixture, partition):
         # THREE_PART's z0 is one component and its z1 two; GROUPS has two a side.
-        model = GmmScoreModel(mixture, FAST, partition, complement_mode=mode)
+        model = GmmScoreModel(mixture, FAST, partition)
         for t in (1, FAST.num_steps // 2, FAST.num_steps):
             ab = FAST.alpha_bar(t)
-            for label in ("z0", "z1", "null", 0, 2):
-                rewritten = "null" if (label, mode) == ("z1", "null") else label
+            for label in ("z0", "z1", "null"):
                 for x in self.XS:
                     got = model.epsilon(x, t, label)
-                    want = -np.sqrt(1 - ab) * score(mixture, ab, x, label=rewritten, partition=partition)
+                    want = -np.sqrt(1 - ab) * score(mixture, ab, x, label=label, partition=partition)
                     assert np.shape(got) == np.shape(want)
                     np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                                   np.asarray(want).view(np.int64))
@@ -491,32 +523,26 @@ class TestGmmScoreModel:
                             lambda *args, **kw: calls.append(args) or real(*args, **kw))
         model = GmmScoreModel(THREE, FAST, THREE_PART)
         for t in (1, FAST.num_steps):
-            for label in ("z0", "z1", "null", 1):
+            for label in ("z0", "z1", "null"):
                 model.epsilon(self.XS[0], t, label)
+        with pytest.raises(ParameterError):
+            model.epsilon(self.XS[0], 0, "z0")
         assert calls == []
-        model.epsilon(self.XS[0], 0, "z0")
-        assert len(calls) == 1
 
-    def test_queries_outside_the_tables_keep_their_value_or_error(self):
+    def test_queries_outside_the_tables_raise(self):
         x = self.XS[0]
         model = GmmScoreModel(THREE, FAST, THREE_PART)
-        for label in ("z0", "z1", "null", 1):
-            want = -np.sqrt(1.0 - 1.0) * score(THREE, 1.0, x, label=label, partition=THREE_PART)
-            np.testing.assert_array_equal(model.epsilon(x, 0, label).view(np.int64),
-                                          want.view(np.int64))
-        for t in (FAST.num_steps + 1, -1):
-            with pytest.raises(ParameterError, match="outside"):
+        for t in (0, FAST.num_steps + 1, -1):
+            with pytest.raises(ParameterError, match=f"at steps 1..200, got label 'z0' at step t={t}$"):
                 model.epsilon(x, t, "z0")
-        for label in ("z2", 3):
-            with pytest.raises(ParameterError):
+        for label in (1, "z2", 0, "Z0", None):
+            with pytest.raises(ParameterError, match=f"got label {label!r} at step t=5$"):
                 model.epsilon(x, 5, label)
-        with pytest.raises(ParameterError, match="needs a partition"):
-            GmmScoreModel(THREE, FAST).epsilon(x, 5, "z0")
+        with pytest.raises(TypeError, match="partition"):
+            GmmScoreModel(THREE, FAST)
         # Point masses have no density at alpha_bar = 1 (step 0), but the
         # model builds and serves every step of the schedule.
         deltas = GmmScoreModel(FOUR_DELTAS, FAST, GROUPS)
-        with pytest.raises(DegenerateDensityError):
-            deltas.epsilon(x, 0, "z0")
         assert np.all(np.isfinite(deltas.epsilon(x, 1, "z0")))
 
 
