@@ -13,10 +13,13 @@ root, which a safeguarded Newton-bisection iteration (``rtsafe``, Numerical
 Recipes section 9.4) narrows down to float resolution: the Newton step is
 taken when it stays inside the bracket and at most halves the step before
 last, a bisection otherwise.  Grid nodes where ``g`` is exactly zero are
-roots without a bracket.  At low noise
-repelling roots live in posterior switch layers of width ``~ var /
-separation`` that no reasonable grid hits, but the sign change across such a
-layer still brackets them.
+roots without a bracket.  The sign change is what certifies a root, not the
+size of ``|g|``: at low noise repelling roots live in posterior switch layers
+of width ``~ var / separation``, where ``g`` jumps by more than float
+resolution between adjacent floats, yet the sign change across such a layer
+still brackets them.  Outside every diffused mean the score pulls inward, so
+``g`` is negative at the box's low end and positive at its high end, and
+every level has at least one root.
 
 Each iteration takes ``g`` and its slope ``g'`` from one kernel pass.  A sweep
 solves its levels as a batch, in chunks of ``CHUNK_TERMS`` kernel terms (grid
@@ -30,7 +33,6 @@ lockstep: each round solves the midpoints of all open brackets as one batch.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,22 +61,21 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """A converged root of the drift residual at one noise level.
+    """A root of the drift residual at one noise level.
 
-    ``stable`` is the sign of the residual slope: positive slope means the
-    descent dynamics ``x' = -g(x)`` contracts onto the root.
+    ``x`` is a grid node where ``g`` is exactly zero, or the end with the
+    smaller ``|g|`` of a bracket over which ``g`` changes sign.  A bracket is
+    finished in one of three ways, each a certificate: ``g`` is exactly zero
+    at an end; ``|g| < RESIDUAL_TOL`` at an end whose Newton step is below
+    float resolution at unit scale; or the bracket has collapsed to two
+    adjacent floats, so a root lies within one ulp of ``x``.  ``stable`` is
+    the sign of the residual slope: positive slope means the descent
+    dynamics ``x' = -g(x)`` contracts onto the root.
     """
 
     x: float
     alpha_bar: float
-    residual: float
     stable: bool
-
-    def __post_init__(self):
-        if not abs(self.residual) < RESIDUAL_TOL:
-            raise ParameterError(
-                f"fixed point at x={self.x!r} has residual {self.residual!r} >= {RESIDUAL_TOL}"
-            )
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class BifurcationDiagram:
 
 
 def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
-    """One root per sign-change bracket ``[lo, hi]``, with its residual.
+    """One root per sign-change bracket ``[lo, hi]``.
 
     ``terms(alpha_bar, x)`` returns ``(g, g')`` at ``x``, and bracket ``i``
     belongs to level ``alpha_bar[i]``.  The bracket arrays are narrowed in
@@ -145,8 +146,7 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
         step = np.abs(x_new - x[keep])
         x = x_new
         gx, gpx = terms(alpha_bar[active], x)
-    better_hi = np.abs(g_hi) < np.abs(g_lo)
-    return np.where(better_hi, hi, lo), np.where(better_hi, g_hi, g_lo)
+    return np.where(np.abs(g_hi) < np.abs(g_lo), hi, lo)
 
 
 def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps=None
@@ -189,37 +189,27 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
                 f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
         signs = np.sign(g_grid)
         level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
-        x, residuals = _bracketed_roots(terms, ab[level], grid[level, cell], grid[level, cell + 1],
-                                        g_grid[level, cell], g_grid[level, cell + 1])
+        x = _bracketed_roots(terms, ab[level], grid[level, cell], grid[level, cell + 1],
+                             g_grid[level, cell], g_grid[level, cell + 1])
         zeros = np.nonzero(g_grid == 0.0)
         level = np.concatenate([zeros[0], level])
         x = np.concatenate([grid[zeros], x])
-        residuals = np.concatenate([g_grid[zeros], residuals])
 
-        # Per level, the sorted distinct converged roots; of equal roots the
-        # first (grid zeros before brackets) is kept.
-        keep = np.abs(residuals) < RESIDUAL_TOL
-        level, x, residuals = level[keep], x[keep], residuals[keep]
+        # Per level, the sorted distinct roots; a root two brackets end on is
+        # reported once.
         order = np.lexsort((x, level))
-        level, x, residuals = level[order], x[order], residuals[order]
+        level, x = level[order], x[order]
         first = np.ones(x.size, dtype=bool)
         first[1:] = (level[1:] != level[:-1]) | (x[1:] != x[:-1])
-        level, x, residuals = level[first], x[first], residuals[first]
+        level, x = level[first], x[first]
         slopes = terms(ab[level], x)[1]
 
         ends = np.searchsorted(level, np.arange(len(ab)), side="right")
         begin = 0
         for l, end in enumerate(ends):
-            if begin == end:
-                box = (float(lo_box[l]), float(hi_box[l]))
-                warnings.warn(
-                    f"no drift fixed points converged at alpha_bar={float(ab[l])!r} in {box!r}",
-                    RuntimeWarning,
-                )
             found.append(tuple(FixedPoint(x=float(r) + 0.0, alpha_bar=float(ab[l]),
-                                          residual=float(res), stable=bool(slope > 0.0))
-                               for r, res, slope in zip(x[begin:end], residuals[begin:end],
-                                                        slopes[begin:end])))
+                                          stable=bool(slope > 0.0))
+                               for r, slope in zip(x[begin:end], slopes[begin:end])))
             begin = end
     return found
 
@@ -229,19 +219,13 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoi
 
     Evaluates the residual on ``GRID_NODES`` evenly spaced nodes, reports nodes
     where it is exactly zero, and runs one safeguarded Newton-bisection per
-    sign-change cell, so each bracket yields one root.  Roots whose residual
-    is below ``RESIDUAL_TOL`` are kept (a root two brackets end on is
-    reported once), and stability is classified from the residual slope.  An
-    empty result triggers a warning, not an error; a residual that is not
-    finite on the grid raises ``FloatingPointError``.  A cell holding an even
-    number of roots shows no sign change; the grid must be fine enough that
-    roots are at least one cell apart.  The box spans the origin and every
-    diffused mean with a 4-sigma margin.
-
-    Very close to the clean end (variance below ~1e-3 for unit-scale
-    mixtures), repelling roots that do not fall on an exactly representable
-    point live on residual steps larger than ``RESIDUAL_TOL`` in float64 and
-    are dropped; attracting roots are unaffected.
+    sign-change cell, so each bracket yields one root (a root two brackets
+    end on is reported once); stability is classified from the residual
+    slope.  The result is never empty; a residual that is not finite on the
+    grid raises ``FloatingPointError``.  A cell holding an even number of
+    roots shows no sign change; the grid must be fine enough that roots are
+    at least one cell apart.  The box spans the origin and every diffused
+    mean with a 4-sigma margin.
     """
     return _fixed_points_at_levels(mixture, np.array([alpha_bar], dtype=np.float64))[0]
 

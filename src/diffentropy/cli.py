@@ -477,6 +477,7 @@ def run_fixed_points(config: ExperimentConfig, out_dir: str, svg: bool = False) 
 
 
 # The override flags, and the ones each subcommand takes: those its job reads.
+# ``validate-config`` writes nothing, so it takes neither ``--out`` nor ``--svg``.
 _OVERRIDE_HELP = {"seed": "override the config seed",
                   "samples": "override both per-branch sample counts",
                   "stride": "override the evaluation stride"}
@@ -488,10 +489,11 @@ _COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, overrides) -> None:
+def _add_common(parser: argparse.ArgumentParser, overrides, writes: bool) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--out", default=None, help="output directory (default: config 'out')")
-    parser.add_argument("--svg", action="store_true", help="also write SVG figures")
+    if writes:
+        parser.add_argument("--out", default=None, help="output directory (default: config 'out')")
+        parser.add_argument("--svg", action="store_true", help="also write SVG figures")
     parser.set_defaults(**dict.fromkeys(_OVERRIDE_HELP))
     for name in overrides:
         parser.add_argument(f"--{name}", type=int, help=_OVERRIDE_HELP[name])
@@ -515,12 +517,11 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, overrides) in _COMMANDS.items():
-        _add_common(sub.add_parser(name, help=help_text), overrides)
+        _add_common(sub.add_parser(name, help=help_text), overrides, writes=name != "validate-config")
 
     args = parser.parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
-        out_dir = args.out if args.out is not None else config.out
         if args.command == "validate-config":
             roundtrip = ExperimentConfig.from_dict(config.to_dict())
             if roundtrip != config:
@@ -529,7 +530,7 @@ def main(argv=None) -> int:
             return 0
         runner = {"profile": run_profile, "estimate": run_estimate,
                   "fixed-points": run_fixed_points}[args.command]
-        written = runner(config, out_dir, svg=args.svg)
+        written = runner(config, args.out if args.out is not None else config.out, svg=args.svg)
     except (ConfigError, ParameterError, PartitionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -54,6 +54,22 @@ def drift_residual_reference(mixture, alpha_bar, x):
     return 0.5 * x - np.sum(posteriors * (mu - x[..., None]) / var, axis=-1)
 
 
+def root_certified(mixture, alpha_bar, x, tol=1e-10):
+    """Whether ``x`` is a root of :func:`drift_residual_reference` to float resolution.
+
+    Either the residual at ``x`` is below ``tol``, or it changes sign across
+    ``x +- eps * max(1, |x|)``, the resolution of a Newton step at unit scale
+    (one or two ulps of ``x`` once ``|x| >= 0.5``).  By the intermediate value
+    theorem a root then lies within that span, however steep the residual.  A
+    span of one ulp would demand more than float64 gives: near the clean end
+    this residual and the library's differ by rounding of ~5e-11, so their
+    sign changes can sit an ulp apart.  Shares no code with ``diffentropy``.
+    """
+    step = np.finfo(np.float64).eps * max(1.0, abs(float(x)))
+    below, at, above = drift_residual_reference(mixture, alpha_bar, [x - step, x, x + step])
+    return bool(abs(at) < tol or np.sign(below) * np.sign(above) < 0)
+
+
 def drift_residual_derivative_reference(mixture, alpha_bar, x):
     """``d/dx`` of :func:`drift_residual_reference`, by plain numpy.
 

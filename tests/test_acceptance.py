@@ -19,7 +19,7 @@ from diffentropy.core import MixtureModel, linear_schedule, make_partition
 from diffentropy.entropy import conditional_entropy_at, entropy_profile, jsd_at, prior_entropy_bits
 from diffentropy.tracker import GmmScoreModel, estimate_conditional_entropy
 
-from _oracles import scan_box, sign_change_count
+from _oracles import drift_residual_reference, root_certified, scan_box, sign_change_count
 
 SCHEDULE = linear_schedule(1000)   # T=1000, betas 1e-4 -> 0.02
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
@@ -185,25 +185,32 @@ def test_criterion_5_peak_bifurcation_alignment():
 
 
 def test_criterion_6_fixed_point_correctness():
-    # Levels from t=25: razor-thin repellers closer to the clean end sit on
-    # float64 residual steps above the 1e-10 convergence demand.
+    # From t=25 on, every root's residual is below 1e-10.  Closer to the clean
+    # end a razor-thin repeller's residual can jump past that between adjacent
+    # floats, so there each root must carry the reference's own certificate.
     worst_residual = 0.0
+    uncertified = []
     count_mismatches = []
     worst_asymmetry = 0.0
     for name, mixture in SETUPS.items():
-        for t in range(25, 1001, 25):
+        for t in [*range(1, 25), *range(25, 1001, 25)]:
             ab = SCHEDULE.alpha_bar(t)
             points = find_fixed_points(mixture, ab)
-            worst_residual = max(worst_residual, max(abs(p.residual) for p in points))
+            if t >= 25:
+                residuals = drift_residual_reference(mixture, ab, [p.x for p in points])
+                worst_residual = max(worst_residual, float(np.max(np.abs(residuals))))
+            else:
+                uncertified += [(name, t, p.x) for p in points if not root_certified(mixture, ab, p.x)]
             expected = sign_change_count(mixture, ab, *scan_box(mixture, ab))
             if len(points) != expected:
                 count_mismatches.append((name, t, len(points), expected))
             if name in SYMMETRIC_SETUPS:
                 xs = np.array([p.x for p in points])
                 worst_asymmetry = max(worst_asymmetry, float(np.max(np.abs(xs + xs[::-1]))))
-    ok = worst_residual < 1e-10 and not count_mismatches and worst_asymmetry < 1e-9
+    ok = worst_residual < 1e-10 and not uncertified and not count_mismatches and worst_asymmetry < 1e-9
     _gate(6, "fixed-point-correctness", ok,
-          f"max residual {worst_residual:.2e} (tol 1e-10), "
+          f"max reference residual from t=25 {worst_residual:.2e} (tol 1e-10), "
+          f"uncertified roots before t=25: {uncertified or 'none'}, "
           f"count mismatches vs dense scan: {count_mismatches or 'none'}, "
           f"max symmetry defect {worst_asymmetry:.2e} (tol 1e-9)")
 

@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from diffentropy import bifurcation, mixture
-from diffentropy.bifurcation import (
-    FixedPoint,
-    find_fixed_points,
-    sibling_split_time,
-    trace_bifurcations,
-)
+from diffentropy.bifurcation import find_fixed_points, sibling_split_time, trace_bifurcations
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule
 
-from _oracles import (drift_residual_derivative_reference, drift_residual_reference, scan_box,
-                      sign_change_count)
+from _oracles import (drift_residual_derivative_reference, drift_residual_reference, root_certified,
+                      scan_box, sign_change_count)
+from test_acceptance import SETUPS
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
@@ -29,10 +25,6 @@ def _injected(residual, slope):
         x = np.asarray(x, dtype=np.float64)
         return bifurcation.DRIFT_COEFF * x - residual(x), bifurcation.DRIFT_COEFF - slope(x)
     return score_and_derivative
-
-
-# A residual 1 + x^2 with no root anywhere.
-ROOTLESS = _injected(lambda x: 1.0 + x * x, lambda x: 2.0 * x)
 
 
 class TestDriftResidual:
@@ -95,16 +87,13 @@ class TestFindFixedPoints:
         h = 1e-5
         for ab in (0.05, 0.3, 0.6, 0.9, 0.999):
             for p in find_fixed_points(FOUR_DELTAS, ab):
-                assert abs(p.residual) < 1e-10
+                assert root_certified(FOUR_DELTAS, ab, p.x)
                 fd = (drift_residual_reference(FOUR_DELTAS, ab, p.x + h)
                       - drift_residual_reference(FOUR_DELTAS, ab, p.x - h)) / (2 * h)
                 assert p.stable == (fd > 0)
 
     def test_counts_match_dense_scan_across_sweep(self):
-        # Levels start at t=50: closer to the clean end, off-lattice repelling
-        # roots sit on float64 residual steps above the convergence tolerance
-        # (this mixture's widest gap needs variance above ~0.017 to resolve).
-        for t in range(50, SCHEDULE.num_steps + 1, 97):
+        for t in range(1, SCHEDULE.num_steps + 1, 97):
             ab = SCHEDULE.alpha_bar(t)
             pts = find_fixed_points(FOUR_DELTAS, ab)
             assert len(pts) == sign_change_count(FOUR_DELTAS, ab, *scan_box(FOUR_DELTAS, ab))
@@ -137,14 +126,14 @@ class TestFindFixedPoints:
                 lambda x: (x - a) * (x - b), lambda x: 2.0 * x - a - b))
             pts = find_fixed_points(TWO_DELTAS, ab)
             assert [p.stable for p in pts] == [False, True]
-            assert pts[0].x == a and pts[0].residual == 0.0
+            assert pts[0].x == a
             assert pts[1].x == pytest.approx(b, abs=1e-12)
 
     def test_counts_match_dense_scan_at_refined_events(self):
         # The adjacent steps around each count change of FOUR_DELTAS, where
         # roots are born or die and the brackets are hardest to resolve.
         events = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20).critical
-        steps = sorted({t for e in events if e.t_before >= 25 for t in (e.t_before, e.t_after)})
+        steps = sorted({t for e in events for t in (e.t_before, e.t_after)})
         assert steps == [130, 131, 222, 223, 565, 566]
         for t in steps:
             ab = SCHEDULE.alpha_bar(t)
@@ -153,23 +142,15 @@ class TestFindFixedPoints:
 
     def test_steep_low_noise_repellers_are_kept(self):
         # A few steps from the clean end the repeller between two deltas sits
-        # in a posterior switch layer where |g'| reaches 1e5..1e8, so only a
-        # float-resolution end of its bracket meets the residual tolerance.
-        skewed = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
+        # in a posterior switch layer where |g'| reaches 1e5..1e8, so the
+        # residual can jump past 1e-10 between adjacent floats; the sign
+        # change across the collapsed bracket still certifies the root.
         for t in (3, 7, 8):
             ab = SCHEDULE.alpha_bar(t)
-            pts = find_fixed_points(skewed, ab)
+            pts = find_fixed_points(PAIR_SKEWED, ab)
             assert [p.stable for p in pts] == [True, False, True]
-            assert abs(drift_residual_derivative_reference(skewed, ab, pts[1].x)) > 1e4
-
-    def test_rootless_box_warns_and_returns_empty(self, monkeypatch):
-        monkeypatch.setattr(bifurcation, "_score_and_derivative", ROOTLESS)
-        with pytest.warns(RuntimeWarning, match="no drift fixed points"):
-            assert find_fixed_points(TWO_DELTAS, 0.5) == ()
-
-    def test_fixed_point_constructor_enforces_convergence(self):
-        with pytest.raises(ParameterError):
-            FixedPoint(x=0.0, alpha_bar=0.5, residual=1e-8, stable=True)
+            assert abs(drift_residual_derivative_reference(PAIR_SKEWED, ab, pts[1].x)) > 1e4
+            assert all(root_certified(PAIR_SKEWED, ab, p.x) for p in pts)
 
 
 class TestTraceBifurcations:
@@ -195,11 +176,7 @@ class TestTraceBifurcations:
 
     def test_symmetric_four_deltas_merge_in_two_stages(self):
         sym = MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])
-        diagram = trace_bifurcations(sym, SCHEDULE, stride=25)
-        # Ignore events in the first few steps, where off-lattice repellers
-        # fall below float64 residual resolution; the merge structure proper
-        # lives far from the clean end.
-        events = [e for e in diagram.critical if e.t_before >= 25]
+        events = trace_bifurcations(sym, SCHEDULE, stride=25).critical
         counts = [(e.count_before, e.count_after) for e in events]
         assert counts == [(7, 3), (3, 1)]
         assert events[0].s < events[1].s
@@ -307,15 +284,32 @@ class TestTraceBifurcations:
         with pytest.raises(FloatingPointError, match=message):
             find_fixed_points(huge, 0.5)
 
-    def test_each_rootless_level_of_a_batch_warns(self, monkeypatch):
-        monkeypatch.setattr(bifurcation, "_score_and_derivative", ROOTLESS)
-        levels = np.array([0.3, 0.5, 0.7])
-        with pytest.warns(RuntimeWarning) as record:
-            found = bifurcation._fixed_points_at_levels(TWO_DELTAS, levels)
-        assert found == [(), (), ()]
-        assert [str(w.message) for w in record] == [
-            f"no drift fixed points converged at alpha_bar={ab!r} in {scan_box(TWO_DELTAS, ab)!r}"
-            for ab in (0.3, 0.5, 0.7)]
+    @pytest.mark.parametrize("name", SETUPS)
+    def test_every_level_of_a_sweep_has_a_root(self, name):
+        # Below every diffused mean the residual is negative and above them
+        # positive, so each level's box holds a sign change.
+        diagram = trace_bifurcations(SETUPS[name], SCHEDULE, stride=1)
+        assert len(diagram.points) == SCHEDULE.num_steps
+        assert all(diagram.points)
+
+    # The razor-thin repellers near the clean end stay in the count at every
+    # step, so the only events are the merges of branches.
+    @pytest.mark.parametrize("means, weights, expected", [
+        ([-8.0, -4.0, 6.0, 8.0], None, [(130, 7, 5), (222, 5, 3), (565, 3, 1)]),
+        ([-1.0, 1.0], None, [(240, 3, 1)]),
+        ([-1.0, 1.0], [1 / 3, 2 / 3], [(196, 3, 1)]),
+        ([-2.0, 0.0, 2.0], None, [(201, 5, 1)]),
+        ([-2.0, 0.0, 2.0], [0.25, 0.25, 0.5], [(201, 5, 3), (223, 3, 1)]),
+        ([-2.0, 1.0, 2.0], None, [(110, 5, 3), (274, 3, 1)]),
+        ([-8.0, -4.0, 4.0, 8.0], None, [(222, 7, 3), (535, 3, 1)]),
+    ], ids=["four-deltas", "pair-even", "pair-skewed", "row-even", "row-heavy-right",
+            "row-lopsided", "comb-symmetric"])
+    def test_stride_one_sweep_reports_only_the_merges(self, means, weights, expected):
+        k = len(means)
+        mix = MixtureModel(weights=weights or [1 / k] * k, means=means, variances=[0.0] * k)
+        events = trace_bifurcations(mix, SCHEDULE, stride=1).critical
+        assert [(e.t_before, e.count_before, e.count_after) for e in events] == expected
+        assert all(e.t_after == e.t_before + 1 for e in events)
 
 
 class TestSiblingSplitTime:

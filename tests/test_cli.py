@@ -482,11 +482,16 @@ class TestValidateAndErrors:
         ("profile", ["--samples", "7"]), ("profile", ["--seed", "1"]),
         ("fixed-points", ["--seed", "5"]), ("fixed-points", ["--samples", "3"]),
         ("estimate", ["--stride", "3"]),
+        # validate-config writes nothing, so it reads no output flag.
+        ("validate-config", ["--out", "out"]), ("validate-config", ["--svg"]),
     ])
-    def test_a_flag_the_job_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, flag):
+    def test_a_flag_the_job_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, flag,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json")
+        out = [] if command == "validate-config" else ["--out", "out"]
         with pytest.raises(SystemExit) as caught:
-            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")] + flag)
+            main([command, "--config", str(cfg)] + out + flag)
         assert caught.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -640,7 +645,8 @@ class TestConfigFuzz:
                 json.dump(raw, fh)
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+                out = [] if command == "validate-config" else ["--out", os.path.join(tmp, "out")]
+                code = main([command, "--config", path] + out)
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
