@@ -24,7 +24,6 @@ from .entropy import (
     binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
-    jsd_at,
     prior_entropy_bits,
 )
 from .tracker import (
@@ -50,7 +49,7 @@ __all__ = [
     "linear_schedule", "make_partition",
     "ParameterError", "PartitionError",
     "score", "score_derivative", "DegenerateDensityError",
-    "EntropyProfile", "conditional_entropy_at", "jsd_at",
+    "EntropyProfile", "conditional_entropy_at",
     "entropy_profile", "binary_entropy_bits",
     "prior_entropy_bits", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",

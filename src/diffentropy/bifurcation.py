@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid, _level_namer
-from .mixture import CHUNK_TERMS, _score_and_derivative, diffused_params
+from .mixture import CHUNK_TERMS, _log_weights, _score_and_slope, diffused_params
 # Unused here, but perfbench/tracing.py wraps them under these names.
 from .mixture import score, score_derivative  # noqa: F401
 
@@ -100,15 +100,26 @@ class BifurcationDiagram:
     critical: tuple[CountChange, ...]
 
 
-def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
+def _drift_terms(params, levels, x):
+    """``(g, g')`` at ``x`` from one kernel pass, each point at its column ``levels`` of
+    the chunk's ``params``.  ``np.take`` gathers row-major, as one level's own are:
+    numpy sums a column-major gather over the components in another order."""
+    mu, var, log_w = params
+    s, ds = _score_and_slope((np.take(mu, levels, axis=1), np.take(var, levels, axis=1),
+                              log_w.reshape((-1,) + (1,) * x.ndim)), x)
+    return DRIFT_COEFF * x - s, DRIFT_COEFF - ds
+
+
+def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
     """One root per sign-change bracket ``[lo, hi]``.
 
-    ``terms(alpha_bar, x)`` returns ``(g, g')`` at ``x``, and bracket ``i``
-    belongs to level ``alpha_bar[i]``.  The bracket arrays are narrowed in
-    place.  A Newton step is taken when it lands strictly inside the bracket
-    and is at most half the step before last, a bisection otherwise.  The
-    first midpoint narrows every bracket before any step is taken, so a later
-    bisection never lands on it again.  A bracket is finished when it
+    Bracket ``i`` belongs to the level ``level[i]`` of the chunk's kernel
+    ``params`` (see :func:`_drift_terms`), and each iteration evaluates only
+    the open brackets.  The bracket arrays are narrowed in place.  A Newton
+    step is taken when it lands strictly inside the bracket and is at most
+    half the step before last, a bisection otherwise.  The first midpoint
+    narrows every bracket before any step is taken, so a later bisection
+    never lands on it again.  A bracket is finished when it
     collapses to adjacent floats, when ``g`` vanishes at the iterate, or when
     the iterate's residual is below ``RESIDUAL_TOL`` and its Newton correction
     below float resolution at unit scale.  The iterate is then one of the
@@ -117,7 +128,7 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
     resolution, so either end may be the better one.
     """
     x = 0.5 * (lo + hi)
-    gx, gpx = terms(alpha_bar, x)
+    gx, gpx = _drift_terms(params, level, x)
     step = 0.5 * (hi - lo)
     step_before = hi - lo
     active = np.arange(lo.size)
@@ -145,7 +156,7 @@ def _bracketed_roots(terms, alpha_bar, lo, hi, g_lo, g_hi):
         step_before = step[keep]
         step = np.abs(x_new - x[keep])
         x = x_new
-        gx, gpx = terms(alpha_bar[active], x)
+        gx, gpx = _drift_terms(params, level[active], x)
     return np.where(np.abs(g_hi) < np.abs(g_lo), hi, lo)
 
 
@@ -161,12 +172,8 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
     is not finite (its search box overflows, say) raises
     ``FloatingPointError`` that names its step if ``steps`` are given.
     """
-    def terms(ab, x):
-        # (g, g') from one kernel pass, each point at its own level.
-        s, ds = _score_and_derivative(mixture, ab, x)
-        return DRIFT_COEFF * x - s, DRIFT_COEFF - ds
-
     where = _level_namer(alpha_bars, steps)
+    log_w = _log_weights(mixture, range(mixture.num_components))
     per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * mixture.num_components))
     found = []
     for c0 in range(0, len(alpha_bars), per_chunk):
@@ -175,13 +182,14 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
         # means; a 4-sigma margin keeps the hull comfortably interior.
         # Every diffused sd is positive, so the box is never empty.
         mu, var = diffused_params(mixture, ab)
+        params = (mu, var, log_w)
         sd = np.sqrt(var)
         lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
         hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
 
         with np.errstate(over="ignore", invalid="ignore"):
             grid = np.linspace(lo_box, hi_box, GRID_NODES, axis=1)
-            g_grid = terms(ab[:, None], grid)[0]
+            g_grid = _drift_terms(params, np.arange(len(ab))[:, None], grid)[0]
         if not np.isfinite(g_grid).all():
             l = int(np.argmin(np.isfinite(g_grid).all(axis=1)))
             raise FloatingPointError(
@@ -189,7 +197,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
                 f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
         signs = np.sign(g_grid)
         level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
-        x = _bracketed_roots(terms, ab[level], grid[level, cell], grid[level, cell + 1],
+        x = _bracketed_roots(params, level, grid[level, cell], grid[level, cell + 1],
                              g_grid[level, cell], g_grid[level, cell + 1])
         zeros = np.nonzero(g_grid == 0.0)
         level = np.concatenate([zeros[0], level])
@@ -202,7 +210,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
         first = np.ones(x.size, dtype=bool)
         first[1:] = (level[1:] != level[:-1]) | (x[1:] != x[:-1])
         level, x = level[first], x[first]
-        slopes = terms(ab[level], x)[1]
+        slopes = _drift_terms(params, level, x)[1]
 
         ends = np.searchsorted(level, np.arange(len(ab)), side="right")
         begin = 0

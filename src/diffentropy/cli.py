@@ -345,19 +345,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(comments: list[str], header: list[str], rows) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, str):
-                cells.append(value)
-            elif isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append("%.17g" % float(value))
-        lines.append(",".join(cells))
+_CELL_FORMATS = {int: "%d", float: "%.17g", str: "%s"}
+
+
+def _csv_text(comments: list[str], header: list[str], columns) -> str:
+    """The CSV of ``columns`` (arrays or lists), each cell formatted by its
+    column's Python type: integers in full, floats to 17 digits, strings as is."""
+    values = [np.asarray(column).tolist() for column in columns]
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    if values[0]:
+        row = ",".join(_CELL_FORMATS[type(column[0])] for column in values)
+        lines.extend(row % cells for cells in zip(*values))
     return "\n".join(lines) + "\n"
 
 
@@ -377,10 +375,10 @@ def run_profile(config: ExperimentConfig, out_dir: str, svg: bool = False) -> li
     rate_series = []
     for name, partition in config.built_partitions():
         profile = entropy_profile(mixture, partition, schedule, stride=config.stride)
-        rows = zip(profile.times.steps, profile.times.s, profile.H_bits,
-                   profile.rate_bits, profile.transfer_bits)
+        columns = [profile.times.steps, profile.times.s, profile.H_bits,
+                   profile.rate_bits, profile.transfer_bits]
         text = _csv_text(_common_comments(config) + [f"partition {name}"],
-                         ["t", "s", "H_bits", "dH_ds", "transfer_bits"], rows)
+                         ["t", "s", "H_bits", "dH_ds", "transfer_bits"], columns)
         path = os.path.join(out_dir, f"profile_{name}.csv")
         _atomic_write(path, text)
         written.append(path)
@@ -415,12 +413,12 @@ def run_estimate(config: ExperimentConfig, out_dir: str, svg: bool = False) -> l
         n_z0=config.samples_z0, n_z1=config.samples_z1, seed=config.seed,
         complement=config.complement,
     )
-    rows = ((t, s, h, h0, h1, estimate.n_z0, estimate.n_z1, estimate.seed)
-            for t, s, h, h0, h1 in zip(estimate.steps, estimate.s, estimate.H_bits,
-                                       estimate.h_z0, estimate.h_z1))
+    rows = len(estimate.steps)
+    columns = [estimate.steps, estimate.s, estimate.H_bits, estimate.h_z0, estimate.h_z1,
+               [estimate.n_z0] * rows, [estimate.n_z1] * rows, [estimate.seed] * rows]
     text = _csv_text(_common_comments(config) + [f"partition {name}", f"prior_z0 {prior!r}"],
                      ["t", "s", "H_bits", "H_z0_mean", "H_z1_mean", "N_z0", "N_z1", "seed"],
-                     rows)
+                     columns)
     path = os.path.join(out_dir, "estimate.csv")
     _atomic_write(path, text)
     written = [path]
@@ -447,24 +445,18 @@ def run_fixed_points(config: ExperimentConfig, out_dir: str, svg: bool = False) 
             f"critical s={event.s!r} steps {event.t_before}->{event.t_after} "
             f"count {event.count_before}->{event.count_after}"
         )
-    rows = []
-    for s, ab, points in zip(diagram.s, diagram.alpha_bars, diagram.points):
-        for p in points:
-            rows.append((s, ab, p.x, "stable" if p.stable else "unstable"))
-    text = _csv_text(comments, ["s", "alpha_bar", "x_star", "stability"], rows)
+    counts = [len(points) for points in diagram.points]
+    found = [p for points in diagram.points for p in points]
+    s, x = np.repeat(diagram.s, counts), np.array([p.x for p in found], dtype=float)
+    stability = np.array(["stable" if p.stable else "unstable" for p in found], dtype=str)
+    text = _csv_text(comments, ["s", "alpha_bar", "x_star", "stability"],
+                     [s, np.repeat(diagram.alpha_bars, counts), x, stability])
     path = os.path.join(out_dir, "fixed_points.csv")
     _atomic_write(path, text)
     written = [path]
     if svg:
-        stable = [(s, p.x) for s, pts in zip(diagram.s, diagram.points) for p in pts if p.stable]
-        unstable = [(s, p.x) for s, pts in zip(diagram.s, diagram.points) for p in pts if not p.stable]
-        groups = []
-        if stable:
-            sx, sy = zip(*stable)
-            groups.append(("stable", sx, sy))
-        if unstable:
-            ux, uy = zip(*unstable)
-            groups.append(("unstable", ux, uy))
+        groups = [(kind, s[stability == kind], x[stability == kind])
+                  for kind in ("stable", "unstable") if np.any(stability == kind)]
         chart = scatter_chart(groups, title="drift fixed points",
                               xlabel="normalized time s", ylabel="x*")
         spath = os.path.join(out_dir, "fixed_points.svg")

@@ -71,7 +71,6 @@ __all__ = [
     "binary_entropy_bits",
     "prior_entropy_bits",
     "conditional_entropy_at",
-    "jsd_at",
     "entropy_profile",
 ]
 
@@ -215,21 +214,15 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
 
 
 def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,
-                    steps=None, equal_priors: bool = False) -> np.ndarray:
+                    steps=None) -> np.ndarray:
     """The quadrature of H(z | x_t) in bits at each level of ``alpha_bars``.
 
     The one quadrature path: windows and cells from :func:`_windows`; levels
     of one cell count are evaluated together, in chunks of ``CHUNK_TERMS``
-    kernel terms, one level per row.  ``equal_priors`` integrates the
-    equal-weight mixture of the two side densities, each renormalized within
-    itself, as the JSD does.
+    kernel terms, one level per row.
     """
     where = _level_namer(alpha_bars, steps)
-    if equal_priors:
-        log_w = np.log(0.5) + np.concatenate([_log_weights(mixture, side)
-                                              for side in (partition.z0, partition.z1)])
-    else:
-        log_w = _log_weights(mixture, partition.union)
+    log_w = _log_weights(mixture, partition.union)
     lo, dx, cells, count = _windows(mixture, partition, alpha_bars, log_w, where)
     first = np.cumsum(cells, axis=1) - cells
     k0 = len(partition.z0)
@@ -279,18 +272,6 @@ def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_ba
     than ``MAX_CELLS`` cells raises :class:`QuadratureDomainError`.
     """
     return float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64))[0])
-
-
-def jsd_at(mixture: MixtureModel, partition: Partition, alpha_bar: float) -> float:
-    """Jensen-Shannon divergence between the two side densities, in bits.
-
-    Quadrature of ``(p0 + p1)/2 * [r log2 r + (1-r) log2(1-r)] + 1`` with
-    ``r`` the equal-prior posterior ``p0 / (p0 + p1)``, on cells chosen as
-    for :func:`conditional_entropy_at`.  For an equal-prior partition the two
-    share their cells and ``H + JSD = 1`` exactly.
-    """
-    return 1.0 - float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64),
-                                       equal_priors=True)[0])
 
 
 @dataclass(frozen=True)

@@ -143,11 +143,17 @@ def _score_terms(params: tuple, x: np.ndarray) -> tuple:
     return w, pull, var, pull[0] + 0.0 if single else (w * pull).sum(axis=0)
 
 
-def _label_terms(mixture: MixtureModel, alpha_bar, x, label, partition) -> tuple:
-    """:func:`_score_terms` of the subset that ``label`` selects, at ``alpha_bar``."""
+def _label_params(mixture: MixtureModel, alpha_bar, x, label, partition) -> tuple:
+    """The kernel's parameters for the subset that ``label`` selects, and ``x`` as an array."""
     subset = resolve_label(label, partition, mixture.num_components)
     x = np.asarray(x, dtype=np.float64)
-    return _score_terms(_subset_params(mixture, alpha_bar, subset, x.ndim), x)
+    return _subset_params(mixture, alpha_bar, subset, x.ndim), x
+
+
+def _score_and_slope(params: tuple, x: np.ndarray) -> tuple:
+    """The score and the one slope formula at ``x``, from one :func:`_score_terms` pass."""
+    w, pull, var, first = _score_terms(params, x)
+    return first, (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
 
 
 def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",
@@ -157,8 +163,7 @@ def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",
     Arrays (or numpy scalars), bitwise equal to the two functions' values;
     ``alpha_bar`` may be an array of levels, as for the component kernel.
     """
-    w, pull, var, first = _label_terms(mixture, alpha_bar, x, label, partition)
-    return first, (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
+    return _score_and_slope(*_label_params(mixture, alpha_bar, x, label, partition))
 
 
 def score(mixture: MixtureModel, alpha_bar: float, x, label="null", partition: Partition | None = None):
@@ -167,7 +172,7 @@ def score(mixture: MixtureModel, alpha_bar: float, x, label="null", partition: P
     For posterior weights ``w_k(x)`` within the subset this is
     ``sum_k w_k(x) * (mu_kt - x) / var_kt``, the exact conditional score.
     """
-    out = _label_terms(mixture, alpha_bar, x, label, partition)[3]
+    out = _score_terms(*_label_params(mixture, alpha_bar, x, label, partition))[3]
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,25 +7,26 @@ P(z0 | x_t) from the discrepancy between the two conditional denoising means.
 Per step, the population means of the posterior's (negative) binary entropy
 are combined with the decision priors into the entropy estimate.
 
-Each branch draws all its noise from one PCG64 stream, its child of
-``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per step
-t > 1.  Once x_T is drawn, a producer thread of the branch draws the per-step
-vectors in blocks of ``NOISE_BLOCK_BYTES`` (256 KiB), one block ahead of the
-caller's thread, which runs the steps; they are the same draws in the same
-order, so outputs are unchanged.  The score model is called only from the
-caller's thread, so it needs no thread safety.  Each branch allocates its
-n-sized arrays (states, log-odds, both denoising means, two noise blocks)
-once, and every step writes into them, so the estimator's memory is O(n)
-whatever the number of steps.
+Both populations are stepped as one batch of n = n_z0 + n_z1 trajectories,
+z0's first.  Each branch draws its noise from its own PCG64 stream, its child
+of ``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per
+step t > 1.  Once x_T is drawn, one producer thread fills the batch's noise
+rows, each row's two slices from the two streams, in blocks of
+``NOISE_BLOCK_BYTES`` (256 KiB: one row at n = 2x10^4), one block ahead of the
+caller's thread, which runs the steps; the draws are those of each branch
+alone, so outputs are unchanged.  The batch's arrays (states, log-odds, both
+denoising means, two noise blocks) are allocated once and every step writes
+into them, so memory is O(n) whatever the number of steps.
 
-Any object with an ``epsilon(x, t, label) -> ndarray`` method can drive the
-sampler; ``epsilon`` is the predicted noise, related to the conditional score
-by ``eps = -sqrt(1 - alpha_bar_t) * d/dx log p(x_t | label)``.  The estimator
-asks for the labels ``"z0"``, ``"z1"`` and ``"null"`` (the unconditional
-model) at steps ``1..T``, the three columns of a replay file; its
-``complement`` option picks ``"z1"`` or ``"null"`` as the second prediction.
-The exact mixture oracle, which reads each step's kernel parameters from
-tables built once, and a file-backed replay model are provided.
+Any object with a pointwise ``epsilon(x, t, label) -> ndarray`` method (see
+:class:`ScoreModel`) can drive the sampler; ``epsilon`` is the predicted
+noise, ``eps = -sqrt(1 - alpha_bar_t) * d/dx log p(x_t | label)``.  The
+estimator asks for the labels ``"z0"``, ``"z1"`` and ``"null"`` (the
+unconditional model) at steps ``1..T``, the three columns of a replay file;
+its ``complement`` option picks ``"z1"`` or ``"null"`` as the second
+prediction.  The exact mixture oracle, which reads each step's kernel
+parameters from tables built once, and a file-backed replay model are
+provided.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ LOGIT_MAX = float(np.log((1.0 - POST_CLAMP) / POST_CLAMP))
 
 REPLAY_LABELS = ("z0", "z1", "null")
 
-# Bytes per block of noise rows that a branch's producer thread draws ahead of
-# the estimator: max(1, NOISE_BLOCK_BYTES // (8 n)) rows.  Two blocks are in
-# flight per branch, so this stays small.
+# Bytes per block of noise rows that the producer thread draws ahead of the
+# estimator: max(1, NOISE_BLOCK_BYTES // (8 n)) rows of the n = n_z0 + n_z1
+# trajectories.  Two blocks are in flight, so this stays small.
 NOISE_BLOCK_BYTES = 1 << 18
 
 
@@ -74,10 +75,13 @@ class ScoreModel(Protocol):
         """Predicted noise for state ``x`` at step ``t`` under ``label``.
 
         The estimator asks only for steps ``1..T`` and for ``"z0"`` and either
-        ``"z1"`` or, under its ``complement="null"``, ``"null"``.
-        ``x`` is the estimator's work buffer: it is valid only during the
-        call, and the estimator overwrites it once it has read both of a
-        step's predictions, so keep a copy, not a reference, of anything
+        ``"z1"`` or, under its ``complement="null"``, ``"null"``.  ``x`` holds
+        both populations, so a model must be pointwise: each trajectory's
+        prediction depends on its own state alone, as in
+        :class:`GmmScoreModel`, :class:`ReplayScoreModel` or any per-sample
+        network.  ``x`` is the estimator's work buffer: it is valid only
+        during the call, and the estimator overwrites it once it has read both
+        of a step's predictions, so keep a copy, not a reference, of anything
         needed later.  The returned array is only read, never written, so a
         model may return its input, a view of it, or an array it caches.  A
         model may also build per-step state once, as :class:`GmmScoreModel`
@@ -222,14 +226,14 @@ def write_replay_csv(path, model: ScoreModel, schedule: NoiseSchedule, x_grid,
                 fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (t, x, cols[0][i], cols[1][i], cols[2][i]))
 
 
-def _check_finite(eps: np.ndarray, x, t: int, label) -> np.ndarray:
+def _check_finite(eps: np.ndarray, x, t: int, label, n_z0: int) -> np.ndarray:
+    """``eps`` as floats; a non-finite value raises, naming its population and index."""
     eps = np.asarray(eps, dtype=np.float64)
     if not np.isfinite(eps).all():
-        bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(eps)))[0])
-        xval = np.atleast_1d(np.asarray(x))[bad] if np.ndim(x) else x
-        raise ModelEvaluationError(
-            f"non-finite noise prediction at x={xval!r}, t={t}, label={label!r}"
-        )
+        bad = int(np.flatnonzero(~np.isfinite(eps.ravel()))[0])
+        who = f"z0 trajectory {bad}" if bad < n_z0 else f"z1 trajectory {bad - n_z0}"
+        raise ModelEvaluationError(f"non-finite noise prediction for {who} at "
+                                   f"x={float(x[bad])!r}, t={t}, label={label!r}")
     return eps
 
 
@@ -259,20 +263,23 @@ def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.nd
 
 
 class _NoiseRows:
-    """``count`` successive ``rng.standard_normal(n)`` rows, drawn one block ahead.
+    """``count`` successive noise rows, drawn one block ahead.
 
-    A block holds ``max(1, NOISE_BLOCK_BYTES // (8 n))`` rows, and two are in
-    flight.  As a context manager it starts a producer thread that fills the
-    blocks in turn, and on leaving it stops and joins the producer, however
-    the caller's loop ended.  The producer owns block ``b`` from taking
-    ``_free[b]`` until the caller has read the block, and the caller may take
-    ``_filled[b]`` once the block is drawn.
+    A row holds ``n = parts[-1].stop`` values, and its slice ``parts[i]`` is
+    ``rngs[i]``'s next standard-normal draw.  A block holds ``max(1,
+    NOISE_BLOCK_BYTES // (8 n))`` rows, and two are in flight.  As a context
+    manager it starts a producer thread that fills the blocks in turn, and on
+    leaving it stops and joins the producer, however the caller's loop ended.
+    The producer owns block ``b`` from taking ``_free[b]`` until the caller
+    has read the block, and the caller may take ``_filled[b]`` once the block
+    is drawn.
     """
 
-    def __init__(self, rng, n: int, count: int):
+    def __init__(self, rngs, parts, count: int):
+        n = parts[-1].stop
         rows = max(1, min(count, NOISE_BLOCK_BYTES // (8 * n)))
-        self._rng = rng
         self._blocks = np.empty((2, rows, n))
+        self._draws = list(zip(rngs, parts))
         self._sizes = [min(rows, count - start) for start in range(0, count, rows)]
         self._free = (threading.Lock(), threading.Lock())
         self._filled = (threading.Lock(), threading.Lock())
@@ -286,7 +293,9 @@ class _NoiseRows:
             self._free[j % 2].acquire()
             if self._stop:
                 return
-            self._rng.standard_normal(out=self._blocks[j % 2, :size])
+            for row in self._blocks[j % 2, :size]:
+                for rng, part in self._draws:
+                    rng.standard_normal(out=row[part])
             self._filled[j % 2].release()
 
     def __enter__(self):
@@ -361,14 +370,15 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     population entropy summand.  ``1 / (2 beta_t)`` is the exact
     Gaussian-filter weight for a transition of variance ``beta_t``.
 
-    Branch ``i`` (0 for z0, 1 for z1) draws from one stream,
-    ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T as
-    ``standard_normal(n)``, then one ``standard_normal(n)`` per step t > 1,
-    which a producer thread draws one block of ``NOISE_BLOCK_BYTES`` ahead.
-    Memory is O(n), independent of the number of steps.  Every call of
-    ``score_model.epsilon`` is handed the branch's one state buffer, which
-    the step overwrites after both predictions are read (see
-    :class:`ScoreModel`).
+    Both populations are one batch, z0's ``n_z0`` trajectories first, and
+    every call of ``score_model.epsilon`` is handed its one state buffer,
+    which the step overwrites after both predictions are read (see
+    :class:`ScoreModel`).  Branch ``i`` (0 for z0, 1 for z1) draws from one
+    stream, ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T
+    as ``standard_normal(n_i)``, then one ``standard_normal(n_i)`` per step
+    t > 1, which one producer thread draws for both branches, one block of
+    ``NOISE_BLOCK_BYTES`` ahead.  Memory is O(n_z0 + n_z1), independent of
+    the number of steps.
     """
     if n_z0 < 1 or n_z1 < 1:
         raise ParameterError("both sample counts must be >= 1")
@@ -387,43 +397,48 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     roots = np.sqrt(1.0 - betas).tolist()
     noise_sds = np.sqrt(betas).tolist()
 
-    branch_means = []
-    branch_seqs = np.random.SeedSequence(seed).spawn(2)
-    for branch_seq, label, n in zip(branch_seqs, ("z0", "z1"), (n_z0, n_z1)):
-        rng = np.random.Generator(np.random.PCG64(branch_seq))
-        x = rng.standard_normal(n)
-        logit = np.full(n, prior_logit)
-        mu0, mu1 = np.empty(n), np.empty(n)
-        own = mu0 if label == "z0" else mu1
-        summand = np.empty(num_steps + 1)
-        summand[num_steps] = prior_summand
-        with _NoiseRows(rng, n, num_steps - 1) as noise_rows:
-            rows = noise_rows.rows()
-            for t in range(num_steps, 0, -1):
-                i = t - 1
-                eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0")
-                eps1 = _check_finite(score_model.epsilon(x, t, other), x, t, other)
-                _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
-                _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
-                # Both predictions are read, so x (which they may alias) is free.
-                noise = next(rows)
-                if t > 1:
-                    np.add(own, np.multiply(noise_sds[i], noise, out=noise), out=x)
-                else:
-                    np.copyto(x, own)
-                _logit_update(logit, x, mu0, mu1, scales[i], out=logit, work=(mu0, mu1))
-                h = _logit_entropy_bits(logit, work=(mu0, mu1, noise))
-                summand[i] = -float(np.add.reduce(h) / n)
-        branch_means.append(summand)
+    # One batch: z0's trajectories, then z1's; each branch's values are its slice.
+    n = n_z0 + n_z1
+    parts = z0, z1 = slice(0, n_z0), slice(n_z0, n)
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(2)]
+    x = np.empty(n)
+    for rng, part in zip(rngs, parts):
+        rng.standard_normal(out=x[part])
+    logit = np.full(n, prior_logit)
+    mu0, mu1 = np.empty(n), np.empty(n)
+    summands = np.full((2, num_steps + 1), prior_summand)
+    with _NoiseRows(rngs, parts, num_steps - 1) as noise_rows:
+        rows = noise_rows.rows()
+        for t in range(num_steps, 0, -1):
+            i = t - 1
+            eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0", n_z0)
+            eps1 = _check_finite(score_model.epsilon(x, t, other), x, t, other, n_z0)
+            _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
+            _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
+            # Both predictions are read, so x (which they may alias) is free:
+            # each branch moves under its own mean.
+            noise = next(rows)
+            if t > 1:
+                np.multiply(noise_sds[i], noise, out=noise)
+                np.add(mu0[z0], noise[z0], out=x[z0])
+                np.add(mu1[z1], noise[z1], out=x[z1])
+            else:
+                np.copyto(x[z0], mu0[z0])
+                np.copyto(x[z1], mu1[z1])
+            _logit_update(logit, x, mu0, mu1, scales[i], out=logit, work=(mu0, mu1))
+            h = _logit_entropy_bits(logit, work=(mu0, mu1, noise))
+            summands[0, i] = -float(np.add.reduce(h[z0]) / n_z0)
+            summands[1, i] = -float(np.add.reduce(h[z1]) / n_z1)
 
     steps = np.arange(num_steps + 1)
-    h_bits = -(prior_z0 * branch_means[0] + (1.0 - prior_z0) * branch_means[1])
+    h_z0, h_z1 = summands
+    h_bits = -(prior_z0 * h_z0 + (1.0 - prior_z0) * h_z1)
     return McEntropyEstimate(
         steps=steps,
         s=steps / float(num_steps),
         H_bits=h_bits,
-        h_z0=branch_means[0],
-        h_z1=branch_means[1],
+        h_z0=h_z0,
+        h_z1=h_z1,
         n_z0=n_z0,
         n_z1=n_z1,
         seed=seed,

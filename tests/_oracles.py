@@ -139,6 +139,23 @@ def windowed_entropy_bits(means, weights, variances, z0, z1, alpha_bar, span=12.
     return float(total)
 
 
+def jsd_bits_reference(mixture, z0, z1, alpha_bar, per_sd=32):
+    """Jensen-Shannon divergence in bits between the two diffused side densities, by plain numpy.
+
+    Each side's density is its components renormalized within the side (a
+    side of zero total weight weighs its components equally).  The JSD is one
+    bit less the H(z | x_t) of the two sides mixed with equal priors, which
+    :func:`windowed_entropy_bits` integrates.  Shares no code with
+    ``diffentropy``.
+    """
+    w = np.asarray(mixture.weights, dtype=np.float64).copy()
+    for side in (list(z0), list(z1)):
+        total = w[side].sum()
+        w[side] = 0.5 * (w[side] / total if total > 0.0 else 1.0 / len(side))
+    return 1.0 - windowed_entropy_bits(mixture.means, w, mixture.variances, z0, z1, alpha_bar,
+                                       per_sd=per_sd)
+
+
 def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed):
     """The Monte-Carlo estimator's branch series ``(h_z0, h_z1)`` by plain numpy.
 

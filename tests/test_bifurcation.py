@@ -7,6 +7,7 @@ import pytest
 from diffentropy import bifurcation, mixture
 from diffentropy.bifurcation import find_fixed_points, sibling_split_time, trace_bifurcations
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule
+from diffentropy.mixture import diffused_params
 
 from _oracles import (drift_residual_derivative_reference, drift_residual_reference, root_certified,
                       scan_box, sign_change_count)
@@ -20,11 +21,11 @@ SCHEDULE = linear_schedule(1000)
 
 
 def _injected(residual, slope):
-    """A stand-in for ``_score_and_derivative`` whose drift residual is ``residual(x)``."""
-    def score_and_derivative(mix, alpha_bar, x):
+    """A stand-in for ``_score_and_slope`` whose drift residual is ``residual(x)``."""
+    def score_and_slope(params, x):
         x = np.asarray(x, dtype=np.float64)
         return bifurcation.DRIFT_COEFF * x - residual(x), bifurcation.DRIFT_COEFF - slope(x)
-    return score_and_derivative
+    return score_and_slope
 
 
 class TestDriftResidual:
@@ -122,7 +123,7 @@ class TestFindFixedPoints:
         for ab in (1e-4, 0.5, 0.999):
             nodes = np.linspace(*scan_box(TWO_DELTAS, ab), bifurcation.GRID_NODES)
             a, b = nodes[100], 0.5 * (nodes[150] + nodes[151])
-            monkeypatch.setattr(bifurcation, "_score_and_derivative", _injected(
+            monkeypatch.setattr(bifurcation, "_score_and_slope", _injected(
                 lambda x: (x - a) * (x - b), lambda x: 2.0 * x - a - b))
             pts = find_fixed_points(TWO_DELTAS, ab)
             assert [p.stable for p in pts] == [False, True]
@@ -230,10 +231,13 @@ class TestTraceBifurcations:
     def test_batched_brackets_are_cells_of_each_levels_own_grid(self, monkeypatch):
         brackets = []
         real = bifurcation._bracketed_roots
+        # A bracket's level, from its diffused variance: 1 - alpha_bar for point masses.
+        level_of = {1.0 - ab: ab for ab in SCHEDULE.alpha_bars.tolist()}
 
-        def recording(terms, alpha_bar, lo, hi, *args):
-            brackets.extend(zip(alpha_bar.tolist(), lo.tolist(), hi.tolist()))
-            return real(terms, alpha_bar, lo, hi, *args)
+        def recording(params, level, lo, hi, *args):
+            levels = [level_of[v] for v in params[1][0, level].tolist()]
+            brackets.extend(zip(levels, lo.tolist(), hi.tolist()))
+            return real(params, level, lo, hi, *args)
 
         monkeypatch.setattr(bifurcation, "_bracketed_roots", recording)
         diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=7)
@@ -241,6 +245,21 @@ class TestTraceBifurcations:
         for ab, lo, hi in brackets:
             nodes = np.linspace(*scan_box(FOUR_DELTAS, ab), 256).tolist()
             assert nodes.index(hi) == nodes.index(lo) + 1
+
+    def test_gathered_levels_give_the_general_kernel_bitwise(self):
+        # Ten components: numpy sums a column-major (components, points)
+        # array over the components in another order than a row-major one.
+        ten = MixtureModel(weights=np.arange(1.0, 11.0) / 55.0, means=np.linspace(-9.0, 9.0, 10),
+                           variances=np.linspace(0.0, 0.9, 10))
+        levels = SCHEDULE.alpha_bars[::37]
+        mu, var = diffused_params(ten, levels)
+        params = (mu, var, mixture._log_weights(ten, range(10)))
+        index = np.repeat(np.arange(levels.size)[::-1], 5)
+        x = np.linspace(-3.0, 3.0, index.size)
+        g, slope = bifurcation._drift_terms(params, index, x)
+        s, ds = mixture._score_and_derivative(ten, levels[index], x)
+        np.testing.assert_array_equal(g.view(np.int64), (0.5 * x - s).view(np.int64))
+        np.testing.assert_array_equal(slope.view(np.int64), (0.5 - ds).view(np.int64))
 
     def test_sweep_makes_far_fewer_kernel_passes_than_levels(self, monkeypatch):
         calls = []
@@ -266,14 +285,15 @@ class TestTraceBifurcations:
 
     @pytest.mark.parametrize("stride, bad_step", [(1, 137), (10, 131)])
     def test_a_failing_level_of_a_batch_names_its_step(self, monkeypatch, stride, bad_step):
-        bad = SCHEDULE.alpha_bar(bad_step)
-        real = bifurcation._score_and_derivative
+        # A point mass diffuses to the variance 1 - alpha_bar, exactly.
+        bad_var = 1.0 - SCHEDULE.alpha_bar(bad_step)
+        real = bifurcation._score_and_slope
 
-        def failing(mix, alpha_bar, x):
-            s, ds = real(mix, alpha_bar, x)
-            return np.where(np.asarray(alpha_bar) == bad, np.nan, s), ds
+        def failing(params, x):
+            s, ds = real(params, x)
+            return np.where(params[1][0] == bad_var, np.nan, s), ds
 
-        monkeypatch.setattr(bifurcation, "_score_and_derivative", failing)
+        monkeypatch.setattr(bifurcation, "_score_and_slope", failing)
         with pytest.raises(FloatingPointError, match=f"^step t={bad_step}: "):
             trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=stride)
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import component_posteriors, side_posterior, windowed_entropy_bits
+from _oracles import component_posteriors, jsd_bits_reference, side_posterior, windowed_entropy_bits
 
 import diffentropy.entropy as entropy
 from diffentropy.core import MixtureModel, linear_schedule, make_partition
@@ -13,7 +13,6 @@ from diffentropy.entropy import (
     binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
-    jsd_at,
     prior_entropy_bits,
 )
 from diffentropy.mixture import diffused_params
@@ -235,27 +234,37 @@ class TestConditionalEntropy:
 
 
 class TestJsd:
+    """H against the plain-numpy JSD of the two side densities: for even priors H = 1 - JSD."""
+
     def test_identical_sides_have_zero_divergence(self):
         twins = MixtureModel(weights=[0.5, 0.5], means=[2.0, 2.0], variances=[0.3, 0.3])
-        assert jsd_at(twins, pair(twins, 0, 1), 0.6) == pytest.approx(0.0, abs=1e-12)
+        jsd = jsd_bits_reference(twins, [0], [1], 0.6)
+        assert jsd == pytest.approx(0.0, abs=1e-12)
+        assert conditional_entropy_at(twins, pair(twins, 0, 1), 0.6) == pytest.approx(1.0 - jsd,
+                                                                                    abs=1e-12)
 
     def test_separated_deltas_saturate_at_one_bit(self):
-        assert jsd_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-3)
+        ab = 1.0 - 1e-9
+        jsd = jsd_bits_reference(TWO_DELTAS, [0], [1], ab)
+        assert jsd == pytest.approx(1.0, abs=1e-3)
+        assert conditional_entropy_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), ab) == pytest.approx(
+            1.0 - jsd, abs=1e-3)
 
     def test_does_not_depend_on_the_priors(self):
         # The divergence is between the side densities; a side without prior
-        # mass still has one.
+        # mass still has one, so the skewed pair's JSD is the even pair's.
         skew = MixtureModel(weights=[0.0, 1.0], means=[-1.0, 1.0], variances=[0.0, 0.0])
-        assert jsd_at(skew, pair(skew, 0, 1), 0.5) == pytest.approx(
-            jsd_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), 0.5), abs=1e-14)
+        h_even = conditional_entropy_at(TWO_DELTAS, pair(TWO_DELTAS, 0, 1), 0.5)
+        assert jsd_bits_reference(skew, [0], [1], 0.5, per_sd=64) == pytest.approx(
+            1.0 - h_even, abs=entropy.H_TOL)
 
     @pytest.mark.parametrize("z0,z1", [([0], [1]), ([0, 1], [2, 3])])
     def test_complements_conditional_entropy_for_even_priors(self, z0, z1):
         part = make_partition(FOUR_DELTAS, z0, z1)
         for ab in np.linspace(SCHEDULE.alpha_bars[-1], SCHEDULE.alpha_bars[0], 25):
             h = conditional_entropy_at(FOUR_DELTAS, part, ab)
-            j = jsd_at(FOUR_DELTAS, part, ab)
-            assert h + j == 1.0
+            j = jsd_bits_reference(FOUR_DELTAS, z0, z1, ab, per_sd=64)
+            assert abs(h + j - 1.0) < entropy.H_TOL
 
     @pytest.mark.parametrize("t", [1, 146, 300, 600, 1000])
     @pytest.mark.parametrize("mixture,z0,z1", [
@@ -264,14 +273,15 @@ class TestJsd:
          [0, 2], [1]),
     ])
     def test_matches_a_plain_numpy_reference(self, mixture, z0, z1, t):
-        # The JSD is one bit less the entropy of the equal-weight mixture of
-        # the two renormalized sides.
+        # Uneven priors: H of the sides mixed with even priors is 1 - JSD.
         ab = SCHEDULE.alpha_bar(t)
         w = np.asarray(mixture.weights, dtype=np.float64).copy()
         for side in (z0, z1):
             w[side] = 0.5 * w[side] / w[side].sum()
-        ref = 1.0 - windowed_entropy_bits(mixture.means, w, mixture.variances, z0, z1, ab, per_sd=64)
-        assert jsd_at(mixture, make_partition(mixture, z0, z1), ab) == pytest.approx(ref, abs=entropy.H_TOL)
+        even = MixtureModel(weights=w, means=mixture.means, variances=mixture.variances)
+        h = conditional_entropy_at(even, make_partition(even, z0, z1), ab)
+        assert h == pytest.approx(1.0 - jsd_bits_reference(mixture, z0, z1, ab, per_sd=64),
+                                  abs=entropy.H_TOL)
 
 
 class TestEntropyProfile:

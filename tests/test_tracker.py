@@ -112,18 +112,19 @@ class TestAncestralStep:
         # each delta, within binomial fluctuation.  The state handed to the
         # last step, x_1, has sd 0.01 about its delta, so it stands in for x_0.
         class _NullDriven:
-            def __init__(self):
-                self.x1 = {}
+            def __init__(self, n):
+                self.n, self.x1 = n, None
 
             def epsilon(self, x, t, label):
                 if t == 1:
-                    self.x1[x.size] = x.copy()
+                    # The z0 population is the batch's first n trajectories.
+                    self.x1 = x[:self.n].copy()
                 return ORACLE.epsilon(x, t, "null")
 
         n = 1000
-        model = _NullDriven()
+        model = _NullDriven(n)
         estimate_conditional_entropy(model, SCHEDULE, n_z0=n, n_z1=1, seed=11)
-        x1 = model.x1[n]
+        x1 = model.x1
         near_left = np.sum(np.abs(x1 + 1.0) < 0.5)
         near_right = np.sum(np.abs(x1 - 1.0) < 0.5)
         assert near_left + near_right == n
@@ -232,6 +233,42 @@ class TestEstimateConditionalEntropy:
         with pytest.raises(ModelEvaluationError, match="t=3, label='z1'"):
             estimate_conditional_entropy(_NanAtStep3(), FAST, n_z0=2, n_z1=2, seed=0)
 
+        class _NanAtTrajectory:
+            """A NaN for batch index ``bad`` at step 5 under ``label``."""
+
+            def __init__(self, bad, label):
+                self.bad, self.label, self.x = bad, label, None
+
+            def epsilon(self, x, t, label):
+                eps = np.array(FAST_ORACLE.epsilon(x, t, label), copy=True)
+                if (t, label) == (5, self.label):
+                    self.x = float(x[self.bad])
+                    eps[self.bad] = np.nan
+                return eps
+
+        # The batch holds z0's 3 trajectories, then z1's 6.
+        for bad, label, who in [(0, "z0", "z0 trajectory 0"), (2, "z1", "z0 trajectory 2"),
+                                (3, "z0", "z1 trajectory 0"), (7, "z1", "z1 trajectory 4")]:
+            model = _NanAtTrajectory(bad, label)
+            with pytest.raises(ModelEvaluationError) as caught:
+                estimate_conditional_entropy(model, FAST, n_z0=3, n_z1=6, seed=0)
+            assert str(caught.value) == (f"non-finite noise prediction for {who} at "
+                                         f"x={model.x!r}, t=5, label={label!r}")
+
+    def test_each_step_asks_two_predictions_of_the_whole_batch(self):
+        class _RecordsCalls:
+            def __init__(self):
+                self.calls = []
+
+            def epsilon(self, x, t, label):
+                self.calls.append((t, label, x.size))
+                return FAST_ORACLE.epsilon(x, t, label)
+
+        model = _RecordsCalls()
+        estimate_conditional_entropy(model, FAST, n_z0=5, n_z1=11, seed=0)
+        assert model.calls == [(t, label, 16) for t in range(FAST.num_steps, 0, -1)
+                               for label in ("z0", "z1")]
+
 
 THREE = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.1, 0.4, 2.0])
 THREE_PART = make_partition(THREE, [1], [0, 2])
@@ -240,10 +277,14 @@ GROUPS = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
 
 
 class _EchoModel:
-    """Returns its input array for z0 and a reversed view of it for z1."""
+    """Returns its input array for z0 and a view of all of it for z1.
+
+    A reversed view would mix the two populations of the batch, so a
+    prediction would no longer depend on its own trajectory alone.
+    """
 
     def epsilon(self, x, t, label):
-        return x if label == "z0" else x[::-1]
+        return x if label == "z0" else x[:]
 
 
 class _KeepsReference:
@@ -321,7 +362,12 @@ class TestBitwiseReference:
         (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 16, 9, "null"),
         (_EchoModel(), 0.3, 12, 5, "exact"),
         (_KeepsReference(GmmScoreModel(THREE, FAST, THREE_PART)), 0.3, 5, 12, "exact"),
-    ], ids=["n1", "prior03", "one-vs-two", "null-complement", "echo-input", "keeps-reference"])
+        # Slices that are not multiples of 8 wide and start off an 8-element boundary.
+        (GmmScoreModel(THREE, FAST, THREE_PART), 0.3, 13, 1, "exact"),
+        (GmmScoreModel(THREE, FAST, THREE_PART), 0.7, 1, 13, "exact"),
+        (GmmScoreModel(FOUR_DELTAS, FAST, GROUPS), 0.5, 9, 8, "null"),
+    ], ids=["n1", "prior03", "one-vs-two", "null-complement", "echo-input", "keeps-reference",
+            "13-and-1", "1-and-13", "9-and-8"])
     def test_branch_series_are_bitwise_the_reference(self, model, prior_z0, n_z0, n_z1, complement):
         est = estimate_conditional_entropy(model, FAST, prior_z0=prior_z0, n_z0=n_z0, n_z1=n_z1,
                                            seed=13, complement=complement)
@@ -352,7 +398,7 @@ class _RaisesAtStep:
 
 
 class _RecordsThreads:
-    """Records the calling threads, and the live thread count at each branch's first call."""
+    """Records the calling threads, and the live thread count at step ``first_step``'s first call."""
 
     def __init__(self, inner, first_step):
         self.inner, self.first_step = inner, first_step
@@ -389,8 +435,10 @@ def _estimate_bounded(*args, **kwargs):
     return done["estimate"], done["ident"]
 
 
-def _block_rows(n, count):
-    return tracker._NoiseRows(np.random.default_rng(0), n, count)._blocks.shape[1]
+def _block_rows(n_z0, n_z1, count):
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    parts = (slice(0, n_z0), slice(n_z0, n_z0 + n_z1))
+    return tracker._NoiseRows(rngs, parts, count)._blocks.shape[1]
 
 
 class TestNoiseWorker:
@@ -398,18 +446,20 @@ class TestNoiseWorker:
 
     def test_blocks_hold_the_byte_budget(self):
         assert NOISE_BLOCK_BYTES == 256 * 1024
-        # 3 rows of 10^4; never more rows than the draws; at least one row,
-        # the spare, even with no draws or with rows wider than the budget.
-        assert [_block_rows(n, count) for n, count in
-                [(10_000, 999), (1, 999), (7, 0), (40_000, 999)]] == [3, 999, 1, 1]
+        # A row holds both populations: 3 rows of 5000 + 5000, 1 row of
+        # 10^4 + 10^4; never more rows than the draws; at least one row, the
+        # spare, even with no draws or with rows wider than the budget.
+        assert [_block_rows(n_z0, n_z1, count) for n_z0, n_z1, count in
+                [(5_000, 5_000, 999), (10_000, 10_000, 999), (1, 1, 999), (4, 3, 0),
+                 (40_000, 1, 999)]] == [3, 1, 999, 1, 1]
 
     @pytest.mark.parametrize("step", [FAST.num_steps, FAST.num_steps - 3, 3],
                              ids=["first-step", "mid-run", "near-the-end"])
     def test_score_model_errors_propagate_and_the_producer_is_joined(self, monkeypatch, tmp_path,
                                                                      step):
-        # Two rows per block for n = 6 and 5: at the first two errors the
-        # producer is waiting for a block to be freed.
-        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 6 * 2)
+        # Two rows per block of 6 + 5 trajectories: at the first two errors
+        # the producer is waiting for a block to be freed.
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 11 * 2)
         sched = linear_schedule(8, 0.005, 0.2)
         path = tmp_path / "gap.csv"
         write_replay_csv(path, GmmScoreModel(TWO_DELTAS, sched, PART), sched, np.linspace(-6, 6, 41),
@@ -428,16 +478,16 @@ class TestNoiseWorker:
             assert threading.active_count() == before
 
     def test_score_model_runs_only_on_the_calling_thread(self, monkeypatch):
-        # 2 and 4 rows per block: each branch's producer has more blocks to
-        # draw than fit ahead, so it waits alive through the branch's first step.
-        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 9 * 2)
+        # 2 rows per block of 9 + 4 trajectories: the producer has more
+        # blocks to draw than fit ahead, so it waits alive through step T.
+        monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", 8 * 13 * 2)
         model = _RecordsThreads(FAST_ORACLE, FAST.num_steps)
         before = threading.active_count()
         est, caller = _estimate_bounded(model, FAST, n_z0=9, n_z1=4, seed=5)
         assert model.callers == {caller}
-        # Besides the caller's helper thread, the producer is alive at step
-        # T's first prediction.
-        assert model.alive_at_first == [before + 2] * 2
+        # Besides the caller's helper thread, the one producer of both
+        # populations is alive at step T's first prediction.
+        assert model.alive_at_first == [before + 2]
         assert threading.active_count() == before
         _assert_bitwise_reference(est, FAST_ORACLE, FAST, 9, 4, 5)
 
@@ -469,18 +519,17 @@ class TestNoiseWorker:
         for seed, est in results.items():
             _assert_bitwise_reference(est, model, sched, 5, 3, seed)
 
-    @pytest.mark.parametrize("budget, rows", [(8 * 7 * 2, [2, 4]), (8, [1, 1])],
-                             ids=["2-and-4-rows", "1-row"])
+    @pytest.mark.parametrize("budget, rows", [(8 * 10 * 2, 2), (8 * 10 * 4, 4), (8, 1)],
+                             ids=["2-rows", "4-rows", "1-row"])
     @pytest.mark.parametrize("noisy", [0, 1, 2, 8, 9])
     def test_partial_and_empty_blocks_are_bitwise_the_reference(self, monkeypatch, noisy, budget,
                                                                 rows):
-        # Blocks of 2 rows for n_z0 = 7 and of 4 rows for n_z1 = 3, or of one
-        # row each, where every noisy step is a handoff.  Noisy steps: none,
-        # one, two, 8 (full blocks only) and 9, where each branch crosses at
-        # least 2 block boundaries and, with 2 and 4 rows, ends on a partial
-        # block.
+        # Blocks of 2 or 4 rows of 7 + 3 trajectories, or of one row, where
+        # every noisy step is a handoff.  Noisy steps: none, one, two, 8
+        # (full blocks only) and 9, where the rows cross at least 2 block
+        # boundaries and, with 2 and 4 rows, end on a partial block.
         monkeypatch.setattr(tracker, "NOISE_BLOCK_BYTES", budget)
-        assert [_block_rows(7, 9), _block_rows(3, 9)] == rows
+        assert _block_rows(7, 3, 9) == rows
         sched = NoiseSchedule.from_betas(np.linspace(0.02, 0.3, noisy + 1))
         model = GmmScoreModel(TWO_DELTAS, sched, PART)
         est, _ = _estimate_bounded(model, sched, n_z0=7, n_z1=3, seed=21)
