@@ -21,10 +21,8 @@ from .mixture import (
 from .entropy import (
     EntropyProfile,
     QuadratureDomainError,
-    binary_entropy_bits,
     conditional_entropy_at,
     entropy_profile,
-    prior_entropy_bits,
 )
 from .tracker import (
     GmmScoreModel,
@@ -50,8 +48,7 @@ __all__ = [
     "ParameterError", "PartitionError",
     "score", "score_derivative", "DegenerateDensityError",
     "EntropyProfile", "conditional_entropy_at",
-    "entropy_profile", "binary_entropy_bits",
-    "prior_entropy_bits", "QuadratureDomainError",
+    "entropy_profile", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",
     "McEntropyEstimate", "estimate_conditional_entropy", "ModelEvaluationError",
     "FixedPoint", "CountChange", "BifurcationDiagram", "find_fixed_points",

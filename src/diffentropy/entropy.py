@@ -68,8 +68,6 @@ from .mixture import (CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _log_weights, _
 __all__ = [
     "QuadratureDomainError",
     "EntropyProfile",
-    "binary_entropy_bits",
-    "prior_entropy_bits",
     "conditional_entropy_at",
     "entropy_profile",
 ]
@@ -93,7 +91,7 @@ class QuadratureDomainError(ValueError):
     """The quadrature cannot resolve the decision's density at some level."""
 
 
-def binary_entropy_bits(p) -> np.ndarray | float:
+def _binary_entropy_bits(p) -> np.ndarray | float:
     """Entropy of a (p, 1-p) coin in bits, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
     q = 1.0 - p
@@ -102,13 +100,8 @@ def binary_entropy_bits(p) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def prior_entropy_bits(partition: Partition) -> float:
-    """Entropy of the partition's renormalized priors."""
-    return float(binary_entropy_bits(partition.prior_z0))
-
-
-def _logit_entropy_bits(logit: np.ndarray, work=(None, None, None)) -> np.ndarray:
-    """Binary entropy of the coin with log-odds ``logit``, in bits.
+def _logit_entropy_nats(logit: np.ndarray, work=(None, None, None)) -> np.ndarray:
+    """Binary entropy of the coin with log-odds ``logit``, in nats.
 
     With ``u = exp(-|logit|)`` it is ``log1p(u) + |logit| u / (1 + u)`` nats,
     exact at both tails without forming the probabilities.  ``work`` may
@@ -122,7 +115,7 @@ def _logit_entropy_bits(logit: np.ndarray, work=(None, None, None)) -> np.ndarra
     h = np.log1p(u, out=w2)
     # mag and u are dead once read here: the tail term overwrites them.
     tail = np.divide(np.multiply(mag, u, out=w0), np.add(1.0, u, out=w1), out=w0)
-    return np.divide(np.add(h, tail, out=w2), LN2, out=w2)
+    return np.add(h, tail, out=w2)
 
 
 def _branch_points(mu, var, log_w, i, j) -> np.ndarray:
@@ -184,7 +177,7 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 lj = _log_joints(params, x)
                 a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
-                excess = (np.logaddexp(a, b) + np.log(_logit_entropy_bits(a - b))
+                excess = (np.logaddexp(a, b) + np.log(_logit_entropy_nats(a - b) / LN2)
                           + np.log((width * inside).sum(axis=0) / WINDOW_TOL))
                 # log |w_k N_k| at the root itself, off the real axis.
                 size = lj + 0.5 * y ** 2 / var
@@ -246,7 +239,7 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
             a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
             dens = np.exp(a) + np.exp(b)
             mass[rows] = (dens * cell_dx).sum(axis=1)
-            h[rows] = (dens * _logit_entropy_bits(a - b) * cell_dx).sum(axis=1)
+            h[rows] = (dens * (_logit_entropy_nats(a - b) / LN2) * cell_dx).sum(axis=1)
     off = ~(np.abs(mass - 1.0) <= MASS_TOL)
     if np.any(off):
         l = int(np.argmax(off))
@@ -312,7 +305,7 @@ def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: Noise
     h = _entropy_levels(mixture, partition, schedule.alpha_bars[times.steps - 1],
                         steps=times.steps)
     rate = np.gradient(h, times.s) if len(times) > 1 else np.zeros(1)
-    prior = prior_entropy_bits(partition)
+    prior = _binary_entropy_bits(partition.prior_z0)
     return EntropyProfile(
         times=times,
         H_bits=h,

@@ -3,20 +3,31 @@
 This is the estimation path for models whose densities are not available:
 two trajectory populations are denoised by ancestral sampling, one per side
 of the binary decision, while each trajectory tracks its running posterior
-P(z0 | x_t) from the discrepancy between the two conditional denoising means.
+P(z0 | x_t) from the gap between the two conditional denoising means.
 Per step, the population means of the posterior's (negative) binary entropy
 are combined with the decision priors into the entropy estimate.
+
+A step forms each trajectory's own denoising mean ``m = (x - c eps_own) /
+r`` (``c = beta_t / sqrt(1 - alpha_bar_t)``, ``r = sqrt(1 - beta_t)``,
+``eps_own`` z0's prediction on z0's side, the complement's on z1's) and the
+half-gap ``h = (mu_z0 - mu_z1) / 2 = c (eps_z1 - eps_z0) / (2 r)``.  As
+``x' = m + sigma xi`` leaves ``x' - mu_own = sigma xi`` and ``x' - mu_other
+= sigma xi +- 2 h`` (+ on z0's side), the filter's move of the log-odds of
+z0, ``-(|x' - mu_z0|^2 - |x' - mu_z1|^2) / (2 beta_t)``, is exactly ``(2 /
+beta_t) h (sigma xi +- h)``, without the cancellations ``x' - mu`` and
+``mu_z0 - mu_z1``.
 
 Both populations are stepped as one batch of n = n_z0 + n_z1 trajectories,
 z0's first.  Each branch draws its noise from its own PCG64 stream, its child
 of ``SeedSequence(seed).spawn(2)``: x_T, then one standard-normal vector per
 step t > 1.  Once x_T is drawn, one producer thread fills the batch's noise
-rows, each row's two slices from the two streams, in blocks of
-``NOISE_BLOCK_BYTES`` (256 KiB: one row at n = 2x10^4), one block ahead of the
-caller's thread, which runs the steps; the draws are those of each branch
-alone, so outputs are unchanged.  The batch's arrays (states, log-odds, both
-denoising means, two noise blocks) are allocated once and every step writes
-into them, so memory is O(n) whatever the number of steps.
+rows, each row's two slices from the two streams, and scales each row by its
+step's ``sigma = sqrt(beta_t)``, in blocks of ``NOISE_BLOCK_BYTES`` (256 KiB:
+one row at n = 2x10^4), one block ahead of the caller's thread, which runs
+the steps; the draws are those of each branch alone, so the noise is
+unchanged.  The batch's arrays (states, log-odds, two work arrays, two noise
+blocks) are allocated once and every step writes into them, so memory is
+O(n) whatever the number of steps.
 
 Any object with a pointwise ``epsilon(x, t, label) -> ndarray`` method (see
 :class:`ScoreModel`) can drive the sampler; ``epsilon`` is the predicted
@@ -38,7 +49,7 @@ from typing import Protocol
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition
-from .entropy import _logit_entropy_bits, binary_entropy_bits
+from .entropy import LN2, _binary_entropy_bits, _logit_entropy_nats
 from .mixture import _log_weights, _score_terms, diffused_params, resolve_label
 # Unused here, but perfbench/tracing.py wraps it under this name.
 from .mixture import score  # noqa: F401
@@ -227,59 +238,62 @@ def write_replay_csv(path, model: ScoreModel, schedule: NoiseSchedule, x_grid,
 
 
 def _check_finite(eps: np.ndarray, x, t: int, label, n_z0: int) -> np.ndarray:
-    """``eps`` as floats; a non-finite value raises, naming its population and index."""
+    """``eps`` as floats; another shape than ``x``'s or a non-finite value raises."""
     eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != x.shape:
+        raise ModelEvaluationError(f"noise prediction of shape {eps.shape} for trajectories of "
+                                   f"shape {x.shape} at t={t}, label={label!r}")
     if not np.isfinite(eps).all():
-        bad = int(np.flatnonzero(~np.isfinite(eps.ravel()))[0])
+        bad = int(np.flatnonzero(~np.isfinite(eps))[0])
         who = f"z0 trajectory {bad}" if bad < n_z0 else f"z1 trajectory {bad - n_z0}"
         raise ModelEvaluationError(f"non-finite noise prediction for {who} at "
                                    f"x={float(x[bad])!r}, t={t}, label={label!r}")
     return eps
 
 
-def _denoising_mean(x, eps, coef: float, root: float, out):
-    """``(x - coef * eps) / root``, written into ``out``.
+def _step(x, logit, eps0, eps1, noise, coefs, parts, work) -> None:
+    """One reverse step of the batch, written into ``x`` and ``logit``.
 
-    ``coef = beta_t / sqrt(1 - alpha_bar_t)`` and ``root = sqrt(1 - beta_t)``;
-    ``out`` may be neither ``x`` nor ``eps``.
+    ``coefs`` holds ``c``, ``c / (2 r)``, ``r`` and ``2 / beta_t`` of the
+    module docstring.  ``x`` moves to its own mean ``(x - c eps) / r``, with
+    ``eps0`` on ``parts[0]`` and ``eps1`` on ``parts[1]``, plus ``noise``, and
+    the log-odds by ``(2 / beta_t) h (noise +- h)``, + on ``parts[0]``, with
+    ``h = (eps1 - eps0) * (c / (2 r))``, clipped to ``+-LOGIT_MAX``.  The
+    two ``work`` arrays take the temporaries.  Both predictions are read
+    before ``x`` is written, so either may alias ``x``.
     """
-    return np.divide(np.subtract(x, np.multiply(coef, eps, out=out), out=out), root, out=out)
-
-
-def _logit_update(logit, x_next, mu_z0, mu_z1, scale: float, out, work) -> np.ndarray:
-    """The tracked log-odds of z0 after one step, clipped to ``+-LOGIT_MAX``.
-
-    The log-odds move by ``-scale * (|x_next - mu_z0|^2 - |x_next - mu_z1|^2)``.
-    ``out`` takes the result and may be ``logit``; ``work`` names two arrays
-    shaped like ``x_next`` that take the temporaries, and these may be
-    ``mu_z0`` and ``mu_z1`` themselves, in that order.
-    """
-    w0, w1 = work
-    d0 = np.square(np.subtract(x_next, mu_z0, out=w0), out=w0)
-    d1 = np.square(np.subtract(x_next, mu_z1, out=w1), out=w1)
-    step = np.multiply(scale, np.subtract(d0, d1, out=w0), out=w0)
-    moved = np.subtract(logit, step, out=out)
-    return np.minimum(np.maximum(moved, -LOGIT_MAX, out=out), LOGIT_MAX, out=out)
+    coef, half_coef, root, weight = coefs
+    half, tmp = work
+    np.multiply(np.subtract(eps1, eps0, out=half), half_coef, out=half)
+    for eps, part in zip((eps0, eps1), parts):
+        np.multiply(eps[part], coef, out=tmp[part])
+    np.add(np.divide(np.subtract(x, tmp, out=x), root, out=x), noise, out=x)
+    z0, z1 = parts
+    np.add(noise[z0], half[z0], out=tmp[z0])
+    np.subtract(noise[z1], half[z1], out=tmp[z1])
+    np.multiply(np.multiply(tmp, half, out=tmp), weight, out=tmp)
+    np.clip(np.add(logit, tmp, out=logit), -LOGIT_MAX, LOGIT_MAX, out=logit)
 
 
 class _NoiseRows:
-    """``count`` successive noise rows, drawn one block ahead.
+    """Successive noise rows, one per entry of ``sds``, drawn one block ahead.
 
-    A row holds ``n = parts[-1].stop`` values, and its slice ``parts[i]`` is
-    ``rngs[i]``'s next standard-normal draw.  A block holds ``max(1,
-    NOISE_BLOCK_BYTES // (8 n))`` rows, and two are in flight.  As a context
-    manager it starts a producer thread that fills the blocks in turn, and on
-    leaving it stops and joins the producer, however the caller's loop ended.
-    The producer owns block ``b`` from taking ``_free[b]`` until the caller
-    has read the block, and the caller may take ``_filled[b]`` once the block
-    is drawn.
+    A row holds ``n = parts[-1].stop`` values: its slice ``parts[i]`` is
+    ``rngs[i]``'s next standard-normal draw, and the producer scales the row
+    by its entry of ``sds``.  A block holds ``max(1, NOISE_BLOCK_BYTES // (8 n))``
+    rows, and two are in flight.  As a context manager it starts a producer
+    thread that fills the blocks in turn, and on leaving it stops and joins
+    the producer, however the caller's loop ended.  The producer owns block
+    ``b`` from taking ``_free[b]`` until the caller has read the block, and
+    the caller may take ``_filled[b]`` once the block is drawn.
     """
 
-    def __init__(self, rngs, parts, count: int):
-        n = parts[-1].stop
+    def __init__(self, rngs, parts, sds):
+        n, count = parts[-1].stop, len(sds)
         rows = max(1, min(count, NOISE_BLOCK_BYTES // (8 * n)))
         self._blocks = np.empty((2, rows, n))
         self._draws = list(zip(rngs, parts))
+        self._sds = iter(sds)
         self._sizes = [min(rows, count - start) for start in range(0, count, rows)]
         self._free = (threading.Lock(), threading.Lock())
         self._filled = (threading.Lock(), threading.Lock())
@@ -296,6 +310,7 @@ class _NoiseRows:
             for row in self._blocks[j % 2, :size]:
                 for rng, part in self._draws:
                     rng.standard_normal(out=row[part])
+                np.multiply(row, next(self._sds), out=row)
             self._filled[j % 2].release()
 
     def __enter__(self):
@@ -312,16 +327,17 @@ class _NoiseRows:
         self._producer.join()
 
     def rows(self):
-        """Yield the rows in order, then a spare row that no later draw overwrites.
+        """Yield the rows in order, then a spare row of zeros that no draw overwrites.
 
-        A row is the caller's work space until it asks for the next one, and
-        the spare row is work space for a step without noise.
+        A row is the caller's work space until it asks for the next one; the
+        spare row is the noise, and then work space, of a step without noise.
         """
         for j, size in enumerate(self._sizes):
             self._filled[j % 2].acquire()
             yield from self._blocks[j % 2, :size]
             # The caller has asked past the block's last row, so it is free.
             self._free[j % 2].release()
+        self._blocks[0, 0].fill(0.0)
         yield self._blocks[0, 0]
 
 
@@ -362,12 +378,15 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     approximation of one-vs-rest decisions.
 
     Both populations start from a standard normal at ``t = T`` with the
-    posterior initialized to the prior.  Each reverse step moves a branch to
-    its own denoising mean ``(x - beta_t / sqrt(1 - alpha_bar_t) * eps) /
-    sqrt(1 - beta_t)`` plus ``sqrt(beta_t) * N(0, 1)`` noise (none at the
-    final step ``t = 1``), moves the log-odds of z0 by ``-(|x - mu_z0|^2 -
-    |x - mu_z1|^2) / (2 beta_t)``, clipped to ``+-LOGIT_MAX``, and records the
-    population entropy summand.  ``1 / (2 beta_t)`` is the exact
+    posterior initialized to the prior.  Each reverse step (Ho et al.,
+    NeurIPS 2020, section 3.2) moves a branch to its own denoising mean ``(x
+    - beta_t / sqrt(1 - alpha_bar_t) * eps) / sqrt(1 - beta_t)`` plus ``sigma
+    xi = sqrt(beta_t) * N(0, 1)`` noise (none at the final step ``t = 1``),
+    moves the log-odds of z0 by ``-(|x' - mu_z0|^2 - |x' - mu_z1|^2) / (2
+    beta_t)``, computed as ``(2 / beta_t) h (sigma xi +- h)`` from the
+    half-gap ``h`` of the two means (module docstring) and clipped to
+    ``+-LOGIT_MAX``, and records the population entropy summand, summed in
+    nats and converted to bits.  ``1 / (2 beta_t)`` is the exact
     Gaussian-filter weight for a transition of variance ``beta_t``.
 
     Both populations are one batch, z0's ``n_z0`` trajectories first, and
@@ -376,9 +395,9 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     :class:`ScoreModel`).  Branch ``i`` (0 for z0, 1 for z1) draws from one
     stream, ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``: first x_T
     as ``standard_normal(n_i)``, then one ``standard_normal(n_i)`` per step
-    t > 1, which one producer thread draws for both branches, one block of
-    ``NOISE_BLOCK_BYTES`` ahead.  Memory is O(n_z0 + n_z1), independent of
-    the number of steps.
+    t > 1, which one producer thread draws for both branches and scales by
+    ``sqrt(beta_t)``, one block of ``NOISE_BLOCK_BYTES`` ahead.  Memory is
+    O(n_z0 + n_z1), independent of the number of steps.
     """
     if n_z0 < 1 or n_z1 < 1:
         raise ParameterError("both sample counts must be >= 1")
@@ -389,13 +408,13 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     other = "z1" if complement == "exact" else "null"
     num_steps = schedule.num_steps
     prior_logit = np.log(prior_z0) - np.log1p(-prior_z0)
-    prior_summand = -binary_entropy_bits(prior_z0)
+    prior_summand = -_binary_entropy_bits(prior_z0)
     # Step t's scalars sit at index t - 1.
     betas = schedule.betas
-    scales = (1.0 / (2.0 * betas)).tolist()
-    coefs = (betas / np.sqrt(1.0 - schedule.alpha_bars)).tolist()
-    roots = np.sqrt(1.0 - betas).tolist()
-    noise_sds = np.sqrt(betas).tolist()
+    coefs = betas / np.sqrt(1.0 - schedule.alpha_bars)
+    roots = np.sqrt(1.0 - betas)
+    step_coefs = list(zip(coefs.tolist(), (coefs / (2.0 * roots)).tolist(), roots.tolist(),
+                          (2.0 / betas).tolist()))
 
     # One batch: z0's trajectories, then z1's; each branch's values are its slice.
     n = n_z0 + n_z1
@@ -405,30 +424,20 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     for rng, part in zip(rngs, parts):
         rng.standard_normal(out=x[part])
     logit = np.full(n, prior_logit)
-    mu0, mu1 = np.empty(n), np.empty(n)
+    work = np.empty(n), np.empty(n)
     summands = np.full((2, num_steps + 1), prior_summand)
-    with _NoiseRows(rngs, parts, num_steps - 1) as noise_rows:
+    # Rows for steps T..2, each scaled by its step's sqrt(beta_t).
+    with _NoiseRows(rngs, parts, np.sqrt(betas[:0:-1]).tolist()) as noise_rows:
         rows = noise_rows.rows()
         for t in range(num_steps, 0, -1):
             i = t - 1
             eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0", n_z0)
             eps1 = _check_finite(score_model.epsilon(x, t, other), x, t, other, n_z0)
-            _denoising_mean(x, eps0, coefs[i], roots[i], out=mu0)
-            _denoising_mean(x, eps1, coefs[i], roots[i], out=mu1)
-            # Both predictions are read, so x (which they may alias) is free:
-            # each branch moves under its own mean.
             noise = next(rows)
-            if t > 1:
-                np.multiply(noise_sds[i], noise, out=noise)
-                np.add(mu0[z0], noise[z0], out=x[z0])
-                np.add(mu1[z1], noise[z1], out=x[z1])
-            else:
-                np.copyto(x[z0], mu0[z0])
-                np.copyto(x[z1], mu1[z1])
-            _logit_update(logit, x, mu0, mu1, scales[i], out=logit, work=(mu0, mu1))
-            h = _logit_entropy_bits(logit, work=(mu0, mu1, noise))
-            summands[0, i] = -float(np.add.reduce(h[z0]) / n_z0)
-            summands[1, i] = -float(np.add.reduce(h[z1]) / n_z1)
+            _step(x, logit, eps0, eps1, noise, step_coefs[i], parts, work)
+            h = _logit_entropy_nats(logit, work=(*work, noise))
+            summands[0, i] = -float(np.add.reduce(h[z0])) / n_z0 / LN2
+            summands[1, i] = -float(np.add.reduce(h[z1])) / n_z1 / LN2
 
     steps = np.arange(num_steps + 1)
     h_z0, h_z1 = summands

@@ -90,6 +90,12 @@ def mixture_log_density(means, weights, variances, alpha_bar, x):
     return np.logaddexp.reduce(component_log_joints(means, weights, variances, alpha_bar, x), axis=-1)
 
 
+def binary_entropy_reference(p):
+    """Entropy in bits of a (p, 1-p) coin, 0 < p < 1, by plain numpy."""
+    p = np.asarray(p, dtype=np.float64)
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
 def side_posterior(posteriors, z0, z1):
     """P(z0 | x) of a two-side decision from per-component posteriors.
 
@@ -161,12 +167,50 @@ def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed)
 
     The estimator's loop written out with a fresh array for every result:
     branch ``i`` draws x_T and then one noise vector per step t > 1 from
-    ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``, moves under its own
-    denoising mean, updates the clipped log-odds of z0 from both means with
-    the weight ``1 / (2 beta_t)`` and
-    records minus the population mean of the binary entropy, in bits.
+    ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``, moves to its own
+    denoising mean ``(x - c eps_own) / r`` plus the scaled noise ``s``, moves
+    the clipped log-odds of z0 by ``(2 / beta_t) h (s +- h)`` (+ for z0) with
+    the half-gap ``h = c (eps_z1 - eps_z0) / (2 r)`` and records minus the
+    population mean of the binary entropy, summed in nats, in bits.
     ``epsilon(x, t, label)`` is the score model.  Shares no code with
     ``diffentropy``.
+    """
+    logit_max = np.log((1.0 - 1e-12) / 1e-12)
+    num_steps = len(betas)
+    p, q = np.float64(prior_z0), 1.0 - np.float64(prior_z0)
+    prior_summand = p * np.log2(p) + q * np.log2(q)
+    prior_logit = np.log(prior_z0) - np.log1p(-prior_z0)
+    series = []
+    for i, n in enumerate((n_z0, n_z1)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[i]))
+        x = rng.standard_normal(n)
+        logit = np.full(n, prior_logit)
+        summand = np.empty(num_steps + 1)
+        summand[num_steps] = prior_summand
+        for t in range(num_steps, 0, -1):
+            beta, ab = float(betas[t - 1]), float(alpha_bars[t - 1])
+            c, r = beta / np.sqrt(1.0 - ab), np.sqrt(1.0 - beta)
+            eps0 = np.asarray(epsilon(x, t, "z0"), dtype=np.float64)
+            eps1 = np.asarray(epsilon(x, t, "z1"), dtype=np.float64)
+            h = (eps1 - eps0) * (c / (2.0 * r))
+            s = np.sqrt(beta) * rng.standard_normal(n) if t > 1 else np.zeros(n)
+            x = (x - (eps0 if i == 0 else eps1) * c) / r + s
+            logit = np.clip(logit + h * (s + h if i == 0 else s - h) * (2.0 / beta),
+                            -logit_max, logit_max)
+            mag = np.abs(logit)
+            u = np.exp(-mag)
+            summand[t - 1] = -float(np.sum(np.log1p(u) + mag * u / (1.0 + u))) / n / np.log(2.0)
+        series.append(summand)
+    return series[0], series[1]
+
+
+def mc_entropy_two_means_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed):
+    """The Monte-Carlo estimator's branch series ``(h_z0, h_z1)`` from both full means.
+
+    As :func:`mc_entropy_reference`, but each step forms both denoising means
+    and moves the log-odds by ``-(|x' - mu_z0|^2 - |x' - mu_z1|^2) / (2
+    beta_t)`` as written: equal to the half-gap form in exact arithmetic,
+    not bitwise.  Shares no code with ``diffentropy``.
     """
     logit_max = np.log((1.0 - 1e-12) / 1e-12)
     num_steps = len(betas)

@@ -16,11 +16,11 @@ import pytest
 from diffentropy.bifurcation import find_fixed_points, sibling_split_time, trace_bifurcations
 from diffentropy.cli import main as cli_main
 from diffentropy.core import MixtureModel, linear_schedule, make_partition
-from diffentropy.entropy import conditional_entropy_at, entropy_profile, prior_entropy_bits
+from diffentropy.entropy import conditional_entropy_at, entropy_profile
 from diffentropy.tracker import GmmScoreModel, estimate_conditional_entropy
 
-from _oracles import (drift_residual_reference, jsd_bits_reference, root_certified, scan_box,
-                      sign_change_count)
+from _oracles import (binary_entropy_reference, drift_residual_reference, jsd_bits_reference,
+                      root_certified, scan_box, sign_change_count)
 
 SCHEDULE = linear_schedule(1000)   # T=1000, betas 1e-4 -> 0.02
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
@@ -92,7 +92,7 @@ def test_criterion_2_boundary_values():
     skew = MixtureModel(weights=[0.1, 0.9], means=[-1.0, 1.0], variances=[0.0, 0.0])
     skew_part = make_partition(skew, [0], [1])
     gap_skew = abs(conditional_entropy_at(skew, skew_part, ab_final)
-                   - prior_entropy_bits(skew_part))
+                   - binary_entropy_reference(skew_part.prior_z0))
 
     resolved = conditional_entropy_at(TWO_DELTAS, even, 1.0 - 1e-6)
     ok = gap_even < 1e-3 and gap_skew < 1e-3 and resolved < 1e-3

@@ -3,17 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import component_posteriors, jsd_bits_reference, side_posterior, windowed_entropy_bits
+from _oracles import (binary_entropy_reference, component_posteriors, jsd_bits_reference,
+                      side_posterior, windowed_entropy_bits)
 
 import diffentropy.entropy as entropy
 from diffentropy.core import MixtureModel, linear_schedule, make_partition
 from diffentropy.entropy import (
+    LN2,
     QuadratureDomainError,
-    _logit_entropy_bits,
-    binary_entropy_bits,
+    _binary_entropy_bits,
+    _logit_entropy_nats,
     conditional_entropy_at,
     entropy_profile,
-    prior_entropy_bits,
 )
 from diffentropy.mixture import diffused_params
 from diffentropy.tracker import LOGIT_MAX
@@ -105,13 +106,13 @@ class TestLogitEntropy:
         logits = np.concatenate([np.linspace(-LOGIT_MAX, LOGIT_MAX, 2001), [0.0, -LOGIT_MAX, LOGIT_MAX]])
         # The coin's smaller probability, formed without cancellation.
         p_small = 1.0 / (1.0 + np.exp(np.abs(logits)))
-        np.testing.assert_allclose(_logit_entropy_bits(logits), binary_entropy_bits(p_small),
-                                   rtol=0, atol=1e-15)
-        assert _logit_entropy_bits(np.array([0.0]))[0] == 1.0
+        np.testing.assert_allclose(_logit_entropy_nats(logits) / LN2,
+                                   binary_entropy_reference(p_small), rtol=0, atol=1e-15)
+        assert _logit_entropy_nats(np.array([0.0]))[0] / LN2 == 1.0
 
     def test_symmetric_in_the_logit(self):
         logits = np.linspace(0.0, LOGIT_MAX, 101)
-        assert np.array_equal(_logit_entropy_bits(logits), _logit_entropy_bits(-logits))
+        assert np.array_equal(_logit_entropy_nats(logits), _logit_entropy_nats(-logits))
 
 
 # Far-apart decisions that a grid spanning the whole mixture got silently
@@ -204,7 +205,7 @@ class TestConditionalEntropy:
         comp = np.where(sides, 2, 3)
         xs = mu[comp] + np.sqrt(var[comp]) * rng.standard_normal(n)
         q0 = side_posterior(component_posteriors(mixture, ab, xs), part.z0, part.z1)
-        values = binary_entropy_bits(q0)
+        values = binary_entropy_reference(q0)
         mc = values.mean()
         sem = values.std(ddof=1) / np.sqrt(n)
         h = conditional_entropy_at(mixture, part, ab)
@@ -214,8 +215,8 @@ class TestConditionalEntropy:
         skew = MixtureModel(weights=[0.1, 0.9], means=[-1.0, 1.0], variances=[0.0, 0.0])
         part = pair(skew, 0, 1)
         h = conditional_entropy_at(skew, part, SCHEDULE.alpha_bars[-1])
-        assert h == pytest.approx(prior_entropy_bits(part), abs=1e-3)
-        assert prior_entropy_bits(part) == pytest.approx(0.4689955935892812)
+        assert h == pytest.approx(_binary_entropy_bits(part.prior_z0), abs=1e-3)
+        assert _binary_entropy_bits(part.prior_z0) == pytest.approx(0.4689955935892812)
 
     @pytest.mark.parametrize("t", [1, 150, 500])
     def test_converged_in_grid_points(self, t):

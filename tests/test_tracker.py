@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import component_posteriors, mc_entropy_reference, side_posterior
+from _oracles import (component_posteriors, mc_entropy_reference, mc_entropy_two_means_reference,
+                      side_posterior)
 
 from diffentropy import tracker
 from diffentropy.core import (
@@ -24,8 +25,7 @@ from diffentropy.tracker import (
     McEntropyEstimate,
     ModelEvaluationError,
     ReplayScoreModel,
-    _denoising_mean,
-    _logit_update,
+    _step,
     estimate_conditional_entropy,
     write_replay_csv,
 )
@@ -57,17 +57,43 @@ def _branch_rng(seed, branch_index):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[branch_index]))
 
 
-def _mean(x, eps, t, schedule=SCHEDULE):
-    """The denoising mean at step ``t``, written into a fresh array."""
+# Every trajectory on z0's side, or on z1's.
+ALL_Z0, ALL_Z1 = (slice(None), slice(0, 0)), (slice(0, 0), slice(None))
+
+
+def _coefs(t, schedule=SCHEDULE):
+    """Step ``t``'s ``c``, ``c / (2 r)``, ``r`` and ``2 / beta_t``, as ``_step`` takes them."""
     beta, ab = schedule.betas[t - 1], schedule.alpha_bar(t)
-    return _denoising_mean(x, eps, beta / np.sqrt(1.0 - ab), np.sqrt(1.0 - beta), out=np.empty(x.shape))
+    c, r = beta / np.sqrt(1.0 - ab), np.sqrt(1.0 - beta)
+    return c, c / (2.0 * r), r, 2.0 / beta
 
 
-def _update(logit, x_next, mu_z0, mu_z1, scale):
-    """One log-odds update into fresh arrays shaped like ``x_next``."""
-    out = np.empty(x_next.shape)
-    return _logit_update(logit, x_next, mu_z0, mu_z1, scale, out=out,
-                         work=(np.empty_like(out), np.empty_like(out)))
+def _work(shape):
+    return np.empty(shape), np.empty(shape)
+
+
+def _mean(x, eps, t, schedule=SCHEDULE):
+    """The denoising mean at step ``t``: a noiseless z0 step of a copy of ``x``."""
+    x = np.array(x, dtype=np.float64)
+    _step(x, np.zeros(x.shape), eps, eps, np.zeros(x.shape), _coefs(t, schedule), ALL_Z0,
+          _work(x.shape))
+    return x
+
+
+def _update(logit, x_next, mu_z0, mu_z1, scale, parts=ALL_Z0):
+    """The log-odds after one step to ``x_next`` between the means ``mu_z0`` and ``mu_z1``.
+
+    A step of the state 0 with ``c = r = 1`` moves to the own mean ``-eps``,
+    so the predictions ``-mu_z0`` and ``-mu_z1`` place the two means; the
+    noise is ``x_next`` less the own mean, and ``2 / beta_t`` is ``4 *
+    scale``.  ``parts`` puts the trajectories on z0's side or on z1's.
+    """
+    logit = np.array(logit, dtype=np.float64)
+    x_next, mu_z0, mu_z1 = np.broadcast_arrays(x_next, mu_z0, mu_z1)
+    noise = x_next - (mu_z0 if parts == ALL_Z0 else mu_z1)
+    _step(np.zeros(logit.shape), logit, -mu_z0, -mu_z1, noise, (1.0, 0.5, 1.0, 4.0 * scale), parts,
+          _work(logit.shape))
+    return logit
 
 
 def _logit(p):
@@ -150,6 +176,20 @@ class TestPosteriorUpdate:
         out = _update(np.zeros(1), x, mu0, mu1, scale)
         np.testing.assert_allclose(_sigmoid(out), 1.0 / (1.0 + np.exp(scale * delta)), rtol=1e-12)
 
+    @pytest.mark.parametrize("parts", [ALL_Z0, ALL_Z1], ids=["z0-side", "z1-side"])
+    def test_each_side_moves_by_the_gaussian_filter(self, parts):
+        # The half-gap form against -(|x' - mu_z0|^2 - |x' - mu_z1|^2) / (2 beta)
+        # as written, on either side of the batch.
+        rng = np.random.default_rng(8)
+        x_next, mu_z0, mu_z1 = rng.normal(0.0, 0.3, (3, 200))
+        beta = 0.2
+        moved = _update(np.zeros(200), x_next, mu_z0, mu_z1, 1 / (2 * beta), parts)
+        squares = (x_next - mu_z0) ** 2, (x_next - mu_z1) ** 2
+        want = -(squares[0] - squares[1]) / (2 * beta)
+        assert np.all(np.abs(want) < LOGIT_MAX)
+        np.testing.assert_allclose(moved, want, rtol=0,
+                                   atol=1e-14 * (squares[0] + squares[1]).max() / beta)
+
     def test_clamped_into_open_interval(self):
         out = _update(np.zeros(1), np.array([0.0]), np.array([0.0]), np.array([50.0]), 1 / (2 * 1e-4))
         assert _sigmoid(out[0]) <= 1.0 - 1e-12
@@ -171,12 +211,11 @@ class TestPosteriorUpdate:
         rng = _branch_rng(5, 0)
         x = rng.standard_normal(1)
         logit = np.full(1, _logit(PART.prior_z0))
-        scales = 1 / (2 * FAST.betas)
         hits = 0
         for t in range(FAST.num_steps, 1, -1):
-            mu0, mu1 = (_mean(x, FAST_ORACLE.epsilon(x, t, label), t, FAST) for label in ("z0", "z1"))
-            x = mu0 + np.sqrt(FAST.betas[t - 1]) * rng.standard_normal(1)
-            _logit_update(logit, x, mu0, mu1, scales[t - 1], out=logit, work=(mu0, mu1))
+            eps0, eps1 = (FAST_ORACLE.epsilon(x, t, label) for label in ("z0", "z1"))
+            noise = np.sqrt(FAST.betas[t - 1]) * rng.standard_normal(1)
+            _step(x, logit, eps0, eps1, noise, _coefs(t, FAST), ALL_Z0, _work(1))
             exact = side_posterior(component_posteriors(TWO_DELTAS, FAST.alpha_bar(t - 1), x),
                                    PART.z0, PART.z1)
             hits += abs(_sigmoid(logit[0]) - exact[0]) < 0.05
@@ -254,6 +293,19 @@ class TestEstimateConditionalEntropy:
                 estimate_conditional_entropy(model, FAST, n_z0=3, n_z1=6, seed=0)
             assert str(caught.value) == (f"non-finite noise prediction for {who} at "
                                          f"x={model.x!r}, t=5, label={label!r}")
+
+    @pytest.mark.parametrize("shape", [(1,), (), (16, 1)], ids=["one", "scalar", "column"])
+    def test_predictions_of_another_shape_raise(self, shape):
+        # A (1,) or 0-d prediction would broadcast over every trajectory.
+        class _Reshaped:
+            def epsilon(self, x, t, label):
+                eps = FAST_ORACLE.epsilon(x, t, label)
+                return np.resize(eps, shape) if label == "z1" else eps
+
+        with pytest.raises(ModelEvaluationError) as caught:
+            estimate_conditional_entropy(_Reshaped(), FAST, n_z0=5, n_z1=11, seed=0)
+        assert str(caught.value) == (f"noise prediction of shape {shape} for trajectories of "
+                                     f"shape (16,) at t=200, label='z1'")
 
     def test_each_step_asks_two_predictions_of_the_whole_batch(self):
         class _RecordsCalls:
@@ -380,6 +432,32 @@ class TestBitwiseReference:
         np.testing.assert_array_equal(est.h_z1.view(np.int64), ref_z1.view(np.int64))
 
 
+# Bits by which the half-gap step may differ from the two-means step: rounding
+# only (max 3.9e-16 measured on the cases below).  Dividing the own mean by a
+# tabulated reciprocal of r instead moves the states by an ulp, and the
+# null-complement case then by 4.5e-14.
+TWO_MEANS_TOL = 1e-14
+
+
+class TestTwoMeansOracle:
+    """The estimator against a step that forms both full means and squares their gaps."""
+
+    @pytest.mark.parametrize("partition, n_z0, n_z1, seed, complement", [
+        (make_partition(FOUR_DELTAS, [3], [2]), 3000, 3000, 42, "exact"),
+        (make_partition(FOUR_DELTAS, [0], [1, 2, 3]), 3000, 5000, 7, "exact"),
+        (make_partition(FOUR_DELTAS, [0], [1, 2, 3]), 3000, 5000, 7, "null"),
+    ], ids=["demo-02-pair", "one-vs-rest", "one-vs-rest-null"])
+    def test_within_rounding_of_the_two_means_step(self, partition, n_z0, n_z1, seed, complement):
+        model = GmmScoreModel(FOUR_DELTAS, SCHEDULE, partition)
+        est = estimate_conditional_entropy(model, SCHEDULE, partition.prior_z0, n_z0, n_z1, seed,
+                                           complement)
+        epsilon = model.epsilon if complement == "exact" else _NullForZ1(model).epsilon
+        ref_z0, ref_z1 = mc_entropy_two_means_reference(epsilon, SCHEDULE.betas, SCHEDULE.alpha_bars,
+                                                        partition.prior_z0, n_z0, n_z1, seed)
+        ref = -(partition.prior_z0 * ref_z0 + (1.0 - partition.prior_z0) * ref_z1)
+        assert np.max(np.abs(est.H_bits - ref)) <= TWO_MEANS_TOL
+
+
 def _assert_bitwise_reference(est, model, schedule, n_z0, n_z1, seed):
     ref_z0, ref_z1 = mc_entropy_reference(model.epsilon, schedule.betas, schedule.alpha_bars, 0.5,
                                           n_z0, n_z1, seed)
@@ -438,7 +516,7 @@ def _estimate_bounded(*args, **kwargs):
 def _block_rows(n_z0, n_z1, count):
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     parts = (slice(0, n_z0), slice(n_z0, n_z0 + n_z1))
-    return tracker._NoiseRows(rngs, parts, count)._blocks.shape[1]
+    return tracker._NoiseRows(rngs, parts, [1.0] * count)._blocks.shape[1]
 
 
 class TestNoiseWorker:
