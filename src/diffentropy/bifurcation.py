@@ -164,61 +164,67 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
                             ) -> list[tuple[FixedPoint, ...]]:
     """The fixed points at each level of ``alpha_bars``: the one solver path.
 
-    Levels are solved in chunks of ``CHUNK_TERMS`` kernel terms (grid nodes x
-    components).  Per chunk, one kernel call evaluates every level's grid,
-    the sign-change brackets of all its levels share one Newton-bisection,
-    and one more call classifies the roots.  Each level's nodes, brackets and
-    roots are bitwise those of solving it alone.  A level whose grid residual
-    is not finite (its search box overflows, say) raises
-    ``FloatingPointError`` that names its step if ``steps`` are given.
+    The grids are evaluated in chunks of ``CHUNK_TERMS`` kernel terms (grid
+    nodes x components), one kernel call per chunk of levels.  The
+    sign-change brackets of all levels then share one Newton-bisection, and
+    the roots one classifying kernel pass, each in chunks of ``CHUNK_TERMS``
+    terms.  Each level's nodes, brackets and roots are bitwise those of
+    solving it alone.  A level whose grid residual is not finite (its search
+    box overflows, say) raises ``FloatingPointError`` that names its step if
+    ``steps`` are given.
     """
     where = _level_namer(alpha_bars, steps)
-    log_w = _log_weights(mixture, range(mixture.num_components))
-    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * mixture.num_components))
-    found = []
+    k = mixture.num_components
+    mu, var = diffused_params(mixture, alpha_bars)
+    params = (mu, var, _log_weights(mixture, range(k)))
+    # Roots live in the convex hull of the origin and the diffused means; a
+    # 4-sigma margin keeps the hull comfortably interior.  Every diffused sd
+    # is positive, so the box is never empty.
+    sd = np.sqrt(var)
+    lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
+    hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
+    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * k))
+    brackets, zeros = [], []
     for c0 in range(0, len(alpha_bars), per_chunk):
-        ab = alpha_bars[c0:c0 + per_chunk]
-        # Roots live in the convex hull of the origin and the diffused
-        # means; a 4-sigma margin keeps the hull comfortably interior.
-        # Every diffused sd is positive, so the box is never empty.
-        mu, var = diffused_params(mixture, ab)
-        params = (mu, var, log_w)
-        sd = np.sqrt(var)
-        lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
-        hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
-
+        chunk = np.arange(c0, min(c0 + per_chunk, len(alpha_bars)))
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = np.linspace(lo_box, hi_box, GRID_NODES, axis=1)
-            g_grid = _drift_terms(params, np.arange(len(ab))[:, None], grid)[0]
+            grid = np.linspace(lo_box[chunk], hi_box[chunk], GRID_NODES, axis=1)
+            g_grid = _drift_terms(params, chunk[:, None], grid)[0]
         if not np.isfinite(g_grid).all():
-            l = int(np.argmin(np.isfinite(g_grid).all(axis=1)))
+            l = c0 + int(np.argmin(np.isfinite(g_grid).all(axis=1)))
             raise FloatingPointError(
-                f"{where(c0 + l)}: the drift residual is not finite on the search box "
+                f"{where(l)}: the drift residual is not finite on the search box "
                 f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
         signs = np.sign(g_grid)
         level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
-        x = _bracketed_roots(params, level, grid[level, cell], grid[level, cell + 1],
-                             g_grid[level, cell], g_grid[level, cell + 1])
-        zeros = np.nonzero(g_grid == 0.0)
-        level = np.concatenate([zeros[0], level])
-        x = np.concatenate([grid[zeros], x])
+        brackets.append((c0 + level, grid[level, cell], grid[level, cell + 1],
+                         g_grid[level, cell], g_grid[level, cell + 1]))
+        level, node = np.nonzero(g_grid == 0.0)
+        zeros.append((c0 + level, grid[level, node]))
+    level, lo, hi, g_lo, g_hi = (np.concatenate(a) for a in zip(*brackets))
+    per_solve = max(1, CHUNK_TERMS // k)
+    chunks = [slice(b0, b0 + per_solve) for b0 in range(0, level.size, per_solve)]
+    roots = [_bracketed_roots(params, level[c], lo[c], hi[c], g_lo[c], g_hi[c]) for c in chunks]
+    level = np.concatenate([z for z, _ in zeros] + [level])
+    x = np.concatenate([z for _, z in zeros] + roots)
 
-        # Per level, the sorted distinct roots; a root two brackets end on is
-        # reported once.
-        order = np.lexsort((x, level))
-        level, x = level[order], x[order]
-        first = np.ones(x.size, dtype=bool)
-        first[1:] = (level[1:] != level[:-1]) | (x[1:] != x[:-1])
-        level, x = level[first], x[first]
-        slopes = _drift_terms(params, level, x)[1]
+    # Per level, the sorted distinct roots; a root two brackets end on is
+    # reported once.
+    order = np.lexsort((x, level))
+    level, x = level[order], x[order]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = (level[1:] != level[:-1]) | (x[1:] != x[:-1])
+    level, x = level[first], x[first]
+    slopes = [s for r in range(0, x.size, per_solve)
+              for s in _drift_terms(params, level[r:r + per_solve], x[r:r + per_solve])[1].tolist()]
+    x = x.tolist()
 
-        ends = np.searchsorted(level, np.arange(len(ab)), side="right")
-        begin = 0
-        for l, end in enumerate(ends):
-            found.append(tuple(FixedPoint(x=float(r) + 0.0, alpha_bar=float(ab[l]),
-                                          stable=bool(slope > 0.0))
-                               for r, slope in zip(x[begin:end], slopes[begin:end])))
-            begin = end
+    ends = np.searchsorted(level, np.arange(len(alpha_bars)), side="right").tolist()
+    found, begin = [], 0
+    for ab, end in zip(alpha_bars.tolist(), ends):
+        found.append(tuple(FixedPoint(x=r + 0.0, alpha_bar=ab, stable=slope > 0.0)
+                           for r, slope in zip(x[begin:end], slopes[begin:end])))
+        begin = end
     return found
 
 
