@@ -254,24 +254,24 @@ def _solve_steps(mixture, schedule, steps):
 
 
 def _bisect_changes(mixture, schedule, brackets, count):
-    """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps, in lockstep.
+    """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps.
 
     ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo``
-    and ``c_hi`` its values at the bracket's ends.  Each round solves the
-    midpoints of all brackets wider than one step as one batch; a midpoint
-    whose count equals ``c_lo`` becomes its bracket's low end, any other its
-    high end.  Brackets with disjoint interiors never solve a step twice.
+    and ``c_hi`` its values at the bracket's ends.  One batch solves every
+    step inside a bracket, each once; the bisection then replays over those
+    counts: a midpoint whose count equals ``c_lo`` becomes its bracket's low
+    end, any other its high end.
     """
-    brackets = list(brackets)
-    while True:
-        open_ = [k for k, (t_lo, _, t_hi, _) in enumerate(brackets) if t_hi - t_lo > 1]
-        if not open_:
-            return brackets
-        mids = [(brackets[k][0] + brackets[k][2]) // 2 for k in open_]
-        for k, t, points in zip(open_, mids, _solve_steps(mixture, schedule, mids)):
-            t_lo, c_lo, t_hi, c_hi = brackets[k]
-            c = count(t, points)
-            brackets[k] = (t, c, t_hi, c_hi) if c == c_lo else (t_lo, c_lo, t, c)
+    inner = sorted({t for t_lo, _, t_hi, _ in brackets for t in range(t_lo + 1, t_hi)})
+    solved = dict(zip(inner, _solve_steps(mixture, schedule, inner) if inner else []))
+    narrowed = []
+    for t_lo, c_lo, t_hi, c_hi in brackets:
+        while t_hi - t_lo > 1:
+            t = (t_lo + t_hi) // 2
+            c = count(t, solved[t])
+            t_lo, c_lo, t_hi, c_hi = (t, c, t_hi, c_hi) if c == c_lo else (t_lo, c_lo, t, c)
+        narrowed.append((t_lo, c_lo, t_hi, c_hi))
+    return narrowed
 
 
 def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,

@@ -205,21 +205,22 @@ class TestTraceBifurcations:
 
         monkeypatch.setattr(bifurcation, "_fixed_points_at_levels", counting)
         diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20)
-        # The strided levels are one batch; then each round of the bisection
-        # solves the midpoints of every count change as one batch, at most
-        # ceil(log2(20)) = 5 rounds.
-        assert len(diagram.critical) > 1
+        # The strided levels are one batch; the steps inside every strided
+        # interval whose count changes are one more.
+        steps = diagram.steps.tolist()
+        counts = [len(points) for points in diagram.points]
+        changing = [(a, b) for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb]
+        assert len(diagram.critical) == len(changing) > 1
         assert batches[0] == list(diagram.alpha_bars)
-        assert 1 <= len(batches) - 1 <= 5
-        assert len(batches[1]) == len(diagram.critical)
-        assert len(solved()) > len(diagram.steps)  # refinement solved extra steps
+        assert batches[1:] == [[SCHEDULE.alpha_bar(t) for a, b in changing for t in range(a + 1, b)]]
         assert set(solved().values()) == {1}
         batches.clear()
-        assert sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1) is not None
-        probes = [SCHEDULE.alpha_bar(t) for t in range(1, 1001, 20)] + [SCHEDULE.alpha_bar(1000)]
-        assert batches[0] == probes
-        assert 1 <= len(batches) - 1 <= 5
-        assert all(len(batch) == 1 for batch in batches[1:])
+        split = sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1)
+        probes = list(range(1, 1001, 20)) + [1000]
+        assert batches[0] == [SCHEDULE.alpha_bar(t) for t in probes]
+        # The split's adjacent steps lie inside one 20-step probe interval.
+        a = max(t for t in probes if t < split * SCHEDULE.num_steps)
+        assert batches[1:] == [[SCHEDULE.alpha_bar(t) for t in range(a + 1, a + 20)]]
         assert set(solved().values()) == {1}
 
     @pytest.mark.parametrize("mix", [FOUR_DELTAS, PAIR_SKEWED, ROW_LOPSIDED])
