@@ -65,12 +65,13 @@ class FixedPoint:
 
     ``x`` is a grid node where ``g`` is exactly zero, or the end with the
     smaller ``|g|`` of a bracket over which ``g`` changes sign.  A bracket is
-    finished in one of three ways, each a certificate: ``g`` is exactly zero
+    finished in one of four ways, each a certificate: ``g`` is exactly zero
     at an end; ``|g| < RESIDUAL_TOL`` at an end whose Newton step is below
-    float resolution at unit scale; or the bracket has collapsed to two
-    adjacent floats, so a root lies within one ulp of ``x``.  ``stable`` is
-    the sign of the residual slope: positive slope means the descent
-    dynamics ``x' = -g(x)`` contracts onto the root.
+    float resolution at unit scale; the bracket is narrower than machine
+    epsilon, so a root lies within float resolution at unit scale of ``x``;
+    or it has collapsed to two adjacent floats, so a root lies within one
+    ulp of ``x``.  ``stable`` is the sign of the residual slope: positive
+    slope means the descent dynamics ``x' = -g(x)`` contracts onto the root.
     """
 
     x: float
@@ -113,19 +114,23 @@ def _drift_terms(params, levels, x):
 def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
     """One root per sign-change bracket ``[lo, hi]``.
 
-    Bracket ``i`` belongs to the level ``level[i]`` of the chunk's kernel
+    Bracket ``i`` belongs to the level ``level[i]`` of the sweep's kernel
     ``params`` (see :func:`_drift_terms`), and each iteration evaluates only
     the open brackets.  The bracket arrays are narrowed in place.  A Newton
-    step is taken when it lands strictly inside the bracket and is at most
-    half the step before last, a bisection otherwise.  The first midpoint
-    narrows every bracket before any step is taken, so a later bisection
-    never lands on it again.  A bracket is finished when it
-    collapses to adjacent floats, when ``g`` vanishes at the iterate, or when
-    the iterate's residual is below ``RESIDUAL_TOL`` and its Newton correction
-    below float resolution at unit scale.  The iterate is then one of the
-    bracket ends, and whichever end has the smaller ``|g|`` is reported: near
-    razor-thin roots the residual is a step function of ``x`` at float
-    resolution, so either end may be the better one.
+    target on a bracket end, or at most ``tol = 2 eps max(1, |a|, |b|)``
+    past it, is moved ``tol`` inside, so that iterates approaching a root
+    from one side also close the far end.  A Newton step is then taken when
+    it lands strictly inside the bracket and is at most half the step before
+    last, a bisection otherwise; a NaN or infinite target always bisects.
+    The first midpoint narrows every bracket before any step is taken, so a
+    later bisection never lands on it again.  A bracket is finished when it
+    is narrower than ``eps`` or has collapsed to adjacent floats, when ``g``
+    vanishes at the iterate, or when the iterate's residual is below
+    ``RESIDUAL_TOL`` and its Newton correction below float resolution at
+    unit scale.  The iterate is then one of the bracket ends, and whichever
+    end has the smaller ``|g|`` is reported: near razor-thin roots the
+    residual is a step function of ``x`` at float resolution, so either end
+    may be the better one.
     """
     x = 0.5 * (lo + hi)
     gx, gpx = _drift_terms(params, level, x)
@@ -142,14 +147,17 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
         mid = 0.5 * (a + b)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - gx / gpx
-        # Close to a root near the origin the computed residual is rounding
-        # noise over a span of many floats; the Newton test ends it there.
         converged = ((np.abs(gx) < RESIDUAL_TOL)
                      & (np.abs(newton - x) <= _EPS * np.maximum(1.0, np.abs(x))))
-        done = (gx == 0.0) | converged | ~((a < mid) & (mid < b))
+        # Close to a root near the origin the computed residual is rounding
+        # noise over a span of many floats, so neither test above may pass.
+        done = (gx == 0.0) | converged | (b - a < _EPS) | ~((a < mid) & (mid < b))
         if done.all():
             break
         keep = ~done
+        tol = 2.0 * _EPS * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        newton = np.where((a - tol <= newton) & (newton <= a), a + tol,
+                          np.where((b <= newton) & (newton <= b + tol), b - tol, newton))
         use_newton = (a < newton) & (newton < b) & (np.abs(newton - x) <= 0.5 * step_before)
         active = active[keep]
         x_new = np.where(use_newton, newton, mid)[keep]

@@ -17,6 +17,7 @@ TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
 PAIR_SKEWED = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
 ROW_LOPSIDED = MixtureModel.deltas([-2.0, 1.0, 2.0])
+TEN_DELTAS = MixtureModel.deltas(np.linspace(-9.0, 9.0, 10))
 SCHEDULE = linear_schedule(1000)
 
 
@@ -130,6 +131,25 @@ class TestFindFixedPoints:
             assert pts[0].x == a
             assert pts[1].x == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("mix, t, near, calls", [
+        (MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0]), 517, 0.0, 24),
+        (ROW_LOPSIDED, 1, 1.5, 10),
+    ], ids=["comb-symmetric-centre", "row-lopsided-repeller"])
+    def test_hard_brackets_close_in_few_kernel_calls(self, monkeypatch, mix, t, near, calls):
+        # The comb's central root sits where g is rounding noise over many
+        # floats, and the repeller (g' = -2.5e7) is approached by Newton from
+        # one side.  Bisecting them down to adjacent floats took 73 and 38
+        # kernel calls (grid and classifying passes included); 22 and 8 now.
+        real = bifurcation._drift_terms
+        made = []
+        monkeypatch.setattr(bifurcation, "_drift_terms", lambda *args: made.append(1) or real(*args))
+        ab = SCHEDULE.alpha_bar(t)
+        pts = find_fixed_points(mix, ab)
+        assert len(made) <= calls
+        root = min(pts, key=lambda p: abs(p.x - near))
+        assert abs(root.x - near) < 1e-3
+        assert root_certified(mix, ab, root.x)
+
     def test_counts_match_dense_scan_at_refined_events(self):
         # The adjacent steps around each count change of FOUR_DELTAS, where
         # roots are born or die and the brackets are hardest to resolve.
@@ -228,6 +248,24 @@ class TestTraceBifurcations:
         diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
         for t, points in zip(diagram.steps, diagram.points):
             assert points == find_fixed_points(mix, SCHEDULE.alpha_bar(int(t)))
+
+    def test_no_newton_kernel_call_exceeds_the_chunk(self, monkeypatch):
+        sizes, loops = [], []
+        real_roots, real_terms = bifurcation._bracketed_roots, bifurcation._drift_terms
+
+        def roots(params, *args):
+            loops.append(1)
+            monkeypatch.setattr(bifurcation, "_drift_terms",
+                                lambda p, level, x: sizes.append(len(p[0]) * x.size) or real_terms(p, level, x))
+            try:
+                return real_roots(params, *args)
+            finally:
+                monkeypatch.setattr(bifurcation, "_drift_terms", real_terms)
+
+        monkeypatch.setattr(bifurcation, "_bracketed_roots", roots)
+        trace_bifurcations(TEN_DELTAS, SCHEDULE, stride=1)
+        assert len(loops) > 1  # the sweep's brackets fill more than one chunk
+        assert max(sizes) <= mixture.CHUNK_TERMS
 
     def test_batched_brackets_are_cells_of_each_levels_own_grid(self, monkeypatch):
         brackets = []
