@@ -14,6 +14,8 @@ Everything here is a pure function of immutable inputs and broadcasts over
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import MixtureModel, ParameterError, Partition
@@ -105,11 +107,21 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(a - top).sum(axis=0))
 
 
+def _component_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over the leading (component) axis, the rows added in order.
+
+    numpy adds the rows of a ``(K, n >= 2)`` array in order but sums a
+    column pairwise, in another order once ``K >= 8``; a point's sum would
+    then depend on how many points share its batch.
+    """
+    return a.sum(axis=0) if len(a) < 8 else functools.reduce(np.add, a)
+
+
 def _softmax(a: np.ndarray) -> np.ndarray:
     if len(a) == 1:  # exact: exp(0) / 1 for a finite row
         return np.ones_like(a)
     e = np.exp(a - a.max(axis=0))
-    return e / e.sum(axis=0)
+    return e / _component_sum(e)
 
 
 def resolve_label(label, partition: Partition | None, num_components: int) -> tuple[int, ...]:
@@ -140,7 +152,7 @@ def _score_terms(params: tuple, x: np.ndarray) -> tuple:
     single = len(mu) == 1
     w = 1.0 if single else _softmax(_log_joints(params, x))
     pull = (mu - x) / var
-    return w, pull, var, pull[0] + 0.0 if single else (w * pull).sum(axis=0)
+    return w, pull, var, pull[0] + 0.0 if single else _component_sum(w * pull)
 
 
 def _label_params(mixture: MixtureModel, alpha_bar, x, label, partition) -> tuple:
@@ -153,7 +165,7 @@ def _label_params(mixture: MixtureModel, alpha_bar, x, label, partition) -> tupl
 def _score_and_slope(params: tuple, x: np.ndarray) -> tuple:
     """The score and the one slope formula at ``x``, from one :func:`_score_terms` pass."""
     w, pull, var, first = _score_terms(params, x)
-    return first, (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
+    return first, _component_sum(w * (pull**2 - 1.0 / var)) - first**2
 
 
 def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",
