@@ -237,21 +237,25 @@ def write_replay_csv(path, model: ScoreModel, schedule: NoiseSchedule, x_grid,
                 fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (t, x, cols[0][i], cols[1][i], cols[2][i]))
 
 
-def _check_finite(eps: np.ndarray, x, t: int, label, n_z0: int) -> np.ndarray:
-    """``eps`` as floats; another shape than ``x``'s or a non-finite value raises."""
+def _as_prediction(eps, x, t: int, label) -> np.ndarray:
+    """``eps`` as floats; another shape than ``x``'s raises."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x.shape:
         raise ModelEvaluationError(f"noise prediction of shape {eps.shape} for trajectories of "
                                    f"shape {x.shape} at t={t}, label={label!r}")
+    return eps
+
+
+def _check_finite(eps: np.ndarray, x, t: int, label, n_z0: int) -> None:
+    """A non-finite value of ``eps`` raises, naming its trajectory and its state in ``x``."""
     if not np.isfinite(eps).all():
         bad = int(np.flatnonzero(~np.isfinite(eps))[0])
         who = f"z0 trajectory {bad}" if bad < n_z0 else f"z1 trajectory {bad - n_z0}"
         raise ModelEvaluationError(f"non-finite noise prediction for {who} at "
                                    f"x={float(x[bad])!r}, t={t}, label={label!r}")
-    return eps
 
 
-def _step(x, logit, eps0, eps1, noise, coefs, parts, work) -> None:
+def _step(x, logit, eps0, eps1, noise, coefs, parts, work, check) -> None:
     """One reverse step of the batch, written into ``x`` and ``logit``.
 
     ``coefs`` holds ``c``, ``c / (2 r)``, ``r`` and ``2 / beta_t`` of the
@@ -260,11 +264,15 @@ def _step(x, logit, eps0, eps1, noise, coefs, parts, work) -> None:
     the log-odds by ``(2 / beta_t) h (noise +- h)``, + on ``parts[0]``, with
     ``h = (eps1 - eps0) * (c / (2 r))``, clipped to ``+-LOGIT_MAX``.  The
     two ``work`` arrays take the temporaries.  Both predictions are read
-    before ``x`` is written, so either may alias ``x``.
+    before ``x`` is written, so either may alias ``x``.  ``check()`` runs
+    before that if the half-gap is not finite, as any non-finite prediction
+    makes it.
     """
     coef, half_coef, root, weight = coefs
     half, tmp = work
     np.multiply(np.subtract(eps1, eps0, out=half), half_coef, out=half)
+    if not np.isfinite(np.add.reduce(half)):  # one pass; any NaN or inf shows in the sum
+        check()
     for eps, part in zip((eps0, eps1), parts):
         np.multiply(eps[part], coef, out=tmp[part])
     np.add(np.divide(np.subtract(x, tmp, out=x), root, out=x), noise, out=x)
@@ -426,15 +434,19 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     logit = np.full(n, prior_logit)
     work = np.empty(n), np.empty(n)
     summands = np.full((2, num_steps + 1), prior_summand)
+    def scan():  # run by the step only when the half-gap is not finite
+        for eps, label in ((eps0, "z0"), (eps1, other)):
+            _check_finite(eps, x, t, label, n_z0)
+
     # Rows for steps T..2, each scaled by its step's sqrt(beta_t).
     with _NoiseRows(rngs, parts, np.sqrt(betas[:0:-1]).tolist()) as noise_rows:
         rows = noise_rows.rows()
         for t in range(num_steps, 0, -1):
             i = t - 1
-            eps0 = _check_finite(score_model.epsilon(x, t, "z0"), x, t, "z0", n_z0)
-            eps1 = _check_finite(score_model.epsilon(x, t, other), x, t, other, n_z0)
+            eps0 = _as_prediction(score_model.epsilon(x, t, "z0"), x, t, "z0")
+            eps1 = _as_prediction(score_model.epsilon(x, t, other), x, t, other)
             noise = next(rows)
-            _step(x, logit, eps0, eps1, noise, step_coefs[i], parts, work)
+            _step(x, logit, eps0, eps1, noise, step_coefs[i], parts, work, scan)
             h = _logit_entropy_nats(logit, work=(*work, noise))
             summands[0, i] = -float(np.add.reduce(h[z0])) / n_z0 / LN2
             summands[1, i] = -float(np.add.reduce(h[z1])) / n_z1 / LN2

@@ -72,11 +72,16 @@ def _work(shape):
     return np.empty(shape), np.empty(shape)
 
 
+def _finite_gap():
+    """``_step``'s check for its callers here: every half-gap they form is finite."""
+    raise AssertionError("the half-gap is not finite")
+
+
 def _mean(x, eps, t, schedule=SCHEDULE):
     """The denoising mean at step ``t``: a noiseless z0 step of a copy of ``x``."""
     x = np.array(x, dtype=np.float64)
     _step(x, np.zeros(x.shape), eps, eps, np.zeros(x.shape), _coefs(t, schedule), ALL_Z0,
-          _work(x.shape))
+          _work(x.shape), _finite_gap)
     return x
 
 
@@ -92,7 +97,7 @@ def _update(logit, x_next, mu_z0, mu_z1, scale, parts=ALL_Z0):
     x_next, mu_z0, mu_z1 = np.broadcast_arrays(x_next, mu_z0, mu_z1)
     noise = x_next - (mu_z0 if parts == ALL_Z0 else mu_z1)
     _step(np.zeros(logit.shape), logit, -mu_z0, -mu_z1, noise, (1.0, 0.5, 1.0, 4.0 * scale), parts,
-          _work(logit.shape))
+          _work(logit.shape), _finite_gap)
     return logit
 
 
@@ -215,7 +220,7 @@ class TestPosteriorUpdate:
         for t in range(FAST.num_steps, 1, -1):
             eps0, eps1 = (FAST_ORACLE.epsilon(x, t, label) for label in ("z0", "z1"))
             noise = np.sqrt(FAST.betas[t - 1]) * rng.standard_normal(1)
-            _step(x, logit, eps0, eps1, noise, _coefs(t, FAST), ALL_Z0, _work(1))
+            _step(x, logit, eps0, eps1, noise, _coefs(t, FAST), ALL_Z0, _work(1), _finite_gap)
             exact = side_posterior(component_posteriors(TWO_DELTAS, FAST.alpha_bar(t - 1), x),
                                    PART.z0, PART.z1)
             hits += abs(_sigmoid(logit[0]) - exact[0]) < 0.05
@@ -293,6 +298,17 @@ class TestEstimateConditionalEntropy:
                 estimate_conditional_entropy(model, FAST, n_z0=3, n_z1=6, seed=0)
             assert str(caught.value) == (f"non-finite noise prediction for {who} at "
                                          f"x={model.x!r}, t=5, label={label!r}")
+
+    def test_a_half_gap_that_overflows_from_finite_predictions_is_no_error(self):
+        # The predictions +-1e308 at t = 5 are finite, but their gap overflows
+        # to an infinite half-gap, which sends the per-label scans looking.
+        class _FarApart:
+            def epsilon(self, x, t, label):
+                return np.full(x.shape, (1e308 if label == "z0" else -1e308) if t == 5 else 0.0)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = estimate_conditional_entropy(_FarApart(), FAST, n_z0=3, n_z1=4, seed=0)
+        assert np.isfinite(result.H_bits).all()
 
     @pytest.mark.parametrize("shape", [(1,), (), (16, 1)], ids=["one", "scalar", "column"])
     def test_predictions_of_another_shape_raise(self, shape):
