@@ -118,7 +118,7 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "") -> s
     frame = _Frame([x for _, x, _ in series], [y for _, _, y in series])
     body = _chrome(frame, title, xlabel, ylabel)
     for i, (_, x, y) in enumerate(series):
-        pts = " ".join(f"{frame.px(a):.2f},{frame.py(b):.2f}" for a, b in zip(x, y))
+        pts = " ".join("%.2f,%.2f" % p for p in zip(frame.px(x).tolist(), frame.py(y).tolist()))
         body.append(f'<polyline points="{pts}" fill="none" '
                     f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.5"/>')
     body.extend(_legend([label for label, _, _ in series]))
@@ -132,8 +132,7 @@ def scatter_chart(groups, title: str = "", xlabel: str = "", ylabel: str = "") -
     body = _chrome(frame, title, xlabel, ylabel)
     for i, (_, x, y) in enumerate(groups):
         color = PALETTE[i % len(PALETTE)]
-        for a, b in zip(x, y):
-            body.append(f'<circle cx="{frame.px(a):.2f}" cy="{frame.py(b):.2f}" '
-                        f'r="{DOT_RADIUS:g}" fill="{color}"/>')
+        for a, b in zip(frame.px(x).tolist(), frame.py(y).tolist()):
+            body.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="{DOT_RADIUS:g}" fill="{color}"/>')
     body.extend(_legend([label for label, _, _ in groups]))
     return _document(body)
