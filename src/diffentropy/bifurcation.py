@@ -22,13 +22,13 @@ still brackets them.  Outside every diffused mean the score pulls inward, so
 every level has at least one root.
 
 Each iteration takes ``g`` and its slope ``g'`` from one kernel pass.  A sweep
-solves its levels as a batch, in chunks of ``CHUNK_TERMS`` kernel terms (grid
-nodes x components): one kernel call evaluates the grids of a chunk's levels,
-and the brackets of all of them share one Newton-bisection, every bracket at
-its own level.  Every root is bitwise the one that solving its level alone
-gives; :func:`find_fixed_points` is that one-level case of the same path.
-Count changes between swept levels are bisected down to adjacent steps in
-lockstep: each round solves the midpoints of all open brackets as one batch.
+evaluates its grids one chunk of ``CHUNK_TERMS`` kernel terms (grid nodes x
+components) per kernel call, then its brackets share one Newton-bisection per
+``CHUNK_TERMS // K`` of them, each at its own level and closed from both sides
+(:func:`_bracketed_roots`).  Every root, from eight components on too
+(``mixture._component_sum``), is bitwise what :func:`find_fixed_points` gives
+for its level alone.  A count change is refined from one batch of every step
+inside its bracket, replaying the bisection to adjacent steps over them.
 """
 
 from __future__ import annotations
@@ -65,13 +65,12 @@ class FixedPoint:
 
     ``x`` is a grid node where ``g`` is exactly zero, or the end with the
     smaller ``|g|`` of a bracket over which ``g`` changes sign.  A bracket is
-    finished in one of four ways, each a certificate: ``g`` is exactly zero
+    finished in one of three ways, each a certificate: ``g`` is exactly zero
     at an end; ``|g| < RESIDUAL_TOL`` at an end whose Newton step is below
-    float resolution at unit scale; the bracket is narrower than machine
-    epsilon, so a root lies within float resolution at unit scale of ``x``;
-    or it has collapsed to two adjacent floats, so a root lies within one
-    ulp of ``x``.  ``stable`` is the sign of the residual slope: positive
-    slope means the descent dynamics ``x' = -g(x)`` contracts onto the root.
+    float resolution at unit scale; or the bracket is narrower than ``eps``
+    or down to adjacent floats, so a root lies within ``eps max(1, |x|)`` of
+    ``x``.  ``stable`` is the sign of the residual slope: positive slope
+    means the descent dynamics ``x' = -g(x)`` contracts onto the root.
     """
 
     x: float
@@ -115,22 +114,20 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
     """One root per sign-change bracket ``[lo, hi]``.
 
     Bracket ``i`` belongs to the level ``level[i]`` of the sweep's kernel
-    ``params`` (see :func:`_drift_terms`), and each iteration evaluates only
-    the open brackets.  The bracket arrays are narrowed in place.  A Newton
-    target on a bracket end, or at most ``tol = 2 eps max(1, |a|, |b|)``
-    past it, is moved ``tol`` inside, so that iterates approaching a root
-    from one side also close the far end.  A Newton step is then taken when
-    it lands strictly inside the bracket and is at most half the step before
-    last, a bisection otherwise; a NaN or infinite target always bisects.
-    The first midpoint narrows every bracket before any step is taken, so a
-    later bisection never lands on it again.  A bracket is finished when it
-    is narrower than ``eps`` or has collapsed to adjacent floats, when ``g``
-    vanishes at the iterate, or when the iterate's residual is below
-    ``RESIDUAL_TOL`` and its Newton correction below float resolution at
-    unit scale.  The iterate is then one of the bracket ends, and whichever
-    end has the smaller ``|g|`` is reported: near razor-thin roots the
-    residual is a step function of ``x`` at float resolution, so either end
-    may be the better one.
+    ``params`` (see :func:`_drift_terms`); each iteration evaluates only the
+    open brackets, narrowing the arrays in place.  A Newton target on an end
+    ``a``/``b`` or at most ``tol = 2 eps max(1, |a|, |b|)`` past it moves
+    ``tol`` inside, so iterates nearing a root from one side close the far
+    end too.  The step is taken when it lands strictly inside and is at most
+    half the step before last, a bisection otherwise (always for a NaN or
+    infinite target).  The first midpoint narrows every bracket before any
+    step, so no later bisection lands on it.  A bracket is finished when it
+    is narrower than ``eps`` or down to adjacent floats, when ``g`` vanishes
+    at the iterate, or when its residual is below ``RESIDUAL_TOL`` and its
+    Newton correction below float resolution at unit scale.  Whichever end
+    has the smaller ``|g|`` is reported: near razor-thin roots the residual
+    is a step function of ``x`` at float resolution, so either end may be
+    the better one.
     """
     x = 0.5 * (lo + hi)
     gx, gpx = _drift_terms(params, level, x)
@@ -149,8 +146,7 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
             newton = x - gx / gpx
         converged = ((np.abs(gx) < RESIDUAL_TOL)
                      & (np.abs(newton - x) <= _EPS * np.maximum(1.0, np.abs(x))))
-        # Close to a root near the origin the computed residual is rounding
-        # noise over a span of many floats, so neither test above may pass.
+        # Near a root at the origin g is rounding noise over many floats.
         done = (gx == 0.0) | converged | (b - a < _EPS) | ~((a < mid) & (mid < b))
         if done.all():
             break
@@ -172,27 +168,25 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
                             ) -> list[tuple[FixedPoint, ...]]:
     """The fixed points at each level of ``alpha_bars``: the one solver path.
 
-    The grids are evaluated in chunks of ``CHUNK_TERMS`` kernel terms (grid
-    nodes x components), one kernel call per chunk of levels.  The
-    sign-change brackets of all levels then share one Newton-bisection, and
-    the roots one classifying kernel pass, each in chunks of ``CHUNK_TERMS``
-    terms.  Each level's nodes, brackets and roots are bitwise those of
-    solving it alone.  A level whose grid residual is not finite (its search
-    box overflows, say) raises ``FloatingPointError`` that names its step if
+    One kernel call per chunk of ``CHUNK_TERMS`` terms evaluates the grids;
+    the brackets of all levels then share one Newton-bisection, and the
+    roots one classifying pass, each in chunks of ``CHUNK_TERMS`` terms.
+    Each level's nodes, brackets and roots are bitwise those of solving it
+    alone.  A level whose grid residual is not finite (its search box
+    overflows, say) raises ``FloatingPointError`` that names its step if
     ``steps`` are given.
     """
     where = _level_namer(alpha_bars, steps)
-    k = mixture.num_components
     mu, var = diffused_params(mixture, alpha_bars)
-    params = (mu, var, _log_weights(mixture, range(k)))
+    params = (mu, var, _log_weights(mixture, range(len(mu))))
     # Roots live in the convex hull of the origin and the diffused means; a
     # 4-sigma margin keeps the hull comfortably interior.  Every diffused sd
     # is positive, so the box is never empty.
     sd = np.sqrt(var)
     lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
     hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
-    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * k))
-    brackets, zeros = [], []
+    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * len(mu)))
+    brackets, levels, roots = [], [], []  # roots: grid nodes where g is zero
     for c0 in range(0, len(alpha_bars), per_chunk):
         chunk = np.arange(c0, min(c0 + per_chunk, len(alpha_bars)))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -208,13 +202,13 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
         brackets.append((c0 + level, grid[level, cell], grid[level, cell + 1],
                          g_grid[level, cell], g_grid[level, cell + 1]))
         level, node = np.nonzero(g_grid == 0.0)
-        zeros.append((c0 + level, grid[level, node]))
-    level, lo, hi, g_lo, g_hi = (np.concatenate(a) for a in zip(*brackets))
-    per_solve = max(1, CHUNK_TERMS // k)
-    chunks = [slice(b0, b0 + per_solve) for b0 in range(0, level.size, per_solve)]
-    roots = [_bracketed_roots(params, level[c], lo[c], hi[c], g_lo[c], g_hi[c]) for c in chunks]
-    level = np.concatenate([z for z, _ in zeros] + [level])
-    x = np.concatenate([z for _, z in zeros] + roots)
+        levels.append(c0 + level)
+        roots.append(grid[level, node])
+    brackets = [np.concatenate(a) for a in zip(*brackets)]
+    per_solve = max(1, CHUNK_TERMS // len(mu))
+    for b0 in range(0, brackets[0].size, per_solve):
+        roots.append(_bracketed_roots(params, *(a[b0:b0 + per_solve] for a in brackets)))
+    level, x = np.concatenate(levels + brackets[:1]), np.concatenate(roots)
 
     # Per level, the sorted distinct roots; a root two brackets end on is
     # reported once.
@@ -227,13 +221,10 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
               for s in _drift_terms(params, level[r:r + per_solve], x[r:r + per_solve])[1].tolist()]
     x = x.tolist()
 
-    ends = np.searchsorted(level, np.arange(len(alpha_bars)), side="right").tolist()
-    found, begin = [], 0
-    for ab, end in zip(alpha_bars.tolist(), ends):
-        found.append(tuple(FixedPoint(x=r + 0.0, alpha_bar=ab, stable=slope > 0.0)
-                           for r, slope in zip(x[begin:end], slopes[begin:end])))
-        begin = end
-    return found
+    ends = [0] + np.searchsorted(level, np.arange(len(alpha_bars)), side="right").tolist()
+    return [tuple(FixedPoint(x=r + 0.0, alpha_bar=ab, stable=slope > 0.0)
+                  for r, slope in zip(x[begin:end], slopes[begin:end]))
+            for ab, begin, end in zip(alpha_bars.tolist(), ends, ends[1:])]
 
 
 def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoint, ...]:

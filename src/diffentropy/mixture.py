@@ -14,8 +14,6 @@ Everything here is a pure function of immutable inputs and broadcasts over
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .core import MixtureModel, ParameterError, Partition
@@ -108,13 +106,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _component_sum(a: np.ndarray) -> np.ndarray:
-    """The sum over the leading (component) axis, the rows added in order.
-
-    numpy adds the rows of a ``(K, n >= 2)`` array in order but sums a
-    column pairwise, in another order once ``K >= 8``; a point's sum would
-    then depend on how many points share its batch.
-    """
-    return a.sum(axis=0) if len(a) < 8 else functools.reduce(np.add, a)
+    """The component sum, rows added in order: numpy sums one column otherwise from K = 8."""
+    return a.sum(axis=0) if len(a) < 8 else sum(a[1:], a[0])
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:

@@ -246,15 +246,6 @@ def _as_prediction(eps, x, t: int, label) -> np.ndarray:
     return eps
 
 
-def _check_finite(eps: np.ndarray, x, t: int, label, n_z0: int) -> None:
-    """A non-finite value of ``eps`` raises, naming its trajectory and its state in ``x``."""
-    if not np.isfinite(eps).all():
-        bad = int(np.flatnonzero(~np.isfinite(eps))[0])
-        who = f"z0 trajectory {bad}" if bad < n_z0 else f"z1 trajectory {bad - n_z0}"
-        raise ModelEvaluationError(f"non-finite noise prediction for {who} at "
-                                   f"x={float(x[bad])!r}, t={t}, label={label!r}")
-
-
 def _step(x, logit, eps0, eps1, noise, coefs, parts, work, check) -> None:
     """One reverse step of the batch, written into ``x`` and ``logit``.
 
@@ -262,11 +253,9 @@ def _step(x, logit, eps0, eps1, noise, coefs, parts, work, check) -> None:
     module docstring.  ``x`` moves to its own mean ``(x - c eps) / r``, with
     ``eps0`` on ``parts[0]`` and ``eps1`` on ``parts[1]``, plus ``noise``, and
     the log-odds by ``(2 / beta_t) h (noise +- h)``, + on ``parts[0]``, with
-    ``h = (eps1 - eps0) * (c / (2 r))``, clipped to ``+-LOGIT_MAX``.  The
-    two ``work`` arrays take the temporaries.  Both predictions are read
-    before ``x`` is written, so either may alias ``x``.  ``check()`` runs
-    before that if the half-gap is not finite, as any non-finite prediction
-    makes it.
+    ``h = (eps1 - eps0) * (c / (2 r))``, clipped to ``+-LOGIT_MAX``; ``work``
+    takes the temporaries.  Both predictions are read before ``x`` is written,
+    so either may alias it; ``check()`` runs first if ``h`` is not finite.
     """
     coef, half_coef, root, weight = coefs
     half, tmp = work
@@ -434,9 +423,14 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     logit = np.full(n, prior_logit)
     work = np.empty(n), np.empty(n)
     summands = np.full((2, num_steps + 1), prior_summand)
-    def scan():  # run by the step only when the half-gap is not finite
+
+    def scan():  # the step's check, run only when the half-gap is not finite
         for eps, label in ((eps0, "z0"), (eps1, other)):
-            _check_finite(eps, x, t, label, n_z0)
+            if not np.isfinite(eps).all():
+                bad = int(np.flatnonzero(~np.isfinite(eps))[0])
+                who = f"z0 trajectory {bad}" if bad < n_z0 else f"z1 trajectory {bad - n_z0}"
+                raise ModelEvaluationError(f"non-finite noise prediction for {who} at "
+                                           f"x={float(x[bad])!r}, t={t}, label={label!r}")
 
     # Rows for steps T..2, each scaled by its step's sqrt(beta_t).
     with _NoiseRows(rngs, parts, np.sqrt(betas[:0:-1]).tolist()) as noise_rows:
