@@ -252,20 +252,13 @@ class TestTraceBifurcations:
         for t, points in zip(diagram.steps, diagram.points):
             assert points == find_fixed_points(mix, SCHEDULE.alpha_bar(int(t)))
 
-    def test_no_newton_kernel_call_exceeds_the_chunk(self, monkeypatch):
+    def test_no_kernel_call_of_a_sweep_exceeds_the_chunk(self, monkeypatch):
         sizes, loops = [], []
         real_roots, real_terms = bifurcation._bracketed_roots, bifurcation._drift_terms
-
-        def roots(params, *args):
-            loops.append(1)
-            monkeypatch.setattr(bifurcation, "_drift_terms",
-                                lambda p, level, x: sizes.append(len(p[0]) * x.size) or real_terms(p, level, x))
-            try:
-                return real_roots(params, *args)
-            finally:
-                monkeypatch.setattr(bifurcation, "_drift_terms", real_terms)
-
-        monkeypatch.setattr(bifurcation, "_bracketed_roots", roots)
+        monkeypatch.setattr(bifurcation, "_bracketed_roots",
+                            lambda *args: loops.append(1) or real_roots(*args))
+        monkeypatch.setattr(bifurcation, "_drift_terms",
+                            lambda p, level, x: sizes.append(len(p[0]) * x.size) or real_terms(p, level, x))
         trace_bifurcations(TEN_DELTAS, SCHEDULE, stride=1)
         assert len(loops) > 1  # the sweep's brackets fill more than one chunk
         assert max(sizes) <= mixture.CHUNK_TERMS
