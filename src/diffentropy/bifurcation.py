@@ -146,7 +146,7 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
             newton = x - gx / gpx
         converged = ((np.abs(gx) < RESIDUAL_TOL)
                      & (np.abs(newton - x) <= _EPS * np.maximum(1.0, np.abs(x))))
-        # Near a root at the origin g is rounding noise over many floats.
+        # The width test ends roots near the origin, where g is rounding noise.
         done = (gx == 0.0) | converged | (b - a < _EPS) | ~((a < mid) & (mid < b))
         if done.all():
             break
@@ -186,7 +186,7 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
     lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
     hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
     per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * len(mu)))
-    brackets, levels, roots = [], [], []  # roots: grid nodes where g is zero
+    brackets, levels, roots = [], [], []  # the zero grid nodes, then the bracket roots
     for c0 in range(0, len(alpha_bars), per_chunk):
         chunk = np.arange(c0, min(c0 + per_chunk, len(alpha_bars)))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -106,7 +106,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _component_sum(a: np.ndarray) -> np.ndarray:
-    """The component sum, rows added in order: numpy sums one column otherwise from K = 8."""
+    """The sum over the components, rows in order: numpy sums a lone column otherwise from K = 8."""
     return a.sum(axis=0) if len(a) < 8 else sum(a[1:], a[0])
 
 

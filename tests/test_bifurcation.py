@@ -257,8 +257,8 @@ class TestTraceBifurcations:
         real_roots, real_terms = bifurcation._bracketed_roots, bifurcation._drift_terms
         monkeypatch.setattr(bifurcation, "_bracketed_roots",
                             lambda *args: loops.append(1) or real_roots(*args))
-        monkeypatch.setattr(bifurcation, "_drift_terms",
-                            lambda p, level, x: sizes.append(len(p[0]) * x.size) or real_terms(p, level, x))
+        monkeypatch.setattr(bifurcation, "_drift_terms", lambda params, level, x: sizes.append(
+            len(params[0]) * x.size) or real_terms(params, level, x))
         trace_bifurcations(TEN_DELTAS, SCHEDULE, stride=1)
         assert len(loops) > 1  # the sweep's brackets fill more than one chunk
         assert max(sizes) <= mixture.CHUNK_TERMS
