@@ -21,14 +21,14 @@ still brackets them.  Outside every diffused mean the score pulls inward, so
 ``g`` is negative at the box's low end and positive at its high end, and
 every level has at least one root.
 
-Each iteration takes ``g`` and its slope ``g'`` from one kernel pass.  A sweep
-evaluates its grids one chunk of ``CHUNK_TERMS`` kernel terms (grid nodes x
+Each iteration takes ``g`` and its slope ``g'`` from one kernel pass.  A solve
+scans its grids one chunk of ``CHUNK_TERMS`` kernel terms (grid nodes x
 components) per kernel call, then its brackets share one Newton-bisection per
 ``CHUNK_TERMS // K`` of them, each at its own level and closed from both sides
 (:func:`_bracketed_roots`).  Every root, from eight components on too
 (``mixture._component_sum``), is bitwise what :func:`find_fixed_points` gives
-for its level alone.  A count change is refined from one batch of every step
-inside its bracket, replaying the bisection to adjacent steps over them.
+for its level alone.  A trace solves its strided steps and the steps inside
+every interval whose provisional count changes at once, then bisects over them.
 """
 
 from __future__ import annotations
@@ -164,51 +164,57 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
     return np.where(np.abs(g_hi) < np.abs(g_lo), hi, lo)
 
 
-def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps=None
-                            ) -> list[tuple[FixedPoint, ...]]:
-    """The fixed points at each level of ``alpha_bars``: the one solver path.
-
-    One kernel call per chunk of ``CHUNK_TERMS`` terms evaluates the grids;
-    the brackets of all levels then share one Newton-bisection, and the
-    roots one classifying pass, each in chunks of ``CHUNK_TERMS`` terms.
-    Each level's nodes, brackets and roots are bitwise those of solving it
-    alone.  A level whose grid residual is not finite (its search box
-    overflows, say) raises ``FloatingPointError`` that names its step if
-    ``steps`` are given.
-    """
-    where = _level_namer(alpha_bars, steps)
+def _level_table(mixture, alpha_bars, steps=None):
+    """Per level of ``alpha_bars``, a column: kernel params, search box, ``alpha_bars``, namer."""
     mu, var = diffused_params(mixture, alpha_bars)
-    params = (mu, var, _log_weights(mixture, range(len(mu))))
     # Roots live in the convex hull of the origin and the diffused means; a
     # 4-sigma margin keeps the hull comfortably interior.  Every diffused sd
     # is positive, so the box is never empty.
     sd = np.sqrt(var)
-    lo_box = np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0))
-    hi_box = np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0))
-    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * len(mu)))
-    brackets, levels, roots = [], [], []  # the zero grid nodes, then the bracket roots
-    for c0 in range(0, len(alpha_bars), per_chunk):
-        chunk = np.arange(c0, min(c0 + per_chunk, len(alpha_bars)))
+    return ((mu, var, _log_weights(mixture, range(len(mu)))),
+            np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0)),
+            np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0)), alpha_bars, _level_namer(alpha_bars, steps))
+
+
+def _scan_levels(table, cols):
+    """The sign-change brackets ``[level, lo, hi, g_lo, g_hi]`` and zero nodes
+    ``[level, x]`` of the grids of the columns ``cols`` of a :func:`_level_table`, one kernel
+    call per chunk of ``CHUNK_TERMS`` terms.  A non-finite grid residual raises, naming its level."""
+    params, lo_box, hi_box, _, where = table
+    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * len(params[0])))
+    brackets, zeros = [], []
+    for c0 in range(0, len(cols), per_chunk):
+        chunk = cols[c0:c0 + per_chunk]
         with np.errstate(over="ignore", invalid="ignore"):
             grid = np.linspace(lo_box[chunk], hi_box[chunk], GRID_NODES, axis=1)
             g_grid = _drift_terms(params, chunk[:, None], grid)[0]
         if not np.isfinite(g_grid).all():
-            l = c0 + int(np.argmin(np.isfinite(g_grid).all(axis=1)))
+            l = chunk[int(np.argmin(np.isfinite(g_grid).all(axis=1)))]
             raise FloatingPointError(
                 f"{where(l)}: the drift residual is not finite on the search box "
                 f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
         signs = np.sign(g_grid)
-        level, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
-        brackets.append((c0 + level, grid[level, cell], grid[level, cell + 1],
-                         g_grid[level, cell], g_grid[level, cell + 1]))
-        level, node = np.nonzero(g_grid == 0.0)
-        levels.append(c0 + level)
-        roots.append(grid[level, node])
-    brackets = [np.concatenate(a) for a in zip(*brackets)]
-    per_solve = max(1, CHUNK_TERMS // len(mu))
-    for b0 in range(0, brackets[0].size, per_solve):
-        roots.append(_bracketed_roots(params, *(a[b0:b0 + per_solve] for a in brackets)))
-    level, x = np.concatenate(levels + brackets[:1]), np.concatenate(roots)
+        row, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
+        brackets.append((chunk[row], grid[row, cell], grid[row, cell + 1],
+                         g_grid[row, cell], g_grid[row, cell + 1]))
+        row, node = np.nonzero(g_grid == 0.0)
+        zeros.append((chunk[row], grid[row, node]))
+    return [np.concatenate(a) for a in zip(*brackets)], [np.concatenate(a) for a in zip(*zeros)]
+
+
+def _provisional_counts(scan, size):
+    """Each column's brackets plus zero nodes: its root count unless two brackets end on one root."""
+    return np.bincount(scan[0][0], minlength=size) + np.bincount(scan[1][0], minlength=size)
+
+
+def _solve_levels(table, cols, scan):
+    """The fixed points at each column ``cols`` of ``table`` from their ``scan``: one
+    Newton-bisection and one classifying pass, each in chunks of ``CHUNK_TERMS`` terms."""
+    params, per_solve = table[0], max(1, CHUNK_TERMS // len(table[0][0]))
+    brackets, (level, x) = scan  # the zero grid nodes, then the bracket roots
+    roots = [x] + [_bracketed_roots(params, *(a[b0:b0 + per_solve] for a in brackets))
+                   for b0 in range(0, brackets[0].size, per_solve)]
+    level, x = np.concatenate([level, brackets[0]]), np.concatenate(roots)
 
     # Per level, the sorted distinct roots; a root two brackets end on is
     # reported once.
@@ -220,11 +226,16 @@ def _fixed_points_at_levels(mixture: MixtureModel, alpha_bars: np.ndarray, steps
     slopes = [s for r in range(0, x.size, per_solve)
               for s in _drift_terms(params, level[r:r + per_solve], x[r:r + per_solve])[1].tolist()]
     x = x.tolist()
-
-    ends = [0] + np.searchsorted(level, np.arange(len(alpha_bars)), side="right").tolist()
+    begins, ends = (np.searchsorted(level, cols, side=side).tolist() for side in ("left", "right"))
     return [tuple(FixedPoint(x=r + 0.0, alpha_bar=ab, stable=slope > 0.0)
                   for r, slope in zip(x[begin:end], slopes[begin:end]))
-            for ab, begin, end in zip(alpha_bars.tolist(), ends, ends[1:])]
+            for ab, begin, end in zip(table[3][cols].tolist(), begins, ends)]
+
+
+def _fixed_points_at_levels(mixture, alpha_bars, steps=None):
+    """The fixed points at each level of ``alpha_bars``: one scan, one solve."""
+    table, cols = _level_table(mixture, alpha_bars, steps), np.arange(len(alpha_bars))
+    return _solve_levels(table, cols, _scan_levels(table, cols))
 
 
 def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoint, ...]:
@@ -244,25 +255,22 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoi
 
 
 def _solve_steps(mixture, schedule, steps):
-    """The fixed points at each of ``steps``, solved as one batch.
-
-    A level whose residual is not finite raises an error that names its step.
-    """
-    return _fixed_points_at_levels(mixture, np.array([schedule.alpha_bar(t) for t in steps]),
-                                   steps=steps)
+    """The fixed points at each of ``steps``, solved as one batch."""
+    return _fixed_points_at_levels(mixture, schedule.alpha_bars[np.asarray(steps) - 1], steps)
 
 
-def _bisect_changes(mixture, schedule, brackets, count):
+def _bisect_changes(mixture, schedule, brackets, count, solved):
     """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps.
 
     ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo``
-    and ``c_hi`` its values at the bracket's ends.  One batch solves every
-    step inside a bracket, each once; the bisection then replays over those
-    counts: a midpoint whose count equals ``c_lo`` becomes its bracket's low
-    end, any other its high end.
+    and ``c_hi`` its values at the bracket's ends.  One more batch solves the
+    steps inside a bracket that ``solved`` (fixed points by step) lacks; the
+    bisection replays over them: a midpoint whose count equals ``c_lo``
+    becomes its bracket's low end, any other its high end.
     """
-    inner = sorted({t for t_lo, _, t_hi, _ in brackets for t in range(t_lo + 1, t_hi)})
-    solved = dict(zip(inner, _solve_steps(mixture, schedule, inner) if inner else []))
+    missing = sorted({t for t_lo, _, t_hi, _ in brackets for t in range(t_lo + 1, t_hi)} - solved.keys())
+    if missing:
+        solved = {**solved, **dict(zip(missing, _solve_steps(mixture, schedule, missing)))}
     narrowed = []
     for t_lo, c_lo, t_hi, c_hi in brackets:
         while t_hi - t_lo > 1:
@@ -281,18 +289,32 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
     index down to adjacent steps, i.e. to a normalized-time resolution of
     ``1/T``; the reported critical ``s`` is the bracket midpoint.  One change
     is recorded per strided interval, so shrink the stride to resolve events
-    that cluster closer than it.
+    that cluster closer than it.  One solve takes the strided steps and the
+    inner steps of every interval whose provisional count (brackets plus zero
+    nodes) changes; an interval whose exact count changes while its
+    provisional one does not costs one more batch, so no event moves.
     """
     times = TimeGrid.strided(schedule, stride)
-    steps = [int(t) for t in times.steps]
-    levels = _solve_steps(mixture, schedule, steps)
+    steps = times.steps.tolist()
+    table = _level_table(mixture, schedule.alpha_bars, range(1, schedule.num_steps + 1))
+    cols = times.steps - 1
+    scan = _scan_levels(table, cols)
+    counts = _provisional_counts(scan, schedule.num_steps)[cols].tolist()
+    inner = np.array([t - 1 for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb
+                      for t in range(a + 1, b)], dtype=np.int64)
+    if inner.size:
+        more = _scan_levels(table, inner)
+        scan = [[np.concatenate(pair) for pair in zip(*parts)] for parts in zip(scan, more)]
+        cols = np.concatenate([cols, inner])
+    solved = dict(zip((cols + 1).tolist(), _solve_levels(table, cols, scan)))
+    levels = [solved[t] for t in steps]
     brackets = [(steps[i - 1], len(levels[i - 1]), steps[i], len(levels[i]))
                 for i in range(1, len(levels)) if len(levels[i]) != len(levels[i - 1])]
-    changes = _bisect_changes(mixture, schedule, brackets, lambda t, points: len(points))
+    changes = _bisect_changes(mixture, schedule, brackets, lambda t, points: len(points), solved)
     return BifurcationDiagram(
         steps=times.steps,
         s=times.s,
-        alpha_bars=np.asarray([schedule.alpha_bar(t) for t in steps]),
+        alpha_bars=schedule.alpha_bars[times.steps - 1],
         points=tuple(levels),
         critical=tuple(CountChange(t_before=t_lo, t_after=t_hi,
                                    s=(t_lo + t_hi) / (2.0 * schedule.num_steps),
@@ -329,5 +351,5 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule,
         return None
     k = flags.index(False)
     [(t_lo, _, t_hi, _)] = _bisect_changes(mixture, schedule, [(probes[k - 1], True, probes[k], False)],
-                                           separate)
+                                           separate, {})
     return (t_lo + t_hi) / (2.0 * schedule.num_steps)

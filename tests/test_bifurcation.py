@@ -212,36 +212,82 @@ class TestTraceBifurcations:
         assert event.t_after - event.t_before == 1
         assert event.s == pytest.approx((event.t_before + event.t_after) / 2000)
 
+    @staticmethod
+    def _record_solves(monkeypatch):
+        """Record the levels (alpha-bars) of each solve and the provisional counts of each trace."""
+        batches, provisional = [], []
+        solve, counts = bifurcation._solve_levels, bifurcation._provisional_counts
+
+        def recording_solve(table, cols, scan):
+            batches.append(table[3][cols].tolist())
+            return solve(table, cols, scan)
+
+        def recording_counts(scan, size):
+            provisional.append(counts(scan, size))
+            return provisional[-1]
+
+        monkeypatch.setattr(bifurcation, "_solve_levels", recording_solve)
+        monkeypatch.setattr(bifurcation, "_provisional_counts", recording_counts)
+        return batches, provisional
+
+    @staticmethod
+    def _inner(steps, counts):
+        """The steps inside each interval of ``steps`` over which ``counts`` changes."""
+        return [t for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb
+                for t in range(a + 1, b)]
+
     def test_each_step_is_solved_once(self, monkeypatch):
-        batches = []
-        real = bifurcation._fixed_points_at_levels
-
-        def counting(mixture, alpha_bars, *args, **kwargs):
-            batches.append(list(alpha_bars))
-            return real(mixture, alpha_bars, *args, **kwargs)
-
-        def solved():
-            return Counter(ab for batch in batches for ab in batch)
-
-        monkeypatch.setattr(bifurcation, "_fixed_points_at_levels", counting)
+        batches, provisional = self._record_solves(monkeypatch)
         diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20)
-        # The strided levels are one batch; the steps inside every strided
-        # interval whose count changes are one more.
+        # One solve: the strided steps, then the steps inside every strided
+        # interval whose provisional count changes.  Here every provisional
+        # count is exact, so no second batch follows.
         steps = diagram.steps.tolist()
         counts = [len(points) for points in diagram.points]
-        changing = [(a, b) for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb]
-        assert len(diagram.critical) == len(changing) > 1
-        assert batches[0] == list(diagram.alpha_bars)
-        assert batches[1:] == [[SCHEDULE.alpha_bar(t) for a, b in changing for t in range(a + 1, b)]]
-        assert set(solved().values()) == {1}
+        assert provisional[0][diagram.steps - 1].tolist() == counts
+        inner = self._inner(steps, counts)
+        assert len(diagram.critical) > 1 and len(inner) == 19 * len(diagram.critical)
+        assert batches == [diagram.alpha_bars.tolist() + [SCHEDULE.alpha_bar(t) for t in inner]]
         batches.clear()
+        # The sibling split keeps two batches: the coarse probes, then the
+        # steps of the one probe interval that holds the split.
         split = sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1)
         probes = list(range(1, 1001, 20)) + [1000]
-        assert batches[0] == [SCHEDULE.alpha_bar(t) for t in probes]
-        # The split's adjacent steps lie inside one 20-step probe interval.
         a = max(t for t in probes if t < split * SCHEDULE.num_steps)
-        assert batches[1:] == [[SCHEDULE.alpha_bar(t) for t in range(a + 1, a + 20)]]
-        assert set(solved().values()) == {1}
+        assert batches == [[SCHEDULE.alpha_bar(t) for t in probes],
+                           [SCHEDULE.alpha_bar(t) for t in range(a + 1, a + 20)]]
+
+    @pytest.mark.parametrize("mix", [FOUR_DELTAS, MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])],
+                             ids=["four-deltas", "comb-symmetric"])
+    @pytest.mark.parametrize("wrong", ["zeros", "shifted"])
+    def test_a_wrong_provisional_count_never_moves_an_event(self, monkeypatch, mix, wrong):
+        expected = trace_bifurcations(mix, SCHEDULE, stride=20)
+        real = bifurcation._provisional_counts
+        monkeypatch.setattr(bifurcation, "_provisional_counts", {
+            "zeros": lambda scan, size: np.zeros(size, dtype=np.int64),
+            "shifted": lambda scan, size: np.roll(real(scan, size), 20),  # one strided level late
+        }[wrong])
+        batches, provisional = self._record_solves(monkeypatch)
+        diagram = trace_bifurcations(mix, SCHEDULE, stride=20)
+        assert diagram.points == expected.points and diagram.critical == expected.critical
+        assert diagram.alpha_bars.tolist() == expected.alpha_bars.tolist()
+        # The first solve follows the wrong counts; exactly the steps it
+        # misses inside the intervals whose exact count changes make one more.
+        steps = diagram.steps.tolist()
+        solved = steps + self._inner(steps, provisional[0][diagram.steps - 1].tolist())
+        missing = sorted(set(self._inner(steps, [len(points) for points in diagram.points])) - set(solved))
+        assert missing
+        assert batches == [[SCHEDULE.alpha_bar(t) for t in solved], [SCHEDULE.alpha_bar(t) for t in missing]]
+
+    def test_one_newton_loop_per_trace(self, monkeypatch):
+        loops = []
+        real = bifurcation._bracketed_roots
+        monkeypatch.setattr(bifurcation, "_bracketed_roots", lambda *args: loops.append(1) or real(*args))
+        # The three mixtures of the benchmark's fixed-point atlas; six loops
+        # when each count refinement ran its own.
+        for mix in (PAIR_SKEWED, ROW_LOPSIDED, MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])):
+            assert trace_bifurcations(mix, SCHEDULE, stride=10).critical
+        assert len(loops) == 3
 
     # From eight components on, numpy would sum a lone bracket's components
     # in another order than a batch's.
