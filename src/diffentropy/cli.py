@@ -17,7 +17,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,22 +140,24 @@ class ExperimentConfig:
 
     # -- domain object construction -------------------------------------
 
-    def mixture(self) -> MixtureModel:
+    @cached_property
+    def _objects(self) -> tuple:
+        """The mixture, the schedule and the named partitions, built once per config."""
         means = np.asarray(self.means, dtype=np.float64)
-        weights = self.weights
-        if weights is None:
-            weights = np.full(means.size, 1.0 / means.size)
-        variances = self.variances
-        if variances is None:
-            variances = np.zeros(means.size)
-        return MixtureModel(weights=weights, means=means, variances=variances)
+        weights = self.weights if self.weights is not None else np.full(means.size, 1.0 / means.size)
+        variances = self.variances if self.variances is not None else np.zeros(means.size)
+        mixture = MixtureModel(weights=weights, means=means, variances=variances)
+        return (mixture, linear_schedule(self.num_steps, self.beta_start, self.beta_end),
+                tuple((spec.name, make_partition(mixture, spec.z0, spec.z1)) for spec in self.partitions))
+
+    def mixture(self) -> MixtureModel:
+        return self._objects[0]
 
     def schedule(self) -> NoiseSchedule:
-        return linear_schedule(self.num_steps, self.beta_start, self.beta_end)
+        return self._objects[1]
 
     def built_partitions(self) -> list[tuple[str, Partition]]:
-        mixture = self.mixture()
-        return [(spec.name, make_partition(mixture, spec.z0, spec.z1)) for spec in self.partitions]
+        return list(self._objects[2])
 
     # -- serialization ----------------------------------------------------
 
@@ -272,7 +275,7 @@ def _partition_spec(entry: dict, k: int, index: int) -> PartitionSpec:
     return PartitionSpec(z0=z0, z1=z1, name=name)
 
 
-def _config_from_dict(raw: dict) -> ExperimentConfig:
+def _config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     raw = _object(raw, "", _TOP_KEYS)
     mix, sched, score = (_object(raw.get(name, {}), name, _SECTION_KEYS[name])
                          for name in ("mixture", "schedule", "score_model"))
@@ -306,17 +309,17 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"partition names must be unique, got {names}")
         kwargs["partitions"] = tuple(specs)
 
+    kwargs.update(overrides or {})
     try:
         cfg = ExperimentConfig(method=kwargs.pop("method", "quadrature"), **kwargs)
-        cfg.mixture()
-        cfg.schedule()
-        cfg.built_partitions()
+        cfg._objects  # noqa: B018 - building the objects validates them; the job reuses them
     except (ParameterError, PartitionError, ValueError) as err:
         raise ConfigError(str(err)) from err
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """The config at ``path``, with the fields in ``overrides`` replaced before it is built."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -324,7 +327,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return _config_from_dict(raw)
+    return _config_from_dict(raw, overrides)
 
 
 # -- output ---------------------------------------------------------------
@@ -491,7 +494,7 @@ def _add_common(parser: argparse.ArgumentParser, overrides, writes: bool) -> Non
         parser.add_argument(f"--{name}", type=int, help=_OVERRIDE_HELP[name])
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+def _overrides(args: argparse.Namespace) -> dict:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -499,7 +502,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
         updates["samples_z0"] = updates["samples_z1"] = args.samples
     if args.stride is not None:
         updates["stride"] = args.stride
-    return replace(config, **updates) if updates else config
+    return updates
 
 
 def main(argv=None) -> int:
@@ -513,7 +516,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(args.config, _overrides(args))
         if args.command == "validate-config":
             roundtrip = ExperimentConfig.from_dict(config.to_dict())
             if roundtrip != config:

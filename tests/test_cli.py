@@ -496,6 +496,27 @@ class TestValidateAndErrors:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, flags", [
+        ("quadrature", []), ("quadrature", ["--stride", "25"]), ("montecarlo", ["--samples", "20", "--seed", "3"]),
+        ("fixedpoints", []), ("fixedpoints", ["--stride", "5"]),
+    ])
+    def test_each_job_builds_its_mixture_and_schedule_once(self, tmp_path, monkeypatch, method, flags):
+        # Validating the config builds the objects, and the job reuses them,
+        # flag overrides included.
+        built = {"mixture": 0, "schedule": 0, "partition": 0}
+
+        def counting(key, build):
+            return lambda *args, **kwargs: built.update({key: built[key] + 1}) or build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "MixtureModel", counting("mixture", cli.MixtureModel))
+        monkeypatch.setattr(cli, "linear_schedule", counting("schedule", cli.linear_schedule))
+        monkeypatch.setattr(cli, "make_partition", counting("partition", cli.make_partition))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**THREE_DELTAS, "method": method, "samples": 10}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([COMMANDS[method], "--config", str(cfg), "--out", str(tmp_path / "out")] + flags) == 0
+        assert built == {"mixture": 1, "schedule": 1, "partition": 1}
+
     def test_grid_flag_is_a_usage_error(self, tmp_path, capsys):
         # The quadrature's cells come from an error bound: there is no grid to set.
         cfg = write_config(tmp_path / "c.json")
