@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
 PAIR_SKEWED = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
 ROW_LOPSIDED = MixtureModel.deltas([-2.0, 1.0, 2.0])
+COMB_SYMMETRIC = MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])
 TEN_DELTAS = MixtureModel.deltas(np.linspace(-9.0, 9.0, 10))
 SCHEDULE = linear_schedule(1000)
 
@@ -257,8 +257,7 @@ class TestTraceBifurcations:
         assert batches == [[SCHEDULE.alpha_bar(t) for t in probes],
                            [SCHEDULE.alpha_bar(t) for t in range(a + 1, a + 20)]]
 
-    @pytest.mark.parametrize("mix", [FOUR_DELTAS, MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])],
-                             ids=["four-deltas", "comb-symmetric"])
+    @pytest.mark.parametrize("mix", [FOUR_DELTAS, COMB_SYMMETRIC], ids=["four-deltas", "comb-symmetric"])
     @pytest.mark.parametrize("wrong", ["zeros", "shifted"])
     def test_a_wrong_provisional_count_never_moves_an_event(self, monkeypatch, mix, wrong):
         expected = trace_bifurcations(mix, SCHEDULE, stride=20)
@@ -285,7 +284,7 @@ class TestTraceBifurcations:
         monkeypatch.setattr(bifurcation, "_bracketed_roots", lambda *args: loops.append(1) or real(*args))
         # The three mixtures of the benchmark's fixed-point atlas; six loops
         # when each count refinement ran its own.
-        for mix in (PAIR_SKEWED, ROW_LOPSIDED, MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])):
+        for mix in (PAIR_SKEWED, ROW_LOPSIDED, COMB_SYMMETRIC):
             assert trace_bifurcations(mix, SCHEDULE, stride=10).critical
         assert len(loops) == 3
 
