@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid, _level_namer
-from .mixture import CHUNK_TERMS, _log_weights, _score_and_slope, diffused_params
+from .mixture import CHUNK_TERMS, _gather, _kernel_tables, _score_and_slope
 # Unused here, but perfbench/tracing.py wraps them under these names.
 from .mixture import score, score_derivative  # noqa: F401
 
@@ -89,7 +89,7 @@ class CountChange:
     count_after: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BifurcationDiagram:
     """Fixed points per swept noise level plus the detected count changes."""
 
@@ -102,11 +102,8 @@ class BifurcationDiagram:
 
 def _drift_terms(params, levels, x):
     """``(g, g')`` at ``x`` from one kernel pass, each point at its column ``levels`` of
-    the chunk's ``params``.  ``np.take`` gathers row-major, as one level's own are:
-    numpy sums a column-major gather over the components in another order."""
-    mu, var, log_w = params
-    s, ds = _score_and_slope((np.take(mu, levels, axis=1), np.take(var, levels, axis=1),
-                              log_w.reshape((-1,) + (1,) * x.ndim)), x)
+    the sweep's kernel table ``params``."""
+    s, ds = _score_and_slope(_gather(params, levels, x), x)
     return DRIFT_COEFF * x - s, DRIFT_COEFF - ds
 
 
@@ -165,14 +162,13 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
 
 
 def _level_table(mixture, alpha_bars, steps=None):
-    """Per level of ``alpha_bars``, a column: kernel params, search box, ``alpha_bars``, namer."""
-    mu, var = diffused_params(mixture, alpha_bars)
+    """Per level of ``alpha_bars``, a column: kernel table, search box, ``alpha_bars``, namer."""
+    [params] = _kernel_tables(mixture, alpha_bars, range(mixture.num_components))
+    mu, sd = params[0], np.sqrt(params[1])
     # Roots live in the convex hull of the origin and the diffused means; a
     # 4-sigma margin keeps the hull comfortably interior.  Every diffused sd
     # is positive, so the box is never empty.
-    sd = np.sqrt(var)
-    return ((mu, var, _log_weights(mixture, range(len(mu)))),
-            np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0)),
+    return (params, np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0)),
             np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0)), alpha_bars, _level_namer(alpha_bars, steps))
 
 
@@ -232,9 +228,8 @@ def _solve_levels(table, cols, scan):
             for ab, begin, end in zip(table[3][cols].tolist(), begins, ends)]
 
 
-def _fixed_points_at_levels(mixture, alpha_bars, steps=None):
-    """The fixed points at each level of ``alpha_bars``: one scan, one solve."""
-    table, cols = _level_table(mixture, alpha_bars, steps), np.arange(len(alpha_bars))
+def _solve_columns(table, cols):
+    """The fixed points at each column ``cols`` of ``table``: one scan, one solve."""
     return _solve_levels(table, cols, _scan_levels(table, cols))
 
 
@@ -251,26 +246,28 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoi
     at least one cell apart.  The box spans the origin and every diffused
     mean with a 4-sigma margin.
     """
-    return _fixed_points_at_levels(mixture, np.array([alpha_bar], dtype=np.float64))[0]
+    table = _level_table(mixture, np.array([alpha_bar], dtype=np.float64))
+    return _solve_columns(table, np.arange(1))[0]
 
 
-def _solve_steps(mixture, schedule, steps):
-    """The fixed points at each of ``steps``, solved as one batch."""
-    return _fixed_points_at_levels(mixture, schedule.alpha_bars[np.asarray(steps) - 1], steps)
+def _schedule_table(mixture, schedule):
+    """The :func:`_level_table` of every step of ``schedule``, step ``t`` in column ``t - 1``."""
+    return _level_table(mixture, schedule.alpha_bars, range(1, schedule.num_steps + 1))
 
 
-def _bisect_changes(mixture, schedule, brackets, count, solved):
+def _bisect_changes(table, brackets, count, solved):
     """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps.
 
     ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo``
     and ``c_hi`` its values at the bracket's ends.  One more batch solves the
-    steps inside a bracket that ``solved`` (fixed points by step) lacks; the
-    bisection replays over them: a midpoint whose count equals ``c_lo``
-    becomes its bracket's low end, any other its high end.
+    steps inside a bracket that ``solved`` (fixed points by step) lacks, from
+    the :func:`_schedule_table` ``table``; the bisection replays over them: a
+    midpoint whose count equals ``c_lo`` becomes its bracket's low end, any
+    other its high end.
     """
     missing = sorted({t for t_lo, _, t_hi, _ in brackets for t in range(t_lo + 1, t_hi)} - solved.keys())
     if missing:
-        solved = {**solved, **dict(zip(missing, _solve_steps(mixture, schedule, missing)))}
+        solved = {**solved, **dict(zip(missing, _solve_columns(table, np.array(missing) - 1)))}
     narrowed = []
     for t_lo, c_lo, t_hi, c_hi in brackets:
         while t_hi - t_lo > 1:
@@ -296,7 +293,7 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
     """
     times = TimeGrid.strided(schedule, stride)
     steps = times.steps.tolist()
-    table = _level_table(mixture, schedule.alpha_bars, range(1, schedule.num_steps + 1))
+    table = _schedule_table(mixture, schedule)
     cols = times.steps - 1
     scan = _scan_levels(table, cols)
     counts = _provisional_counts(scan, schedule.num_steps)[cols].tolist()
@@ -310,7 +307,7 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
     levels = [solved[t] for t in steps]
     brackets = [(steps[i - 1], len(levels[i - 1]), steps[i], len(levels[i]))
                 for i in range(1, len(levels)) if len(levels[i]) != len(levels[i - 1])]
-    changes = _bisect_changes(mixture, schedule, brackets, lambda t, points: len(points), solved)
+    changes = _bisect_changes(table, brackets, lambda t, points: len(points), solved)
     return BifurcationDiagram(
         steps=times.steps,
         s=times.s,
@@ -332,8 +329,9 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule,
     ``sqrt(alpha_bar)``, at every 20th step.  Returns the midpoint of the
     adjacent-step interval over which the count first drops below two in
     forward time, bisected within the first 20-step interval that ends
-    below two, or ``None`` if the pair never has two branches on this
-    schedule.
+    below two.  Returns ``None`` if the pair has no two branches at the
+    first probe, or keeps them at every probe: the schedule ends before they
+    merge.
     """
     if not (0 <= i < mixture.num_components and 0 <= j < mixture.num_components) or i == j:
         raise ParameterError(f"need two distinct component indices, got ({i}, {j})")
@@ -345,11 +343,12 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule,
         lo, hi = root * (mu_i - pad), root * (mu_j + pad)
         return sum(1 for p in points if p.stable and lo <= p.x <= hi) >= 2
 
-    probes = [int(t) for t in TimeGrid.strided(schedule, 20).steps]
-    flags = [separate(t, points) for t, points in zip(probes, _solve_steps(mixture, schedule, probes))]
+    table = _schedule_table(mixture, schedule)
+    probes = TimeGrid.strided(schedule, 20).steps
+    flags = [separate(t, points) for t, points in zip(probes.tolist(), _solve_columns(table, probes - 1))]
     if not flags[0] or all(flags):
         return None
     k = flags.index(False)
-    [(t_lo, _, t_hi, _)] = _bisect_changes(mixture, schedule, [(probes[k - 1], True, probes[k], False)],
+    [(t_lo, _, t_hi, _)] = _bisect_changes(table, [(int(probes[k - 1]), True, int(probes[k]), False)],
                                            separate, {})
     return (t_lo + t_hi) / (2.0 * schedule.num_steps)

@@ -315,6 +315,13 @@ def _config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentCon
         cfg._objects  # noqa: B018 - building the objects validates them; the job reuses them
     except (ParameterError, PartitionError, ValueError) as err:
         raise ConfigError(str(err)) from err
+    if cfg.method == "montecarlo":
+        # The estimator tracks both sides from the prior, so each needs mass.
+        for name, partition in cfg.built_partitions():
+            prior = cfg.prior_z0 if cfg.prior_z0 is not None else partition.prior_z0
+            if not 0.0 < prior < 1.0:
+                raise ConfigError(f"partition {name!r}: prior_z0 must lie strictly inside (0, 1), "
+                                  f"got {prior!r}")
     return cfg
 
 

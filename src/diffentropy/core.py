@@ -3,7 +3,9 @@ schedules, binary class partitions, and normalized time grids.
 
 All types are immutable after construction (arrays are frozen read-only) and
 validated in their constructors, so any instance handed to the numeric
-modules already satisfies its own invariants.
+modules already satisfies its own invariants.  Types that hold arrays, here
+and in the result types of the other modules, compare by identity
+(``eq=False``): an elementwise array ``==`` has no truth value.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _frozen_f64(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
     """A one-dimensional Gaussian mixture, the clean data distribution.
 
@@ -99,7 +101,7 @@ class MixtureModel:
         return cls(weights=weights, means=means, variances=np.zeros(means.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Per-step noise increments ``betas`` and their running signal products.
 
@@ -227,7 +229,7 @@ def _level_namer(alpha_bars, steps=None):
     return lambda l: f"alpha_bar={float(alpha_bars[l])!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Integer diffusion steps and their normalized times ``s = t / T``."""
 

@@ -62,8 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid, _level_namer
-from .mixture import (CHUNK_TERMS, POSTERIOR_FLOOR, _log_joints, _log_weights, _logsumexp,
-                      _subset_params, diffused_params)
+from .mixture import CHUNK_TERMS, POSTERIOR_FLOOR, _gather, _kernel_tables, _log_joints, _logsumexp
 
 __all__ = [
     "QuadratureDomainError",
@@ -95,8 +94,9 @@ def _binary_entropy_bits(p) -> np.ndarray | float:
     """Entropy of a (p, 1-p) coin in bits, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
     q = 1.0 - p
-    out = -(p * np.log2(np.clip(p, POSTERIOR_FLOOR, 1.0))
-            + q * np.log2(np.clip(q, POSTERIOR_FLOOR, 1.0)))
+    # 0.0 minus, not a negation: at p in {0, 1} the sum is +0.0, and H is +0.0.
+    out = 0.0 - (p * np.log2(np.clip(p, POSTERIOR_FLOOR, 1.0))
+                 + q * np.log2(np.clip(q, POSTERIOR_FLOOR, 1.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,18 +134,16 @@ def _branch_points(mu, var, log_w, i, j) -> np.ndarray:
         return np.stack([q / a, c / q])
 
 
-def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray,
-             log_w: np.ndarray, where) -> tuple:
+def _windows(table, k0: int, where) -> tuple:
     """Each level's merged union windows and their cells, one slot per component.
 
-    Returns ``lo``, ``dx`` and ``cells`` of shape ``(L, C)``, slot ``j`` of level
-    ``l`` its ``j``-th window from the left or an empty slot of zero cells, and
-    each level's cell count.  ``log_w`` are the union components' log weights in
-    the integrand; ``where(l)`` names level ``l`` in an error message.
+    ``table`` is the kernel table of the decision's union components at every
+    level, z0's ``k0`` first.  Returns ``lo``, ``dx`` and ``cells`` of shape
+    ``(L, C)``, slot ``j`` of level ``l`` its ``j``-th window from the left or
+    an empty slot of zero cells, and each level's cell count; ``where(l)``
+    names level ``l`` in an error message.
     """
-    comps = list(partition.union)
-    mu, var = diffused_params(mixture, alpha_bars)
-    mu, var = mu[comps], var[comps]
+    mu, var, log_w = table
     sd = np.sqrt(var)
     order = np.argsort(mu - WINDOW_SPAN * sd, axis=0, kind="stable")
     mu_k, sd_k = np.take_along_axis(mu, order, 0), np.take_along_axis(sd, order, 0)
@@ -157,7 +155,7 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
                                      lo_k[1:] > reach[:-1]]), axis=0) - 1
     lo, hi, narrow = (np.full(lo_k.shape, fill) for fill in (np.inf, -np.inf, np.inf))
     levels = np.arange(lo_k.shape[1])
-    for k in range(len(comps)):
+    for k in range(len(mu)):
         j = slot[k]
         lo[j, levels] = np.minimum(lo[j, levels], lo_k[k])
         hi[j, levels] = np.maximum(hi[j, levels], hi_k[k])
@@ -165,10 +163,9 @@ def _windows(mixture: MixtureModel, partition: Partition, alpha_bars: np.ndarray
     width = np.where(np.isfinite(lo), hi - lo, 0.0)
     h = np.pi * np.sqrt(2.0 / np.log(1.0 / WINDOW_TOL)) * narrow
     # Each pair's switch layers bound the cells of the windows they lie in.
-    k0 = len(partition.z0)
     params = (mu, var, log_w[:, None])
-    for i, j in itertools.combinations(range(len(comps)), 2):
-        group = range(k0) if j < k0 else range(k0, len(comps)) if i >= k0 else range(len(comps))
+    for i, j in itertools.combinations(range(len(mu)), 2):
+        group = range(k0) if j < k0 else range(k0, len(mu)) if i >= k0 else range(len(mu))
         others = [k for k in group if k not in (i, j)]
         for root in _branch_points(mu, var, log_w, i, j):
             x, y = root.real, np.abs(root.imag)
@@ -215,10 +212,10 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
     kernel terms, one level per row.
     """
     where = _level_namer(alpha_bars, steps)
-    log_w = _log_weights(mixture, partition.union)
-    lo, dx, cells, count = _windows(mixture, partition, alpha_bars, log_w, where)
-    first = np.cumsum(cells, axis=1) - cells
+    [table] = _kernel_tables(mixture, alpha_bars, partition.union)
     k0 = len(partition.z0)
+    lo, dx, cells, count = _windows(table, k0, where)
+    first = np.cumsum(cells, axis=1) - cells
     h, mass = np.empty(len(alpha_bars)), np.empty(len(alpha_bars))
     # A loop over the few counts: np.unique would import numpy.ma.
     for n in sorted(set(count.tolist())):
@@ -227,15 +224,13 @@ def _entropy_levels(mixture: MixtureModel, partition: Partition, alpha_bars: np.
         cell = np.tile(np.arange(n), min(per_chunk, len(group)))
         for c0 in range(0, len(group), per_chunk):
             rows = group[c0:c0 + per_chunk]
-            ab = alpha_bars[rows, None]
             counts = cells[rows].ravel()
             # Midpoints lo + (i + 1/2) dx of each window, windows and levels laid end to end.
             cell_dx = np.repeat(dx[rows].ravel(), counts)
             x = np.repeat(lo[rows].ravel(), counts) + (
                 cell[:cell_dx.size] - np.repeat(first[rows].ravel(), counts) + 0.5) * cell_dx
-            x, cell_dx = x.reshape(len(ab), n), cell_dx.reshape(len(ab), n)
-            mu, var, _ = _subset_params(mixture, ab, partition.union, x.ndim)
-            lj = _log_joints((mu, var, log_w.reshape(-1, 1, 1)), x)
+            x, cell_dx = x.reshape(len(rows), n), cell_dx.reshape(len(rows), n)
+            lj = _log_joints(_gather(table, rows[:, None], x), x)
             a, b = _logsumexp(lj[:k0]), _logsumexp(lj[k0:])
             dens = np.exp(a) + np.exp(b)
             mass[rows] = (dens * cell_dx).sum(axis=1)
@@ -267,7 +262,7 @@ def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_ba
     return float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropyProfile:
     """Conditional entropy over diffusion time, with rate and transfer series.
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MixtureModel, ParameterError, Partition
+from .core import MixtureModel, ParameterError
 
 __all__ = [
     "DegenerateDensityError",
     "diffused_params",
-    "resolve_label",
     "score",
     "score_derivative",
 ]
@@ -47,8 +46,9 @@ def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.nd
     # Checked on Python floats: for one level, the common case, that is much
     # cheaper than two array reductions.
     levels = ab.ravel().tolist()
-    if not all(0.0 <= a <= 1.0 for a in levels):
-        raise ParameterError(f"alpha_bar must lie in [0, 1], got {alpha_bar!r}")
+    bad = [a for a in levels if not 0.0 <= a <= 1.0]
+    if bad:
+        raise ParameterError(f"alpha_bar must lie in [0, 1], got {bad[0]!r}")
     if 1.0 in levels and np.any(mixture.variances == 0.0):
         raise DegenerateDensityError(
             "mixture contains point masses; densities are undefined at alpha_bar = 1"
@@ -65,34 +65,44 @@ def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.nd
 CHUNK_TERMS = 1 << 14
 
 
-def _log_weights(mixture: MixtureModel, subset) -> np.ndarray:
-    """Log weights of the components in ``subset``, renormalized within it."""
-    w = np.maximum(mixture.weights[np.asarray(subset)], POSTERIOR_FLOOR)
-    return np.log(w / w.sum())
+def _kernel_tables(mixture: MixtureModel, alpha_bars, *subsets) -> list:
+    """The kernel's parameters of each component subset at every level of ``alpha_bars``.
 
-
-def _subset_params(mixture: MixtureModel, alpha_bar, subset, ndim: int) -> tuple:
-    """The kernel's parameters for ``subset``: diffused means, variances, log weights.
-
-    Components lie on a leading axis, and the levels' axes align with the
-    trailing axes of an ``x`` of ``ndim`` dimensions, so all three broadcast
-    against ``x``.
+    One table per subset, all from one diffusion: diffused means and
+    variances of shape ``(K, L)``, one row per component of the subset and
+    one column per level, and the subset's log weights, renormalized within
+    it.  Every caller diffuses through here once: the quadrature, the root
+    finder, the oracle score model and the scores.
     """
-    mu, var = diffused_params(mixture, alpha_bar)
-    idx = np.asarray(subset)
-    shape = (idx.size,) + (1,) * (ndim - mu.ndim + 1) + mu.shape[1:]
-    return (mu[idx].reshape(shape), var[idx].reshape(shape),
-            _log_weights(mixture, idx).reshape((-1,) + (1,) * ndim))
+    mu, var = diffused_params(mixture, alpha_bars)
+    tables = []
+    for subset in subsets:
+        idx = np.asarray(subset)
+        w = np.maximum(mixture.weights[idx], POSTERIOR_FLOOR)
+        tables.append((mu[idx], var[idx], np.log(w / w.sum())))
+    return tables
+
+
+def _gather(table, levels, x) -> tuple:
+    """The parameters of a kernel table at ``x``: each point at its column ``levels``.
+
+    ``levels`` broadcasts against ``x``, and the log weights are shaped to
+    broadcast too.  ``np.take`` gathers row-major, as one level's own are:
+    numpy sums a column-major gather over the components in another order.
+    """
+    mu, var, log_w = table
+    return (np.take(mu, levels, axis=1), np.take(var, levels, axis=1),
+            log_w.reshape((-1,) + (1,) * np.ndim(x)))
 
 
 def _log_joints(params: tuple, x: np.ndarray) -> np.ndarray:
     """The component kernel: ``log(w_k N(x; mu_kt, var_kt))`` of each component.
 
-    ``params`` is a :func:`_subset_params` triple; components lie on a leading
-    axis, shape ``(K,) + x.shape``.  Levels broadcast against ``x``: params of
-    ``alpha_bar`` shape ``(L, 1)`` against ``x`` of shape ``(L, n)`` put one
-    level on each row, and shape ``(n,)`` against ``(n,)`` one level per
-    point; either way every element sees the same arithmetic.
+    ``params`` is a :func:`_gather` triple; components lie on a leading
+    axis, shape ``(K,) + x.shape``.  Levels broadcast against ``x``: columns
+    gathered at ``(L, 1)`` against ``x`` of shape ``(L, n)`` put one level on
+    each row, and at ``(n,)`` against ``(n,)`` one level per point; either way
+    every element sees the same arithmetic.
     """
     mu, var, log_w = params
     return -0.5 * (LOG_2PI + np.log(var) + (x - mu) ** 2 / var) + log_w
@@ -117,25 +127,10 @@ def _softmax(a: np.ndarray) -> np.ndarray:
     return e / _component_sum(e)
 
 
-def resolve_label(label, partition: Partition | None, num_components: int) -> tuple[int, ...]:
-    """Map a conditioning label to the component subset it denotes.
-
-    ``"null"`` means the full mixture, and ``"z0"``/``"z1"`` a side of
-    ``partition``, which they require; any other label is an error.
-    """
-    if not isinstance(label, str) or label not in ("z0", "z1", "null"):
-        raise ParameterError(f"unknown label {label!r}: the labels are 'z0', 'z1' and 'null'")
-    if label == "null":
-        return tuple(range(num_components))
-    if partition is None:
-        raise ParameterError(f"label {label!r} needs a partition")
-    return partition.z0 if label == "z0" else partition.z1
-
-
 def _score_terms(params: tuple, x: np.ndarray) -> tuple:
     """Posterior weights, pulls ``(mu_kt - x) / var_kt`` and variances, and the score.
 
-    The one score formula, on a :func:`_subset_params` triple.  A
+    The one score formula, on a :func:`_gather` triple.  A
     one-component subset skips the log joints: its posterior weight is
     exactly 1, as the softmax of one row gives, and its score is its pull
     row plus +0.0: the bits of the weighted sum over that one row, which
@@ -148,45 +143,37 @@ def _score_terms(params: tuple, x: np.ndarray) -> tuple:
     return w, pull, var, pull[0] + 0.0 if single else _component_sum(w * pull)
 
 
-def _label_params(mixture: MixtureModel, alpha_bar, x, label, partition) -> tuple:
-    """The kernel's parameters for the subset that ``label`` selects, and ``x`` as an array."""
-    subset = resolve_label(label, partition, mixture.num_components)
-    x = np.asarray(x, dtype=np.float64)
-    return _subset_params(mixture, alpha_bar, subset, x.ndim), x
-
-
 def _score_and_slope(params: tuple, x: np.ndarray) -> tuple:
     """The score and the one slope formula at ``x``, from one :func:`_score_terms` pass."""
     w, pull, var, first = _score_terms(params, x)
     return first, _component_sum(w * (pull**2 - 1.0 / var)) - first**2
 
 
-def _score_and_derivative(mixture: MixtureModel, alpha_bar, x, label="null",
-                          partition: Partition | None = None) -> tuple:
-    """:func:`score` and :func:`score_derivative` at ``x`` from one kernel pass.
+def _one_level(mixture: MixtureModel, alpha_bar, x) -> tuple:
+    """The full mixture's kernel parameters at the one level ``alpha_bar``, and ``x`` as an array."""
+    if np.ndim(alpha_bar) != 0:
+        raise ParameterError(f"alpha_bar must be one level, got shape {np.shape(alpha_bar)}")
+    x = np.asarray(x, dtype=np.float64)
+    [table] = _kernel_tables(mixture, [alpha_bar], range(mixture.num_components))
+    return _gather(table, np.zeros((1,) * x.ndim, dtype=np.intp), x), x
 
-    Arrays (or numpy scalars), bitwise equal to the two functions' values;
-    ``alpha_bar`` may be an array of levels, as for the component kernel.
+
+def score(mixture: MixtureModel, alpha_bar: float, x):
+    """Gradient of the log density of the mixture diffused to ``alpha_bar``.
+
+    For posterior weights ``w_k(x)`` this is ``sum_k w_k(x) * (mu_kt - x) /
+    var_kt``, the exact score.  A side of a decision has the score of its
+    renormalized sub-mixture.
     """
-    return _score_and_slope(*_label_params(mixture, alpha_bar, x, label, partition))
-
-
-def score(mixture: MixtureModel, alpha_bar: float, x, label="null", partition: Partition | None = None):
-    """Gradient of the log density of the (sub-)mixture selected by ``label``.
-
-    For posterior weights ``w_k(x)`` within the subset this is
-    ``sum_k w_k(x) * (mu_kt - x) / var_kt``, the exact conditional score.
-    """
-    out = _score_terms(*_label_params(mixture, alpha_bar, x, label, partition))[3]
+    out = _score_terms(*_one_level(mixture, alpha_bar, x))[3]
     return float(out) if out.ndim == 0 else out
 
 
-def score_derivative(mixture: MixtureModel, alpha_bar: float, x, label="null",
-                     partition: Partition | None = None):
+def score_derivative(mixture: MixtureModel, alpha_bar: float, x):
     """Spatial derivative of :func:`score`; the log density's curvature.
 
     Equals ``E_w[pull^2 - 1/var] - (E_w[pull])^2`` with ``pull = (mu - x)/var``,
     which root finding uses for Newton steps and stability classification.
     """
-    out = _score_and_derivative(mixture, alpha_bar, x, label, partition)[1]
+    out = _score_and_slope(*_one_level(mixture, alpha_bar, x))[1]
     return float(out) if out.ndim == 0 else out

@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, Partition
 from .entropy import LN2, _binary_entropy_bits, _logit_entropy_nats
-from .mixture import _log_weights, _score_terms, diffused_params, resolve_label
+from .mixture import _kernel_tables, _score_terms
 # Unused here, but perfbench/tracing.py wraps it under this name.
 from .mixture import score  # noqa: F401
 
@@ -108,12 +108,13 @@ class ScoreModel(Protocol):
 class GmmScoreModel:
     """Exact noise predictions from a mixture's closed-form conditional scores.
 
-    Construction tabulates, for steps 1..T, ``-sqrt(1 - alpha_bar_t)`` and the
-    kernel's parameters (diffused means, variances, log weights) of each of
-    the ``REPLAY_LABELS``: ``"z0"`` and ``"z1"``, the sides of ``partition``,
-    and ``"null"``, the full mixture.  A call runs only the kernel arithmetic
-    on ``x``, and its prediction is ``-sqrt(1 - alpha_bar_t) * score(...)``,
-    bitwise.  Any other step or label raises :class:`ParameterError`.
+    Construction tabulates, for steps 1..T, ``-sqrt(1 - alpha_bar_t)`` and one
+    kernel table (diffused means, variances, log weights) per label of the
+    ``REPLAY_LABELS``: ``"z0"`` and ``"z1"``, the sides of ``partition``, and
+    ``"null"``, the full mixture.  A call runs only the kernel arithmetic on
+    ``x``, and its prediction is ``-sqrt(1 - alpha_bar_t)`` times the score of
+    the label's renormalized sub-mixture.  A missing partition, or any other
+    step or label, raises :class:`ParameterError`.
     """
 
     mixture: MixtureModel
@@ -123,14 +124,13 @@ class GmmScoreModel:
     _neg_roots: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu, var = diffused_params(self.mixture, self.schedule.alpha_bars)
-        tables = {}
-        for label in REPLAY_LABELS:
-            idx = list(resolve_label(label, self.partition, self.mixture.num_components))
-            # Row t - 1 holds step t, shaped (components, 1) against a 1-d x.
-            tables[label] = (mu[idx].T[..., None].copy(), var[idx].T[..., None].copy(),
-                             _log_weights(self.mixture, idx)[:, None])
-        object.__setattr__(self, "_tables", tables)
+        if not isinstance(self.partition, Partition):
+            raise ParameterError(f"the oracle needs a partition, got {self.partition!r}")
+        tables = _kernel_tables(self.mixture, self.schedule.alpha_bars, self.partition.z0,
+                                self.partition.z1, range(self.mixture.num_components))
+        # Log weights shaped (components, 1) against a 1-d x.
+        object.__setattr__(self, "_tables", {label: (mu, var, log_w[:, None])
+                                             for label, (mu, var, log_w) in zip(REPLAY_LABELS, tables)})
         object.__setattr__(self, "_neg_roots", (-np.sqrt(1.0 - self.schedule.alpha_bars)).tolist())
 
     def epsilon(self, x, t: int, label) -> np.ndarray:
@@ -140,7 +140,9 @@ class GmmScoreModel:
                                  f"got label {label!r} at step t={t}")
         x = np.asarray(x, dtype=np.float64)
         mu, var, log_w = self._tables[label]
-        params = (mu[t - 1], var[t - 1], log_w)
+        # The step's column by basic indexing, a view shaped (components, 1): a
+        # gather per call costs as much as the kernel arithmetic on a small x.
+        params = (mu[:, t - 1, None], var[:, t - 1, None], log_w)
         if x.ndim != 1:
             params = tuple(p.reshape((-1,) + (1,) * x.ndim) for p in params)
         return self._neg_roots[t - 1] * _score_terms(params, x)[3]
@@ -338,7 +340,7 @@ class _NoiseRows:
         yield self._blocks[0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McEntropyEstimate:
     """Monte-Carlo conditional-entropy series, indexed by step ``t = 0..T``.
 

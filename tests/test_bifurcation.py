@@ -6,7 +6,6 @@ import pytest
 from diffentropy import bifurcation, mixture
 from diffentropy.bifurcation import find_fixed_points, sibling_split_time, trace_bifurcations
 from diffentropy.core import MixtureModel, ParameterError, linear_schedule
-from diffentropy.mixture import diffused_params
 
 from _oracles import (drift_residual_derivative_reference, drift_residual_reference, root_certified,
                       scan_box, sign_change_count)
@@ -332,12 +331,13 @@ class TestTraceBifurcations:
         ten = MixtureModel(weights=np.arange(1.0, 11.0) / 55.0, means=np.linspace(-9.0, 9.0, 10),
                            variances=np.linspace(0.0, 0.9, 10))
         levels = SCHEDULE.alpha_bars[::37]
-        mu, var = diffused_params(ten, levels)
-        params = (mu, var, mixture._log_weights(ten, range(10)))
+        [params] = mixture._kernel_tables(ten, levels, range(10))
         index = np.repeat(np.arange(levels.size)[::-1], 5)
         x = np.linspace(-3.0, 3.0, index.size)
         g, slope = bifurcation._drift_terms(params, index, x)
-        s, ds = mixture._score_and_derivative(ten, levels[index], x)
+        # Each point at its level alone.
+        s = np.array([mixture.score(ten, levels[i], p) for i, p in zip(index, x)])
+        ds = np.array([mixture.score_derivative(ten, levels[i], p) for i, p in zip(index, x)])
         np.testing.assert_array_equal(g.view(np.int64), (0.5 * x - s).view(np.int64))
         np.testing.assert_array_equal(slope.view(np.int64), (0.5 - ds).view(np.int64))
 

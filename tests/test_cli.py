@@ -248,6 +248,17 @@ class TestProfileCommand:
         np.testing.assert_allclose(h, 1.0, atol=1e-9)
         np.testing.assert_allclose(rate, 0.0, atol=1e-6)
 
+    def test_a_decided_prior_writes_no_negative_zero(self, tmp_path):
+        # All weight on z0: the prior's entropy is 0, and so is H at t = 1.
+        cfg = write_config(tmp_path / "c.json", mixture={"means": [-1.0, 1.0], "weights": [1.0, 0.0]},
+                           partitions=[{"preset": "one-vs-one", "classes": [0, 1]}])
+        out = tmp_path / "out"
+        assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in (out / "profile_c0-vs-c1.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert rows[0][:3] == ["1", "0.0066666666666666671", "0"] and rows[0][4] == "0"
+        assert all(cell != "-0" for row in rows for cell in row)
+
     def test_method_mismatch_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", method="montecarlo")
         assert main(["profile", "--config", str(cfg)]) == 2
@@ -447,6 +458,23 @@ class TestValidateAndErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["profile", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("overrides, prior", [
+        ({"prior_z0": 1.5}, "1.5"),
+        # A side without weight leaves the partition's prior at 1.
+        ({"mixture": {"means": [-1.0, 1.0], "weights": [1.0, 0.0]}}, "1.0"),
+    ], ids=["prior-above-one", "zero-weight-side"])
+    def test_a_prior_the_estimator_rejects_fails_validation(self, tmp_path, capsys, overrides, prior):
+        cfg = write_config(tmp_path / "c.json", method="montecarlo", **overrides)
+        for command in ("validate-config", "estimate"):
+            out = [] if command == "validate-config" else ["--out", str(tmp_path / "out")]
+            assert main([command, "--config", str(cfg)] + out) == 2
+            err = capsys.readouterr().err
+            assert f"prior_z0 must lie strictly inside (0, 1), got {prior}" in err
+        assert not (tmp_path / "out").exists()
+        # A profile reads no prior_z0, and a decided decision has a profile.
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main(["validate-config", "--config", str(cfg)]) == 0
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

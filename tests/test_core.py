@@ -155,3 +155,28 @@ class TestTimeGrid:
     def test_rejects_unsorted_steps(self):
         with pytest.raises(ParameterError):
             TimeGrid(steps=np.array([3, 2]), num_steps=5)
+
+
+def _array_holders():
+    """Two equal but distinct instances of each type that holds arrays."""
+    from diffentropy.bifurcation import trace_bifurcations
+    from diffentropy.entropy import entropy_profile
+    from diffentropy.tracker import GmmScoreModel, estimate_conditional_entropy
+
+    mixture = MixtureModel.deltas([-1.0, 1.0])
+    sched = linear_schedule(20, 0.01, 0.2)
+    part = make_partition(mixture, [0], [1])
+    model = GmmScoreModel(mixture, sched, part)
+    builds = [lambda: MixtureModel.deltas([-1.0, 1.0]), lambda: linear_schedule(20, 0.01, 0.2),
+              lambda: TimeGrid.strided(sched, 5), lambda: entropy_profile(mixture, part, sched, 5),
+              lambda: estimate_conditional_entropy(model, sched, n_z0=3, n_z1=3),
+              lambda: trace_bifurcations(mixture, sched, 5)]
+    return [(build(), build()) for build in builds]
+
+
+def test_types_holding_arrays_compare_by_identity():
+    # An elementwise array == has no truth value, so a field-wise == raised.
+    for a, b in _array_holders():
+        assert a == a and not a != a
+        assert a != b and not a == b, type(a).__name__
+        assert len({a, a, b}) == 2

@@ -37,8 +37,8 @@ GAUSS_CELL_SD = np.pi * np.sqrt(2.0 / np.log(1.0 / entropy.WINDOW_TOL))
 
 
 def _cell_counts(mixture, partition, alpha_bars):
-    log_w = entropy._log_weights(mixture, partition.union)
-    return entropy._windows(mixture, partition, np.asarray(alpha_bars), log_w, lambda level: "here")
+    [table] = entropy._kernel_tables(mixture, np.asarray(alpha_bars), partition.union)
+    return entropy._windows(table, len(partition.z0), lambda level: "here")
 
 
 def _window_edges(mixture, partition, alpha_bar):

@@ -3,36 +3,52 @@ import pytest
 from _oracles import component_log_joints, mixture_log_density
 from scipy import stats
 
-from diffentropy import mixture
-from diffentropy.core import MixtureModel, ParameterError, make_partition
+from diffentropy import bifurcation, entropy, mixture, tracker
+from diffentropy.bifurcation import find_fixed_points, sibling_split_time, trace_bifurcations
+from diffentropy.core import MixtureModel, ParameterError, linear_schedule, make_partition
+from diffentropy.entropy import conditional_entropy_at, entropy_profile
 from diffentropy.mixture import (
     DegenerateDensityError,
+    _gather,
+    _kernel_tables,
     _log_joints,
-    _score_and_derivative,
-    _score_terms,
     _logsumexp,
-    _subset_params,
+    _score_and_slope,
+    _score_terms,
     _softmax,
     diffused_params,
     score,
     score_derivative,
 )
+from diffentropy.tracker import GmmScoreModel
 
 FOUR_DELTAS = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
 FOUR = (FOUR_DELTAS.means, FOUR_DELTAS.weights, FOUR_DELTAS.variances)
 
 
+def _params(mix, levels, cols, x, subset):
+    """The kernel parameters of ``subset`` at ``x``, each point at its column ``cols`` of the
+    table at ``levels``."""
+    [table] = _kernel_tables(mix, levels, subset)
+    return _gather(table, cols, x)
+
+
+def _at_one_level(mix, alpha_bar, x, subset):
+    """The kernel parameters of ``subset`` at ``x``, every point at the one level ``alpha_bar``."""
+    return _params(mix, [alpha_bar], np.zeros((1,) * np.ndim(x), dtype=np.intp), x, subset)
+
+
 def _kernel(mix, alpha_bar, x, subset):
     """The log joints of ``subset`` at ``x``, with the diffused means and variances."""
-    params = _subset_params(mix, alpha_bar, subset, np.ndim(x))
+    params = _at_one_level(mix, alpha_bar, x, subset)
     return _log_joints(params, x), params[0], params[1]
 
 
 def _score_weights(mix, alpha_bar, x):
     """The posterior weights that the score sums over, components on the last axis."""
     x = np.asarray(x, dtype=np.float64)
-    params = _subset_params(mix, alpha_bar, range(mix.num_components), x.ndim)
+    params = _at_one_level(mix, alpha_bar, x, range(mix.num_components))
     return np.moveaxis(_score_terms(params, x)[0], 0, -1)
 
 
@@ -165,31 +181,30 @@ class TestScore:
                   - mixture_log_density(*FOUR, 0.5, x - h)) / (2 * h)
             assert score(FOUR_DELTAS, 0.5, x) == pytest.approx(fd, abs=1e-6)
 
-    def test_component_label_selects_single_gaussian(self):
+    def test_one_component_table_selects_single_gaussian(self):
         ab = 0.5
         mu, var = diffused_params(FOUR_DELTAS, ab)
-        x = 1.3
-        p = make_partition(FOUR_DELTAS, [2], [0, 1, 3])
-        assert score(FOUR_DELTAS, ab, x, label="z0", partition=p) == pytest.approx((mu[2] - x) / var[2])
+        x = np.asarray(1.3)
+        got = _score_terms(_at_one_level(FOUR_DELTAS, ab, x, (2,)), x)[3]
+        assert got == pytest.approx((mu[2] - x) / var[2])
 
-    def test_partition_labels(self):
-        p = make_partition(FOUR_DELTAS, [3], [2])
-        sub = MixtureModel(weights=[1.0], means=[8.0], variances=[0.0])
-        assert score(FOUR_DELTAS, 0.5, 0.7, label="z0", partition=p) == pytest.approx(
-            score(sub, 0.5, 0.7)
-        )
-        with pytest.raises(ParameterError):
-            score(FOUR_DELTAS, 0.5, 0.7, label="z0")
-        # Labels are "z0", "z1" and "null": a component index is not one.
-        for label in (2, 0, "z2"):
-            with pytest.raises(ParameterError, match="unknown label"):
-                score(FOUR_DELTAS, 0.5, 0.7, label=label, partition=p)
-
-    def test_null_label_equals_full_mixture(self):
+    def test_subset_table_gives_the_score_of_its_renormalized_sub_mixture(self):
+        # A side of a decision, as the oracle score model tabulates it.  With
+        # equal weights the renormalized ones are exact, so bitwise.
         xs = np.linspace(-10, 10, 7)
-        np.testing.assert_allclose(
-            score(FOUR_DELTAS, 0.3, xs, label="null"), score(FOUR_DELTAS, 0.3, xs), rtol=1e-14
-        )
+        for subset in ((3,), (0, 1), (0, 2, 3), range(4)):
+            sub = MixtureModel.deltas(FOUR_DELTAS.means[list(subset)])
+            for ab in (0.3, 0.5):
+                got = _score_terms(_at_one_level(FOUR_DELTAS, ab, xs, subset), xs)[3]
+                np.testing.assert_array_equal(got, score(sub, ab, xs))
+
+    @pytest.mark.parametrize("func", [score, score_derivative])
+    def test_alpha_bar_is_one_level(self, func):
+        # An array of levels is never read at its first level.
+        for levels in (np.array([0.5]), np.array([[0.2], [0.7]]), [0.5, 0.6]):
+            with pytest.raises(ParameterError, match="one level"):
+                func(FOUR_DELTAS, levels, np.linspace(-1.0, 1.0, 2))
+        assert func(FOUR_DELTAS, np.float64(0.5), 0.7) == func(FOUR_DELTAS, 0.5, 0.7)
 
 
 class TestScoreDerivative:
@@ -220,13 +235,12 @@ class TestOutputShapes:
         for i, x in enumerate(grid):
             assert func(FOUR_DELTAS, 0.4, x) == flat[i]
 
-    def test_subset_labels_keep_their_shape(self):
-        p = make_partition(FOUR_DELTAS, [0, 1], [3])
+    def test_subset_tables_keep_their_shape(self):
         xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
-        # z0 holds two components and z1 one.
-        for label in ("z0", "z1", "null"):
-            assert score(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
-            assert score_derivative(FOUR_DELTAS, 0.4, xs, label=label, partition=p).shape == (2, 3)
+        # Two components, one and all four.
+        for subset in ((0, 1), (3,), range(4)):
+            s, ds = _score_and_slope(_at_one_level(FOUR_DELTAS, 0.4, xs, subset), xs)
+            assert s.shape == ds.shape == (2, 3)
 
     def test_posteriors_trail_the_input_shape(self):
         xs = np.linspace(-9.0, 9.0, 6).reshape(2, 3)
@@ -247,7 +261,8 @@ class TestKernelHelpers:
         mixture = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.0, 0.4, 2.0])
         levels = np.array([0.0, 0.1, 0.5, 0.999])
         x = np.linspace(-6.0, 6.0, 4 * 7).reshape(4, 7)
-        batch, mu, var = _kernel(mixture, levels[:, None], x, (2, 0))
+        mu, var, log_w = _params(mixture, levels, np.arange(4)[:, None], x, (2, 0))
+        batch = _log_joints((mu, var, log_w), x)
         assert batch.shape == (2, 4, 7) and mu.shape == var.shape == (2, 4, 1)
         for i, ab in enumerate(levels):
             single, _, _ = _kernel(mixture, float(ab), x[i], (2, 0))
@@ -261,23 +276,23 @@ class TestKernelHelpers:
             diffused_params(FOUR_DELTAS, np.array([0.5, 1.0]))
 
     def test_score_and_derivative_come_from_one_pass_bitwise(self):
-        # z0 holds two components and z1 one.
-        p = make_partition(FOUR_DELTAS, [0, 1], [3])
         xs = np.linspace(-11.0, 11.0, 23)
-        for label in ("null", "z0", "z1"):
+        # Four components, two and one.
+        for m in (FOUR_DELTAS, MixtureModel.deltas([-8.0, -4.0]), MixtureModel.deltas([8.0])):
             for ab in (1e-4, 0.3, 0.999):
-                s, ds = _score_and_derivative(FOUR_DELTAS, ab, xs, label, p)
-                np.testing.assert_array_equal(s, score(FOUR_DELTAS, ab, xs, label=label, partition=p))
-                np.testing.assert_array_equal(
-                    ds, score_derivative(FOUR_DELTAS, ab, xs, label=label, partition=p))
+                s, ds = _score_and_slope(_at_one_level(m, ab, xs, range(m.num_components)), xs)
+                np.testing.assert_array_equal(s, score(m, ab, xs))
+                np.testing.assert_array_equal(ds, score_derivative(m, ab, xs))
 
     def test_one_pass_with_one_level_per_point_matches_each_level_bitwise(self):
         # The root finder's brackets: every point carries its own level.
         levels = np.array([0.0, 1e-4, 0.05, 0.5, 0.9, 0.9999])
         xs = np.linspace(-12.0, 12.0, levels.size)
+        grid, cols = np.tile(xs, (levels.size, 1)), np.arange(levels.size)
         for m in (FOUR_DELTAS, MixtureModel(weights=[1.0], means=[2.0], variances=[0.5])):
-            s, ds = _score_and_derivative(m, levels, xs)
-            grid_s, grid_ds = _score_and_derivative(m, levels[:, None], np.tile(xs, (levels.size, 1)))
+            full = range(m.num_components)
+            s, ds = _score_and_slope(_params(m, levels, cols, xs, full), xs)
+            grid_s, grid_ds = _score_and_slope(_params(m, levels, cols[:, None], grid, full), grid)
             for i, ab in enumerate(levels):
                 assert s[i] == score(m, ab, xs[i]) and ds[i] == score_derivative(m, ab, xs[i])
                 np.testing.assert_array_equal(grid_s[i], score(m, ab, xs))
@@ -288,50 +303,77 @@ class TestOneComponentSubset:
     MIX = MixtureModel(weights=[0.2, 0.3, 0.5], means=[-3.0, 0.5, 4.0], variances=[0.0, 0.4, 2.0])
     XS = np.concatenate([np.linspace(-40.0, 40.0, 33), [0.0, -0.0, 1e-300, 1e300]])
 
-    def one(self, k, side="z0"):
-        """``(label, partition)`` selecting component ``k`` alone, as side ``side``."""
-        rest = [j for j in range(3) if j != k]
-        return side, make_partition(self.MIX, *([[k], rest] if side == "z0" else [rest, [k]]))
-
     def test_score_and_derivative_equal_the_general_kernel_bitwise(self):
         def bits(a):
             return np.asarray(a, dtype=np.float64).view(np.int64)
 
-        for k, side in [(0, "z0"), (1, "z1"), (2, "z0"), (2, "z1")]:
-            label, p = self.one(k, side)
-            for ab in (0.0, 1e-4, 0.5, 0.999, np.array([[0.2], [0.7]])):
-                x = self.XS if np.ndim(ab) == 0 else np.tile(self.XS, (2, 1))
+        for k in range(3):
+            alone = MixtureModel(weights=[1.0], means=self.MIX.means[[k]], variances=self.MIX.variances[[k]])
+            for ab in (0.0, 1e-4, 0.5, 0.999, None):
+                if ab is None:  # two levels, one per row
+                    x = np.tile(self.XS, (2, 1))
+                    params = _params(self.MIX, [0.2, 0.7], np.arange(2)[:, None], x, (k,))
+                else:
+                    x = self.XS
+                    params = _at_one_level(self.MIX, ab, x, (k,))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    lj, mu, var = _kernel(self.MIX, ab, x, (k,))
-                    w = _softmax(lj)
+                    mu, var, _ = params
+                    w = _softmax(_log_joints(params, x))
                     pull = (mu - x) / var
                     first = (w * pull).sum(axis=0)
                     curvature = (w * (pull**2 - 1.0 / var)).sum(axis=0) - first**2
                     # The one-component score is its pull row plus +0.0: the
                     # bits of the one-row sum, signed zeros and infinities included.
-                    for got in (score(self.MIX, ab, x, label=label, partition=p),
-                                _score_and_derivative(self.MIX, ab, x, label, p)[0]):
-                        np.testing.assert_array_equal(bits(got), bits(first))
-                        np.testing.assert_array_equal(bits(got), bits((1.0 * pull).sum(axis=0)))
-                    np.testing.assert_array_equal(
-                        bits(score_derivative(self.MIX, ab, x, label=label, partition=p)),
-                        bits(curvature))
+                    got = _score_and_slope(params, x)
+                    np.testing.assert_array_equal(bits(got[0]), bits(first))
+                    np.testing.assert_array_equal(bits(got[0]), bits((1.0 * pull).sum(axis=0)))
+                    np.testing.assert_array_equal(bits(got[1]), bits(curvature))
+                    if ab is not None:  # the component's own one-component mixture
+                        np.testing.assert_array_equal(bits(score(alone, ab, x)), bits(first))
+                        np.testing.assert_array_equal(bits(score_derivative(alone, ab, x)), bits(curvature))
 
     def test_log_joints_are_skipped(self, monkeypatch):
         calls = []
         real = mixture._log_joints
         monkeypatch.setattr(mixture, "_log_joints", lambda *args: calls.append(args) or real(*args))
-        p = make_partition(self.MIX, [1], [0, 2])
         xs = np.linspace(-4.0, 4.0, 9)
-        score(self.MIX, 0.5, xs, *self.one(1, "z1"))
-        score_derivative(self.MIX, 0.5, xs, label="z0", partition=p)
+        _score_and_slope(_at_one_level(self.MIX, 0.5, xs, (1,)), xs)
+        alone = MixtureModel(weights=[1.0], means=[0.5], variances=[0.4])
+        score(alone, 0.5, xs)
+        score_derivative(alone, 0.5, xs)
         assert calls == []
-        score(self.MIX, 0.5, xs, label="z1", partition=p)
+        _score_terms(_at_one_level(self.MIX, 0.5, xs, (0, 2)), xs)
         assert len(calls) == 1
 
     def test_range_and_point_mass_checks_still_run(self):
-        label, p = self.one(1)
+        # Component 1 has no point mass, but the table diffuses the whole mixture.
         with pytest.raises(ParameterError):
-            score(self.MIX, 1.5, 0.3, label=label, partition=p)
+            _kernel_tables(self.MIX, [1.5], (1,))
         with pytest.raises(DegenerateDensityError):
-            score(self.MIX, 1.0, 0.3, label=label, partition=p)
+            _kernel_tables(self.MIX, [1.0], (1,))
+
+
+class TestOneDiffusionPerCall:
+    SCHEDULE = linear_schedule(1000)
+    PART = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
+
+    # A profile of many chunks, a trace and a sibling split that refine
+    # events in further batches, and the oracle's three labels.
+    @pytest.mark.parametrize("call", [
+        lambda s, p: entropy_profile(FOUR_DELTAS, p, s),
+        lambda s, p: conditional_entropy_at(FOUR_DELTAS, p, 0.5),
+        lambda s, p: trace_bifurcations(FOUR_DELTAS, s, stride=20),
+        lambda s, p: sibling_split_time(FOUR_DELTAS, s, 0, 1),
+        lambda s, p: find_fixed_points(FOUR_DELTAS, 0.5),
+        lambda s, p: GmmScoreModel(FOUR_DELTAS, s, p),
+    ], ids=["entropy_profile", "conditional_entropy_at", "trace_bifurcations", "sibling_split_time",
+            "find_fixed_points", "GmmScoreModel"])
+    def test_each_entry_point_builds_one_table(self, monkeypatch, call):
+        calls = []
+        real = mixture.diffused_params
+        # Every module's global of the name, so a direct import would count too.
+        for module in (mixture, entropy, bifurcation, tracker):
+            monkeypatch.setattr(module, "diffused_params", lambda *args: calls.append(1) or real(*args),
+                                raising=False)
+        call(self.SCHEDULE, self.PART)
+        assert len(calls) == 1

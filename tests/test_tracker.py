@@ -35,6 +35,17 @@ PART = make_partition(TWO_DELTAS, [0], [1])
 SCHEDULE = linear_schedule(1000)
 ORACLE = GmmScoreModel(TWO_DELTAS, SCHEDULE, PART)
 
+
+def _sub_mixture(mixture, partition, label):
+    """The mixture of a label's components, weights renormalized: a side of ``partition``, or all."""
+    if label == "null":
+        return mixture
+    idx = list(getattr(partition, label))
+    weights = mixture.weights[idx]
+    return MixtureModel(weights=weights / weights.sum(), means=mixture.means[idx],
+                        variances=mixture.variances[idx])
+
+
 # Short, fully-noising schedule for fast end-to-end runs.
 FAST = linear_schedule(200, 5e-4, 0.1)
 FAST_ORACLE = GmmScoreModel(TWO_DELTAS, FAST, PART)
@@ -122,7 +133,7 @@ class TestPosteriorMean:
         t = 400
         beta, ab = SCHEDULE.betas[t - 1], SCHEDULE.alpha_bar(t)
         x = np.linspace(-2, 2, 9)
-        expected = (x + beta * score(TWO_DELTAS, ab, x, "z0", PART)) / np.sqrt(1 - beta)
+        expected = (x + beta * score(_sub_mixture(TWO_DELTAS, PART, "z0"), ab, x)) / np.sqrt(1 - beta)
         np.testing.assert_allclose(_mean(x, ORACLE.epsilon(x, t, "z0"), t), expected, rtol=1e-12)
 
     def test_tiny_beta_is_nearly_identity(self):
@@ -648,13 +659,16 @@ class TestGmmScoreModel:
                              ids=["one-vs-two", "group-vs-group"])
     def test_tables_give_the_score_relation_bitwise(self, mixture, partition):
         # THREE_PART's z0 is one component and its z1 two; GROUPS has two a side.
+        # Each side's renormalized weights sum to exactly 1, so its
+        # sub-mixture's log weights are bitwise the model's.
         model = GmmScoreModel(mixture, FAST, partition)
         for t in (1, FAST.num_steps // 2, FAST.num_steps):
             ab = FAST.alpha_bar(t)
             for label in ("z0", "z1", "null"):
+                sub = _sub_mixture(mixture, partition, label)
                 for x in self.XS:
                     got = model.epsilon(x, t, label)
-                    want = -np.sqrt(1 - ab) * score(mixture, ab, x, label=label, partition=partition)
+                    want = -np.sqrt(1 - ab) * score(sub, ab, x)
                     assert np.shape(got) == np.shape(want)
                     np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                                   np.asarray(want).view(np.int64))
@@ -683,6 +697,8 @@ class TestGmmScoreModel:
                 model.epsilon(x, 5, label)
         with pytest.raises(TypeError, match="partition"):
             GmmScoreModel(THREE, FAST)
+        with pytest.raises(ParameterError, match="needs a partition"):
+            GmmScoreModel(THREE, FAST, None)
         # Point masses have no density at alpha_bar = 1 (step 0), but the
         # model builds and serves every step of the schedule.
         deltas = GmmScoreModel(FOUR_DELTAS, FAST, GROUPS)
