@@ -48,8 +48,8 @@ def main():
             z0, z1 = spec["z0"], spec["z1"]
         profile = entropy_profile(mixture, make_partition(mixture, z0, z1),
                                   schedule, stride=2)
-        peak = profile.times.s[np.argmax(profile.rate_bits)]
-        half = profile.times.s[np.argmin(np.abs(profile.H_bits - 0.5))]
+        peak = profile.s[np.argmax(profile.rate_bits)]
+        half = profile.s[np.argmin(np.abs(profile.H_bits - 0.5))]
         print(f"  {spec['name']:>10}: rate peak at s={peak:.3f}, "
               f"half-information point at s={half:.3f}")
     print(f"\nWrote per-decision CSVs and profile_rate.svg under {OUT}")

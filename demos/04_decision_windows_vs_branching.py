@@ -39,7 +39,7 @@ def main():
     ):
         profile = entropy_profile(mixture, make_partition(mixture, z0, z1),
                                   schedule, stride=2)
-        s_peak = float(profile.times.s[np.argmax(profile.rate_bits)])
+        s_peak = float(profile.s[np.argmax(profile.rate_bits)])
         if len(z0) == 1:
             s_branch = sibling_split_time(mixture, schedule, z0[0], z1[0])
         else:

@@ -9,7 +9,6 @@ from .core import (
     ParameterError,
     Partition,
     PartitionError,
-    TimeGrid,
     linear_schedule,
     make_partition,
 )
@@ -43,7 +42,7 @@ from .bifurcation import (
 
 __all__ = [
     "__version__",
-    "MixtureModel", "NoiseSchedule", "Partition", "TimeGrid",
+    "MixtureModel", "NoiseSchedule", "Partition",
     "linear_schedule", "make_partition",
     "ParameterError", "PartitionError",
     "score", "score_derivative", "DegenerateDensityError",

@@ -37,14 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureModel, NoiseSchedule, ParameterError, TimeGrid, _level_namer
+from .core import MixtureModel, NoiseSchedule, ParameterError, _level_namer, _strided_steps
 from .mixture import CHUNK_TERMS, _gather, _kernel_tables, _score_and_slope
 # Unused here, but perfbench/tracing.py wraps them under these names.
 from .mixture import score, score_derivative  # noqa: F401
 
 __all__ = [
     "DRIFT_COEFF",
-    "RESIDUAL_TOL",
     "FixedPoint",
     "CountChange",
     "BifurcationDiagram",
@@ -291,10 +290,10 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
     nodes) changes; an interval whose exact count changes while its
     provisional one does not costs one more batch, so no event moves.
     """
-    times = TimeGrid.strided(schedule, stride)
-    steps = times.steps.tolist()
+    strided = _strided_steps(schedule, stride)
+    steps = strided.tolist()
     table = _schedule_table(mixture, schedule)
-    cols = times.steps - 1
+    cols = strided - 1
     scan = _scan_levels(table, cols)
     counts = _provisional_counts(scan, schedule.num_steps)[cols].tolist()
     inner = np.array([t - 1 for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb
@@ -309,9 +308,9 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
                 for i in range(1, len(levels)) if len(levels[i]) != len(levels[i - 1])]
     changes = _bisect_changes(table, brackets, lambda t, points: len(points), solved)
     return BifurcationDiagram(
-        steps=times.steps,
-        s=times.s,
-        alpha_bars=schedule.alpha_bars[times.steps - 1],
+        steps=strided,
+        s=strided / schedule.num_steps,
+        alpha_bars=schedule.alpha_bars[strided - 1],
         points=tuple(levels),
         critical=tuple(CountChange(t_before=t_lo, t_after=t_hi,
                                    s=(t_lo + t_hi) / (2.0 * schedule.num_steps),
@@ -344,7 +343,7 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule,
         return sum(1 for p in points if p.stable and lo <= p.x <= hi) >= 2
 
     table = _schedule_table(mixture, schedule)
-    probes = TimeGrid.strided(schedule, 20).steps
+    probes = _strided_steps(schedule, 20)
     flags = [separate(t, points) for t, points in zip(probes.tolist(), _solve_columns(table, probes - 1))]
     if not flags[0] or all(flags):
         return None

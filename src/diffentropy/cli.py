@@ -6,7 +6,8 @@ is a config problem that names its path.  Outputs are deterministic given
 (config, seed): CSV is the canonical format (17 significant digits, comment
 header carrying the tool version and the hash of the config keys the job
 reads), SVG is a convenience rendering only.  Exit codes: 0 success, 2 usage
-or config problem, 3 numerical failure.
+or config problem (an allocation too large for the machine included), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .tracker import (
     estimate_conditional_entropy,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "main",
-           "run_profile", "run_estimate", "run_fixed_points"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
 METHODS = ("quadrature", "montecarlo", "fixedpoints")
 
@@ -315,13 +315,17 @@ def _config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentCon
         cfg._objects  # noqa: B018 - building the objects validates them; the job reuses them
     except (ParameterError, PartitionError, ValueError) as err:
         raise ConfigError(str(err)) from err
+    if cfg.method == "quadrature" and not cfg.partitions:
+        raise ConfigError("profile needs at least one partition")
     if cfg.method == "montecarlo":
+        if len(cfg.partitions) != 1:
+            raise ConfigError("estimate needs exactly one partition")
         # The estimator tracks both sides from the prior, so each needs mass.
-        for name, partition in cfg.built_partitions():
-            prior = cfg.prior_z0 if cfg.prior_z0 is not None else partition.prior_z0
-            if not 0.0 < prior < 1.0:
-                raise ConfigError(f"partition {name!r}: prior_z0 must lie strictly inside (0, 1), "
-                                  f"got {prior!r}")
+        [(name, partition)] = cfg.built_partitions()
+        prior = cfg.prior_z0 if cfg.prior_z0 is not None else partition.prior_z0
+        if not 0.0 < prior < 1.0:
+            raise ConfigError(f"partition {name!r}: prior_z0 must lie strictly inside (0, 1), "
+                              f"got {prior!r}")
     return cfg
 
 
@@ -373,26 +377,22 @@ def _common_comments(config: ExperimentConfig) -> list[str]:
     return [f"diffentropy {__version__}", f"config sha256 {config.config_hash()}"]
 
 
-def run_profile(config: ExperimentConfig, out_dir: str, svg: bool = False) -> list[str]:
+def _profile_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str]:
     """Quadrature entropy profiles, one CSV per configured partition."""
-    if config.method != "quadrature":
-        raise ConfigError(f"profile needs method='quadrature', config says {config.method!r}")
-    if not config.partitions:
-        raise ConfigError("profile needs at least one partition")
     mixture = config.mixture()
     schedule = config.schedule()
     written = []
     rate_series = []
     for name, partition in config.built_partitions():
         profile = entropy_profile(mixture, partition, schedule, stride=config.stride)
-        columns = [profile.times.steps, profile.times.s, profile.H_bits,
+        columns = [profile.steps, profile.s, profile.H_bits,
                    profile.rate_bits, profile.transfer_bits]
         text = _csv_text(_common_comments(config) + [f"partition {name}"],
                          ["t", "s", "H_bits", "dH_ds", "transfer_bits"], columns)
         path = os.path.join(out_dir, f"profile_{name}.csv")
         _atomic_write(path, text)
         written.append(path)
-        rate_series.append((name, profile.times.s, profile.rate_bits))
+        rate_series.append((name, profile.s, profile.rate_bits))
     if svg:
         path = os.path.join(out_dir, "profile_rate.svg")
         _atomic_write(path, line_chart(rate_series, title="entropy rate",
@@ -407,12 +407,8 @@ def _score_model(config: ExperimentConfig, mixture, schedule, partition):
     return GmmScoreModel(mixture=mixture, schedule=schedule, partition=partition)
 
 
-def run_estimate(config: ExperimentConfig, out_dir: str, svg: bool = False) -> list[str]:
+def _estimate_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str]:
     """Monte-Carlo entropy estimate CSV for the configured decision."""
-    if config.method != "montecarlo":
-        raise ConfigError(f"estimate needs method='montecarlo', config says {config.method!r}")
-    if len(config.partitions) != 1:
-        raise ConfigError("estimate needs exactly one partition")
     mixture = config.mixture()
     schedule = config.schedule()
     name, partition = config.built_partitions()[0]
@@ -442,10 +438,8 @@ def run_estimate(config: ExperimentConfig, out_dir: str, svg: bool = False) -> l
     return written
 
 
-def run_fixed_points(config: ExperimentConfig, out_dir: str, svg: bool = False) -> list[str]:
+def _fixed_points_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str]:
     """Bifurcation diagram CSV (and optional SVG scatter of the branches)."""
-    if config.method != "fixedpoints":
-        raise ConfigError(f"fixed-points needs method='fixedpoints', config says {config.method!r}")
     mixture = config.mixture()
     schedule = config.schedule()
     diagram = trace_bifurcations(mixture, schedule, stride=config.stride)
@@ -478,16 +472,20 @@ def run_fixed_points(config: ExperimentConfig, out_dir: str, svg: bool = False) 
 # -- argument parsing -------------------------------------------------------
 
 
-# The override flags, and the ones each subcommand takes: those its job reads.
-# ``validate-config`` writes nothing, so it takes neither ``--out`` nor ``--svg``.
+# The override flags, and per subcommand: its help, the flags it takes (those
+# its job reads), the config method it needs and its job.  ``validate-config``
+# runs no job, so it takes any method, and neither ``--out`` nor ``--svg``.
 _OVERRIDE_HELP = {"seed": "override the config seed",
                   "samples": "override both per-branch sample counts",
                   "stride": "override the evaluation stride"}
 _COMMANDS = {
-    "profile": ("quadrature entropy/rate/transfer profiles", ("stride",)),
-    "estimate": ("Monte-Carlo entropy estimate via posterior tracking", ("seed", "samples")),
-    "fixed-points": ("reverse-drift fixed points across noise levels", ("stride",)),
-    "validate-config": ("parse and validate a config, print its hash", ("seed", "samples", "stride")),
+    "profile": ("quadrature entropy/rate/transfer profiles", ("stride",), "quadrature", _profile_job),
+    "estimate": ("Monte-Carlo entropy estimate via posterior tracking", ("seed", "samples"),
+                 "montecarlo", _estimate_job),
+    "fixed-points": ("reverse-drift fixed points across noise levels", ("stride",), "fixedpoints",
+                     _fixed_points_job),
+    "validate-config": ("parse and validate a config, print its hash", ("seed", "samples", "stride"),
+                        None, None),
 }
 
 
@@ -518,22 +516,25 @@ def main(argv=None) -> int:
         description="Conditional-entropy and bifurcation analysis of 1-D diffusion experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, overrides) in _COMMANDS.items():
-        _add_common(sub.add_parser(name, help=help_text), overrides, writes=name != "validate-config")
+    for name, (help_text, overrides, _, job) in _COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text), overrides, writes=job is not None)
 
     args = parser.parse_args(argv)
+    _, _, method, job = _COMMANDS[args.command]
     try:
         config = load_config(args.config, _overrides(args))
-        if args.command == "validate-config":
+        if job is None:
             roundtrip = ExperimentConfig.from_dict(config.to_dict())
             if roundtrip != config:
                 raise ConfigError("config does not round-trip through its dict form")
             print(f"ok: method={config.method} hash={config.config_hash()}")
             return 0
-        runner = {"profile": run_profile, "estimate": run_estimate,
-                  "fixed-points": run_fixed_points}[args.command]
-        written = runner(config, args.out if args.out is not None else config.out, svg=args.svg)
-    except (ConfigError, ParameterError, PartitionError, OSError) as err:
+        if config.method != method:
+            raise ConfigError(f"{args.command} needs method={method!r}, config says {config.method!r}")
+        written = job(config, args.out if args.out is not None else config.out, args.svg)
+    # A MemoryError is an array size that the config asks for, beyond what
+    # the machine can allocate.
+    except (ConfigError, ParameterError, PartitionError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as err:

@@ -1,5 +1,6 @@
 """Shared domain types: Gaussian mixtures, variance-preserving noise
-schedules, binary class partitions, and normalized time grids.
+schedules and binary class partitions.  Time axes are plain arrays: integer
+steps ``t`` and their normalized times ``s = t / T``.
 
 All types are immutable after construction (arrays are frozen read-only) and
 validated in their constructors, so any instance handed to the numeric
@@ -10,7 +11,7 @@ and in the result types of the other modules, compare by identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,14 +22,12 @@ __all__ = [
     "MixtureModel",
     "NoiseSchedule",
     "Partition",
-    "TimeGrid",
     "linear_schedule",
     "make_partition",
 ]
 
 # Tolerances used by constructor validation.
 WEIGHT_SUM_TOL = 1e-12
-PRIOR_SUM_TOL = 1e-12
 ALPHA_BAR_PRODUCT_TOL = 1e-14
 
 
@@ -165,20 +164,14 @@ def linear_schedule(num_steps: int, beta_start: float = 1e-4, beta_end: float = 
 class Partition:
     """A binary split of the mixture's component indices.
 
-    Priors are renormalized over the union of the two sides, so a decision
-    between two classes of a larger mixture carries priors that sum to one.
+    ``prior_z0`` is renormalized over the union of the two sides, so a
+    decision between two classes of a larger mixture gives z1 the prior
+    ``1 - prior_z0``.
     """
 
     z0: tuple[int, ...]
     z1: tuple[int, ...]
     prior_z0: float
-    prior_z1: float
-
-    def __post_init__(self):
-        if abs(self.prior_z0 + self.prior_z1 - 1.0) > PRIOR_SUM_TOL:
-            raise PartitionError(
-                f"partition priors must sum to 1, got {self.prior_z0 + self.prior_z1!r}"
-            )
 
     @property
     def union(self) -> tuple[int, ...]:
@@ -214,12 +207,7 @@ def make_partition(mixture: MixtureModel, z0: Iterable[int], z1: Iterable[int]) 
     total = w0 + w1
     if total <= 0.0:
         raise PartitionError("partition has zero total prior mass")
-    return Partition(
-        z0=side0,
-        z1=side1,
-        prior_z0=w0 / total,
-        prior_z1=w1 / total,
-    )
+    return Partition(z0=side0, z1=side1, prior_z0=w0 / total)
 
 
 def _level_namer(alpha_bars, steps=None):
@@ -229,38 +217,13 @@ def _level_namer(alpha_bars, steps=None):
     return lambda l: f"alpha_bar={float(alpha_bars[l])!r}"
 
 
-@dataclass(frozen=True, eq=False)
-class TimeGrid:
-    """Integer diffusion steps and their normalized times ``s = t / T``."""
-
-    steps: np.ndarray
-    num_steps: int
-    s: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=np.int64).copy()
-        if steps.ndim != 1 or steps.size == 0:
-            raise ParameterError("steps must be a non-empty 1-D array")
-        if np.any(np.diff(steps) <= 0):
-            raise ParameterError("steps must be strictly increasing")
-        if steps[0] < 1 or steps[-1] > self.num_steps:
-            raise ParameterError(f"steps must lie in [1, {self.num_steps}]")
-        steps.flags.writeable = False
-        object.__setattr__(self, "steps", steps)
-        s = steps / float(self.num_steps)
-        s.flags.writeable = False
-        object.__setattr__(self, "s", s)
-
-    def __len__(self) -> int:
-        return self.steps.size
-
-    @classmethod
-    def strided(cls, schedule: NoiseSchedule, stride: int = 1) -> "TimeGrid":
-        """Every ``stride``-th step starting at 1, always including the last step."""
-        if stride < 1:
-            raise ParameterError(f"stride must be >= 1, got {stride}")
-        t = schedule.num_steps
-        steps = list(range(1, t + 1, stride))
-        if steps[-1] != t:
-            steps.append(t)
-        return cls(steps=np.asarray(steps), num_steps=t)
+def _strided_steps(schedule: NoiseSchedule, stride: int) -> np.ndarray:
+    """Every ``stride``-th step starting at 1, always including the last step; read-only."""
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    t = schedule.num_steps
+    steps = np.arange(1, t + 1, stride)
+    if steps[-1] != t:
+        steps = np.append(steps, t)
+    steps.flags.writeable = False
+    return steps

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, TimeGrid, _level_namer
+from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, _level_namer, _strided_steps
 from .mixture import CHUNK_TERMS, POSTERIOR_FLOOR, _gather, _kernel_tables, _log_joints, _logsumexp
 
 __all__ = [
@@ -268,22 +268,23 @@ class EntropyProfile:
 
     ``rate_bits`` is dH/ds on the forward-noising axis (central differences in
     the interior, one-sided at the ends); information created while generating
-    shows up as a positive rate against decreasing ``s``.
+    shows up as a positive rate against decreasing ``s``.  Each series has
+    one value per step ``steps``, at the normalized time ``s = steps / T``.
     """
 
-    times: TimeGrid
+    steps: np.ndarray
+    s: np.ndarray
     H_bits: np.ndarray
     rate_bits: np.ndarray
     transfer_bits: np.ndarray
     prior_bits: float
 
     def __post_init__(self):
-        n = len(self.times)
-        for name in ("H_bits", "rate_bits", "transfer_bits"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        n = len(self.steps)
+        for name in ("steps", "s", "H_bits", "rate_bits", "transfer_bits"):
+            arr = np.array(getattr(self, name), dtype=np.int64 if name == "steps" else np.float64)
             if arr.shape != (n,):
                 raise ParameterError(f"{name} must have shape ({n},), got {arr.shape}")
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -296,13 +297,14 @@ def entropy_profile(mixture: MixtureModel, partition: Partition, schedule: Noise
     so the cells track the shrinking support; a quadrature error names the
     step it happened at.
     """
-    times = TimeGrid.strided(schedule, stride)
-    h = _entropy_levels(mixture, partition, schedule.alpha_bars[times.steps - 1],
-                        steps=times.steps)
-    rate = np.gradient(h, times.s) if len(times) > 1 else np.zeros(1)
+    steps = _strided_steps(schedule, stride)
+    s = steps / schedule.num_steps
+    h = _entropy_levels(mixture, partition, schedule.alpha_bars[steps - 1], steps=steps)
+    rate = np.gradient(h, s) if len(steps) > 1 else np.zeros(1)
     prior = _binary_entropy_bits(partition.prior_z0)
     return EntropyProfile(
-        times=times,
+        steps=steps,
+        s=s,
         H_bits=h,
         rate_bits=rate,
         transfer_bits=prior - h,

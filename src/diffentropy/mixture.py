@@ -20,7 +20,6 @@ from .core import MixtureModel, ParameterError
 
 __all__ = [
     "DegenerateDensityError",
-    "diffused_params",
     "score",
     "score_derivative",
 ]
@@ -36,29 +35,6 @@ class DegenerateDensityError(ValueError):
     """A zero-variance component has no density at ``alpha_bar = 1``."""
 
 
-def diffused_params(mixture: MixtureModel, alpha_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors of diffused means and variances for every component.
-
-    ``alpha_bar`` is one level, or an array of levels; for an array the
-    components lie on a leading axis, shape ``(K,) + alpha_bar.shape``.
-    """
-    ab = np.asarray(alpha_bar, dtype=np.float64)
-    # Checked on Python floats: for one level, the common case, that is much
-    # cheaper than two array reductions.
-    levels = ab.ravel().tolist()
-    bad = [a for a in levels if not 0.0 <= a <= 1.0]
-    if bad:
-        raise ParameterError(f"alpha_bar must lie in [0, 1], got {bad[0]!r}")
-    if 1.0 in levels and np.any(mixture.variances == 0.0):
-        raise DegenerateDensityError(
-            "mixture contains point masses; densities are undefined at alpha_bar = 1"
-        )
-    shape = (-1,) + (1,) * ab.ndim
-    mu = np.sqrt(ab) * mixture.means.reshape(shape)
-    var = ab * mixture.variances.reshape(shape) + (1.0 - ab)
-    return mu, var
-
-
 # Kernel terms (components x points) per chunk of a batched caller's levels,
 # the quadrature's cells and the root finder's grid nodes alike: each
 # (components, levels, points) array stays within 128 KiB.
@@ -72,9 +48,23 @@ def _kernel_tables(mixture: MixtureModel, alpha_bars, *subsets) -> list:
     variances of shape ``(K, L)``, one row per component of the subset and
     one column per level, and the subset's log weights, renormalized within
     it.  Every caller diffuses through here once: the quadrature, the root
-    finder, the oracle score model and the scores.
+    finder, the oracle score model and the scores.  A level outside [0, 1]
+    raises :class:`ParameterError`; a level of 1 with a point mass in the
+    mixture raises :class:`DegenerateDensityError`.
     """
-    mu, var = diffused_params(mixture, alpha_bars)
+    ab = np.asarray(alpha_bars, dtype=np.float64)
+    # Checked on Python floats: for one level, the common case, that is much
+    # cheaper than two array reductions.
+    levels = ab.tolist()
+    bad = [a for a in levels if not 0.0 <= a <= 1.0]
+    if bad:
+        raise ParameterError(f"alpha_bar must lie in [0, 1], got {bad[0]!r}")
+    if 1.0 in levels and np.any(mixture.variances == 0.0):
+        raise DegenerateDensityError(
+            "mixture contains point masses; densities are undefined at alpha_bar = 1"
+        )
+    mu = np.sqrt(ab) * mixture.means[:, None]
+    var = ab * mixture.variances[:, None] + (1.0 - ab)
     tables = []
     for subset in subsets:
         idx = np.asarray(subset)
@@ -121,8 +111,6 @@ def _component_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    if len(a) == 1:  # exact: exp(0) / 1 for a finite row
-        return np.ones_like(a)
     e = np.exp(a - a.max(axis=0))
     return e / _component_sum(e)
 
@@ -132,9 +120,10 @@ def _score_terms(params: tuple, x: np.ndarray) -> tuple:
 
     The one score formula, on a :func:`_gather` triple.  A
     one-component subset skips the log joints: its posterior weight is
-    exactly 1, as the softmax of one row gives, and its score is its pull
-    row plus +0.0: the bits of the weighted sum over that one row, which
-    starts from +0.0 and so turns a -0.0 pull into +0.0.
+    exactly 1, as the softmax of one finite row gives (a log joint that
+    overflows to -inf would give NaN), and its score is its pull row plus
+    +0.0: the bits of the weighted sum over that one row, which starts from
+    +0.0 and so turns a -0.0 pull into +0.0.
     """
     mu, var, _ = params
     single = len(mu) == 1

@@ -151,7 +151,7 @@ def test_criterion_5_peak_bifurcation_alignment():
     for label, (z0, z1) in decisions.items():
         profile = entropy_profile(FOUR_DELTAS, make_partition(FOUR_DELTAS, z0, z1),
                                   SCHEDULE, stride=2)
-        peaks[label] = float(profile.times.s[np.argmax(profile.rate_bits)])
+        peaks[label] = float(profile.s[np.argmax(profile.rate_bits)])
     merges = {"left-pair": sibling_split_time(FOUR_DELTAS, SCHEDULE, 0, 1),
               "right-pair": sibling_split_time(FOUR_DELTAS, SCHEDULE, 2, 3)}
     changes = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20).critical

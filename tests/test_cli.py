@@ -259,10 +259,6 @@ class TestProfileCommand:
         assert rows[0][:3] == ["1", "0.0066666666666666671", "0"] and rows[0][4] == "0"
         assert all(cell != "-0" for row in rows for cell in row)
 
-    def test_method_mismatch_is_usage_error(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", method="montecarlo")
-        assert main(["profile", "--config", str(cfg)]) == 2
-
     def test_unresolved_window_is_numerical_failure(self, tmp_path, capsys):
         # A point mass inside a wide component's window: resolved at the
         # default floor, until the first step leaves it too narrow for the
@@ -455,6 +451,45 @@ class TestValidateAndErrors:
         assert main(["validate-config", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "ok:" in out and "hash=" in out
+
+    @pytest.mark.parametrize("command, method, given", [
+        ("profile", "quadrature", "montecarlo"), ("estimate", "montecarlo", "fixedpoints"),
+        ("fixed-points", "fixedpoints", "quadrature"),
+    ])
+    def test_method_mismatch_is_usage_error(self, tmp_path, capsys, command, method, given):
+        cfg = write_config(tmp_path / "c.json", method=given)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {command} needs method={method!r}, config says {given!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method, partitions, message", [
+        ("montecarlo", [{"z0": [0], "z1": [1]}, {"z0": [1], "z1": [0]}], "estimate needs exactly one partition"),
+        ("quadrature", [], "profile needs at least one partition"),
+    ], ids=["montecarlo-two", "quadrature-none"])
+    def test_a_partition_count_the_job_rejects_fails_validation(self, tmp_path, capsys, method,
+                                                               partitions, message):
+        cfg = write_config(tmp_path / "c.json", method=method, partitions=partitions)
+        for command in ("validate-config", COMMANDS[method]):
+            out = [] if command == "validate-config" else ["--out", str(tmp_path / "out")]
+            assert main([command, "--config", str(cfg)] + out) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("validate-config", {"schedule": {"num_steps": 10**17}}),
+        ("profile", {"schedule": {"num_steps": 10**17}}),
+        ("estimate", {"method": "montecarlo", "samples": 10**17}),
+    ])
+    def test_an_allocation_past_any_address_space_is_a_config_error(self, tmp_path, capsys, command,
+                                                                    overrides):
+        # 10^17 float64 values exceed every address space, so no machine can
+        # commit them, however it overcommits.
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        out = [] if command == "validate-config" else ["--out", str(tmp_path / "out")]
+        assert main([command, "--config", str(cfg)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["profile", "--config", str(tmp_path / "absent.json")]) == 2

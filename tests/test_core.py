@@ -8,7 +8,6 @@ from diffentropy.core import (
     NoiseSchedule,
     ParameterError,
     PartitionError,
-    TimeGrid,
     linear_schedule,
     make_partition,
 )
@@ -107,7 +106,6 @@ class TestPartition:
         m = MixtureModel.deltas([-8.0, -4.0, 6.0, 8.0])
         p = make_partition(m, [3], [2])
         assert p.prior_z0 == pytest.approx(0.5)
-        assert p.prior_z1 == pytest.approx(0.5)
 
     def test_full_cover_partition_keeps_raw_weights(self):
         m = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
@@ -136,25 +134,40 @@ class TestPartition:
                                 variances=np.zeros(5))
         p_shuf = make_partition(shuffled, [inv[0], inv[2]], [inv[3]])
         assert p_shuf.prior_z0 == pytest.approx(p_base.prior_z0, abs=1e-15)
-        assert p_shuf.prior_z1 == pytest.approx(p_base.prior_z1, abs=1e-15)
 
 
-class TestTimeGrid:
+def _strided_results(sched, stride):
+    """The profile and the bifurcation diagram of two deltas at every ``stride``-th step."""
+    from diffentropy.bifurcation import trace_bifurcations
+    from diffentropy.entropy import entropy_profile
+
+    mixture = MixtureModel.deltas([-1.0, 1.0])
+    return (entropy_profile(mixture, make_partition(mixture, [0], [1]), sched, stride),
+            trace_bifurcations(mixture, sched, stride))
+
+
+class TestStridedSteps:
     def test_strided_always_ends_at_final_step(self):
         sched = linear_schedule(10, 0.01, 0.02)
-        grid = TimeGrid.strided(sched, stride=4)
-        assert list(grid.steps) == [1, 5, 9, 10]
-        np.testing.assert_allclose(grid.s, np.array([1, 5, 9, 10]) / 10)
+        for result in _strided_results(sched, 4):
+            assert list(result.steps) == [1, 5, 9, 10]
+            np.testing.assert_allclose(result.s, np.array([1, 5, 9, 10]) / 10)
 
     def test_normalized_time_in_unit_interval(self):
         sched = linear_schedule(7, 0.01, 0.02)
-        grid = TimeGrid.strided(sched)
-        assert grid.s[0] > 0.0
-        assert grid.s[-1] == 1.0
+        for result in _strided_results(sched, 1):
+            assert result.s[0] > 0.0
+            assert result.s[-1] == 1.0
 
-    def test_rejects_unsorted_steps(self):
-        with pytest.raises(ParameterError):
-            TimeGrid(steps=np.array([3, 2]), num_steps=5)
+    def test_stride_below_one_is_rejected(self):
+        with pytest.raises(ParameterError, match="stride must be >= 1, got 0"):
+            _strided_results(linear_schedule(7, 0.01, 0.02), 0)
+
+    def test_profile_steps_and_times_are_read_only(self):
+        profile = _strided_results(linear_schedule(7, 0.01, 0.02), 2)[0]
+        for arr in (profile.steps, profile.s, profile.H_bits):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 def _array_holders():
@@ -168,7 +181,7 @@ def _array_holders():
     part = make_partition(mixture, [0], [1])
     model = GmmScoreModel(mixture, sched, part)
     builds = [lambda: MixtureModel.deltas([-1.0, 1.0]), lambda: linear_schedule(20, 0.01, 0.2),
-              lambda: TimeGrid.strided(sched, 5), lambda: entropy_profile(mixture, part, sched, 5),
+              lambda: entropy_profile(mixture, part, sched, 5),
               lambda: estimate_conditional_entropy(model, sched, n_z0=3, n_z1=3),
               lambda: trace_bifurcations(mixture, sched, 5)]
     return [(build(), build()) for build in builds]

@@ -16,7 +16,6 @@ from diffentropy.entropy import (
     conditional_entropy_at,
     entropy_profile,
 )
-from diffentropy.mixture import diffused_params
 from diffentropy.tracker import LOGIT_MAX
 
 TWO_DELTAS = MixtureModel.deltas([-1.0, 1.0])
@@ -36,6 +35,12 @@ WIDE_AND_NARROW = MixtureModel(weights=[0.5, 0.5], means=[0.0, 0.5], variances=[
 GAUSS_CELL_SD = np.pi * np.sqrt(2.0 / np.log(1.0 / entropy.WINDOW_TOL))
 
 
+def _diffused(mixture, alpha_bar):
+    """Every component's diffused mean and variance at the one level ``alpha_bar``."""
+    [(mu, var, _)] = entropy._kernel_tables(mixture, [alpha_bar], range(mixture.num_components))
+    return mu[:, 0], var[:, 0]
+
+
 def _cell_counts(mixture, partition, alpha_bars):
     [table] = entropy._kernel_tables(mixture, np.asarray(alpha_bars), partition.union)
     return entropy._windows(table, len(partition.z0), lambda level: "here")
@@ -53,7 +58,7 @@ class TestWindows:
         part = make_partition(FOUR_DELTAS, [0], [2, 3])
         ab = SCHEDULE.alpha_bar(t)
         lo, hi, dx, cells, count = _window_edges(FOUR_DELTAS, part, ab)
-        mu, var = diffused_params(FOUR_DELTAS, ab)
+        mu, var = _diffused(FOUR_DELTAS, ab)
         sd = np.sqrt(var)
         assert cells.sum() == count >= entropy.MIN_CELLS
         assert count & (count - 1) == 0  # a power of two
@@ -200,7 +205,7 @@ class TestConditionalEntropy:
         ab = 0.5
         rng = np.random.default_rng(2024)
         n = 1_000_000
-        mu, var = diffused_params(mixture, ab)
+        mu, var = _diffused(mixture, ab)
         sides = rng.random(n) < part.prior_z0
         comp = np.where(sides, 2, 3)
         xs = mu[comp] + np.sqrt(var[comp]) * rng.standard_normal(n)
@@ -300,14 +305,14 @@ class TestEntropyProfile:
         # The wider pair's decision window sits deeper in the noising phase.
         coarse = entropy_profile(FOUR_DELTAS, pair(FOUR_DELTAS, 0, 1), SCHEDULE, stride=5)
         fine = entropy_profile(FOUR_DELTAS, pair(FOUR_DELTAS, 2, 3), SCHEDULE, stride=5)
-        s_coarse = coarse.times.s[np.argmax(coarse.rate_bits)]
-        s_fine = fine.times.s[np.argmax(fine.rate_bits)]
+        s_coarse = coarse.s[np.argmax(coarse.rate_bits)]
+        s_fine = fine.s[np.argmax(fine.rate_bits)]
         assert s_coarse > s_fine
 
     def test_step_annotation_on_quadrature_error(self):
         part = pair(WIDE_AND_NARROW, 0, 1)
         prof = entropy_profile(WIDE_AND_NARROW, part, SCHEDULE, stride=250)
-        assert prof.H_bits.shape == prof.times.s.shape
+        assert prof.H_bits.shape == prof.s.shape
         # A first step of beta = 1e-9 leaves the point mass too narrow for the cap.
         with pytest.raises(QuadratureDomainError, match=r"step t=1: .* more than the 1048576"):
             entropy_profile(WIDE_AND_NARROW, part, linear_schedule(1000, 1e-9, 0.02), stride=250)
@@ -315,14 +320,14 @@ class TestEntropyProfile:
     @pytest.mark.parametrize("mixture,z0,z1", SIZING)
     def test_default_profile_matches_a_dense_grid(self, mixture, z0, z1):
         prof = entropy_profile(mixture, make_partition(mixture, z0, z1), SCHEDULE, stride=9)
-        ref = [_oracle(mixture, z0, z1, SCHEDULE.alpha_bar(int(t)), per_sd=64) for t in prof.times.steps]
+        ref = [_oracle(mixture, z0, z1, SCHEDULE.alpha_bar(int(t)), per_sd=64) for t in prof.steps]
         np.testing.assert_allclose(prof.H_bits, ref, rtol=0, atol=entropy.H_TOL)
 
     def test_profile_matches_single_levels(self):
         part = make_partition(FOUR_DELTAS, [0, 1], [2, 3])
         prof = entropy_profile(FOUR_DELTAS, part, SCHEDULE, stride=37)
         single = [conditional_entropy_at(FOUR_DELTAS, part, SCHEDULE.alpha_bar(int(t)))
-                  for t in prof.times.steps]
+                  for t in prof.steps]
         np.testing.assert_array_equal(prof.H_bits, single)
 
     def test_kernel_is_called_once_per_chunk_of_levels(self, monkeypatch):
@@ -339,7 +344,7 @@ class TestEntropyProfile:
         sizes = {int(n): entropy.CHUNK_TERMS // (2 * int(n)) for n in count}
         assert len(sizes) > 1
         assert len(chunks) == sum(math.ceil(np.sum(count == n) / per_chunk)
-                                  for n, per_chunk in sizes.items()) < len(prof.times)
+                                  for n, per_chunk in sizes.items()) < len(prof.steps)
         assert all(rows <= sizes[n] for rows, n in chunks)
 
     def test_peak_memory_is_bounded_by_the_chunk(self):
