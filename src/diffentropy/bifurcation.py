@@ -6,29 +6,19 @@ attractors/repellers organizing the generative dynamics, and the noise levels
 where the root count changes are the bifurcations that split one branch of
 generation into several.
 
-Roots are located from the sign changes of ``g`` on ``GRID_NODES`` (256)
-evenly spaced nodes over a search box that spans the origin and every
-diffused mean with a 4-sigma margin.  Each sign-change cell brackets one
-root, which a safeguarded Newton-bisection iteration (``rtsafe``, Numerical
-Recipes section 9.4) narrows down to float resolution: the Newton step is
-taken when it stays inside the bracket and at most halves the step before
-last, a bisection otherwise.  Grid nodes where ``g`` is exactly zero are
-roots without a bracket.  The sign change is what certifies a root, not the
-size of ``|g|``: at low noise repelling roots live in posterior switch layers
-of width ``~ var / separation``, where ``g`` jumps by more than float
-resolution between adjacent floats, yet the sign change across such a layer
-still brackets them.  Outside every diffused mean the score pulls inward, so
-``g`` is negative at the box's low end and positive at its high end, and
-every level has at least one root.
+Roots are located from the sign changes of ``g`` on ``GRID_NODES`` (256) evenly spaced nodes
+over a search box that spans the origin and every diffused mean with a 4-sigma margin.  Each
+sign-change cell brackets one root, which a safeguarded Newton-bisection (``rtsafe``,
+Numerical Recipes section 9.4) narrows down to float resolution; grid nodes where ``g`` is
+exactly zero are roots without a bracket.  The sign change certifies a root however steep
+``g`` is (low-noise repellers sit in posterior switch layers of width ``~ var / separation``).
+Outside every diffused mean the score pulls inward, so ``g`` is negative at the box's low end
+and positive at its high end, and every level has at least one root.  A cell holding an even
+number of roots shows no sign change, except on a level whose slope bound proves ``g`` rising
+(:func:`_proven_monotone`): it has one root, whose cell 32 nodes find.
 
-Each iteration takes ``g`` and its slope ``g'`` from one kernel pass.  A solve
-scans its grids one chunk of ``CHUNK_TERMS`` kernel terms (grid nodes x
-components) per kernel call, then its brackets share one Newton-bisection per
-``CHUNK_TERMS // K`` of them, each at its own level and closed from both sides
-(:func:`_bracketed_roots`).  Every root, from eight components on too
-(``mixture._component_sum``), is bitwise what :func:`find_fixed_points` gives
-for its level alone.  A trace solves its strided steps and the steps inside
-every interval whose provisional count changes at once, then bisects over them.
+A trace solves its strided steps and the midpoints its bisection reads in one Newton-bisection
+(:func:`_bracketed_roots`), and every root is bitwise its level's alone.
 """
 
 from __future__ import annotations
@@ -38,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MixtureModel, NoiseSchedule, ParameterError, _level_namer, _strided_steps
-from .mixture import CHUNK_TERMS, _gather, _kernel_tables, _score_and_slope
+from .mixture import CHUNK_TERMS, LOG_2PI, _gather, _kernel_tables, _score_and_slope
 # Unused here, but perfbench/tracing.py wraps them under these names.
 from .mixture import score, score_derivative  # noqa: F401
 
@@ -54,6 +44,8 @@ __all__ = [
 
 DRIFT_COEFF = 0.5  # the variance-preserving drift's coefficient
 GRID_NODES = 256  # nodes of each level's sign-change grid
+_STRIDE = int(GRID_NODES**0.5) + 1  # a proven level's coarse nodes: every 17th, 16 inside each cell
+_COARSE = np.arange(0, GRID_NODES, _STRIDE)
 RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -171,30 +163,78 @@ def _level_table(mixture, alpha_bars, steps=None):
             np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0)), alpha_bars, _level_namer(alpha_bars, steps))
 
 
+def _proven_monotone(table, cols):
+    """Whether each column's computed ``g`` provably rises, finite, from node to node of its grid.
+
+    ``g' = c + E_w[1/var] - Var_w(pull) >= m = c + min_k 1/var_k - R^2/4`` (Popoviciu); the
+    pulls' spread ``R`` is convex, so largest at an end.  A computed ``g`` is within ``delta =
+    16 eps (|c| X + (E + K) P)``: twice the rounding of log joints up to ``E`` (convex too) that
+    the softmax passes to pulls up to ``P``.  Nodes lie within ``3.5 eps X`` of exact (``X`` the
+    larger end), hence ``m (h - 8 eps X) > 2 delta``.  An overflowing spacing ``h`` is never
+    proven: its nodes are not finite, and its full scan raises."""
+    mu, var, lo, hi = table[0][0][:, cols], table[0][1][:, cols], table[1][cols], table[2][cols]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pull = (mu - np.stack([lo, hi])[:, None]) / var  # (end, component, level)
+        spread = (pull.max(axis=1) - pull.min(axis=1)).max(axis=0)
+        slope = DRIFT_COEFF + (1.0 / var).min(axis=0) - 0.25 * spread**2
+        joint = (np.abs(np.log(var)) + pull**2 * var).max(axis=(0, 1)) + LOG_2PI + abs(table[0][2]).max()
+        big = np.maximum(-lo, hi)
+        delta = 16.0 * _EPS * (abs(DRIFT_COEFF) * big + (joint + len(mu)) * np.abs(pull).max(axis=(0, 1)))
+        h = (hi - lo) / (GRID_NODES - 1) - 8.0 * _EPS * big
+        return np.isfinite(h) & (slope * h > 2.0 * delta)
+
+
+def _grid_nodes(table, cols, index):
+    """Nodes ``index`` of the grids of the columns ``cols``: ``np.linspace``'s, by its arithmetic."""
+    lo, hi = table[1][cols, None], table[2][cols, None]
+    return np.where(index == GRID_NODES - 1, hi, index * ((hi - lo) / (GRID_NODES - 1)) + lo)
+
+
+def _sign_changes(levels, grid, g):
+    """The sign-change cells ``[level, lo, hi, g_lo, g_hi]`` and zero nodes ``[level, x]`` of rows."""
+    signs = np.sign(g)
+    row, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
+    brackets = (levels[row], grid[row, cell], grid[row, cell + 1], g[row, cell], g[row, cell + 1])
+    row, node = np.nonzero(g == 0.0)
+    return brackets, (levels[row], grid[row, node])
+
+
 def _scan_levels(table, cols):
-    """The sign-change brackets ``[level, lo, hi, g_lo, g_hi]`` and zero nodes
-    ``[level, x]`` of the grids of the columns ``cols`` of a :func:`_level_table`, one kernel
-    call per chunk of ``CHUNK_TERMS`` terms.  A non-finite grid residual raises, naming its level."""
+    """The sign-change brackets ``[level, lo, hi, g_lo, g_hi]`` and zero nodes ``[level, x]``.
+
+    ``cols`` are columns of a :func:`_level_table`.  A :func:`_proven_monotone` one whose ``g``
+    at nodes 0, 17, ..., 255 is finite and rises from negative to positive takes ``g`` at the 16
+    nodes of its one sign-change cell: bitwise its full scan's result.  The rest scan their full
+    grid; a non-finite ``g`` raises, naming its level.  A kernel call holds <= ``CHUNK_TERMS`` terms."""
     params, lo_box, hi_box, _, where = table
-    per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * len(params[0])))
-    brackets, zeros = [], []
-    for c0 in range(0, len(cols), per_chunk):
-        chunk = cols[c0:c0 + per_chunk]
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = np.linspace(lo_box[chunk], hi_box[chunk], GRID_NODES, axis=1)
-            g_grid = _drift_terms(params, chunk[:, None], grid)[0]
-        if not np.isfinite(g_grid).all():
-            l = chunk[int(np.argmin(np.isfinite(g_grid).all(axis=1)))]
-            raise FloatingPointError(
-                f"{where(l)}: the drift residual is not finite on the search box "
-                f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
-        signs = np.sign(g_grid)
-        row, cell = np.nonzero(signs[:, 1:] * signs[:, :-1] < 0)
-        brackets.append((chunk[row], grid[row, cell], grid[row, cell + 1],
-                         g_grid[row, cell], g_grid[row, cell + 1]))
-        row, node = np.nonzero(g_grid == 0.0)
-        zeros.append((chunk[row], grid[row, node]))
-    return [np.concatenate(a) for a in zip(*brackets)], [np.concatenate(a) for a in zip(*zeros)]
+    proven = _proven_monotone(table, cols)
+    fast, full, found = cols[proven], [cols[~proven]], []
+    per_chunk = max(1, CHUNK_TERMS // (_COARSE.size * len(params[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, fast.size, per_chunk):
+            chunk = fast[c0:c0 + per_chunk]
+            coarse = _drift_terms(params, chunk[:, None], _grid_nodes(table, chunk, _COARSE))[0]
+            end = np.clip(np.sum(coarse < 0, axis=1), 1, _COARSE.size - 1)  # the cell's end: first g >= 0
+            nodes = _grid_nodes(table, chunk, _STRIDE * end[:, None] + np.arange(-_STRIDE, 1))
+            ends = np.take_along_axis(coarse, np.stack([end - 1, end], axis=1), axis=1)
+            inside = _drift_terms(params, chunk[:, None], nodes[:, 1:-1])[0]
+            g = np.column_stack([ends[:, 0], inside, ends[:, 1]])
+            ok = np.isfinite(np.hstack([coarse, g])).all(1) & (coarse[:, 0] < 0) & (coarse[:, -1] > 0)
+            full.append(chunk[~ok])
+            found.append(_sign_changes(chunk[ok], nodes[ok], g[ok]))
+        full = np.concatenate(full)
+        per_chunk = max(1, CHUNK_TERMS // (GRID_NODES * len(params[0])))
+        for c0 in range(0, full.size, per_chunk):
+            chunk = full[c0:c0 + per_chunk]
+            grid = _grid_nodes(table, chunk, np.arange(GRID_NODES))
+            g = _drift_terms(params, chunk[:, None], grid)[0]
+            if not np.isfinite(g).all():
+                l = chunk[int(np.argmin(np.isfinite(g).all(axis=1)))]
+                raise FloatingPointError(
+                    f"{where(l)}: the drift residual is not finite on the search box "
+                    f"({float(lo_box[l])!r}, {float(hi_box[l])!r})")
+            found.append(_sign_changes(chunk, grid, g))
+    return [[np.concatenate(a) for a in zip(*part)] for part in zip(*found)]
 
 
 def _provisional_counts(scan, size):
@@ -242,8 +282,8 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoi
     slope.  The result is never empty; a residual that is not finite on the
     grid raises ``FloatingPointError``.  A cell holding an even number of
     roots shows no sign change; the grid must be fine enough that roots are
-    at least one cell apart.  The box spans the origin and every diffused
-    mean with a 4-sigma margin.
+    at least one cell apart, unless a slope bound proves the level's residual
+    rising.  The box spans the origin and every diffused mean with a 4-sigma margin.
     """
     table = _level_table(mixture, np.array([alpha_bar], dtype=np.float64))
     return _solve_columns(table, np.arange(1))[0]
@@ -257,24 +297,22 @@ def _schedule_table(mixture, schedule):
 def _bisect_changes(table, brackets, count, solved):
     """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps.
 
-    ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo``
-    and ``c_hi`` its values at the bracket's ends.  One more batch solves the
-    steps inside a bracket that ``solved`` (fixed points by step) lacks, from
-    the :func:`_schedule_table` ``table``; the bisection replays over them: a
-    midpoint whose count equals ``c_lo`` becomes its bracket's low end, any
-    other its high end.
+    ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo`` and ``c_hi`` its
+    values at the ends.  A midpoint whose count equals ``c_lo`` becomes the low end, any other
+    the high end, while ``solved`` (fixed points by step) holds it; one more batch solves the
+    steps inside the brackets left wider, from the :func:`_schedule_table` ``table``.
     """
+    def narrow(t_lo, c_lo, t_hi, c_hi):
+        while t_hi - t_lo > 1 and (t := (t_lo + t_hi) // 2) in solved:
+            c = count(t, solved[t])
+            t_lo, c_lo, t_hi, c_hi = (t, c, t_hi, c_hi) if c == c_lo else (t_lo, c_lo, t, c)
+        return t_lo, c_lo, t_hi, c_hi
+    brackets = [narrow(*bracket) for bracket in brackets]
     missing = sorted({t for t_lo, _, t_hi, _ in brackets for t in range(t_lo + 1, t_hi)} - solved.keys())
     if missing:
         solved = {**solved, **dict(zip(missing, _solve_columns(table, np.array(missing) - 1)))}
-    narrowed = []
-    for t_lo, c_lo, t_hi, c_hi in brackets:
-        while t_hi - t_lo > 1:
-            t = (t_lo + t_hi) // 2
-            c = count(t, solved[t])
-            t_lo, c_lo, t_hi, c_hi = (t, c, t_hi, c_hi) if c == c_lo else (t_lo, c_lo, t, c)
-        narrowed.append((t_lo, c_lo, t_hi, c_hi))
-    return narrowed
+        brackets = [narrow(*bracket) for bracket in brackets]
+    return brackets
 
 
 def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
@@ -286,22 +324,29 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
     ``1/T``; the reported critical ``s`` is the bracket midpoint.  One change
     is recorded per strided interval, so shrink the stride to resolve events
     that cluster closer than it.  One solve takes the strided steps and the
-    inner steps of every interval whose provisional count (brackets plus zero
-    nodes) changes; an interval whose exact count changes while its
-    provisional one does not costs one more batch, so no event moves.
+    midpoints that bisecting each interval whose provisional count (brackets
+    plus zero nodes) changes reads; where an exact count differs from its
+    provisional one, one more batch may follow, so no event moves.
     """
     strided = _strided_steps(schedule, stride)
     steps = strided.tolist()
     table = _schedule_table(mixture, schedule)
     cols = strided - 1
     scan = _scan_levels(table, cols)
-    counts = _provisional_counts(scan, schedule.num_steps)[cols].tolist()
-    inner = np.array([t - 1 for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb
-                      for t in range(a + 1, b)], dtype=np.int64)
+    counts = _provisional_counts(scan, schedule.num_steps)
+    changes = [(a, counts[a - 1], b, counts[b - 1]) for a, b in zip(steps, steps[1:])
+               if counts[a - 1] != counts[b - 1]]
+    inner = np.array([t - 1 for a, _, b, _ in changes for t in range(a + 1, b)], dtype=np.int64)
     if inner.size:
         more = _scan_levels(table, inner)
-        scan = [[np.concatenate(pair) for pair in zip(*parts)] for parts in zip(scan, more)]
-        cols = np.concatenate([cols, inner])
+        counts = counts + _provisional_counts(more, schedule.num_steps)
+        read = []  # the midpoints a bisection over every inner step's provisional count reads
+        _bisect_changes(table, changes, lambda t, _: read.append(t - 1) or counts[t - 1],
+                        dict.fromkeys((inner + 1).tolist()))
+        wanted = np.bincount(read, minlength=schedule.num_steps) > 0
+        scan = [[np.concatenate([a, b[wanted[part[0]]]]) for a, b in zip(old, part)]
+                for old, part in zip(scan, more)]
+        cols = np.concatenate([cols, inner[wanted[inner]]])
     solved = dict(zip((cols + 1).tolist(), _solve_levels(table, cols, scan)))
     levels = [solved[t] for t in steps]
     brackets = [(steps[i - 1], len(levels[i - 1]), steps[i], len(levels[i]))

@@ -1,11 +1,14 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffentropy import bifurcation, mixture
 from diffentropy.bifurcation import find_fixed_points, sibling_split_time, trace_bifurcations
-from diffentropy.core import MixtureModel, ParameterError, linear_schedule
+from diffentropy.core import MixtureModel, ParameterError, _strided_steps, linear_schedule
 
 from _oracles import (drift_residual_derivative_reference, drift_residual_reference, root_certified,
                       scan_box, sign_change_count)
@@ -26,6 +29,27 @@ def _injected(residual, slope):
         x = np.asarray(x, dtype=np.float64)
         return bifurcation.DRIFT_COEFF * x - residual(x), bifurcation.DRIFT_COEFF - slope(x)
     return score_and_slope
+
+
+def _full_scans_only():
+    """A context in which no level is proven monotone, so each one scans its full grid."""
+    return mock.patch.object(bifurcation, "_proven_monotone", lambda table, cols: np.zeros(len(cols), dtype=bool))
+
+
+def _bits(points):
+    """The exact bits of a sweep's fixed points."""
+    return [[(p.x.hex(), p.stable) for p in level] for level in points]
+
+
+@st.composite
+def _mixture_and_levels(draw):
+    """One to six components, point masses and Gaussians, uneven weights, and four levels."""
+    k = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    means = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    variances = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 4.0)), min_size=k, max_size=k))
+    levels = draw(st.lists(st.floats(1e-4, 0.9999), min_size=4, max_size=4))
+    return MixtureModel(weights=weights / weights.sum(), means=means, variances=variances), levels
 
 
 class TestDriftResidual:
@@ -235,18 +259,37 @@ class TestTraceBifurcations:
         return [t for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]) if ca != cb
                 for t in range(a + 1, b)]
 
+    @staticmethod
+    def _bisect(steps, counts, count_at):
+        """Bisect each interval of ``steps`` over which ``counts`` changes while ``count_at(t)``
+        is not ``None``: the narrowed intervals and the midpoints read."""
+        narrowed, read = [], []
+        for a, b, ca, cb in zip(steps, steps[1:], counts, counts[1:]):
+            while ca != cb and b - a > 1 and (c := count_at((a + b) // 2)) is not None:
+                t = (a + b) // 2
+                read.append(t)
+                a, ca, b, cb = (t, c, b, cb) if c == ca else (a, ca, t, c)
+            narrowed += [(a, b)] if ca != cb else []
+        return narrowed, read
+
     def test_each_step_is_solved_once(self, monkeypatch):
         batches, provisional = self._record_solves(monkeypatch)
         diagram = trace_bifurcations(FOUR_DELTAS, SCHEDULE, stride=20)
-        # One solve: the strided steps, then the steps inside every strided
-        # interval whose provisional count changes.  Here every provisional
-        # count is exact, so no second batch follows.
+        solves = batches[:]  # find_fixed_points below solves too
+        # One solve: the strided steps, then the midpoints that bisecting every
+        # strided interval whose provisional count changes reads, replayed
+        # over the provisional counts of its scanned inner steps.  Here every
+        # provisional count is exact, so no second batch follows.
         steps = diagram.steps.tolist()
         counts = [len(points) for points in diagram.points]
         assert provisional[0][diagram.steps - 1].tolist() == counts
         inner = self._inner(steps, counts)
         assert len(diagram.critical) > 1 and len(inner) == 19 * len(diagram.critical)
-        assert batches == [diagram.alpha_bars.tolist() + [SCHEDULE.alpha_bar(t) for t in inner]]
+        assert (provisional[1][np.array(inner) - 1].tolist()
+                == [len(find_fixed_points(FOUR_DELTAS, SCHEDULE.alpha_bar(t))) for t in inner])
+        _, read = self._bisect(steps, counts, lambda t: provisional[1][t - 1])
+        assert set(read) < set(inner) and len(read) <= 5 * len(diagram.critical)
+        assert solves == [diagram.alpha_bars.tolist() + [SCHEDULE.alpha_bar(t) for t in sorted(read)]]
         batches.clear()
         # The sibling split keeps two batches: the coarse probes, then the
         # steps of the one probe interval that holds the split.
@@ -267,15 +310,24 @@ class TestTraceBifurcations:
         }[wrong])
         batches, provisional = self._record_solves(monkeypatch)
         diagram = trace_bifurcations(mix, SCHEDULE, stride=20)
+        solves = batches[:]  # find_fixed_points below solves too
         assert diagram.points == expected.points and diagram.critical == expected.critical
         assert diagram.alpha_bars.tolist() == expected.alpha_bars.tolist()
-        # The first solve follows the wrong counts; exactly the steps it
-        # misses inside the intervals whose exact count changes make one more.
+        # The first solve reads the midpoints of the wrong counts' bisection.
+        # Bisecting the exact counts over the steps solved so far stops at a
+        # step it lacks; one more batch solves exactly the steps left inside
+        # those intervals.
         steps = diagram.steps.tolist()
-        solved = steps + self._inner(steps, provisional[0][diagram.steps - 1].tolist())
-        missing = sorted(set(self._inner(steps, [len(points) for points in diagram.points])) - set(solved))
+        wrong_counts = sum(provisional)  # the strided scan's, plus the inner scan's if it ran
+        _, read = self._bisect(steps, provisional[0][diagram.steps - 1].tolist(),
+                               lambda t: wrong_counts[t - 1])
+        solved = set(steps + read)
+        narrowed, _ = self._bisect(steps, [len(points) for points in diagram.points], lambda t: len(
+            find_fixed_points(mix, SCHEDULE.alpha_bar(t))) if t in solved else None)
+        missing = sorted({t for a, b in narrowed for t in range(a + 1, b)} - solved)
         assert missing
-        assert batches == [[SCHEDULE.alpha_bar(t) for t in solved], [SCHEDULE.alpha_bar(t) for t in missing]]
+        assert solves == [[SCHEDULE.alpha_bar(t) for t in steps + sorted(read)],
+                           [SCHEDULE.alpha_bar(t) for t in missing]]
 
     def test_one_newton_loop_per_trace(self, monkeypatch):
         loops = []
@@ -410,6 +462,79 @@ class TestTraceBifurcations:
         events = trace_bifurcations(mix, SCHEDULE, stride=1).critical
         assert [(e.t_before, e.count_before, e.count_after) for e in events] == expected
         assert all(e.t_after == e.t_before + 1 for e in events)
+
+
+class TestProvenLevels:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_mixture_and_levels())
+    def test_a_proven_level_has_one_root_in_its_full_scans_cell(self, case):
+        mix, levels = case
+        table = bifurcation._level_table(mix, np.array(levels))
+        cols = np.arange(len(levels))
+        scan = bifurcation._scan_levels(table, cols)
+        with _full_scans_only():
+            full = bifurcation._scan_levels(table, cols)
+        # Every level's brackets and zero nodes are bitwise the full scan's.
+        for col in cols:
+            for part, full_part in zip(scan, full):
+                for a, b in zip(part[1:], full_part[1:]):
+                    np.testing.assert_array_equal(a[part[0] == col].view(np.int64),
+                                                  b[full_part[0] == col].view(np.int64))
+        # A dense scan that shares no code with the library finds one root.
+        for col in cols[bifurcation._proven_monotone(table, cols)]:
+            assert sign_change_count(mix, levels[col], *scan_box(mix, levels[col])) == 1
+            assert bifurcation._provisional_counts(scan, len(levels))[col] == 1
+
+    def test_grid_nodes_are_linspaces_bitwise(self):
+        table = bifurcation._schedule_table(COMB_SYMMETRIC, SCHEDULE)
+        cols = np.arange(0, 1000, 3)
+        nodes = bifurcation._grid_nodes(table, cols, np.arange(bifurcation.GRID_NODES))
+        for col, row in zip(cols, nodes):
+            expected = np.linspace(table[1][col], table[2][col], bifurcation.GRID_NODES)
+            np.testing.assert_array_equal(row.view(np.int64), expected.view(np.int64))
+
+    def test_most_atlas_levels_are_proven(self):
+        # The 101 strided levels of the benchmark's atlas mixtures at stride 10.
+        proven = [int(bifurcation._proven_monotone(bifurcation._schedule_table(mix, SCHEDULE),
+                                                   _strided_steps(SCHEDULE, 10) - 1).sum())
+                  for mix in (PAIR_SKEWED, ROW_LOPSIDED, COMB_SYMMETRIC)]
+        assert proven == [77, 64, 40]
+
+    @pytest.mark.parametrize("node", [34, 40], ids=["coarse-node", "fine-node"])
+    def test_a_zero_on_a_node_of_a_proven_level(self, monkeypatch, node):
+        # g(x) = x - r, with r on node 34 = 2 * 17 (a coarse node) or on node
+        # 40, inside the coarse cell [34, 51].
+        ab = 0.5
+        assert bifurcation._proven_monotone(bifurcation._level_table(TWO_DELTAS, np.array([ab])), np.arange(1))
+        root = np.linspace(*scan_box(TWO_DELTAS, ab), bifurcation.GRID_NODES)[node]
+        monkeypatch.setattr(bifurcation, "_score_and_slope", _injected(lambda x: x - root, np.ones_like))
+        sizes, real = [], bifurcation._drift_terms
+        monkeypatch.setattr(bifurcation, "_drift_terms",
+                            lambda params, level, x: sizes.append(x.size) or real(params, level, x))
+        points = find_fixed_points(TWO_DELTAS, ab)
+        assert [(p.x, p.stable) for p in points] == [(root, True)]
+        assert sizes == [16, 16, 1]  # the coarse nodes, the cell's inner nodes, the slope at the zero
+        with _full_scans_only():
+            assert find_fixed_points(TWO_DELTAS, ab) == points
+
+    @pytest.mark.parametrize("mix", [PAIR_SKEWED, ROW_LOPSIDED, COMB_SYMMETRIC, TEN_DELTAS],
+                             ids=["pair-skewed", "row-lopsided", "comb-symmetric", "ten-deltas"])
+    def test_a_stride_one_sweep_is_bitwise_its_full_scans(self, mix):
+        assert bifurcation._proven_monotone(bifurcation._schedule_table(mix, SCHEDULE), np.arange(1000)).any()
+        diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
+        with _full_scans_only():
+            full = trace_bifurcations(mix, SCHEDULE, stride=1)
+        assert _bits(diagram.points) == _bits(full.points)
+        assert diagram.critical == full.critical
+
+    def test_an_overflowing_search_box_is_never_proven(self):
+        # The node spacing overflows, so the nodes are not finite: the full
+        # scan must see the level, and it raises.
+        huge = MixtureModel.deltas([-1.7e308, 1.7e308])
+        table = bifurcation._schedule_table(huge, SCHEDULE)
+        assert not bifurcation._proven_monotone(table, np.arange(1000)).any()
+        with pytest.raises(FloatingPointError, match=r"^step t=1: .* not finite on the search box"):
+            trace_bifurcations(huge, SCHEDULE, stride=10)
 
 
 class TestSiblingSplitTime:
