@@ -24,6 +24,7 @@ A trace solves its strided steps and the midpoints its bisection reads in one Ne
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,13 +83,28 @@ class CountChange:
 
 @dataclass(frozen=True, eq=False)
 class BifurcationDiagram:
-    """Fixed points per swept noise level plus the detected count changes."""
+    """Fixed points per swept noise level plus the detected count changes.
+
+    Level ``i`` of ``steps`` holds ``counts[i]`` roots, in increasing order, next in the flat arrays
+    ``x`` and ``stable``; ``points`` holds them as :class:`FixedPoint` tuples, built on first access."""
 
     steps: np.ndarray
     s: np.ndarray
     alpha_bars: np.ndarray
-    points: tuple[tuple[FixedPoint, ...], ...]
+    counts: np.ndarray
+    x: np.ndarray
+    stable: np.ndarray
     critical: tuple[CountChange, ...]
+
+    @cached_property
+    def points(self) -> tuple[tuple[FixedPoint, ...], ...]:
+        cuts = np.cumsum(self.counts)[:-1]
+        return tuple(map(_fixed_points, self.alpha_bars.tolist(), np.split(self.x, cuts),
+                         np.split(self.stable, cuts)))
+
+
+def _fixed_points(alpha_bar, x, stable):
+    return tuple(FixedPoint(x=r, alpha_bar=alpha_bar, stable=b) for r, b in zip(x.tolist(), stable.tolist()))
 
 
 def _drift_terms(params, levels, x):
@@ -243,7 +259,7 @@ def _provisional_counts(scan, size):
 
 
 def _solve_levels(table, cols, scan):
-    """The fixed points at each column ``cols`` of ``table`` from their ``scan``: one
+    """The roots ``(x, stable)`` at each column ``cols`` of ``table`` from their ``scan``: one
     Newton-bisection and one classifying pass, each in chunks of ``CHUNK_TERMS`` terms."""
     params, per_solve = table[0], max(1, CHUNK_TERMS // len(table[0][0]))
     brackets, (level, x) = scan  # the zero grid nodes, then the bracket roots
@@ -257,18 +273,15 @@ def _solve_levels(table, cols, scan):
     level, x = level[order], x[order]
     first = np.ones(x.size, dtype=bool)
     first[1:] = (level[1:] != level[:-1]) | (x[1:] != x[:-1])
-    level, x = level[first], x[first]
-    slopes = [s for r in range(0, x.size, per_solve)
-              for s in _drift_terms(params, level[r:r + per_solve], x[r:r + per_solve])[1].tolist()]
-    x = x.tolist()
+    level, x = level[first], x[first] + 0.0  # -0.0 becomes +0.0
+    stable = np.concatenate([_drift_terms(params, level[r:r + per_solve], x[r:r + per_solve])[1] > 0.0
+                             for r in range(0, x.size, per_solve)])
     begins, ends = (np.searchsorted(level, cols, side=side).tolist() for side in ("left", "right"))
-    return [tuple(FixedPoint(x=r + 0.0, alpha_bar=ab, stable=slope > 0.0)
-                  for r, slope in zip(x[begin:end], slopes[begin:end]))
-            for ab, begin, end in zip(table[3][cols].tolist(), begins, ends)]
+    return [(x[begin:end], stable[begin:end]) for begin, end in zip(begins, ends)]
 
 
 def _solve_columns(table, cols):
-    """The fixed points at each column ``cols`` of ``table``: one scan, one solve."""
+    """The roots ``(x, stable)`` at each column ``cols`` of ``table``: one scan, one solve."""
     return _solve_levels(table, cols, _scan_levels(table, cols))
 
 
@@ -286,7 +299,7 @@ def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoi
     rising.  The box spans the origin and every diffused mean with a 4-sigma margin.
     """
     table = _level_table(mixture, np.array([alpha_bar], dtype=np.float64))
-    return _solve_columns(table, np.arange(1))[0]
+    return _fixed_points(float(table[3][0]), *_solve_columns(table, np.arange(1))[0])
 
 
 def _schedule_table(mixture, schedule):
@@ -297,9 +310,9 @@ def _schedule_table(mixture, schedule):
 def _bisect_changes(table, brackets, count, solved):
     """Narrow each bracket ``(t_lo, c_lo, t_hi, c_hi)`` to adjacent steps.
 
-    ``count(t, points)`` is the quantity whose change a bracket holds, ``c_lo`` and ``c_hi`` its
+    ``count(t, roots)`` is the quantity whose change a bracket holds, ``c_lo`` and ``c_hi`` its
     values at the ends.  A midpoint whose count equals ``c_lo`` becomes the low end, any other
-    the high end, while ``solved`` (fixed points by step) holds it; one more batch solves the
+    the high end, while ``solved`` (roots ``(x, stable)`` by step) holds it; one more batch solves the
     steps inside the brackets left wider, from the :func:`_schedule_table` ``table``.
     """
     def narrow(t_lo, c_lo, t_hi, c_hi):
@@ -348,15 +361,17 @@ def trace_bifurcations(mixture: MixtureModel, schedule: NoiseSchedule,
                 for old, part in zip(scan, more)]
         cols = np.concatenate([cols, inner[wanted[inner]]])
     solved = dict(zip((cols + 1).tolist(), _solve_levels(table, cols, scan)))
-    levels = [solved[t] for t in steps]
-    brackets = [(steps[i - 1], len(levels[i - 1]), steps[i], len(levels[i]))
-                for i in range(1, len(levels)) if len(levels[i]) != len(levels[i - 1])]
-    changes = _bisect_changes(table, brackets, lambda t, points: len(points), solved)
+    x, stable = zip(*(solved[t] for t in steps))
+    n = [len(roots) for roots in x]
+    brackets = [(steps[i - 1], n[i - 1], steps[i], n[i]) for i in range(1, len(n)) if n[i] != n[i - 1]]
+    changes = _bisect_changes(table, brackets, lambda t, roots: len(roots[0]), solved)
     return BifurcationDiagram(
         steps=strided,
         s=strided / schedule.num_steps,
         alpha_bars=schedule.alpha_bars[strided - 1],
-        points=tuple(levels),
+        counts=np.array(n),
+        x=np.concatenate(x),
+        stable=np.concatenate(stable),
         critical=tuple(CountChange(t_before=t_lo, t_after=t_hi,
                                    s=(t_lo + t_hi) / (2.0 * schedule.num_steps),
                                    count_before=c_lo, count_after=c_hi)
@@ -382,14 +397,15 @@ def sibling_split_time(mixture: MixtureModel, schedule: NoiseSchedule,
     mu_i, mu_j = sorted((mixture.means[i], mixture.means[j]))
     pad = 0.3 * (mu_j - mu_i)
 
-    def separate(t, points):
+    def separate(t, roots):
+        x, stable = roots
         root = np.sqrt(schedule.alpha_bar(t))
         lo, hi = root * (mu_i - pad), root * (mu_j + pad)
-        return sum(1 for p in points if p.stable and lo <= p.x <= hi) >= 2
+        return np.count_nonzero(stable & (lo <= x) & (x <= hi)) >= 2
 
     table = _schedule_table(mixture, schedule)
     probes = _strided_steps(schedule, 20)
-    flags = [separate(t, points) for t, points in zip(probes.tolist(), _solve_columns(table, probes - 1))]
+    flags = [separate(t, roots) for t, roots in zip(probes.tolist(), _solve_columns(table, probes - 1))]
     if not flags[0] or all(flags):
         return None
     k = flags.index(False)

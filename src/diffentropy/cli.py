@@ -449,12 +449,10 @@ def _fixed_points_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list
             f"critical s={event.s!r} steps {event.t_before}->{event.t_after} "
             f"count {event.count_before}->{event.count_after}"
         )
-    counts = [len(points) for points in diagram.points]
-    found = [p for points in diagram.points for p in points]
-    s, x = np.repeat(diagram.s, counts), np.array([p.x for p in found], dtype=float)
-    stability = np.array(["stable" if p.stable else "unstable" for p in found], dtype=str)
+    s, x = np.repeat(diagram.s, diagram.counts), diagram.x
+    stability = np.where(diagram.stable, "stable", "unstable")
     text = _csv_text(comments, ["s", "alpha_bar", "x_star", "stability"],
-                     [s, np.repeat(diagram.alpha_bars, counts), x, stability])
+                     [s, np.repeat(diagram.alpha_bars, diagram.counts), x, stability])
     path = os.path.join(out_dir, "fixed_points.csv")
     _atomic_write(path, text)
     written = [path]
@@ -511,12 +509,16 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="diffentropy",
         description="Conditional-entropy and bifurcation analysis of 1-D diffusion experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, overrides, _, job) in _COMMANDS.items():
+    # Only a named command's parser is built; its metavar keeps the usage line of all four.
+    commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None)
+    for name, (help_text, overrides, _, job) in commands.items():
         _add_common(sub.add_parser(name, help=help_text), overrides, writes=job is not None)
 
     args = parser.parse_args(argv)

@@ -141,7 +141,7 @@ class NoiseSchedule:
 
     @classmethod
     def from_betas(cls, betas: Iterable[float]) -> "NoiseSchedule":
-        betas = np.asarray(list(betas), dtype=np.float64)
+        betas = np.asarray(betas if isinstance(betas, np.ndarray) else list(betas), dtype=np.float64)
         return cls(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
 
 

@@ -53,13 +53,10 @@ def _kernel_tables(mixture: MixtureModel, alpha_bars, *subsets) -> list:
     mixture raises :class:`DegenerateDensityError`.
     """
     ab = np.asarray(alpha_bars, dtype=np.float64)
-    # Checked on Python floats: for one level, the common case, that is much
-    # cheaper than two array reductions.
-    levels = ab.tolist()
-    bad = [a for a in levels if not 0.0 <= a <= 1.0]
-    if bad:
-        raise ParameterError(f"alpha_bar must lie in [0, 1], got {bad[0]!r}")
-    if 1.0 in levels and np.any(mixture.variances == 0.0):
+    inside = (0.0 <= ab) & (ab <= 1.0)  # False for NaN
+    if not inside.all():
+        raise ParameterError(f"alpha_bar must lie in [0, 1], got {float(ab[~inside][0])!r}")
+    if (ab == 1.0).any() and np.any(mixture.variances == 0.0):
         raise DegenerateDensityError(
             "mixture contains point masses; densities are undefined at alpha_bar = 1"
         )

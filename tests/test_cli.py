@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,10 +17,14 @@ from hypothesis import strategies as st
 
 import diffentropy
 from diffentropy import cli
+from diffentropy._svg import scatter_chart
+from diffentropy.bifurcation import trace_bifurcations
 from diffentropy.cli import ConfigError, ExperimentConfig, load_config, main
 from diffentropy.core import linear_schedule
 from diffentropy.tracker import GmmScoreModel, write_replay_csv
 from diffentropy.core import MixtureModel, make_partition
+
+from test_benchmark_oracles import ATLAS
 
 
 SCHEDULE_150 = {"num_steps": 150, "beta_start": 5e-4, "beta_end": 0.12}
@@ -443,6 +449,133 @@ class TestFixedPointsCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: step t=1: "), err
         assert not (out / "fixed_points.csv").exists()
+
+
+def _fixed_point_files(config):
+    """``fixed_points.csv`` and ``.svg`` as the job wrote them by flattening ``diagram.points``."""
+    diagram = trace_bifurcations(config.mixture(), config.schedule(), stride=config.stride)
+    comments = cli._common_comments(config) + [
+        f"critical s={e.s!r} steps {e.t_before}->{e.t_after} count {e.count_before}->{e.count_after}"
+        for e in diagram.critical]
+    counts = [len(points) for points in diagram.points]
+    found = [p for points in diagram.points for p in points]
+    s, x = np.repeat(diagram.s, counts), np.array([p.x for p in found], dtype=float)
+    stability = np.array(["stable" if p.stable else "unstable" for p in found], dtype=str)
+    text = cli._csv_text(comments, ["s", "alpha_bar", "x_star", "stability"],
+                         [s, np.repeat(diagram.alpha_bars, counts), x, stability])
+    groups = [(kind, s[stability == kind], x[stability == kind])
+              for kind in ("stable", "unstable") if np.any(stability == kind)]
+    return text, scatter_chart(groups, title="drift fixed points", xlabel="normalized time s", ylabel="x*")
+
+
+class TestFixedPointArrays:
+    MIXTURES = {**ATLAS, "four-deltas": {"means": [-8.0, -4.0, 6.0, 8.0]}}
+
+    @pytest.mark.parametrize("stride", [10, 1])
+    @pytest.mark.parametrize("name", MIXTURES)
+    def test_the_arrays_and_points_agree_and_write_the_same_files(self, tmp_path, name, stride):
+        config = ExperimentConfig.from_dict({"method": "fixedpoints", "mixture": self.MIXTURES[name],
+                                             "stride": stride})
+        diagram = trace_bifurcations(config.mixture(), config.schedule(), stride=stride)
+        assert diagram.counts.tolist() == [len(points) for points in diagram.points]
+        found = [p for points in diagram.points for p in points]
+        assert [x.hex() for x in diagram.x.tolist()] == [p.x.hex() for p in found]
+        assert diagram.stable.tolist() == [p.stable for p in found]
+        assert [{p.alpha_bar for p in points} for points in diagram.points] == [
+            {ab} for ab in diagram.alpha_bars.tolist()]
+        assert diagram.points is diagram.points  # built once
+        written = cli._fixed_points_job(config, str(tmp_path), svg=True)
+        assert written == [str(tmp_path / "fixed_points.csv"), str(tmp_path / "fixed_points.svg")]
+        text, chart = _fixed_point_files(config)
+        assert (tmp_path / "fixed_points.csv").read_text() == text
+        assert (tmp_path / "fixed_points.svg").read_text() == chart
+
+
+class TestSvg:
+    @pytest.mark.parametrize("method", COMMANDS)
+    def test_svg_reruns_are_byte_identical(self, tmp_path, method):
+        cfg = write_config(tmp_path / "c.json", method=method, samples=50)
+        charts = []
+        for run in ("first", "second"):
+            assert main([COMMANDS[method], "--config", str(cfg), "--out", str(tmp_path / run), "--svg"]) == 0
+            charts.append({path.name: path.read_bytes() for path in (tmp_path / run).glob("*.svg")})
+        assert len(charts[0]) == 1 and charts[0] == charts[1]
+
+    def test_each_fixed_point_row_has_one_dot_coloured_by_its_stability(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", method="fixedpoints", mixture=ATLAS["row-lopsided"],
+                           schedule={"num_steps": 1000})
+        assert main(["fixed-points", "--config", str(cfg), "--out", str(tmp_path), "--svg"]) == 0
+        lines = (tmp_path / "fixed_points.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        svg = (tmp_path / "fixed_points.svg").read_text()
+        colour = {label: c for c, label in re.findall(
+            r'stroke="(#\w+)" stroke-width="2"/>\n<text [^>]*>(\w+)</text>', svg)}
+        assert colour.keys() == {"stable", "unstable"} and len(set(colour.values())) == 2
+        # Each row's dot, at its place on the 720 x 480 chart: a 64-px left margin, 640 px of
+        # plot width, 400 px of height over the roots' range padded by 4%, and a 44-px bottom margin.
+        s, x = [float(row[0]) for row in rows], [float(row[2]) for row in rows]
+        s0, s1 = min(s), max(s)
+        pad = 0.04 * (max(x) - min(x))
+        x0, x1 = min(x) - pad, max(x) + pad
+        dots = [(f"{64 + (a - s0) / (s1 - s0) * 640:.2f}", f"{480 - 44 - (b - x0) / (x1 - x0) * 400:.2f}",
+                 colour[row[3]]) for a, b, row in zip(s, x, rows)]
+        circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="[^"]+" fill="([^"]+)"/>', svg)
+        assert len(circles) == svg.count("<circle") == len(rows)
+        assert sorted(circles) == sorted(dots)
+
+
+def _full_parser():
+    """The parser with every subcommand, as ``main`` built it for any arguments: the oracle of
+    its usage lines, errors and help."""
+    parser = argparse.ArgumentParser(
+        prog="diffentropy",
+        description="Conditional-entropy and bifurcation analysis of 1-D diffusion experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, overrides, _, job) in cli._COMMANDS.items():
+        cli._add_common(sub.add_parser(name, help=help_text), overrides, writes=job is not None)
+    return parser
+
+
+class TestParser:
+    USAGE = "usage: diffentropy [-h] {profile,estimate,fixed-points,validate-config} ...\n"
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--config", "c.json", "--bogus"] for command in cli._COMMANDS),
+        *([command, "--help"] for command in cli._COMMANDS),
+        *([command] for command in cli._COMMANDS),
+        ["fixed-points", "--config", "c.json", "extra"], ["profile", "--config", "c.json", "--stride", "x"],
+        ["estimate", "--config"], ["validate-config", "--config", "c.json", "--svg"],
+        [], ["--help"], ["-h", "profile"], ["bogus"], ["Profile"], ["--config", "c.json"],
+    ], ids=" ".join)
+    def test_usage_errors_and_help_match_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as expected:
+            _full_parser().parse_args(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == expected.value.code
+        assert capsys.readouterr() == printed
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_an_unrecognized_flag_prints_the_usage_of_every_command(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--config", "c.json", "--bogus"])
+        assert caught.value.code == 2
+        assert capsys.readouterr().err == self.USAGE + "diffentropy: error: unrecognized arguments: --bogus\n"
+
+    def test_only_the_named_command_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda sub, name, add=argparse._SubParsersAction.add_parser, **kw:
+                            built.append(name) or add(sub, name, **kw))
+        with pytest.raises(SystemExit):
+            main(["fixed-points", "--help"])
+        assert built == ["fixed-points"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["fixed-points", *cli._COMMANDS]
 
 
 class TestValidateAndErrors:

@@ -60,6 +60,18 @@ class TestLinearSchedule:
         with pytest.raises(ParameterError):
             sched.alpha_bar(11)
 
+    def test_from_betas_takes_arrays_and_any_iterable_of_floats(self):
+        betas = np.linspace(1e-4, 0.02, 1000)
+        expected = NoiseSchedule.from_betas(betas)
+        assert expected.betas is not betas and not expected.betas.flags.writeable
+        for given in (betas.tolist(), tuple(betas.tolist()), (float(b) for b in betas),
+                      np.stack([betas, betas], axis=1)[:, 0]):
+            sched = NoiseSchedule.from_betas(given)
+            assert sched.betas.tobytes() == betas.tobytes()
+            assert sched.alpha_bars.tobytes() == expected.alpha_bars.tobytes()
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            NoiseSchedule.from_betas(np.full((2, 3), 0.1))
+
     def test_inconsistent_alpha_bars_rejected(self):
         betas = np.linspace(0.1, 0.2, 5)
         good = np.cumprod(1 - betas)

@@ -276,6 +276,10 @@ class TestKernelHelpers:
         for levels in ([0.5, 1.5], [0.5, np.nan]):
             with pytest.raises(ParameterError):
                 _kernel_tables(FOUR_DELTAS, np.array(levels), range(4))
+        # The message names the first level outside [0, 1], NaN included.
+        for levels, first in (([0.5, -0.25, 2.0], "-0.25"), ([1.0, np.nan, 3.0], "nan"), ([1.5], "1.5")):
+            with pytest.raises(ParameterError, match=rf"^alpha_bar must lie in \[0, 1\], got {first}$"):
+                _kernel_tables(MixtureModel(weights=[1.0], means=[0.0], variances=[1.0]), levels, (0,))
         with pytest.raises(DegenerateDensityError):
             _kernel_tables(FOUR_DELTAS, np.array([0.5, 1.0]), range(4))
 
