@@ -11,6 +11,8 @@ branch-diagram SVG per mixture.
 import json
 from pathlib import Path
 
+import numpy as np
+
 from diffentropy import MixtureModel, linear_schedule, trace_bifurcations
 from diffentropy.cli import main as cli
 
@@ -58,7 +60,7 @@ def main():
 
 def stable_branch_merges(diagram):
     """Stable-branch count drops at the sweep's stride resolution."""
-    counts = [sum(p.stable for p in pts) for pts in diagram.points]
+    counts = [int(stable.sum()) for stable in np.split(diagram.stable, np.cumsum(diagram.counts)[:-1])]
     return [(float(diagram.s[i]), counts[i - 1], counts[i])
             for i in range(1, len(counts)) if counts[i] < counts[i - 1]]
 

@@ -15,7 +15,6 @@ from .core import (
 from .mixture import (
     DegenerateDensityError,
     score,
-    score_derivative,
 )
 from .entropy import (
     EntropyProfile,
@@ -34,7 +33,6 @@ from .tracker import (
 from .bifurcation import (
     BifurcationDiagram,
     CountChange,
-    FixedPoint,
     find_fixed_points,
     sibling_split_time,
     trace_bifurcations,
@@ -45,11 +43,11 @@ __all__ = [
     "MixtureModel", "NoiseSchedule", "Partition",
     "linear_schedule", "make_partition",
     "ParameterError", "PartitionError",
-    "score", "score_derivative", "DegenerateDensityError",
+    "score", "DegenerateDensityError",
     "EntropyProfile", "conditional_entropy_at",
     "entropy_profile", "QuadratureDomainError",
     "GmmScoreModel", "ReplayScoreModel", "write_replay_csv",
     "McEntropyEstimate", "estimate_conditional_entropy", "ModelEvaluationError",
-    "FixedPoint", "CountChange", "BifurcationDiagram", "find_fixed_points",
+    "CountChange", "BifurcationDiagram", "find_fixed_points",
     "trace_bifurcations", "sibling_split_time",
 ]

@@ -24,18 +24,16 @@ A trace solves its strided steps and the midpoints its bisection reads in one Ne
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import MixtureModel, NoiseSchedule, ParameterError, _level_namer, _strided_steps
+from .core import MixtureModel, NoiseSchedule, ParameterError, _level_namer, _single_level, _strided_steps
 from .mixture import CHUNK_TERMS, LOG_2PI, _gather, _kernel_tables, _score_and_slope
 # Unused here, but perfbench/tracing.py wraps them under these names.
 from .mixture import score, score_derivative  # noqa: F401
 
 __all__ = [
     "DRIFT_COEFF",
-    "FixedPoint",
     "CountChange",
     "BifurcationDiagram",
     "find_fixed_points",
@@ -49,25 +47,6 @@ _STRIDE = int(GRID_NODES**0.5) + 1  # a proven level's coarse nodes: every 17th,
 _COARSE = np.arange(0, GRID_NODES, _STRIDE)
 RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """A root of the drift residual at one noise level.
-
-    ``x`` is a grid node where ``g`` is exactly zero, or the end with the
-    smaller ``|g|`` of a bracket over which ``g`` changes sign.  A bracket is
-    finished in one of three ways, each a certificate: ``g`` is exactly zero
-    at an end; ``|g| < RESIDUAL_TOL`` at an end whose Newton step is below
-    float resolution at unit scale; or the bracket is narrower than ``eps``
-    or down to adjacent floats, so a root lies within ``eps max(1, |x|)`` of
-    ``x``.  ``stable`` is the sign of the residual slope: positive slope
-    means the descent dynamics ``x' = -g(x)`` contracts onto the root.
-    """
-
-    x: float
-    alpha_bar: float
-    stable: bool
 
 
 @dataclass(frozen=True)
@@ -86,7 +65,7 @@ class BifurcationDiagram:
     """Fixed points per swept noise level plus the detected count changes.
 
     Level ``i`` of ``steps`` holds ``counts[i]`` roots, in increasing order, next in the flat arrays
-    ``x`` and ``stable``; ``points`` holds them as :class:`FixedPoint` tuples, built on first access."""
+    ``x`` and ``stable``: each level's slices are its :func:`find_fixed_points` pair."""
 
     steps: np.ndarray
     s: np.ndarray
@@ -95,16 +74,6 @@ class BifurcationDiagram:
     x: np.ndarray
     stable: np.ndarray
     critical: tuple[CountChange, ...]
-
-    @cached_property
-    def points(self) -> tuple[tuple[FixedPoint, ...], ...]:
-        cuts = np.cumsum(self.counts)[:-1]
-        return tuple(map(_fixed_points, self.alpha_bars.tolist(), np.split(self.x, cuts),
-                         np.split(self.stable, cuts)))
-
-
-def _fixed_points(alpha_bar, x, stable):
-    return tuple(FixedPoint(x=r, alpha_bar=alpha_bar, stable=b) for r, b in zip(x.tolist(), stable.tolist()))
 
 
 def _drift_terms(params, levels, x):
@@ -285,21 +254,28 @@ def _solve_columns(table, cols):
     return _solve_levels(table, cols, _scan_levels(table, cols))
 
 
-def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[FixedPoint, ...]:
-    """Locate every root of the drift residual inside the search box.
+def find_fixed_points(mixture: MixtureModel, alpha_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every root ``x`` of the drift residual inside the search box, in increasing order, and
+    its flag ``stable``.
 
     Evaluates the residual on ``GRID_NODES`` evenly spaced nodes, reports nodes
     where it is exactly zero, and runs one safeguarded Newton-bisection per
     sign-change cell, so each bracket yields one root (a root two brackets
-    end on is reported once); stability is classified from the residual
-    slope.  The result is never empty; a residual that is not finite on the
-    grid raises ``FloatingPointError``.  A cell holding an even number of
-    roots shows no sign change; the grid must be fine enough that roots are
-    at least one cell apart, unless a slope bound proves the level's residual
-    rising.  The box spans the origin and every diffused mean with a 4-sigma margin.
+    end on is reported once): the end with the smaller ``|g|``.  A bracket is
+    finished in one of three ways, each a certificate: ``g`` is exactly zero
+    at an end; ``|g| < RESIDUAL_TOL`` at an end whose Newton step is below
+    float resolution at unit scale; or the bracket is narrower than ``eps``
+    or down to adjacent floats, so a root lies within ``eps max(1, |x|)`` of
+    ``x``.  ``stable`` is the sign of the residual slope: positive slope
+    means the descent dynamics ``x' = -g(x)`` contracts onto the root.  The
+    result is never empty; a residual that is not finite on the grid raises
+    ``FloatingPointError``, and an ``alpha_bar`` that is not one level
+    :class:`ParameterError`.  A cell holding an even number of roots shows no
+    sign change; the grid must be fine enough that roots are at least one
+    cell apart, unless a slope bound proves the level's residual rising.  The
+    box spans the origin and every diffused mean with a 4-sigma margin.
     """
-    table = _level_table(mixture, np.array([alpha_bar], dtype=np.float64))
-    return _fixed_points(float(table[3][0]), *_solve_columns(table, np.arange(1))[0])
+    return _solve_columns(_level_table(mixture, _single_level(alpha_bar)), np.arange(1))[0]
 
 
 def _schedule_table(mixture, schedule):

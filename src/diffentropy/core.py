@@ -217,12 +217,20 @@ def _level_namer(alpha_bars, steps=None):
     return lambda l: f"alpha_bar={float(alpha_bars[l])!r}"
 
 
+def _single_level(alpha_bar) -> np.ndarray:
+    """``alpha_bar`` as a one-element float64 array; a value of any shape but ``()`` raises."""
+    if np.ndim(alpha_bar) != 0:
+        raise ParameterError(f"alpha_bar must be one level, got shape {np.shape(alpha_bar)}")
+    return np.array([alpha_bar], dtype=np.float64)
+
+
 def _strided_steps(schedule: NoiseSchedule, stride: int) -> np.ndarray:
     """Every ``stride``-th step starting at 1, always including the last step; read-only."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
     t = schedule.num_steps
-    steps = np.arange(1, t + 1, stride)
+    # Every stride from T on gives [1, T]; a stride past int64 would give float steps.
+    steps = np.arange(1, t + 1, min(stride, t))
     if steps[-1] != t:
         steps = np.append(steps, t)
     steps.flags.writeable = False

@@ -61,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixtureModel, NoiseSchedule, ParameterError, Partition, _level_namer, _strided_steps
+from .core import (MixtureModel, NoiseSchedule, ParameterError, Partition, _level_namer, _single_level,
+                   _strided_steps)
 from .mixture import CHUNK_TERMS, POSTERIOR_FLOOR, _gather, _kernel_tables, _log_joints, _logsumexp
 
 __all__ = [
@@ -259,7 +260,7 @@ def conditional_entropy_at(mixture: MixtureModel, partition: Partition, alpha_ba
     excursion beyond ``1 + 1e-9``, a mass defect or a level that needs more
     than ``MAX_CELLS`` cells raises :class:`QuadratureDomainError`.
     """
-    return float(_entropy_levels(mixture, partition, np.array([alpha_bar], dtype=np.float64))[0])
+    return float(_entropy_levels(mixture, partition, _single_level(alpha_bar))[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MixtureModel, ParameterError
+from .core import MixtureModel, ParameterError, _single_level
 
 __all__ = [
     "DegenerateDensityError",
@@ -137,10 +137,8 @@ def _score_and_slope(params: tuple, x: np.ndarray) -> tuple:
 
 def _one_level(mixture: MixtureModel, alpha_bar, x) -> tuple:
     """The full mixture's kernel parameters at the one level ``alpha_bar``, and ``x`` as an array."""
-    if np.ndim(alpha_bar) != 0:
-        raise ParameterError(f"alpha_bar must be one level, got shape {np.shape(alpha_bar)}")
+    [table] = _kernel_tables(mixture, _single_level(alpha_bar), range(mixture.num_components))
     x = np.asarray(x, dtype=np.float64)
-    [table] = _kernel_tables(mixture, [alpha_bar], range(mixture.num_components))
     return _gather(table, np.zeros((1,) * x.ndim, dtype=np.intp), x), x
 
 

@@ -400,6 +400,8 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     """
     if n_z0 < 1 or n_z1 < 1:
         raise ParameterError("both sample counts must be >= 1")
+    if 8 * (n_z0 + n_z1) > np.iinfo(np.intp).max:  # an array of n float64 values has 8 n bytes
+        raise ParameterError(f"sample counts {n_z0} + {n_z1} exceed any address space")
     if not 0.0 < prior_z0 < 1.0:
         raise ParameterError(f"prior_z0 must lie strictly inside (0, 1), got {prior_z0!r}")
     if complement not in ("exact", "null"):

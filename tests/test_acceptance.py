@@ -198,17 +198,16 @@ def test_criterion_6_fixed_point_correctness():
     for name, mixture in SETUPS.items():
         for t in [*range(1, 25), *range(25, 1001, 25)]:
             ab = SCHEDULE.alpha_bar(t)
-            points = find_fixed_points(mixture, ab)
+            xs, _ = find_fixed_points(mixture, ab)
             if t >= 25:
-                residuals = drift_residual_reference(mixture, ab, [p.x for p in points])
+                residuals = drift_residual_reference(mixture, ab, xs)
                 worst_residual = max(worst_residual, float(np.max(np.abs(residuals))))
             else:
-                uncertified += [(name, t, p.x) for p in points if not root_certified(mixture, ab, p.x)]
+                uncertified += [(name, t, x) for x in xs.tolist() if not root_certified(mixture, ab, x)]
             expected = sign_change_count(mixture, ab, *scan_box(mixture, ab))
-            if len(points) != expected:
-                count_mismatches.append((name, t, len(points), expected))
+            if len(xs) != expected:
+                count_mismatches.append((name, t, len(xs), expected))
             if name in SYMMETRIC_SETUPS:
-                xs = np.array([p.x for p in points])
                 worst_asymmetry = max(worst_asymmetry, float(np.max(np.abs(xs + xs[::-1]))))
     ok = worst_residual < 1e-10 and not uncertified and not count_mismatches and worst_asymmetry < 1e-9
     _gate(6, "fixed-point-correctness", ok,

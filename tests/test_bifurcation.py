@@ -36,9 +36,15 @@ def _full_scans_only():
     return mock.patch.object(bifurcation, "_proven_monotone", lambda table, cols: np.zeros(len(cols), dtype=bool))
 
 
-def _bits(points):
-    """The exact bits of a sweep's fixed points."""
-    return [[(p.x.hex(), p.stable) for p in level] for level in points]
+def _levels(diagram):
+    """Each swept level's ``(x, stable)``: its slices of the diagram's flat arrays."""
+    cuts = np.cumsum(diagram.counts)[:-1]
+    return list(zip(np.split(diagram.x, cuts), np.split(diagram.stable, cuts)))
+
+
+def _bits(x, stable):
+    """The exact bits of one level's fixed points: ``-0.0`` and ``+0.0`` differ."""
+    return x.tobytes(), stable.tolist()
 
 
 @st.composite
@@ -92,54 +98,53 @@ class TestDriftResidual:
 
 class TestFindFixedPoints:
     def test_high_noise_single_stable_origin(self):
-        pts = find_fixed_points(TWO_DELTAS, 1e-4)
-        assert len(pts) == 1
-        assert pts[0].stable
-        assert pts[0].x == pytest.approx(0.0, abs=1e-12)
+        x, stable = find_fixed_points(TWO_DELTAS, 1e-4)
+        assert x.dtype == np.float64 and stable.dtype == bool and x.shape == stable.shape == (1,)
+        assert stable[0]
+        assert x[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_low_noise_pitchfork_arms(self):
         ab = 0.999
-        pts = find_fixed_points(TWO_DELTAS, ab)
-        assert len(pts) == sign_change_count(TWO_DELTAS, ab, *scan_box(TWO_DELTAS, ab))
-        assert len(pts) == 3
-        assert [p.stable for p in pts] == [True, False, True]
+        x, stable = find_fixed_points(TWO_DELTAS, ab)
+        assert len(x) == sign_change_count(TWO_DELTAS, ab, *scan_box(TWO_DELTAS, ab))
+        assert len(x) == 3
+        assert stable.tolist() == [True, False, True]
         # Arms sit just inside the noise-scaled deltas.
-        assert pts[0].x == pytest.approx(-np.sqrt(ab), abs=0.01)
-        assert pts[2].x == pytest.approx(np.sqrt(ab), abs=0.01)
-        assert pts[1].x == pytest.approx(0.0, abs=1e-12)
+        assert x[0] == pytest.approx(-np.sqrt(ab), abs=0.01)
+        assert x[2] == pytest.approx(np.sqrt(ab), abs=0.01)
+        assert x[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_every_root_is_converged_and_consistently_classified(self):
         h = 1e-5
         for ab in (0.05, 0.3, 0.6, 0.9, 0.999):
-            for p in find_fixed_points(FOUR_DELTAS, ab):
-                assert root_certified(FOUR_DELTAS, ab, p.x)
-                fd = (drift_residual_reference(FOUR_DELTAS, ab, p.x + h)
-                      - drift_residual_reference(FOUR_DELTAS, ab, p.x - h)) / (2 * h)
-                assert p.stable == (fd > 0)
+            roots, flags = find_fixed_points(FOUR_DELTAS, ab)
+            for x, stable in zip(roots.tolist(), flags.tolist()):
+                assert root_certified(FOUR_DELTAS, ab, x)
+                fd = (drift_residual_reference(FOUR_DELTAS, ab, x + h)
+                      - drift_residual_reference(FOUR_DELTAS, ab, x - h)) / (2 * h)
+                assert stable == (fd > 0)
 
     def test_counts_match_dense_scan_across_sweep(self):
         for t in range(1, SCHEDULE.num_steps + 1, 97):
             ab = SCHEDULE.alpha_bar(t)
-            pts = find_fixed_points(FOUR_DELTAS, ab)
-            assert len(pts) == sign_change_count(FOUR_DELTAS, ab, *scan_box(FOUR_DELTAS, ab))
+            x, _ = find_fixed_points(FOUR_DELTAS, ab)
+            assert len(x) == sign_change_count(FOUR_DELTAS, ab, *scan_box(FOUR_DELTAS, ab))
 
     def test_stable_and_unstable_alternate(self):
         for ab in (0.2, 0.6, 0.9, 0.95):
-            pts = find_fixed_points(FOUR_DELTAS, ab)
-            kinds = [p.stable for p in pts]
+            kinds = find_fixed_points(FOUR_DELTAS, ab)[1].tolist()
             assert kinds[0] and kinds[-1]
             assert all(kinds[i] != kinds[i + 1] for i in range(len(kinds) - 1))
 
     def test_symmetric_mixture_yields_symmetric_roots(self):
         sym = MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])
         for ab in (0.1, 0.5, 0.9, 0.999):
-            xs = np.array([p.x for p in find_fixed_points(sym, ab)])
+            xs, _ = find_fixed_points(sym, ab)
             np.testing.assert_allclose(xs, -xs[::-1], atol=1e-9)
 
     def test_four_branches_resolve_at_low_noise(self):
-        pts = find_fixed_points(FOUR_DELTAS, 0.9999)
-        stable = [p for p in pts if p.stable]
-        assert len(stable) == 4
+        _, stable = find_fixed_points(FOUR_DELTAS, 0.9999)
+        assert np.count_nonzero(stable) == 4
 
     def test_root_on_a_grid_node_is_reported_once(self, monkeypatch):
         # The residual (x - a)(x - b), with a on a grid node and b inside a
@@ -149,10 +154,10 @@ class TestFindFixedPoints:
             a, b = nodes[100], 0.5 * (nodes[150] + nodes[151])
             monkeypatch.setattr(bifurcation, "_score_and_slope", _injected(
                 lambda x: (x - a) * (x - b), lambda x: 2.0 * x - a - b))
-            pts = find_fixed_points(TWO_DELTAS, ab)
-            assert [p.stable for p in pts] == [False, True]
-            assert pts[0].x == a
-            assert pts[1].x == pytest.approx(b, abs=1e-12)
+            x, stable = find_fixed_points(TWO_DELTAS, ab)
+            assert stable.tolist() == [False, True]
+            assert x[0] == a
+            assert x[1] == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("mix, t, near, calls", [
         (MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0]), 517, 0.0, 24),
@@ -167,11 +172,11 @@ class TestFindFixedPoints:
         made = []
         monkeypatch.setattr(bifurcation, "_drift_terms", lambda *args: made.append(1) or real(*args))
         ab = SCHEDULE.alpha_bar(t)
-        pts = find_fixed_points(mix, ab)
+        x, _ = find_fixed_points(mix, ab)
         assert len(made) <= calls
-        root = min(pts, key=lambda p: abs(p.x - near))
-        assert abs(root.x - near) < 1e-3
-        assert root_certified(mix, ab, root.x)
+        root = float(x[np.argmin(np.abs(x - near))])
+        assert abs(root - near) < 1e-3
+        assert root_certified(mix, ab, root)
 
     def test_counts_match_dense_scan_at_refined_events(self):
         # The adjacent steps around each count change of FOUR_DELTAS, where
@@ -181,8 +186,8 @@ class TestFindFixedPoints:
         assert steps == [130, 131, 222, 223, 565, 566]
         for t in steps:
             ab = SCHEDULE.alpha_bar(t)
-            pts = find_fixed_points(FOUR_DELTAS, ab)
-            assert len(pts) == sign_change_count(FOUR_DELTAS, ab, *scan_box(FOUR_DELTAS, ab))
+            x, _ = find_fixed_points(FOUR_DELTAS, ab)
+            assert len(x) == sign_change_count(FOUR_DELTAS, ab, *scan_box(FOUR_DELTAS, ab))
 
     def test_steep_low_noise_repellers_are_kept(self):
         # A few steps from the clean end the repeller between two deltas sits
@@ -191,10 +196,10 @@ class TestFindFixedPoints:
         # change across the collapsed bracket still certifies the root.
         for t in (3, 7, 8):
             ab = SCHEDULE.alpha_bar(t)
-            pts = find_fixed_points(PAIR_SKEWED, ab)
-            assert [p.stable for p in pts] == [True, False, True]
-            assert abs(drift_residual_derivative_reference(PAIR_SKEWED, ab, pts[1].x)) > 1e4
-            assert all(root_certified(PAIR_SKEWED, ab, p.x) for p in pts)
+            x, stable = find_fixed_points(PAIR_SKEWED, ab)
+            assert stable.tolist() == [True, False, True]
+            assert abs(drift_residual_derivative_reference(PAIR_SKEWED, ab, x[1])) > 1e4
+            assert all(root_certified(PAIR_SKEWED, ab, r) for r in x.tolist())
 
 
 class TestTraceBifurcations:
@@ -203,7 +208,7 @@ class TestTraceBifurcations:
         sched = linear_schedule(200, 5e-4, 0.1)
         diagram = trace_bifurcations(m, sched, stride=20)
         assert diagram.critical == ()
-        assert all(len(pts) == 1 for pts in diagram.points)
+        assert diagram.counts.tolist() == [1] * len(diagram.steps)
 
     def test_uneven_weights_keep_the_heavy_branch_alive_longer(self):
         skew = MixtureModel(weights=[1 / 3, 2 / 3], means=[-1.0, 1.0], variances=[0.0, 0.0])
@@ -214,9 +219,9 @@ class TestTraceBifurcations:
         assert merge.count_after == 1
         # Right after the lighter branch dies, the survivor still sits on the
         # heavier (positive) side.
-        after = next(pts for t, pts in zip(diagram.steps, diagram.points) if t > merge.t_after)
+        after, _ = next(roots for t, roots in zip(diagram.steps, _levels(diagram)) if t > merge.t_after)
         assert len(after) == 1
-        assert after[0].x > 0.1
+        assert after[0] > 0.1
 
     def test_symmetric_four_deltas_merge_in_two_stages(self):
         sym = MixtureModel.deltas([-8.0, -4.0, 4.0, 8.0])
@@ -281,12 +286,12 @@ class TestTraceBifurcations:
         # over the provisional counts of its scanned inner steps.  Here every
         # provisional count is exact, so no second batch follows.
         steps = diagram.steps.tolist()
-        counts = [len(points) for points in diagram.points]
+        counts = diagram.counts.tolist()
         assert provisional[0][diagram.steps - 1].tolist() == counts
         inner = self._inner(steps, counts)
         assert len(diagram.critical) > 1 and len(inner) == 19 * len(diagram.critical)
         assert (provisional[1][np.array(inner) - 1].tolist()
-                == [len(find_fixed_points(FOUR_DELTAS, SCHEDULE.alpha_bar(t))) for t in inner])
+                == [len(find_fixed_points(FOUR_DELTAS, SCHEDULE.alpha_bar(t))[0]) for t in inner])
         _, read = self._bisect(steps, counts, lambda t: provisional[1][t - 1])
         assert set(read) < set(inner) and len(read) <= 5 * len(diagram.critical)
         assert solves == [diagram.alpha_bars.tolist() + [SCHEDULE.alpha_bar(t) for t in sorted(read)]]
@@ -311,7 +316,9 @@ class TestTraceBifurcations:
         batches, provisional = self._record_solves(monkeypatch)
         diagram = trace_bifurcations(mix, SCHEDULE, stride=20)
         solves = batches[:]  # find_fixed_points below solves too
-        assert diagram.points == expected.points and diagram.critical == expected.critical
+        assert ([_bits(*roots) for roots in _levels(diagram)]
+                == [_bits(*roots) for roots in _levels(expected)])
+        assert diagram.critical == expected.critical
         assert diagram.alpha_bars.tolist() == expected.alpha_bars.tolist()
         # The first solve reads the midpoints of the wrong counts' bisection.
         # Bisecting the exact counts over the steps solved so far stops at a
@@ -322,8 +329,8 @@ class TestTraceBifurcations:
         _, read = self._bisect(steps, provisional[0][diagram.steps - 1].tolist(),
                                lambda t: wrong_counts[t - 1])
         solved = set(steps + read)
-        narrowed, _ = self._bisect(steps, [len(points) for points in diagram.points], lambda t: len(
-            find_fixed_points(mix, SCHEDULE.alpha_bar(t))) if t in solved else None)
+        narrowed, _ = self._bisect(steps, diagram.counts.tolist(), lambda t: len(
+            find_fixed_points(mix, SCHEDULE.alpha_bar(t))[0]) if t in solved else None)
         missing = sorted({t for a, b in narrowed for t in range(a + 1, b)} - solved)
         assert missing
         assert solves == [[SCHEDULE.alpha_bar(t) for t in steps + sorted(read)],
@@ -345,8 +352,9 @@ class TestTraceBifurcations:
                                      MixtureModel.deltas(np.linspace(-9.0, 9.0, 8)), TEN_DELTAS])
     def test_batched_sweep_equals_one_level_at_a_time_bitwise(self, mix):
         diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
-        for t, points in zip(diagram.steps, diagram.points):
-            assert points == find_fixed_points(mix, SCHEDULE.alpha_bar(int(t)))
+        assert len(diagram.counts) == SCHEDULE.num_steps
+        for t, roots in zip(diagram.steps.tolist(), _levels(diagram)):
+            assert _bits(*roots) == _bits(*find_fixed_points(mix, SCHEDULE.alpha_bar(t)))
 
     def test_no_kernel_call_of_a_sweep_exceeds_the_chunk(self, monkeypatch):
         sizes, loops = [], []
@@ -441,8 +449,9 @@ class TestTraceBifurcations:
         # Below every diffused mean the residual is negative and above them
         # positive, so each level's box holds a sign change.
         diagram = trace_bifurcations(SETUPS[name], SCHEDULE, stride=1)
-        assert len(diagram.points) == SCHEDULE.num_steps
-        assert all(diagram.points)
+        assert len(diagram.counts) == SCHEDULE.num_steps
+        assert diagram.counts.min() >= 1
+        assert diagram.x.size == diagram.stable.size == diagram.counts.sum()
 
     # The razor-thin repellers near the clean end stay in the count at every
     # step, so the only events are the merges of branches.
@@ -511,11 +520,11 @@ class TestProvenLevels:
         sizes, real = [], bifurcation._drift_terms
         monkeypatch.setattr(bifurcation, "_drift_terms",
                             lambda params, level, x: sizes.append(x.size) or real(params, level, x))
-        points = find_fixed_points(TWO_DELTAS, ab)
-        assert [(p.x, p.stable) for p in points] == [(root, True)]
+        x, stable = find_fixed_points(TWO_DELTAS, ab)
+        assert (x.tolist(), stable.tolist()) == ([root], [True])
         assert sizes == [16, 16, 1]  # the coarse nodes, the cell's inner nodes, the slope at the zero
         with _full_scans_only():
-            assert find_fixed_points(TWO_DELTAS, ab) == points
+            assert _bits(*find_fixed_points(TWO_DELTAS, ab)) == _bits(x, stable)
 
     @pytest.mark.parametrize("mix", [PAIR_SKEWED, ROW_LOPSIDED, COMB_SYMMETRIC, TEN_DELTAS],
                              ids=["pair-skewed", "row-lopsided", "comb-symmetric", "ten-deltas"])
@@ -524,7 +533,9 @@ class TestProvenLevels:
         diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
         with _full_scans_only():
             full = trace_bifurcations(mix, SCHEDULE, stride=1)
-        assert _bits(diagram.points) == _bits(full.points)
+            one_level = [find_fixed_points(mix, ab) for ab in SCHEDULE.alpha_bars.tolist()]
+        assert len(diagram.counts) == SCHEDULE.num_steps
+        assert [_bits(*roots) for roots in _levels(diagram)] == [_bits(*roots) for roots in one_level]
         assert diagram.critical == full.critical
 
     def test_an_overflowing_search_box_is_never_proven(self):
@@ -552,12 +563,13 @@ class TestSiblingSplitTime:
         mix = MixtureModel.deltas([-2.75, 0.0, 3.0])
         pad = 0.3 * 5.75
 
-        def stable(t, points):
+        def stable(t, roots):
+            x, is_stable = roots
             root = np.sqrt(SCHEDULE.alpha_bar(int(t)))
-            return sum(1 for p in points if p.stable and root * (-2.75 - pad) <= p.x <= root * (3.0 + pad))
+            return np.count_nonzero(is_stable & (root * (-2.75 - pad) <= x) & (x <= root * (3.0 + pad)))
 
         diagram = trace_bifurcations(mix, SCHEDULE, stride=1)
-        counts = [stable(t, points) for t, points in zip(diagram.steps, diagram.points)]
+        counts = [stable(t, roots) for t, roots in zip(diagram.steps, _levels(diagram))]
         first = next(int(t) for t, c in zip(diagram.steps, counts) if c < 2)
         assert first == 255 and (counts[242 - 1], counts[243 - 1]) == (3, 2)
         assert sibling_split_time(mix, SCHEDULE, 0, 2) == (2 * first - 1) / 2000 == 0.2545

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import diffentropy
 from diffentropy import cli
 from diffentropy._svg import scatter_chart
-from diffentropy.bifurcation import trace_bifurcations
+from diffentropy.bifurcation import find_fixed_points, trace_bifurcations
 from diffentropy.cli import ConfigError, ExperimentConfig, load_config, main
 from diffentropy.core import linear_schedule
 from diffentropy.tracker import GmmScoreModel, write_replay_csv
@@ -452,20 +452,24 @@ class TestFixedPointsCommand:
 
 
 def _fixed_point_files(config):
-    """``fixed_points.csv`` and ``.svg`` as the job wrote them by flattening ``diagram.points``."""
-    diagram = trace_bifurcations(config.mixture(), config.schedule(), stride=config.stride)
+    """``fixed_points.csv`` and ``.svg`` written row by row from each strided level's
+    :func:`find_fixed_points`, the one-level solve."""
+    mixture, schedule = config.mixture(), config.schedule()
+    diagram = trace_bifurcations(mixture, schedule, stride=config.stride)
     comments = cli._common_comments(config) + [
         f"critical s={e.s!r} steps {e.t_before}->{e.t_after} count {e.count_before}->{e.count_after}"
         for e in diagram.critical]
-    counts = [len(points) for points in diagram.points]
-    found = [p for points in diagram.points for p in points]
-    s, x = np.repeat(diagram.s, counts), np.array([p.x for p in found], dtype=float)
-    stability = np.array(["stable" if p.stable else "unstable" for p in found], dtype=str)
+    levels = [find_fixed_points(mixture, schedule.alpha_bar(t)) for t in diagram.steps.tolist()]
+    counts = [len(x) for x, _ in levels]
+    s, x = np.repeat(diagram.s, counts), np.array([r for x, _ in levels for r in x.tolist()], dtype=float)
+    stability = np.array(["stable" if b else "unstable" for _, flags in levels for b in flags.tolist()],
+                         dtype=str)
     text = cli._csv_text(comments, ["s", "alpha_bar", "x_star", "stability"],
                          [s, np.repeat(diagram.alpha_bars, counts), x, stability])
     groups = [(kind, s[stability == kind], x[stability == kind])
               for kind in ("stable", "unstable") if np.any(stability == kind)]
-    return text, scatter_chart(groups, title="drift fixed points", xlabel="normalized time s", ylabel="x*")
+    return counts, text, scatter_chart(groups, title="drift fixed points", xlabel="normalized time s",
+                                       ylabel="x*")
 
 
 class TestFixedPointArrays:
@@ -473,20 +477,14 @@ class TestFixedPointArrays:
 
     @pytest.mark.parametrize("stride", [10, 1])
     @pytest.mark.parametrize("name", MIXTURES)
-    def test_the_arrays_and_points_agree_and_write_the_same_files(self, tmp_path, name, stride):
+    def test_the_job_writes_each_levels_one_level_solve(self, tmp_path, name, stride):
         config = ExperimentConfig.from_dict({"method": "fixedpoints", "mixture": self.MIXTURES[name],
                                              "stride": stride})
         diagram = trace_bifurcations(config.mixture(), config.schedule(), stride=stride)
-        assert diagram.counts.tolist() == [len(points) for points in diagram.points]
-        found = [p for points in diagram.points for p in points]
-        assert [x.hex() for x in diagram.x.tolist()] == [p.x.hex() for p in found]
-        assert diagram.stable.tolist() == [p.stable for p in found]
-        assert [{p.alpha_bar for p in points} for points in diagram.points] == [
-            {ab} for ab in diagram.alpha_bars.tolist()]
-        assert diagram.points is diagram.points  # built once
         written = cli._fixed_points_job(config, str(tmp_path), svg=True)
         assert written == [str(tmp_path / "fixed_points.csv"), str(tmp_path / "fixed_points.svg")]
-        text, chart = _fixed_point_files(config)
+        counts, text, chart = _fixed_point_files(config)
+        assert diagram.counts.tolist() == counts
         assert (tmp_path / "fixed_points.csv").read_text() == text
         assert (tmp_path / "fixed_points.svg").read_text() == chart
 
@@ -622,6 +620,35 @@ class TestValidateAndErrors:
         assert main([command, "--config", str(cfg)] + out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stride, flag", [(10**23, []), (10, ["--stride", str(2**63)])],
+                             ids=["config", "flag"])
+    @pytest.mark.parametrize("method", ["quadrature", "fixedpoints"])
+    def test_a_stride_past_int64_writes_the_stride_t_rows(self, tmp_path, method, stride, flag):
+        # Every stride from T = 150 on gives the steps [1, T].
+        rows = {}
+        for name, (value, extra) in {"huge": (stride, flag), "t": (150, [])}.items():
+            cfg = write_config(tmp_path / f"{name}.json", method=method, stride=value)
+            out = tmp_path / name
+            assert main([COMMANDS[method], "--config", str(cfg), "--out", str(out)] + extra) == 0
+            rows[name] = [ln for path in sorted(out.glob("*.csv"))
+                          for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows["t"]) > 2 and rows["huge"] == rows["t"]
+
+    @pytest.mark.parametrize("overrides, flag, counts", [
+        ({"samples": 10**23}, [], (10**23, 10**23)),
+        ({"samples_z0": 3, "samples_z1": 2**63}, [], (3, 2**63)),
+        ({}, ["--samples", str(2**62)], (2**62, 2**62)),
+        ({"samples_z0": 2**60 - 8, "samples_z1": 8}, [], (2**60 - 8, 8)),
+    ], ids=["config-both", "config-one-side", "flag", "at-the-bound"])
+    def test_sample_counts_past_any_address_space_are_a_config_error(self, tmp_path, capsys, overrides,
+                                                                     flag, counts):
+        # 8 (n_z0 + n_z1) bytes past the largest intp: numpy cannot even size the array.
+        cfg = write_config(tmp_path / "c.json", method="montecarlo", **overrides)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")] + flag) == 2
+        n_z0, n_z1 = counts
+        assert capsys.readouterr().err == f"error: sample counts {n_z0} + {n_z1} exceed any address space\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -829,12 +856,15 @@ class TestConfigFuzz:
         prior = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-300, 1.0 - 1e-16]))
         # One spelling of the sample counts: both at once, or one per side.
         counts = ("samples",) if draw(st.booleans()) else ("samples_z0", "samples_z1")
+        # Integers past int64 that no job can size: its steps or its sample arrays.
+        huge = st.sampled_from([2**63, 10**30])
         for key in counts:
-            raw[key] = mostly(st.integers(1, 6), st.one_of(junk, st.integers(-3, 0)))
-        for key, valid in (("seed", st.integers(0, 2**40)), ("stride", st.integers(1, 40)),
-                           ("prior_z0", prior)):
+            raw[key] = mostly(st.integers(1, 6), st.one_of(junk, st.integers(-3, 0), huge))
+        for key, valid, invalid in (("seed", st.integers(0, 2**40), st.integers(-3, 0)),
+                                    ("stride", st.integers(1, 40), st.one_of(st.integers(-3, 0), huge)),
+                                    ("prior_z0", prior, st.integers(-3, 0))):
             if draw(st.booleans()):
-                raw[key] = mostly(valid, st.one_of(junk, st.integers(-3, 0)))
+                raw[key] = mostly(valid, st.one_of(junk, invalid))
         if draw(st.booleans()):
             raw["score_model"] = {
                 "kind": mostly(st.just("oracle"), st.sampled_from(["replay", "bogus"])),
@@ -854,6 +884,15 @@ class TestConfigFuzz:
     @settings(max_examples=200, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(cases())
+    # The draws past int64 are rare: each once, on the jobs that crashed on them.
+    @example(({"mixture": {"means": [-1.0, 1.0]}, "method": "quadrature", "stride": 2**63,
+               "partitions": [{"z0": [0], "z1": [1]}]}, "profile"))
+    @example(({"mixture": {"means": [-1.0, 1.0]}, "method": "fixedpoints", "stride": 10**30},
+              "fixed-points"))
+    @example(({"mixture": {"means": [-1.0, 1.0]}, "method": "montecarlo", "samples": 10**30,
+               "partitions": [{"z0": [0], "z1": [1]}]}, "estimate"))
+    @example(({"mixture": {"means": [-1.0, 1.0]}, "method": "montecarlo", "samples_z0": 2,
+               "samples_z1": 2**63, "partitions": [{"z0": [0], "z1": [1]}]}, "estimate"))
     def test_every_config_ends_in_an_exit_code(self, case):
         raw, command = case
         with tempfile.TemporaryDirectory() as tmp:

@@ -171,6 +171,19 @@ class TestStridedSteps:
             assert result.s[0] > 0.0
             assert result.s[-1] == 1.0
 
+    @pytest.mark.parametrize("stride", [7, 8, 2**63, 10**23])
+    def test_every_stride_from_t_on_gives_the_first_and_last_step(self, stride):
+        # np.arange(1, T + 1, stride) gives float steps for a stride past int64.
+        sched = linear_schedule(7, 0.01, 0.02)
+        (profile, diagram), (profile_t, diagram_t) = (_strided_results(sched, stride),
+                                                      _strided_results(sched, 7))
+        for result, at_t in ((profile, profile_t), (diagram, diagram_t)):
+            assert result.steps.dtype == at_t.steps.dtype and result.steps.tolist() == [1, 7]
+            assert result.s.tolist() == at_t.s.tolist()
+        assert profile.H_bits.tobytes() == profile_t.H_bits.tobytes()
+        assert diagram.counts.tolist() == diagram_t.counts.tolist()
+        assert diagram.x.tobytes() == diagram_t.x.tobytes()
+
     def test_stride_below_one_is_rejected(self):
         with pytest.raises(ParameterError, match="stride must be >= 1, got 0"):
             _strided_results(linear_schedule(7, 0.01, 0.02), 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from _oracles import component_log_joints, mixture_log_density
@@ -202,13 +204,23 @@ class TestScore:
                 got = _score_terms(_at_one_level(FOUR_DELTAS, ab, xs, subset), xs)[3]
                 np.testing.assert_array_equal(got, score(sub, ab, xs))
 
-    @pytest.mark.parametrize("func", [score, score_derivative])
+    @pytest.mark.parametrize("func", [
+        score, score_derivative,
+        lambda m, ab, x: find_fixed_points(m, ab),
+        lambda m, ab, x: conditional_entropy_at(m, make_partition(m, [0, 1], [2, 3]), ab),
+    ], ids=["score", "score_derivative", "find_fixed_points", "conditional_entropy_at"])
     def test_alpha_bar_is_one_level(self, func):
         # An array of levels is never read at its first level.
-        for levels in (np.array([0.5]), np.array([[0.2], [0.7]]), [0.5, 0.6]):
-            with pytest.raises(ParameterError, match="one level"):
+        for levels in (np.array([0.5]), np.array([0.5, 0.6]), np.array([[0.5]]), np.array([[0.2], [0.7]]),
+                       [0.5, 0.6]):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"alpha_bar must be one level, got shape {np.shape(levels)}")):
                 func(FOUR_DELTAS, levels, np.linspace(-1.0, 1.0, 2))
-        assert func(FOUR_DELTAS, np.float64(0.5), 0.7) == func(FOUR_DELTAS, 0.5, 0.7)
+        def bits(result):  # a float, or find_fixed_points' (x, stable)
+            return [np.asarray(a).tobytes() for a in (result if isinstance(result, tuple) else (result,))]
+
+        for level in (np.float64(0.5), np.array(0.5)):  # a 0-d array is one level
+            assert bits(func(FOUR_DELTAS, level, 0.7)) == bits(func(FOUR_DELTAS, 0.5, 0.7))
 
 
 class TestScoreDerivative:

@@ -276,6 +276,16 @@ class TestEstimateConditionalEntropy:
         with pytest.raises(ParameterError):
             estimate_conditional_entropy(FAST_ORACLE, FAST, prior_z0=1.0, seed=0)
 
+    def test_sample_counts_past_any_address_space_raise_before_allocating(self):
+        # 8 (n_z0 + n_z1) bytes above the largest intp: numpy cannot even size the batch.
+        for n_z0, n_z1 in ((1, 2**60 - 1), (2**62, 2**62), (10**30, 1)):
+            message = f"^sample counts {n_z0} \\+ {n_z1} exceed any address space$"
+            with pytest.raises(ParameterError, match=message):
+                estimate_conditional_entropy(FAST_ORACLE, FAST, n_z0=n_z0, n_z1=n_z1, seed=0)
+        # One count below the bound, numpy sizes the batch and fails to allocate it.
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
+            estimate_conditional_entropy(FAST_ORACLE, FAST, n_z0=1, n_z1=2**60 - 2, seed=0)
+
     def test_model_errors_carry_context(self):
         with pytest.raises(ModelEvaluationError):
             estimate_conditional_entropy(_NanModel(), FAST, n_z0=2, n_z1=2, seed=0)
