@@ -69,9 +69,8 @@ def _chrome(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{w - MARGIN_L - MARGIN_R}" '
         f'height="{h - MARGIN_T - MARGIN_B}" fill="none" stroke="#444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(f'<text x="{w / 2:g}" y="20" text-anchor="middle" font-size="14" '
-                     f'font-family="sans-serif">{title}</text>')
+    parts.append(f'<text x="{w / 2:g}" y="20" text-anchor="middle" font-size="14" '
+                 f'font-family="sans-serif">{title}</text>')
     for tick in _nice_ticks(frame.x0, frame.x1):
         px = frame.px(tick)
         parts.append(f'<line x1="{px:.2f}" y1="{h - MARGIN_B}" x2="{px:.2f}" '
@@ -84,13 +83,11 @@ def _chrome(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
                      f'y2="{py:.2f}" stroke="#444"/>')
         parts.append(f'<text x="{MARGIN_L - 6}" y="{py + 3:.2f}" text-anchor="end" '
                      f'font-size="10" font-family="sans-serif">{_fmt(tick)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{(MARGIN_L + w - MARGIN_R) / 2:g}" y="{h - 8}" text-anchor="middle" '
-                     f'font-size="12" font-family="sans-serif">{xlabel}</text>')
-    if ylabel:
-        y_mid = (MARGIN_T + h - MARGIN_B) / 2
-        parts.append(f'<text x="14" y="{y_mid:g}" text-anchor="middle" font-size="12" '
-                     f'font-family="sans-serif" transform="rotate(-90 14 {y_mid:g})">{ylabel}</text>')
+    parts.append(f'<text x="{(MARGIN_L + w - MARGIN_R) / 2:g}" y="{h - 8}" text-anchor="middle" '
+                 f'font-size="12" font-family="sans-serif">{xlabel}</text>')
+    y_mid = (MARGIN_T + h - MARGIN_B) / 2
+    parts.append(f'<text x="14" y="{y_mid:g}" text-anchor="middle" font-size="12" '
+                 f'font-family="sans-serif" transform="rotate(-90 14 {y_mid:g})">{ylabel}</text>')
     return parts
 
 
@@ -112,7 +109,7 @@ def _document(body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render ``(label, x, y)`` triples as colored polylines with a legend."""
     series = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in series]
     frame = _Frame([x for _, x, _ in series], [y for _, _, y in series])
@@ -125,7 +122,7 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "") -> s
     return _document(body)
 
 
-def scatter_chart(groups, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+def scatter_chart(groups, title: str, xlabel: str, ylabel: str) -> str:
     """Render ``(label, x, y)`` point groups as colored dots."""
     groups = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in groups]
     frame = _Frame([x for _, x, _ in groups], [y for _, _, y in groups])

@@ -138,14 +138,14 @@ def _bracketed_roots(params, level, lo, hi, g_lo, g_hi):
 
 
 def _level_table(mixture, alpha_bars, steps=None):
-    """Per level of ``alpha_bars``, a column: kernel table, search box, ``alpha_bars``, namer."""
+    """Per level of ``alpha_bars``, a column: kernel table, search box, namer."""
     [params] = _kernel_tables(mixture, alpha_bars, range(mixture.num_components))
     mu, sd = params[0], np.sqrt(params[1])
     # Roots live in the convex hull of the origin and the diffused means; a
     # 4-sigma margin keeps the hull comfortably interior.  Every diffused sd
     # is positive, so the box is never empty.
     return (params, np.minimum(0.0, np.min(mu - 4.0 * sd, axis=0)),
-            np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0)), alpha_bars, _level_namer(alpha_bars, steps))
+            np.maximum(0.0, np.max(mu + 4.0 * sd, axis=0)), _level_namer(alpha_bars, steps))
 
 
 def _proven_monotone(table, cols):
@@ -191,7 +191,7 @@ def _scan_levels(table, cols):
     at nodes 0, 17, ..., 255 is finite and rises from negative to positive takes ``g`` at the 16
     nodes of its one sign-change cell: bitwise its full scan's result.  The rest scan their full
     grid; a non-finite ``g`` raises, naming its level.  A kernel call holds <= ``CHUNK_TERMS`` terms."""
-    params, lo_box, hi_box, _, where = table
+    params, lo_box, hi_box, where = table
     proven = _proven_monotone(table, cols)
     fast, full, found = cols[proven], [cols[~proven]], []
     per_chunk = max(1, CHUNK_TERMS // (_COARSE.size * len(params[0])))

@@ -5,7 +5,9 @@ decision partitions and the method to run, in one schema: a key outside it
 is a config problem that names its path.  Outputs are deterministic given
 (config, seed): CSV is the canonical format (17 significant digits, comment
 header carrying the tool version and the hash of the config keys the job
-reads), SVG is a convenience rendering only.  Exit codes: 0 success, 2 usage
+reads), SVG is a convenience rendering only.  A job maps its config to the
+texts of its files; ``main`` writes them, each atomically, only once the job
+has returned, so a failed job writes no file.  Exit codes: 0 success, 2 usage
 or config problem (an allocation too large for the machine included), 3
 numerical failure.
 """
@@ -41,6 +43,7 @@ from .tracker import (
     GmmScoreModel,
     ModelEvaluationError,
     ReplayScoreModel,
+    _check_sample_counts,
     estimate_conditional_entropy,
 )
 
@@ -313,6 +316,8 @@ def _config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentCon
     try:
         cfg = ExperimentConfig(method=kwargs.pop("method", "quadrature"), **kwargs)
         cfg._objects  # noqa: B018 - building the objects validates them; the job reuses them
+        if cfg.method == "montecarlo":  # the estimator's own bound on its batch
+            _check_sample_counts(cfg.samples_z0, cfg.samples_z1)
     except (ParameterError, PartitionError, ValueError) as err:
         raise ConfigError(str(err)) from err
     if cfg.method == "quadrature" and not cfg.partitions:
@@ -377,43 +382,29 @@ def _common_comments(config: ExperimentConfig) -> list[str]:
     return [f"diffentropy {__version__}", f"config sha256 {config.config_hash()}"]
 
 
-def _profile_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str]:
+def _profile_job(config: ExperimentConfig, svg: bool) -> dict[str, str]:
     """Quadrature entropy profiles, one CSV per configured partition."""
     mixture = config.mixture()
     schedule = config.schedule()
-    written = []
-    rate_series = []
-    for name, partition in config.built_partitions():
-        profile = entropy_profile(mixture, partition, schedule, stride=config.stride)
-        columns = [profile.steps, profile.s, profile.H_bits,
-                   profile.rate_bits, profile.transfer_bits]
-        text = _csv_text(_common_comments(config) + [f"partition {name}"],
-                         ["t", "s", "H_bits", "dH_ds", "transfer_bits"], columns)
-        path = os.path.join(out_dir, f"profile_{name}.csv")
-        _atomic_write(path, text)
-        written.append(path)
-        rate_series.append((name, profile.s, profile.rate_bits))
+    profiles = {name: entropy_profile(mixture, partition, schedule, stride=config.stride)
+                for name, partition in config.built_partitions()}
+    files = {f"profile_{name}.csv": _csv_text(
+        _common_comments(config) + [f"partition {name}"], ["t", "s", "H_bits", "dH_ds", "transfer_bits"],
+        [p.steps, p.s, p.H_bits, p.rate_bits, p.transfer_bits]) for name, p in profiles.items()}
     if svg:
-        path = os.path.join(out_dir, "profile_rate.svg")
-        _atomic_write(path, line_chart(rate_series, title="entropy rate",
-                                       xlabel="normalized time s", ylabel="dH/ds (bits)"))
-        written.append(path)
-    return written
+        files["profile_rate.svg"] = line_chart([(name, p.s, p.rate_bits) for name, p in profiles.items()],
+                                               title="entropy rate", xlabel="normalized time s",
+                                               ylabel="dH/ds (bits)")
+    return files
 
 
-def _score_model(config: ExperimentConfig, mixture, schedule, partition):
-    if config.score_kind == "replay":
-        return ReplayScoreModel.from_csv(config.replay_path)
-    return GmmScoreModel(mixture=mixture, schedule=schedule, partition=partition)
-
-
-def _estimate_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str]:
+def _estimate_job(config: ExperimentConfig, svg: bool) -> dict[str, str]:
     """Monte-Carlo entropy estimate CSV for the configured decision."""
-    mixture = config.mixture()
     schedule = config.schedule()
     name, partition = config.built_partitions()[0]
     prior = config.prior_z0 if config.prior_z0 is not None else partition.prior_z0
-    model = _score_model(config, mixture, schedule, partition)
+    model = (ReplayScoreModel.from_csv(config.replay_path) if config.score_kind == "replay"
+             else GmmScoreModel(mixture=config.mixture(), schedule=schedule, partition=partition))
     estimate = estimate_conditional_entropy(
         model, schedule, prior_z0=prior,
         n_z0=config.samples_z0, n_z1=config.samples_z1, seed=config.seed,
@@ -422,27 +413,19 @@ def _estimate_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str
     rows = len(estimate.steps)
     columns = [estimate.steps, estimate.s, estimate.H_bits, estimate.h_z0, estimate.h_z1,
                [estimate.n_z0] * rows, [estimate.n_z1] * rows, [estimate.seed] * rows]
-    text = _csv_text(_common_comments(config) + [f"partition {name}", f"prior_z0 {prior!r}"],
-                     ["t", "s", "H_bits", "H_z0_mean", "H_z1_mean", "N_z0", "N_z1", "seed"],
-                     columns)
-    path = os.path.join(out_dir, "estimate.csv")
-    _atomic_write(path, text)
-    written = [path]
+    files = {"estimate.csv": _csv_text(
+        _common_comments(config) + [f"partition {name}", f"prior_z0 {prior!r}"],
+        ["t", "s", "H_bits", "H_z0_mean", "H_z1_mean", "N_z0", "N_z1", "seed"], columns)}
     if svg:
-        chart = line_chart([("H_mc", estimate.s, estimate.H_bits)],
-                           title="tracked conditional entropy",
-                           xlabel="normalized time s", ylabel="H (bits)")
-        spath = os.path.join(out_dir, "estimate.svg")
-        _atomic_write(spath, chart)
-        written.append(spath)
-    return written
+        files["estimate.svg"] = line_chart([("H_mc", estimate.s, estimate.H_bits)],
+                                           title="tracked conditional entropy",
+                                           xlabel="normalized time s", ylabel="H (bits)")
+    return files
 
 
-def _fixed_points_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list[str]:
+def _fixed_points_job(config: ExperimentConfig, svg: bool) -> dict[str, str]:
     """Bifurcation diagram CSV (and optional SVG scatter of the branches)."""
-    mixture = config.mixture()
-    schedule = config.schedule()
-    diagram = trace_bifurcations(mixture, schedule, stride=config.stride)
+    diagram = trace_bifurcations(config.mixture(), config.schedule(), stride=config.stride)
     comments = _common_comments(config)
     for event in diagram.critical:
         comments.append(
@@ -451,20 +434,15 @@ def _fixed_points_job(config: ExperimentConfig, out_dir: str, svg: bool) -> list
         )
     s, x = np.repeat(diagram.s, diagram.counts), diagram.x
     stability = np.where(diagram.stable, "stable", "unstable")
-    text = _csv_text(comments, ["s", "alpha_bar", "x_star", "stability"],
-                     [s, np.repeat(diagram.alpha_bars, diagram.counts), x, stability])
-    path = os.path.join(out_dir, "fixed_points.csv")
-    _atomic_write(path, text)
-    written = [path]
+    files = {"fixed_points.csv": _csv_text(
+        comments, ["s", "alpha_bar", "x_star", "stability"],
+        [s, np.repeat(diagram.alpha_bars, diagram.counts), x, stability])}
     if svg:
         groups = [(kind, s[stability == kind], x[stability == kind])
                   for kind in ("stable", "unstable") if np.any(stability == kind)]
-        chart = scatter_chart(groups, title="drift fixed points",
-                              xlabel="normalized time s", ylabel="x*")
-        spath = os.path.join(out_dir, "fixed_points.svg")
-        _atomic_write(spath, chart)
-        written.append(spath)
-    return written
+        files["fixed_points.svg"] = scatter_chart(groups, title="drift fixed points",
+                                                  xlabel="normalized time s", ylabel="x*")
+    return files
 
 
 # -- argument parsing -------------------------------------------------------
@@ -533,7 +511,10 @@ def main(argv=None) -> int:
             return 0
         if config.method != method:
             raise ConfigError(f"{args.command} needs method={method!r}, config says {config.method!r}")
-        written = job(config, args.out if args.out is not None else config.out, args.svg)
+        files = job(config, args.svg)
+        out_dir = args.out if args.out is not None else config.out
+        for name, text in files.items():
+            _atomic_write(os.path.join(out_dir, name), text)
     # A MemoryError is an array size that the config asks for, beyond what
     # the machine can allocate.
     except (ConfigError, ParameterError, PartitionError, OSError, MemoryError) as err:
@@ -542,8 +523,8 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    for path in written:
-        print(path)
+    for name in files:
+        print(os.path.join(out_dir, name))
     return 0
 
 

@@ -366,6 +366,14 @@ class McEntropyEstimate:
                 raise ParameterError(f"{name} must match steps shape ({n},)")
 
 
+def _check_sample_counts(n_z0: int, n_z1: int) -> None:
+    """Raise ``ParameterError`` unless the estimator can size a batch of ``n_z0 + n_z1``."""
+    if n_z0 < 1 or n_z1 < 1:
+        raise ParameterError("both sample counts must be >= 1")
+    if 8 * (n_z0 + n_z1) > np.iinfo(np.intp).max:  # an array of n float64 values has 8 n bytes
+        raise ParameterError(f"sample counts {n_z0} + {n_z1} exceed any address space")
+
+
 def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedule,
                                  prior_z0: float = 0.5, n_z0: int = 1000, n_z1: int = 1000,
                                  seed: int = 0, complement: str = "exact") -> McEntropyEstimate:
@@ -398,10 +406,7 @@ def estimate_conditional_entropy(score_model: ScoreModel, schedule: NoiseSchedul
     ``sqrt(beta_t)``, one block of ``NOISE_BLOCK_BYTES`` ahead.  Memory is
     O(n_z0 + n_z1), independent of the number of steps.
     """
-    if n_z0 < 1 or n_z1 < 1:
-        raise ParameterError("both sample counts must be >= 1")
-    if 8 * (n_z0 + n_z1) > np.iinfo(np.intp).max:  # an array of n float64 values has 8 n bytes
-        raise ParameterError(f"sample counts {n_z0} + {n_z1} exceed any address space")
+    _check_sample_counts(n_z0, n_z1)
     if not 0.0 < prior_z0 < 1.0:
         raise ParameterError(f"prior_z0 must lie strictly inside (0, 1), got {prior_z0!r}")
     if complement not in ("exact", "null"):

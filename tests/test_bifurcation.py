@@ -242,12 +242,13 @@ class TestTraceBifurcations:
 
     @staticmethod
     def _record_solves(monkeypatch):
-        """Record the levels (alpha-bars) of each solve and the provisional counts of each trace."""
+        """Record the levels (alpha-bars) of each solve on SCHEDULE's table, whose columns are its
+        steps, and the provisional counts of each trace."""
         batches, provisional = [], []
         solve, counts = bifurcation._solve_levels, bifurcation._provisional_counts
 
         def recording_solve(table, cols, scan):
-            batches.append(table[3][cols].tolist())
+            batches.append(SCHEDULE.alpha_bars[cols].tolist())
             return solve(table, cols, scan)
 
         def recording_counts(scan, size):

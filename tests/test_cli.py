@@ -224,6 +224,20 @@ class TestProfileCommand:
         assert int(first[0]) == 1
         assert all(np.isfinite(float(v)) for v in first[1:])
 
+    def test_a_failed_job_writes_no_file(self, tmp_path, capsys):
+        # The first decision's profile succeeds; the second needs more cells
+        # at t = 1 than a level may take.  Its CSV would look complete.
+        cfg = write_config(tmp_path / "c.json",
+                           mixture={"means": [10.0, 20.0, 0.0, 0.5], "variances": [0.0, 0.0, 4.0, 0.0]},
+                           schedule={"num_steps": 150, "beta_start": 1e-10, "beta_end": 0.12},
+                           partitions=[{"z0": [0], "z1": [1], "name": "fine"},
+                                       {"z0": [2], "z1": [3], "name": "bad"}], stride=1)
+        out = tmp_path / "out"
+        assert main(["profile", "--config", str(cfg), "--out", str(out), "--svg"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numerical failure: step t=1: ")
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -477,16 +491,16 @@ class TestFixedPointArrays:
 
     @pytest.mark.parametrize("stride", [10, 1])
     @pytest.mark.parametrize("name", MIXTURES)
-    def test_the_job_writes_each_levels_one_level_solve(self, tmp_path, name, stride):
+    def test_the_job_writes_each_levels_one_level_solve(self, name, stride):
         config = ExperimentConfig.from_dict({"method": "fixedpoints", "mixture": self.MIXTURES[name],
                                              "stride": stride})
         diagram = trace_bifurcations(config.mixture(), config.schedule(), stride=stride)
-        written = cli._fixed_points_job(config, str(tmp_path), svg=True)
-        assert written == [str(tmp_path / "fixed_points.csv"), str(tmp_path / "fixed_points.svg")]
+        files = cli._fixed_points_job(config, svg=True)
+        assert list(files) == ["fixed_points.csv", "fixed_points.svg"]
         counts, text, chart = _fixed_point_files(config)
         assert diagram.counts.tolist() == counts
-        assert (tmp_path / "fixed_points.csv").read_text() == text
-        assert (tmp_path / "fixed_points.svg").read_text() == chart
+        assert files["fixed_points.csv"] == text
+        assert files["fixed_points.svg"] == chart
 
 
 class TestSvg:
@@ -644,12 +658,19 @@ class TestValidateAndErrors:
     ], ids=["config-both", "config-one-side", "flag", "at-the-bound"])
     def test_sample_counts_past_any_address_space_are_a_config_error(self, tmp_path, capsys, overrides,
                                                                      flag, counts):
-        # 8 (n_z0 + n_z1) bytes past the largest intp: numpy cannot even size the array.
+        # 8 (n_z0 + n_z1) bytes past the largest intp: numpy cannot even size
+        # the array.  Validation runs the estimator's own check.
         cfg = write_config(tmp_path / "c.json", method="montecarlo", **overrides)
-        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")] + flag) == 2
         n_z0, n_z1 = counts
-        assert capsys.readouterr().err == f"error: sample counts {n_z0} + {n_z1} exceed any address space\n"
+        message = f"sample counts {n_z0} + {n_z1} exceed any address space"
+        for command in ("validate-config", "estimate"):
+            out = [] if command == "validate-config" else ["--out", str(tmp_path / "out")]
+            assert main([command, "--config", str(cfg)] + out + flag) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(cfg), {"samples_z0": n_z0, "samples_z1": n_z1})
+        assert str(caught.value) == message
 
     def test_missing_config_file(self, tmp_path):
         assert main(["profile", "--config", str(tmp_path / "absent.json")]) == 2
@@ -903,8 +924,11 @@ class TestConfigFuzz:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 out = [] if command == "validate-config" else ["--out", os.path.join(tmp, "out")]
                 code = main([command, "--config", path] + out)
+            # A job that fails writes no file, not even its output directory.
+            written = os.path.exists(os.path.join(tmp, "out"))
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert code == 0 or not written, err.getvalue()
 
     def test_means_past_float_resolution_are_numerical_failure(self, tmp_path, capsys):
         # Found by the fuzz: mu +- 10 sd rounded to one float, and the cell

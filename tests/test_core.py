@@ -72,13 +72,26 @@ class TestLinearSchedule:
         with pytest.raises(ParameterError, match="one-dimensional"):
             NoiseSchedule.from_betas(np.full((2, 3), 0.1))
 
-    def test_inconsistent_alpha_bars_rejected(self):
+    def test_alpha_bars_are_derived_from_the_betas(self):
         betas = np.linspace(0.1, 0.2, 5)
-        good = np.cumprod(1 - betas)
-        bad = good.copy()
-        bad[3] *= 1.0 + 1e-10
-        with pytest.raises(ParameterError):
-            NoiseSchedule(betas=betas, alpha_bars=bad)
+        sched = NoiseSchedule(betas)
+        assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - betas).tobytes()
+        assert not sched.alpha_bars.flags.writeable
+        with pytest.raises(TypeError):
+            NoiseSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.1, float("nan")])
+    def test_betas_outside_the_open_unit_interval_are_rejected(self, beta):
+        with pytest.raises(ParameterError, match="strictly inside"):
+            NoiseSchedule.from_betas([0.1, beta, 0.2])
+
+    @pytest.mark.parametrize("betas", [[0.1, 1e-17, 0.1], [0.5] * 1200],
+                             ids=["one-minus-beta-rounds-to-one", "underflow-to-zero"])
+    def test_alpha_bars_that_stop_decreasing_are_rejected(self, betas):
+        # 1 - 1e-17 rounds to 1, and 0.5^1075 underflows to 0: either way two
+        # alpha-bars are equal.
+        with pytest.raises(ParameterError, match="strictly decreasing"):
+            NoiseSchedule.from_betas(betas)
 
 
 class TestMixtureModel:
