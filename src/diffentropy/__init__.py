@@ -1,7 +1,7 @@
 """Conditional-entropy, posterior-tracking and bifurcation analysis of 1-D
 generative diffusion over Gaussian mixtures."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     MixtureModel,

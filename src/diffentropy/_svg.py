@@ -33,6 +33,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # a step below half the float spacing at v never moves it
+            break
         v += step
     return ticks
 

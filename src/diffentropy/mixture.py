@@ -120,13 +120,19 @@ def _score_terms(params: tuple, x: np.ndarray) -> tuple:
     exactly 1, as the softmax of one finite row gives (a log joint that
     overflows to -inf would give NaN), and its score is its pull row plus
     +0.0: the bits of the weighted sum over that one row, which starts from
-    +0.0 and so turns a -0.0 pull into +0.0.
+    +0.0 and so turns a -0.0 pull into +0.0.  That path divides and adds in
+    the array that ``mu - x`` allocates, so its pull row carries the +0.0
+    too and is the score itself: a new array of ``x``'s size, which a caller
+    may scale in place.
     """
     mu, var, _ = params
-    single = len(mu) == 1
-    w = 1.0 if single else _softmax(_log_joints(params, x))
+    if len(mu) == 1:
+        pull = np.subtract(mu, x)
+        np.add(np.divide(pull, var, out=pull), 0.0, out=pull)
+        return 1.0, pull, var, pull[0]
+    w = _softmax(_log_joints(params, x))
     pull = (mu - x) / var
-    return w, pull, var, pull[0] + 0.0 if single else _component_sum(w * pull)
+    return w, pull, var, _component_sum(w * pull)
 
 
 def _score_and_slope(params: tuple, x: np.ndarray) -> tuple:

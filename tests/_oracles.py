@@ -167,7 +167,7 @@ def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed)
 
     The estimator's loop written out with a fresh array for every result:
     branch ``i`` draws x_T and then one noise vector per step t > 1 from
-    ``Generator(PCG64(SeedSequence(seed).spawn(2)[i]))``, moves to its own
+    ``Generator(SFC64(SeedSequence(seed).spawn(2)[i]))``, moves to its own
     denoising mean ``(x - c eps_own) / r`` plus the scaled noise ``s``, moves
     the clipped log-odds of z0 by ``(2 / beta_t) h (s +- h)`` (+ for z0) with
     the half-gap ``h = c (eps_z1 - eps_z0) / (2 r)`` and records minus the
@@ -182,7 +182,7 @@ def mc_entropy_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n_z1, seed)
     prior_logit = np.log(prior_z0) - np.log1p(-prior_z0)
     series = []
     for i, n in enumerate((n_z0, n_z1)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[i]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(2)[i]))
         x = rng.standard_normal(n)
         logit = np.full(n, prior_logit)
         summand = np.empty(num_steps + 1)
@@ -219,7 +219,7 @@ def mc_entropy_two_means_reference(epsilon, betas, alpha_bars, prior_z0, n_z0, n
     prior_logit = np.log(prior_z0) - np.log1p(-prior_z0)
     series = []
     for i, n in enumerate((n_z0, n_z1)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[i]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(2)[i]))
         x = rng.standard_normal(n)
         logit = np.full(n, prior_logit)
         summand = np.empty(num_steps + 1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import diffentropy
 from diffentropy import cli
-from diffentropy._svg import scatter_chart
+from diffentropy._svg import _nice_ticks, scatter_chart
 from diffentropy.bifurcation import find_fixed_points, trace_bifurcations
 from diffentropy.cli import ConfigError, ExperimentConfig, load_config, main
 from diffentropy.core import linear_schedule
@@ -512,6 +512,25 @@ class TestSvg:
             assert main([COMMANDS[method], "--config", str(cfg), "--out", str(tmp_path / run), "--svg"]) == 0
             charts.append({path.name: path.read_bytes() for path in (tmp_path / run).glob("*.svg")})
         assert len(charts[0]) == 1 and charts[0] == charts[1]
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0000000000000002), (1e20, float(np.nextafter(1e20, 2e20)))])
+    def test_ticks_of_a_range_one_ulp_wide_end(self, lo, hi):
+        # The step is below half the float spacing at the range, so adding it
+        # never moves a tick: the loop stops at the first.
+        [tick] = _nice_ticks(lo, hi)
+        assert tick == pytest.approx(lo, rel=1e-15)
+
+    def test_an_estimate_one_ulp_wide_is_charted(self, tmp_path):
+        # Two means 1e-11 apart leave H_mc at 1 and its next float up: one tick.
+        cfg = write_config(tmp_path / "c.json", method="montecarlo", mixture={"means": [0.0, 1e-11]},
+                           schedule={"num_steps": 50},
+                           partitions=[{"preset": "one-vs-one", "classes": [0, 1]}], seed=1, samples=20)
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path), "--svg"]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "estimate.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert {float(row[2]) for row in rows} == {1.0, 1.0000000000000002}
+        svg = (tmp_path / "estimate.svg").read_text()
+        assert len(re.findall(r'text-anchor="end" [^>]*>[^<]*</text>', svg)) == 1
 
     def test_each_fixed_point_row_has_one_dot_coloured_by_its_stability(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", method="fixedpoints", mixture=ATLAS["row-lopsided"],

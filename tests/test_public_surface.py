@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +38,11 @@ def test_the_package_exports_exactly_these_names():
     assert PACKAGE_NAMES == sorted(PACKAGE_NAMES)
     assert sorted(diffentropy.__all__) == PACKAGE_NAMES
     assert len(PACKAGE_NAMES) <= 30  # the design limit on the package's surface
+
+
+def test_the_package_and_its_metadata_name_one_version():
+    # Every CSV's "# diffentropy" line carries __version__, which tells which
+    # sampler drew an estimate; the distribution must say the same.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == diffentropy.__version__

@@ -65,7 +65,7 @@ class _NanModel:
 
 def _branch_rng(seed, branch_index):
     """The estimator's documented noise stream for one branch (0: z0, 1: z1)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[branch_index]))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(2)[branch_index]))
 
 
 # Every trajectory on z0's side, or on z1's.
@@ -682,6 +682,31 @@ class TestGmmScoreModel:
                     assert np.shape(got) == np.shape(want)
                     np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                                   np.asarray(want).view(np.int64))
+
+    def test_a_one_component_prediction_is_one_array(self):
+        # mu - x allocates the prediction; the division, the +0.0 and the
+        # scaling write into it.  Two arrays of x's size would be 2 x.nbytes.
+        x = np.linspace(-3.0, 3.0, 20_000)
+        ORACLE.epsilon(x, 500, "z0")
+        tracemalloc.start()
+        try:
+            ORACLE.epsilon(x, 500, "z0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
+
+    @pytest.mark.parametrize("mixture, partition", [(TWO_DELTAS, PART), (THREE, THREE_PART)],
+                             ids=["one-vs-one", "one-vs-two"])
+    def test_a_held_prediction_survives_the_next_call(self, mixture, partition):
+        model = GmmScoreModel(mixture, FAST, partition)
+        x = np.linspace(-3.0, 3.0, 101)
+        for label in ("z0", "z1", "null"):
+            first = model.epsilon(x, 50, label)
+            kept = first.copy()
+            second = model.epsilon(x + 1.0, 60, label)
+            assert not np.shares_memory(first, second) and not np.shares_memory(first, x)
+            np.testing.assert_array_equal(first.view(np.int64), kept.view(np.int64))
 
     def test_steps_of_the_schedule_do_not_call_score(self, monkeypatch):
         calls = []
